@@ -35,8 +35,6 @@ from .identities import (
 )
 from .matrices import mixing_matrix, phase_matrix
 from .modpoint import (
-    BRANCH_CONVENTION,
-    BranchConvention,
     ModularPoint,
     PrecisionContext,
     frac_power,

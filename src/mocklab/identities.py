@@ -40,7 +40,7 @@ from .mordell import (
     w2_integral,
     w3_integral,
 )
-from .qseries import MockThetaId, eval_mock, eta, theta
+from .qseries import MockThetaId, eval_mock, eta, k_pair, theta
 
 __all__ = [
     "CheckEntry",
@@ -199,13 +199,10 @@ def check_mf5_scalar(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
 def _k_vector(alpha, base: str, ctx: PrecisionContext):
     """(B^{-1/120} K0(B), B^{-49/120} K1(B)) for B = Q or Q1 at alpha."""
     B = power_from_alpha(alpha, base, 1, ctx)
-    chi0_b = eval_mock(MockThetaId(5, "chi0"), B, ctx)
-    chi1_b = eval_mock(MockThetaId(5, "chi1"), B, ctx)
+    k0, k1 = k_pair(B, ctx)
     p0 = power_from_alpha(alpha, base, Fraction(-1, 120), ctx)
     p1 = power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
-    vec = (p0 * (2 - chi0_b), p1 * (-B * chi1_b))
-    budget_scale = abs(p0) + abs(p1) * abs(B)
-    return vec, budget_scale
+    return (p0 * k0, p1 * k1), abs(p0) + abs(p1) * abs(B)
 
 
 def check_mf5_matrix(alpha, ctx: PrecisionContext) -> List[CheckEntry]:

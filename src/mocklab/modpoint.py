@@ -15,8 +15,10 @@ never as complex powers of q itself.  With Re alpha > 0 this removes every
 branch ambiguity; sqrt(pi/alpha) and sqrt(-i*tau) are principal roots, valid
 because their arguments have positive real part.
 
-All values are immutable after construction and every operation is pure, so
-concurrent use is safe and results are reproducible bit for bit.
+All values are immutable after construction and results are reproducible
+bit for bit.  The library is single-threaded: every layer switches the
+precision of the global mpmath context, so threads working at different
+precisions corrupt each other's results.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import DomainError, PrecisionError
 __all__ = [
     "PrecisionContext",
     "ModularPoint",
-    "BRANCH_CONVENTION",
     "reference_context",
     "from_tau",
     "from_alpha",
@@ -84,23 +85,6 @@ class PrecisionContext:
 def reference_context() -> PrecisionContext:
     """The reference configuration: 256 bits, eps 1e-40, quadrature 1e-30."""
     return PrecisionContext(prec_bits=256, eps="1e-40", quad_eps="1e-30")
-
-
-class BranchConvention:
-    """Fixed branch policy (a stateless marker object).
-
-    * sqrt(pi/alpha) and sqrt(-i*tau) are principal square roots;
-    * fractional powers of q, Q, q1, Q1 go through exp of rational multiples
-      of alpha (resp. pi^2/alpha), never through complex powers of q.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return "BranchConvention(principal-sqrt, powers-through-alpha)"
-
-
-BRANCH_CONVENTION = BranchConvention()
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,32 @@ integrals L(r, alpha), W2(alpha), W3(alpha) for complex alpha, including
 lateral limits at the negative-axis Stokes line, the principal-value
 summation identity, and the two-component integral vector.
 
+Integrand family: every integrand is
+
+    e^{-g a x^2} N_j(v) / D(v),    v = e^{-s a x},
+
+with N_j and D short polynomials in v with integer exponents (the quotients
+of cosh/sinh of integer multiples of s a x, multiplied through by the top
+power of v).  So a node costs two complex exponentials and a few products,
+and the components of one family, such as L(1/5) and L(2/5), share their
+nodes: one quadrature yields the pair.
+
 Contour strategy: every integral is taken along the ray rotated by
 -arg(alpha)/2, which makes the Gaussian factor exactly real-decaying and
 keeps the pole line of the hyperbolic quotient at angular distance
 (pi - |arg alpha|)/2 from the contour.  The semi-infinite ray is cut where a
-certified envelope drops below the quadrature target, and panels accumulate
-dyadically toward the projections of nearby poles so that both quadrature
-schemes converge geometrically however close the Stokes line is approached.
+certified envelope drops below the quadrature target.  The one quadrature
+scheme is Gauss-Legendre on panels that accumulate dyadically toward the
+projections of nearby poles, and from the start of the ray toward the poles
+behind it (close to the origin when |alpha| is large), so that it converges
+geometrically however close the Stokes line is approached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, List, Sequence, Tuple
 
 from mpmath import mp, mpc, mpf
@@ -34,7 +47,6 @@ __all__ = [
     "QuadratureResult",
     "RayIntegrand",
     "integrate_ray",
-    "refinement_table",
     "l_integral",
     "w2_integral",
     "w3_integral",
@@ -56,24 +68,25 @@ _VALUE_CACHE: dict = {}
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: mpc
-    err_estimate: mpf
-    nodes_used: int
-    scheme: str  # 'tanh_sinh' or 'gauss_patch'
+    value: Tuple[mpc, ...]  # one integral per integrand component
+    err_estimate: mpf  # bound for every component
+    nodes_used: int  # integrand evaluations
+    scheme: str  # always 'gauss_patch'
 
 
 @dataclass(frozen=True)
 class RayIntegrand:
-    """Descriptor of an integrand f on a pole-free cone.
+    """Descriptor of a vector integrand f on a pole-free cone.
 
-    func          integrand in the unrotated variable x
-    gauss_coeff   c with |func| <= bound_const * exp(-Re(c x^2)) away from poles
+    func          integrand in the unrotated variable x, returning the tuple
+                  of its components (all integrated on the same nodes)
+    gauss_coeff   c with |f_j| <= bound_const * exp(-Re(c x^2)) away from poles
     poles         pole positions relevant to the contour (finite list)
     bound_const   envelope constant for the cut/tail estimate
     exclusion     minimal admissible sine of the ray-pole angular separation
     """
 
-    func: Callable[[mpc], mpc]
+    func: Callable[[mpc], Tuple[mpc, ...]]
     gauss_coeff: mpc
     poles: Tuple[mpc, ...] = ()
     bound_const: mpf = mpf(16)
@@ -91,17 +104,22 @@ def _gl_nodes(degree: int, prec: int):
     return nodes
 
 
+def _cut(bound_const, a_eff, ctx: PrecisionContext):
+    """Where bound_const * exp(-a_eff x^2) falls to the tail target."""
+    return mp.sqrt(mp.log(bound_const / (ctx.quad_eps * mpf(2) ** -10)) / a_eff)
+
+
 def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
     """Rotation, cut point, tail bound and panel break points for the ray."""
     w = mp.exp(1j * mpf(angle))
     a_eff = (integrand.gauss_coeff * w * w).real
     if not a_eff > 0:
         raise DomainError("Gaussian factor does not decay along this ray")
-    tail_target = ctx.quad_eps * mpf(2) ** -10
-    big_l = mp.log(integrand.bound_const / tail_target)
-    cut = mp.sqrt(big_l / a_eff)
-    # pole guard and dyadic break points toward each pole projection
+    cut = _cut(integrand.bound_const, a_eff, ctx)
+    # pole guard and dyadic break points toward each pole projection; the
+    # poles behind the start of the ray are hugged from 0 at their distance
     points: List[mpf] = []
+    behind = cut
     for pole in integrand.poles:
         sp = pole / w
         proj, perp = sp.real, abs(sp.imag)
@@ -110,6 +128,8 @@ def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
             raise PoleProximityError(
                 "ray passes within the exclusion radius of a pole"
             )
+        if proj <= 0:
+            behind = min(behind, abs(sp))
         if proj <= 0 or proj >= cut:
             continue
         points.append(proj)
@@ -120,222 +140,212 @@ def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
             if proj + d < cut:
                 points.append(proj + d)
             d *= 2
+    while behind < cut:
+        points.append(behind)
+        behind *= 2
     points = sorted(set([mpf(0)] + points + [cut]))
     tail = integrand.bound_const * mp.exp(-a_eff * cut * cut) / (2 * a_eff * cut)
     return w, points, tail
 
 
-def integrate_ray(integrand: RayIntegrand, angle, ctx: PrecisionContext,
-                  scheme: str = "tanh_sinh") -> QuadratureResult:
-    """Integrate integrand.func from 0 to infinity along the ray at the given angle.
+def integrate_ray(integrand: RayIntegrand, angle,
+                  ctx: PrecisionContext) -> QuadratureResult:
+    """Integrate every component of integrand.func from 0 to infinity along
+    the ray at the given angle.
 
-    tanh_sinh delegates panel refinement to double-exponential quadrature;
-    gauss_patch doubles the Gauss-Legendre node count per panel until two
-    successive levels agree below the quadrature target.
+    Each Gauss-Legendre panel raises its degree from 4 to 9 until two
+    successive degrees agree below the panel's share of the quadrature
+    target; the larger difference over the components is the panel's error.
     """
     with mp.workprec(ctx.prec_bits + 16):
         w, points, tail = _geometry(integrand, angle, ctx)
-        counter = [0]
-
-        def F(s):
-            counter[0] += 1
-            return w * integrand.func(w * s)
-
-        if scheme == "tanh_sinh":
-            value, err = mp.quad(F, points, method="tanh-sinh", error=True,
-                                 maxdegree=10)
-        elif scheme == "gauss_patch":
-            target = ctx.quad_eps * mpf(2) ** -4
-            panel_tol = target / max(8, len(points) - 1)
-            value = mpc(0)
-            err = mpf(0)
-            for a, b in zip(points[:-1], points[1:]):
-                mid, half = (a + b) / 2, (b - a) / 2
-                prev = None
-                for degree in range(4, 10):
-                    total = mpc(0)
-                    for x, wt in _gl_nodes(degree, ctx.prec_bits):
-                        counter[0] += 1
-                        total += wt * F(mid + half * x)
-                    total *= half
-                    if prev is not None and abs(total - prev) < panel_tol:
-                        err += abs(total - prev)
+        target = ctx.quad_eps * mpf(2) ** -4
+        panel_tol = target / max(8, len(points) - 1)
+        value = None
+        err = mpf(0)
+        nodes_used = 0
+        for a, b in zip(points[:-1], points[1:]):
+            mid, half = (a + b) / 2, (b - a) / 2
+            prev = None
+            for degree in range(4, 10):
+                rule = _gl_nodes(degree, ctx.prec_bits)
+                vals = [integrand.func(w * (mid + half * x)) for x, _ in rule]
+                nodes_used += len(rule)
+                weights = [wt for _, wt in rule]
+                total = [half * mp.fdot(weights, comp) for comp in zip(*vals)]
+                if prev is not None:
+                    diff = max(abs(t - p) for t, p in zip(total, prev))
+                    if diff < panel_tol:
+                        err += diff
                         break
-                    prev = total
-                else:
-                    raise NonConvergenceError(
-                        "gauss_patch panel failed to converge"
-                    )
-                value += total
-        else:
-            raise DomainError("scheme must be 'tanh_sinh' or 'gauss_patch'")
-        err = mpf(err) + tail
+                prev = total
+            else:
+                raise NonConvergenceError("gauss_patch panel failed to converge")
+            value = total if value is None else [s + t for s, t in zip(value, total)]
+        err += tail
         if not err < ctx.quad_eps:
             raise NonConvergenceError(
                 "quadrature error estimate %s above target" % mp.nstr(err, 5)
             )
-        return QuadratureResult(mpc(value), err, counter[0], scheme)
+        return QuadratureResult(tuple(w * s for s in value), err, nodes_used,
+                                "gauss_patch")
 
 
-def refinement_table(integrand: RayIntegrand, angle, ctx: PrecisionContext,
-                     degrees: Sequence[int] = (3, 4, 5, 6, 7)) -> List[mpc]:
-    """Fixed-degree Gauss sweeps over the panel set, one total per degree.
+# ---------------------------------------------------------------------------
+# The integrand family and the concrete integrals
+# ---------------------------------------------------------------------------
 
-    Exposes the raw node-doubling convergence behaviour for diagnostics."""
-    with mp.workprec(ctx.prec_bits + 16):
-        w, points, _tail = _geometry(integrand, angle, ctx)
-        out = []
-        for degree in degrees:
-            total = mpc(0)
-            for a, b in zip(points[:-1], points[1:]):
-                mid, half = (a + b) / 2, (b - a) / 2
-                acc = mpc(0)
-                for x, wt in _gl_nodes(degree, ctx.prec_bits):
-                    acc += wt * integrand.func(w * (mid + half * x)) * w
-                total += acc * half
-            out.append(total)
+@dataclass(frozen=True)
+class _Family:
+    """Integrands e^{-gauss a x^2} N_j(v) / D(v) with v = e^{-scale a x}.
+
+    N_j (numerators, one per component) and D (denominator) are sparse
+    polynomials given as (sign, exponent) pairs, sign +-1 and exponent a
+    nonnegative integer.  |N_j(v) / D(v)| stays bounded along the ray, and
+    the poles of the quotient lie at x = +-i m pole_step pi / a for the
+    integers m >= 1 not divisible by skip.
+    """
+
+    gauss: Fraction
+    scale: Fraction
+    numerators: Tuple[Tuple[Tuple[int, int], ...], ...]
+    denominator: Tuple[Tuple[int, int], ...]
+    pole_step: Fraction
+    skip: int
+
+
+def _l_family(rs: Tuple[Fraction, ...]) -> _Family:
+    """L(r, a) for every r in rs: the Gaussian e^{-(3/2) a x^2} times
+    [cosh((3r-2)ax) + cosh((3r-1)ax)] / cosh((3/2)ax).
+
+    With t = a x / n, n the common denominator, and m = 3n/2, each term is
+    cosh(k t) / cosh(m t) = (v^{m-|k|} + v^{m+|k|}) / (1 + v^{2m})."""
+    n = lcm(2, *((3 * r - c).denominator for r in rs for c in (1, 2)))
+    m = 3 * n // 2
+    numerators = []
+    for r in rs:
+        ks = [abs((3 * r - c) * n) for c in (2, 1)]
+        if max(ks) > m:
+            raise DomainError("l_integral needs 1/6 <= r <= 5/6")
+        numerators.append(tuple((1, int(e)) for k in ks for e in (m - k, m + k)))
+    return _Family(Fraction(3, 2), Fraction(1, n), tuple(numerators),
+                   ((1, 0), (1, 2 * m)), Fraction(1, 3), 2)
+
+
+_L_PAIR = (Fraction(1, 5), Fraction(2, 5))
+# cosh(ax)/cosh(3ax) = v^2 / (1 - v^2 + v^4); the poles at odd multiples of
+# pi/6a include the removable ones at odd multiples of pi/2a
+_W2 = _Family(Fraction(3, 2), Fraction(1), (((1, 2),),),
+              ((1, 0), (-1, 2), (1, 4)), Fraction(1, 6), 2)
+# sinh(ax)/sinh(3ax) = v^2 / (1 + v^2 + v^4), 1/3 at x = 0
+_W3 = _Family(Fraction(3), Fraction(1), (((1, 2),),),
+              ((1, 0), (1, 2), (1, 4)), Fraction(1, 3), 3)
+
+
+def _power_plan(exponents) -> List[Tuple[int, int, int]]:
+    """Products (e, i, j), v^e = v^i * v^j, that build v^e for every given
+    positive exponent from v^1: each exponent is its predecessor times the
+    power of their gap, and each gap power is a product of two powers built
+    before it (halving when there are none)."""
+    exps = sorted(set(exponents) - {0})
+    have = {1}
+    plan = []
+
+    def build(e, i=None):
+        if e not in have:
+            if i is None:
+                i = next((i for i in sorted(have, reverse=True) if e - i in have),
+                         e // 2)
+                build(i)
+                build(e - i)
+            plan.append((e, i, e - i))
+            have.add(e)
+
+    for g in sorted({b - a for a, b in zip([0] + exps, exps)}):
+        build(g)
+    for a, b in zip(exps, exps[1:]):
+        build(b, a)
+    return plan
+
+
+def _poly(powers: dict, terms) -> mpc:
+    (sign, e), *rest = terms
+    total = powers[e] if sign > 0 else -powers[e]
+    for sign, e in rest:
+        total = total + powers[e] if sign > 0 else total - powers[e]
+    return total
+
+
+def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayIntegrand:
+    """The family at alpha with its envelope, pole lattice and guard."""
+    gauss = family.gauss.numerator * alpha / family.gauss.denominator
+    scale = family.scale.numerator * alpha / family.scale.denominator
+    plan = _power_plan(e for terms in family.numerators + (family.denominator,)
+                       for _, e in terms)
+
+    def f(x):
+        powers = {0: 1, 1: mp.exp(-scale * x)}
+        for e, i, j in plan:
+            powers[e] = powers[i] * powers[j]
+        h = mp.exp(-gauss * x * x) / _poly(powers, family.denominator)
+        return tuple(h * _poly(powers, terms) for terms in family.numerators)
+
+    theta = mp.arg(alpha)
+    const = 16 * (1 + 1 / mp.cos(theta / 2))
+    cut = _cut(const, abs(gauss), ctx)
+    step = family.pole_step.numerator * mp.pi / (family.pole_step.denominator * abs(alpha))
+    rot = 1j * mp.exp(-1j * theta)
+    poles = []
+    m = 1
+    while m * step <= 2 * cut:
+        if m % family.skip:
+            poles += [m * step * rot, -m * step * rot]
+        m += 1
+    exclusion = min(mpf("0.1"), (mp.pi - abs(theta)) / 8)
+    return RayIntegrand(f, gauss, tuple(poles), mpf(const), exclusion)
+
+
+def _integrate_family(family: _Family, alpha,
+                      ctx: PrecisionContext) -> Tuple[Tuple[mpc, ...], mpf]:
+    """(component values, err_estimate) of the family at alpha, cached."""
+    with ctx.workprec():
+        alpha = mpc(alpha)
+        theta = mp.arg(alpha)
+        if not abs(theta) < mp.pi:
+            raise DomainError("the integrals need |arg alpha| < pi")
+        key = (family, alpha._mpc_, ctx.prec_bits, ctx.quad_eps._mpf_)
+        out = _VALUE_CACHE.get(key)
+        if out is None:
+            res = integrate_ray(_ray_integrand(family, alpha, ctx), -theta / 2, ctx)
+            out = _VALUE_CACHE[key] = (res.value, res.err_estimate)
         return out
 
 
-# ---------------------------------------------------------------------------
-# The concrete integrals
-# ---------------------------------------------------------------------------
-
-def _pole_radii(step: mpf, cut: mpf, odd_only: bool = True):
-    """Radii m*step with m odd (or m not divisible by 3) up to 2*cut."""
-    out = []
-    m = 1
-    while m * step <= 2 * cut:
-        if odd_only:
-            keep = m % 2 == 1
-        else:
-            keep = m % 3 != 0
-        if keep:
-            out.append(m * step)
-        m += 1
-    return out
-
-
-def _exclusion_for(alpha) -> mpf:
-    theta = abs(mp.arg(alpha))
-    return min(mpf("0.1"), (mp.pi - theta) / 8)
-
-
-def _cache_key(tag: str, alpha: mpc, ctx: PrecisionContext, scheme: str):
-    return (tag, mpc(alpha)._mpc_, ctx.prec_bits, ctx.quad_eps._mpf_, scheme)
-
-
-def l_integral(r, alpha, ctx: PrecisionContext,
-               scheme: str = "tanh_sinh") -> Tuple[mpc, mpf]:
+def l_integral(r, alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
     """integral_0^inf e^{-(3/2) a x^2} [cosh((3r-2)ax) + cosh((3r-1)ax)]
-    / cosh((3/2) a x) dx for a = alpha, |arg alpha| < pi.
+    / cosh((3/2) a x) dx for a = alpha, |arg alpha| < pi, 1/6 <= r <= 5/6.
 
     Returns (value, err_estimate).  The contour is the ray at -arg(alpha)/2;
     the quotient's poles sit at i*pi*(2k+1)/(3 alpha) and stay separated from
-    the contour by the angle (pi - |arg alpha|)/2.
+    the contour by the angle (pi - |arg alpha|)/2.  r = 1/5 and r = 2/5 are
+    computed together, so the second of them comes from the value cache.
     """
     r = Fraction(r)
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        theta = mp.arg(alpha)
-        if not abs(theta) < mp.pi:
-            raise DomainError("l_integral needs |arg alpha| < pi")
-        key = _cache_key("L%s" % r, alpha, ctx, scheme)
-        hit = _VALUE_CACHE.get(key)
-        if hit is not None:
-            return hit
-        c32 = mpf(3) / 2
-        a1 = mpf((3 * r - 2).numerator) / (3 * r - 2).denominator
-        a2 = mpf((3 * r - 1).numerator) / (3 * r - 1).denominator
-
-        def f(x):
-            return (mp.exp(-c32 * alpha * x * x)
-                    * (mp.cosh(a1 * alpha * x) + mp.cosh(a2 * alpha * x))
-                    / mp.cosh(c32 * alpha * x))
-
-        sinsep = mp.cos(theta / 2)
-        const = 16 * (1 + 1 / sinsep)
-        cut_guess = mp.sqrt(mp.log(const / (ctx.quad_eps * mpf(2) ** -10))
-                            / (c32 * abs(alpha)))
-        step = mp.pi / (3 * abs(alpha))
-        poles = []
-        for rad in _pole_radii(step, cut_guess, odd_only=True):
-            poles.append(1j * rad * mp.exp(-1j * theta))
-            poles.append(-1j * rad * mp.exp(-1j * theta))
-        integrand = RayIntegrand(f, c32 * alpha, tuple(poles), mpf(const),
-                                 _exclusion_for(alpha))
-        res = integrate_ray(integrand, -theta / 2, ctx, scheme)
-        out = (res.value, res.err_estimate)
-        _VALUE_CACHE[key] = out
-        return out
+    rs = _L_PAIR if r in _L_PAIR else (r,)
+    values, err = _integrate_family(_l_family(rs), alpha, ctx)
+    return values[rs.index(r)], err
 
 
-def w3_integral(alpha, ctx: PrecisionContext,
-                scheme: str = "tanh_sinh") -> Tuple[mpc, mpf]:
+def w3_integral(alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
     """integral_0^inf e^{-3 a x^2} sinh(ax)/sinh(3ax) dx, |arg alpha| < pi."""
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        theta = mp.arg(alpha)
-        if not abs(theta) < mp.pi:
-            raise DomainError("w3_integral needs |arg alpha| < pi")
-        key = _cache_key("W3", alpha, ctx, scheme)
-        hit = _VALUE_CACHE.get(key)
-        if hit is not None:
-            return hit
-
-        def f(x):
-            if x == 0:
-                return mpc(1) / 3
-            return mp.exp(-3 * alpha * x * x) * mp.sinh(alpha * x) / mp.sinh(3 * alpha * x)
-
-        sinsep = mp.cos(theta / 2)
-        const = 16 * (1 + 1 / sinsep)
-        cut_guess = mp.sqrt(mp.log(const / (ctx.quad_eps * mpf(2) ** -10))
-                            / (3 * abs(alpha)))
-        step = mp.pi / (3 * abs(alpha))
-        poles = []
-        for rad in _pole_radii(step, cut_guess, odd_only=False):
-            poles.append(1j * rad * mp.exp(-1j * theta))
-            poles.append(-1j * rad * mp.exp(-1j * theta))
-        integrand = RayIntegrand(f, 3 * alpha, tuple(poles), mpf(const),
-                                 _exclusion_for(alpha))
-        res = integrate_ray(integrand, -theta / 2, ctx, scheme)
-        out = (res.value, res.err_estimate)
-        _VALUE_CACHE[key] = out
-        return out
+    values, err = _integrate_family(_W3, alpha, ctx)
+    return values[0], err
 
 
-def w2_integral(alpha, ctx: PrecisionContext,
-                scheme: str = "tanh_sinh") -> Tuple[mpc, mpf]:
+def w2_integral(alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
     """integral_0^inf e^{-(3/2) a x^2} cosh(ax)/cosh(3ax) dx, |arg alpha| < pi."""
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        theta = mp.arg(alpha)
-        if not abs(theta) < mp.pi:
-            raise DomainError("w2_integral needs |arg alpha| < pi")
-        key = _cache_key("W2", alpha, ctx, scheme)
-        hit = _VALUE_CACHE.get(key)
-        if hit is not None:
-            return hit
-
-        def f(x):
-            return mp.exp(-mpf(3) / 2 * alpha * x * x) * mp.cosh(alpha * x) / mp.cosh(3 * alpha * x)
-
-        sinsep = mp.cos(theta / 2)
-        const = 16 * (1 + 1 / sinsep)
-        cut_guess = mp.sqrt(mp.log(const / (ctx.quad_eps * mpf(2) ** -10))
-                            / (mpf(3) / 2 * abs(alpha)))
-        step = mp.pi / (6 * abs(alpha))
-        poles = []
-        for rad in _pole_radii(step, cut_guess, odd_only=True):
-            poles.append(1j * rad * mp.exp(-1j * theta))
-            poles.append(-1j * rad * mp.exp(-1j * theta))
-        integrand = RayIntegrand(f, mpf(3) / 2 * alpha, tuple(poles),
-                                 mpf(const), _exclusion_for(alpha))
-        res = integrate_ray(integrand, -theta / 2, ctx, scheme)
-        out = (res.value, res.err_estimate)
-        _VALUE_CACHE[key] = out
-        return out
+    values, err = _integrate_family(_W2, alpha, ctx)
+    return values[0], err
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +364,12 @@ class LVector:
         return (self.l1, self.l2)
 
 
-def l_vector(alpha, ctx: PrecisionContext, scheme: str = "tanh_sinh") -> LVector:
+def l_vector(alpha, ctx: PrecisionContext) -> LVector:
     with ctx.workprec():
         alpha = mpc(alpha)
         pref = mp.sqrt(135 * alpha / mp.pi)
-        v1, e1 = l_integral(Fraction(1, 5), 10 * alpha, ctx, scheme)
-        v2, e2 = l_integral(Fraction(2, 5), 10 * alpha, ctx, scheme)
+        v1, e1 = l_integral(Fraction(1, 5), 10 * alpha, ctx)
+        v2, e2 = l_integral(Fraction(2, 5), 10 * alpha, ctx)
         ap = abs(pref)
         return LVector(pref * v1, pref * v2, ap * (e1 + e2))
 
@@ -368,8 +378,8 @@ def lateral_l_vector(abs_alpha, theta, ctx: PrecisionContext,
                      floor=LATERAL_FLOOR) -> LVector:
     """The vector at alpha = abs_alpha * e^{i theta} near the negative axis.
 
-    Controlled approach window 0 < pi - |theta| <= pi/2; the quadrature runs
-    on pole-hugging Gauss panels, which stay convergent down to the floor."""
+    Controlled approach window 0 < pi - |theta| <= pi/2; the pole-hugging
+    Gauss panels stay convergent down to the floor."""
     with ctx.workprec():
         abs_alpha = mpf(abs_alpha)
         theta = mpf(theta)
@@ -381,7 +391,7 @@ def lateral_l_vector(abs_alpha, theta, ctx: PrecisionContext,
                 "pi - |theta| = %s below the lateral floor %s"
                 % (mp.nstr(gap, 5), mp.nstr(mpf(floor), 5))
             )
-        return l_vector(abs_alpha * mp.exp(1j * theta), ctx, scheme="gauss_patch")
+        return l_vector(abs_alpha * mp.exp(1j * theta), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -491,24 +501,16 @@ def neville_extrapolate(xs: Sequence[mpf], ys: Sequence, x0=0):
     return t[-1]
 
 
-def _unary_vector(a, base: str, ctx: PrecisionContext):
-    """(B^{-1/120} X0(1/B), B^{-49/120} X1(1/B)) for B = Q or Q1 at alpha=-a.
+def _unary_vector(a, base: str, sign: int, ctx: PrecisionContext):
+    """(B^{-s/120} X0(1/B), B^{-49s/120} X1(1/B)) for B = Q or Q1 at alpha=-a.
 
     With alpha = -a the conventions give Q = e^{2a} and Q1 = e^{2 pi^2/a},
-    both of modulus > 1, so 1/B feeds the unary series."""
+    both of modulus > 1, so 1/B feeds the unary series.  sign s = 1 is the
+    folded normalization, s = -1 the literal display."""
     alpha = mpc(-mpf(a))
     u = power_from_alpha(alpha, base, Fraction(-1), ctx)  # 1/B, |u| < 1
-    p0 = power_from_alpha(alpha, base, Fraction(-1, 120), ctx)
-    p1 = power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
-    return (p0 * unary_x("X0", u, ctx), p1 * unary_x("X1", u, ctx))
-
-
-def _unary_vector_literal(a, base: str, ctx: PrecisionContext):
-    """Same with positive prefactor exponents (+1/120, +49/120)."""
-    alpha = mpc(-mpf(a))
-    u = power_from_alpha(alpha, base, Fraction(-1), ctx)
-    p0 = power_from_alpha(alpha, base, Fraction(1, 120), ctx)
-    p1 = power_from_alpha(alpha, base, Fraction(49, 120), ctx)
+    p0 = power_from_alpha(alpha, base, Fraction(-sign, 120), ctx)
+    p1 = power_from_alpha(alpha, base, Fraction(-49 * sign, 120), ctx)
     return (p0 * unary_x("X0", u, ctx), p1 * unary_x("X1", u, ctx))
 
 
@@ -580,16 +582,16 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext,
             laterals.append(vec.as_tuple())
             budget = max(budget, vec.err_estimate)
 
-        pred_real_vec = _unary_vector(a, "Q", ctx)
+        pred_real_vec = _unary_vector(a, "Q", 1, ctx)
         mat = mixing_matrix(ctx)
-        mixed = mat_vec(mat, _unary_vector(a, "Q1", ctx))
+        mixed = mat_vec(mat, _unary_vector(a, "Q1", 1, ctx))
         root = mp.sqrt(mp.pi / a)
         three_half = mpf(3) / 2
         pred_real = tuple(three_half * v.real for v in pred_real_vec)
         pred_imag = tuple(three_half * root * v.real for v in mixed)
 
-        lit_real_vec = _unary_vector_literal(a, "Q", ctx)
-        lit_mixed = mat_vec(mat, _unary_vector_literal(a, "Q1", ctx))
+        lit_real_vec = _unary_vector(a, "Q", -1, ctx)
+        lit_mixed = mat_vec(mat, _unary_vector(a, "Q1", -1, ctx))
         lit_real = tuple(v.real for v in lit_real_vec)
         lit_imag = tuple(root * v.real for v in lit_mixed)
 

@@ -18,37 +18,91 @@ from mocklab import (
     w2_integral,
     w3_integral,
 )
-from mocklab.mordell import neville_extrapolate, refinement_table
+from mocklab import mordell
+from mocklab.mordell import neville_extrapolate
+
+
+def _tanh_sinh(f, integrand, angle, ctx):
+    """Test-only reference: mp.quad tanh-sinh of the scalar f(x) along the
+    ray at the given angle, on the panels the production code builds for
+    integrand, at the production working precision."""
+    with mp.workprec(ctx.prec_bits + 16):
+        w, points, _tail = mordell._geometry(integrand, angle, ctx)
+        return w * mp.quad(lambda s: f(w * s), points, method="tanh-sinh",
+                           maxdegree=10)
+
+
+def _fixed_degree_sweeps(integrand, angle, ctx, degrees):
+    """One Gauss total per degree over the production panel set."""
+    with mp.workprec(ctx.prec_bits + 16):
+        w, points, _tail = mordell._geometry(integrand, angle, ctx)
+        out = []
+        for degree in degrees:
+            total = mpc(0)
+            for a, b in zip(points[:-1], points[1:]):
+                mid, half = (a + b) / 2, (b - a) / 2
+                total += half * mp.fsum(
+                    wt * integrand.func(w * (mid + half * x))[0]
+                    for x, wt in mordell._gl_nodes(degree, ctx.prec_bits))
+            out.append(w * total)
+        return out
+
+
+def _l_cosh(r, alpha):
+    """The L(r, alpha) integrand in its defining cosh form."""
+    a1, a2 = (mpf((3 * r - c).numerator) / (3 * r - c).denominator for c in (2, 1))
+    c32 = mpf(3) / 2
+    return lambda x: (mp.exp(-c32 * alpha * x * x)
+                      * (mp.cosh(a1 * alpha * x) + mp.cosh(a2 * alpha * x))
+                      / mp.cosh(c32 * alpha * x))
 
 
 # ---------------------------------------------------------------------------
 # integrate_ray on known integrals
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("scheme", ["tanh_sinh", "gauss_patch"])
-def test_gaussian_half_line(ctx, scheme):
+def _gaussian(gamma):
+    return RayIntegrand(func=lambda x: (mp.exp(-gamma * x * x),), gauss_coeff=gamma)
+
+
+def test_gaussian_half_line(ctx):
     with ctx.workprec():
-        integrand = RayIntegrand(func=lambda x: mp.exp(-x * x), gauss_coeff=mpc(1))
-        res = integrate_ray(integrand, 0, ctx, scheme)
-        assert abs(res.value - mp.sqrt(mp.pi) / 2) < ctx.quad_eps
+        integrand = _gaussian(mpc(1))
+        res = integrate_ray(integrand, 0, ctx)
+        assert abs(res.value[0] - mp.sqrt(mp.pi) / 2) < ctx.quad_eps
+        ref = _tanh_sinh(lambda x: mp.exp(-x * x), integrand, 0, ctx)
+        assert abs(res.value[0] - ref) < ctx.quad_eps
         assert res.err_estimate < ctx.quad_eps
-        assert res.nodes_used > 0 and res.scheme == scheme
+        assert res.nodes_used > 0 and res.scheme == "gauss_patch"
+
+
+def test_nodes_used_counts_evaluations(ctx):
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return (mp.exp(-x * x),)
+
+    with ctx.workprec():
+        integrand = RayIntegrand(func=f, gauss_coeff=mpc(1))
+        assert len(mordell._geometry(integrand, 0, ctx)[1]) == 2  # one panel
+        res = integrate_ray(integrand, 0, ctx)
+        assert res.nodes_used == calls[0] > 0
 
 
 def test_rotated_gaussian_cauchy_invariance(ctx):
     with ctx.workprec():
         gamma = mp.exp(-1j * mp.pi / 4)
-        integrand = RayIntegrand(func=lambda x: mp.exp(-gamma * x * x), gauss_coeff=gamma)
-        v0 = integrate_ray(integrand, 0, ctx, "tanh_sinh").value
-        v1 = integrate_ray(integrand, mp.pi / 8, ctx, "gauss_patch").value
+        integrand = _gaussian(gamma)
+        v0 = _tanh_sinh(lambda x: mp.exp(-gamma * x * x), integrand, 0, ctx)
+        v1 = integrate_ray(integrand, mp.pi / 8, ctx).value[0]
         assert abs(v0 - v1) < 10 * ctx.quad_eps
         assert abs(v0 - mp.sqrt(mp.pi / gamma) / 2) < 10 * ctx.quad_eps
 
 
 def test_divergent_ray_rejected(ctx):
     with ctx.workprec():
-        gamma = mp.exp(-1j * mp.pi / 4)
-        integrand = RayIntegrand(func=lambda x: mp.exp(-gamma * x * x), gauss_coeff=gamma)
+        integrand = _gaussian(mp.exp(-1j * mp.pi / 4))
         with pytest.raises(DomainError):
             integrate_ray(integrand, mp.pi / 2, ctx)
 
@@ -56,36 +110,18 @@ def test_divergent_ray_rejected(ctx):
 def test_pole_proximity_guard(ctx):
     with ctx.workprec():
         pole = mp.exp(1j * mpf("1e-8")) * mpf("0.5")
-        integrand = RayIntegrand(func=lambda x: mp.exp(-x * x) / (x - pole),
-                            gauss_coeff=mpc(1), poles=(pole,),
-                            exclusion=mpf("0.1"))
+        integrand = RayIntegrand(func=lambda x: (mp.exp(-x * x) / (x - pole),),
+                                 gauss_coeff=mpc(1), poles=(pole,),
+                                 exclusion=mpf("0.1"))
         with pytest.raises(PoleProximityError):
             integrate_ray(integrand, 0, ctx)
-
-
-def _w3_integrand(alpha, ctx):
-    with ctx.workprec():
-        alpha = mpc(alpha)
-
-        def f(x):
-            if x == 0:
-                return mpc(1) / 3
-            return mp.exp(-3 * alpha * x * x) * mp.sinh(alpha * x) / mp.sinh(3 * alpha * x)
-
-        poles = []
-        m = 1
-        while m * mp.pi / (3 * abs(alpha)) < 6:
-            if m % 3:
-                rad = m * mp.pi / (3 * abs(alpha))
-                poles += [1j * rad, -1j * rad]
-            m += 1
-        return RayIntegrand(f, 3 * alpha, tuple(poles), mpf(64))
 
 
 def test_refinement_table_geometric(ctx):
     # node doubling converges at least geometrically for the W3 integrand
     with ctx.workprec():
-        table = refinement_table(_w3_integrand(mpf(1), ctx), 0, ctx, degrees=(3, 4, 5, 6, 7))
+        integrand = mordell._ray_integrand(mordell._W3, mpc(1), ctx)
+        table = _fixed_degree_sweeps(integrand, 0, ctx, degrees=(3, 4, 5, 6, 7))
         diffs = [abs(b - a) for a, b in zip(table, table[1:])]
         for d1, d2 in zip(diffs, diffs[1:]):
             if d1 < mpf(10) ** -55:  # numerical floor reached
@@ -102,32 +138,62 @@ def test_l_rotation_invariance(ctx):
     with ctx.workprec():
         alpha = mp.exp(1j * mp.pi / 4)
         r = Fraction(1, 5)
-        c32 = mpf(3) / 2
-
-        def f(x):
-            return (mp.exp(-c32 * alpha * x * x)
-                    * (mp.cosh(mpf("-1.4") * alpha * x) + mp.cosh(mpf("-0.4") * alpha * x))
-                    / mp.cosh(c32 * alpha * x))
-
+        f = _l_cosh(r, alpha)
         poles = []
         m = 1
         while m * mp.pi / (3 * abs(alpha)) < 12:
             rad = m * mp.pi / (3 * abs(alpha))
             poles += [1j * rad / mp.exp(1j * mp.pi / 4), -1j * rad / mp.exp(1j * mp.pi / 4)]
             m += 2
-        integrand = RayIntegrand(f, c32 * alpha, tuple(poles), mpf(64))
-        v0 = integrate_ray(integrand, 0, ctx, "tanh_sinh").value
-        v1 = integrate_ray(integrand, -mp.pi / 8, ctx, "tanh_sinh").value
+        integrand = RayIntegrand(lambda x: (f(x),), mpf(3) / 2 * alpha, tuple(poles), mpf(64))
+        v0 = _tanh_sinh(f, integrand, 0, ctx)
+        v1 = integrate_ray(integrand, -mp.pi / 8, ctx).value[0]
         direct, _ = l_integral(r, alpha, ctx)
         assert abs(v0 - v1) < 10 * ctx.quad_eps
         assert abs(v0 - direct) < 10 * ctx.quad_eps
 
 
+def _l_reference(r, alpha, ctx):
+    alpha = mpc(alpha)
+    family = mordell._l_family(mordell._L_PAIR)
+    return _tanh_sinh(_l_cosh(r, alpha), mordell._ray_integrand(family, alpha, ctx),
+                      -mp.arg(alpha) / 2, ctx)
+
+
 def test_l_two_schemes_agree(ctx):
     with ctx.workprec():
-        v1, _ = l_integral(Fraction(1, 5), mpf(10), ctx)
-        v2, _ = l_integral(Fraction(1, 5), mpf(10), ctx, scheme="gauss_patch")
-        assert abs(v1 - v2) < ctx.quad_eps
+        for r in (Fraction(1, 5), Fraction(1, 3)):  # the pair, and r alone
+            v1 = _l_reference(r, mpf(10), ctx)
+            v2, _ = l_integral(r, mpf(10), ctx)
+            assert abs(v1 - v2) < ctx.quad_eps
+
+
+@pytest.mark.parametrize("where", ["complex", "lateral_floor", "endpoint_anchor"])
+def test_l_pair_matches_tanh_sinh(ctx, where):
+    with ctx.workprec():
+        alpha = {
+            "complex": 10 * mpc(2, 1),
+            "lateral_floor": 10 * mpf("0.01") * mp.exp(1j * (mp.pi - mpf("1e-3"))),
+            "endpoint_anchor": 10 * mp.pi**2 / mpf("0.004"),
+        }[where]
+        for r in mordell._L_PAIR:
+            value, err = l_integral(r, alpha, ctx)
+            assert err < ctx.quad_eps
+            assert abs(value - _l_reference(r, alpha, ctx)) < ctx.quad_eps
+
+
+def test_w2_w3_match_tanh_sinh(ctx):
+    with ctx.workprec():
+        alpha = mpc(1, "0.5")
+        w2 = lambda x: (mp.exp(-mpf(3) / 2 * alpha * x * x)
+                        * mp.cosh(alpha * x) / mp.cosh(3 * alpha * x))
+        w3 = lambda x: (mp.exp(-3 * alpha * x * x)
+                        * mp.sinh(alpha * x) / mp.sinh(3 * alpha * x))
+        for fn, family, f in ((w2_integral, mordell._W2, w2),
+                              (w3_integral, mordell._W3, w3)):
+            ref = _tanh_sinh(f, mordell._ray_integrand(family, alpha, ctx),
+                             -mp.arg(alpha) / 2, ctx)
+            assert abs(fn(alpha, ctx)[0] - ref) < ctx.quad_eps
 
 
 def test_schwarz_reflection(ctx):
@@ -173,6 +239,8 @@ def test_domain_guards(ctx):
     with ctx.workprec():
         with pytest.raises(DomainError):
             l_integral(Fraction(1, 5), mpf(-1), ctx)
+        with pytest.raises(DomainError):  # r > 5/6: cosh(2ax) outgrows cosh(3ax/2)
+            l_integral(Fraction(1), mpf(1), ctx)
         with pytest.raises(DomainError):
             w3_integral(mpf(-2), ctx)
 
