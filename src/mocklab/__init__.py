@@ -19,12 +19,8 @@ from .identities import (
     SUITES,
     check_eta_theta,
     check_growth_omega,
-    check_l_vector,
-    check_mf3_alternative,
-    check_mf3_omega,
-    check_mf3_omega_f,
-    check_mf5_matrix,
-    check_mf5_scalar,
+    check_mf3,
+    check_mf5,
     check_stokes,
     check_wronskian_suite,
     g_function,
@@ -51,6 +47,7 @@ from .mordell import (
     StokesDecomposition,
     integrate_ray,
     l_integral,
+    l_pair,
     l_vector,
     lateral_l_vector,
     pv_quadrature,

@@ -2,8 +2,10 @@
 as a residual-producing check, plus the mixing/phase matrix algebra, the
 Wronskian machinery, and suite aggregation into serializable reports.
 
-Each check returns entries carrying an absolute residual, a relative
-residual, and a certified error budget assembled from the series tails and
+Each check covers one grid point (or one fixed configuration) and computes
+every integral it needs exactly once; nothing is cached between checks.  It
+returns entries carrying an absolute residual, a relative residual, and a
+certified error budget assembled from the series tails and
 quadrature error estimates that went into the evaluation (scaled by the
 prefactors they pass through).  An entry passes while its residual stays
 within 100x its budget; the acceptance thresholds are enforced on top of
@@ -34,7 +36,7 @@ from .matrices import (
 )
 from .modpoint import PrecisionContext, power_from_alpha
 from .mordell import (
-    l_integral,
+    l_pair,
     l_vector,
     stokes_decompose,
     w2_integral,
@@ -46,18 +48,10 @@ __all__ = [
     "CheckEntry",
     "IdentityReport",
     "SuiteReport",
-    "DEFAULT_ALPHA_GRID",
-    "DEFAULT_TAU_GRID",
-    "DEFAULT_MF3_GRID",
-    "DEFAULT_STOKES_MODULI",
     "SUITES",
-    "check_mf5_scalar",
-    "check_mf5_matrix",
-    "check_l_vector",
+    "check_mf5",
     "check_stokes",
-    "check_mf3_omega",
-    "check_mf3_omega_f",
-    "check_mf3_alternative",
+    "check_mf3",
     "check_eta_theta",
     "check_growth_omega",
     "group_relations",
@@ -71,33 +65,6 @@ __all__ = [
 ]
 
 WRONSKIAN_SEED = 20260808
-
-
-def _default_alpha_grid(ctx):
-    with ctx.workprec():
-        return [mp.pi, mpf(1), mpf(2), mpf("0.5"), mpc(1, "0.5"), mpc(2, 1)]
-
-
-def _default_mf3_grid(ctx):
-    with ctx.workprec():
-        return [mp.pi, mpf(1), mpf(2), mpc(1, "0.4")]
-
-
-def _default_tau_grid(ctx):
-    with ctx.workprec():
-        return [mpc(0, 1), mpc(0, 2), mpc(1, 3), mpc("0.2", "1.1")]
-
-
-DEFAULT_ALPHA_GRID = _default_alpha_grid
-DEFAULT_MF3_GRID = _default_mf3_grid
-DEFAULT_TAU_GRID = _default_tau_grid
-
-def _default_stokes_moduli(ctx):
-    with ctx.workprec():
-        return [mpf(1), +mp.pi]
-
-
-DEFAULT_STOKES_MODULI = _default_stokes_moduli
 
 
 @dataclass(frozen=True)
@@ -118,7 +85,6 @@ class IdentityReport:
     entries: Tuple[CheckEntry, ...]
     max_abs: mpf
     all_pass: bool
-    metadata: dict
 
 
 @dataclass(frozen=True)
@@ -156,11 +122,33 @@ def _round_slop(ctx, scale):
 # Order-5 checks
 # ---------------------------------------------------------------------------
 
-def check_mf5_scalar(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """Residuals of the two scalar transformation laws relating the order-5
-    pair at q to its values at q1^4 plus the L-integral correction."""
+def _k_vector(alpha, base: str, ctx: PrecisionContext):
+    """(B^{-1/120} K0(B), B^{-49/120} K1(B)) for B = Q or Q1 at alpha."""
+    B = power_from_alpha(alpha, base, 1, ctx)
+    k0, k1 = k_pair(B, ctx)
+    p0 = power_from_alpha(alpha, base, Fraction(-1, 120), ctx)
+    p1 = power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
+    return (p0 * k0, p1 * k1), abs(p0) + abs(p1) * abs(B)
+
+
+def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
+    """Every order-5 law at one point, each integral computed once.
+
+    - mf5_scalar_0/1: the two scalar laws relating the order-5 pair at q to
+      its values at q1^4 plus the L-integral correction at 5 alpha;
+    - mf5_matrix: the compact matrix form, with the integral vector at alpha;
+    - l_vector_consistency: the modular consistency of the integral vector
+      under alpha -> pi^2/alpha;
+    - l_vector_fixed_point: at alpha = pi also the (1 - M) annihilation.
+    """
     with ctx.workprec():
         alpha = mpc(alpha)
+        (l1, l2), e_l = l_pair(5 * alpha, ctx)
+        lv = l_vector(alpha, ctx)
+        lv_s = l_vector(mp.pi**2 / alpha, ctx)
+        out = []
+
+        # scalar laws
         q = mp.exp(-alpha)
         q14 = power_from_alpha(alpha, "q1", 4, ctx)
         chi0_q = eval_mock(MockThetaId(5, "chi0"), q, ctx)
@@ -174,9 +162,6 @@ def check_mf5_scalar(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
         p_m130 = power_from_alpha(alpha, "q1", Fraction(-1, 30), ctx)
         p_7130 = power_from_alpha(alpha, "q1", Fraction(71, 30), ctx)
 
-        l1, e1 = l_integral(Fraction(1, 5), 5 * alpha, ctx)
-        l2, e2 = l_integral(Fraction(2, 5), 5 * alpha, ctx)
-
         lhs0 = power_from_alpha(alpha, "q", Fraction(-1, 120), ctx) * (chi0_q - 2)
         rhs0 = (-c_minus * p_m130 * (chi0_q14 - 2)
                 - c_plus * p_7130 * chi1_q14
@@ -187,57 +172,33 @@ def check_mf5_scalar(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
                 - c_int * l2)
 
         series_budget = ctx.eps * (2 + 2 * (abs(c_minus) + abs(c_plus)) * max(abs(p_m130), abs(p_7130)))
-        out = []
-        for tag, lhs, rhs, eq in (("mf5_scalar_0", lhs0, rhs0, e1),
-                                  ("mf5_scalar_1", lhs1, rhs1, e2)):
+        for tag, lhs, rhs in (("mf5_scalar_0", lhs0, rhs0),
+                              ("mf5_scalar_1", lhs1, rhs1)):
             scale = max(abs(lhs), abs(rhs), mpf(1))
-            budget = series_budget + abs(c_int) * eq + _round_slop(ctx, scale)
+            budget = series_budget + abs(c_int) * e_l + _round_slop(ctx, scale)
             out.append(_entry(tag, alpha, "alpha", abs(lhs - rhs), scale, budget))
-        return out
 
-
-def _k_vector(alpha, base: str, ctx: PrecisionContext):
-    """(B^{-1/120} K0(B), B^{-49/120} K1(B)) for B = Q or Q1 at alpha."""
-    B = power_from_alpha(alpha, base, 1, ctx)
-    k0, k1 = k_pair(B, ctx)
-    p0 = power_from_alpha(alpha, base, Fraction(-1, 120), ctx)
-    p1 = power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
-    return (p0 * k0, p1 * k1), abs(p0) + abs(p1) * abs(B)
-
-
-def check_mf5_matrix(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """Residual of the compact matrix form of the order-5 laws."""
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        lv = l_vector(alpha, ctx)
+        # matrix law
         vq, s1 = _k_vector(alpha, "Q", ctx)
         vq1, s2 = _k_vector(alpha, "Q1", ctx)
         root = mp.sqrt(mp.pi / alpha)
-        mixed = mat_vec(mixing_matrix(ctx), vq1)
+        mix = mixing_matrix(ctx)
+        mixed = mat_vec(mix, vq1)
         rhs = (vq[0] + root * mixed[0], vq[1] + root * mixed[1])
         res = max(abs(lv.l1 - rhs[0]), abs(lv.l2 - rhs[1]))
         scale = max(abs(lv.l1), abs(lv.l2), mpf(1))
         budget = (ctx.eps * (s1 + 2 * abs(root) * s2) + lv.err_estimate
                   + _round_slop(ctx, scale))
-        return [_entry("mf5_matrix", alpha, "alpha", res, scale, budget)]
+        out.append(_entry("mf5_matrix", alpha, "alpha", res, scale, budget))
 
-
-def check_l_vector(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """Modular consistency of the integral vector under alpha -> pi^2/alpha;
-    at the fixed point alpha = pi additionally the (1 - M) annihilation."""
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        lv = l_vector(alpha, ctx)
-        lv_s = l_vector(mp.pi**2 / alpha, ctx)
-        root = mp.sqrt(mp.pi / alpha)
-        mixed = mat_vec(mixing_matrix(ctx), lv_s.as_tuple())
+        # modular consistency of the integral vector (same scale)
+        mixed = mat_vec(mix, lv_s.as_tuple())
         res = max(abs(lv.l1 - root * mixed[0]), abs(lv.l2 - root * mixed[1]))
-        scale = max(abs(lv.l1), abs(lv.l2), mpf(1))
         budget = (lv.err_estimate + abs(root) * lv_s.err_estimate
                   + _round_slop(ctx, scale))
-        out = [_entry("l_vector_consistency", alpha, "alpha", res, scale, budget)]
+        out.append(_entry("l_vector_consistency", alpha, "alpha", res, scale, budget))
         if abs(alpha - mp.pi) < mpf(2) ** -20:
-            one_minus_m = mat_sub(identity2(), mixing_matrix(ctx))
+            one_minus_m = mat_sub(identity2(), mix)
             v = mat_vec(one_minus_m, lv.as_tuple())
             res_fp = max(abs(v[0]), abs(v[1]))
             budget_fp = 2 * lv.err_estimate + _round_slop(ctx, scale)
@@ -276,50 +237,49 @@ def check_stokes(abs_alpha, ctx: PrecisionContext,
 # Order-3 checks
 # ---------------------------------------------------------------------------
 
-def check_mf3_omega(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """q^{2/3} w(-q) + sqrt(pi/a) q1^{2/3} w(-q1) - sqrt(12a/pi) W3(a)."""
+def check_mf3(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
+    """Every order-3 law at one point, each integral computed once.
+
+    - mf3_omega: q^{2/3} w(-q) + sqrt(pi/a) q1^{2/3} w(-q1) - sqrt(12a/pi) W3(a);
+    - mf3_omega_f: q^{2/3} w(q) - sqrt(pi/4a) q1^{-1/12} f(q1^2)
+      + sqrt(3a/pi) W2(a/2);
+    - mf3_alternative: the variant decomposition of sqrt(12a/pi) W3 through
+      rho and xi.  All fractional powers go through alpha, so xi is
+      evaluated at -exp(-alpha/3), never at a complex cube root.
+    """
     with ctx.workprec():
         alpha = mpc(alpha)
-        q = mp.exp(-alpha)
-        q1 = mp.exp(-mp.pi**2 / alpha)
-        om = MockThetaId(3, "omega")
-        t1 = power_from_alpha(alpha, "q", Fraction(2, 3), ctx) * eval_mock(om, -q, ctx)
-        root = mp.sqrt(mp.pi / alpha)
-        t2 = root * power_from_alpha(alpha, "q1", Fraction(2, 3), ctx) * eval_mock(om, -q1, ctx)
         w3, e3 = w3_integral(alpha, ctx)
+        w2, e2 = w2_integral(alpha / 2, ctx)
+        q = mp.exp(-alpha)
+        q_two_thirds = power_from_alpha(alpha, "q", Fraction(2, 3), ctx)
+        root = mp.sqrt(mp.pi / alpha)
+        om = MockThetaId(3, "omega")
+        out = []
+
+        # omega at -q and -q1 against W3
+        q1 = mp.exp(-mp.pi**2 / alpha)
+        t1 = q_two_thirds * eval_mock(om, -q, ctx)
+        t2 = root * power_from_alpha(alpha, "q1", Fraction(2, 3), ctx) * eval_mock(om, -q1, ctx)
         c = mp.sqrt(12 * alpha / mp.pi)
         res = abs(t1 + t2 - c * w3)
         scale = max(abs(t1), abs(t2), abs(c * w3), mpf(1))
         budget = ctx.eps * (1 + abs(root)) + abs(c) * e3 + _round_slop(ctx, scale)
-        return [_entry("mf3_omega", alpha, "alpha", res, scale, budget)]
+        out.append(_entry("mf3_omega", alpha, "alpha", res, scale, budget))
 
-
-def check_mf3_omega_f(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """q^{2/3} w(q) - sqrt(pi/4a) q1^{-1/12} f(q1^2) + sqrt(3a/pi) W2(a/2)."""
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        q = mp.exp(-alpha)
+        # omega at q and f at Q1 against W2
         Q1 = power_from_alpha(alpha, "Q1", 1, ctx)
-        t1 = power_from_alpha(alpha, "q", Fraction(2, 3), ctx) * eval_mock(
-            MockThetaId(3, "omega"), q, ctx)
+        t1 = q_two_thirds * eval_mock(om, q, ctx)
         p = power_from_alpha(alpha, "q1", Fraction(-1, 12), ctx)
         t2 = mp.sqrt(mp.pi / (4 * alpha)) * p * eval_mock(MockThetaId(3, "f"), Q1, ctx)
-        w2, e2 = w2_integral(alpha / 2, ctx)
-        c = mp.sqrt(3 * alpha / mp.pi)
-        res = abs(t1 - t2 + c * w2)
-        scale = max(abs(t1), abs(t2), abs(c * w2), mpf(1))
+        c2 = mp.sqrt(3 * alpha / mp.pi)
+        res = abs(t1 - t2 + c2 * w2)
+        scale = max(abs(t1), abs(t2), abs(c2 * w2), mpf(1))
         budget = (ctx.eps * (1 + abs(mp.sqrt(mp.pi / (4 * alpha))) * abs(p))
-                  + abs(c) * e2 + _round_slop(ctx, scale))
-        return [_entry("mf3_omega_f", alpha, "alpha", res, scale, budget)]
+                  + abs(c2) * e2 + _round_slop(ctx, scale))
+        out.append(_entry("mf3_omega_f", alpha, "alpha", res, scale, budget))
 
-
-def check_mf3_alternative(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """The variant decomposition of sqrt(12a/pi) W3 through rho and xi.
-
-    All fractional powers go through alpha, so xi is evaluated at
-    -exp(-alpha/3), never at a complex cube root."""
-    with ctx.workprec():
-        alpha = mpc(alpha)
+        # rho and xi against W3
         rho = MockThetaId(3, "rho")
         xi = MockThetaId(3, "xi")
 
@@ -332,14 +292,12 @@ def check_mf3_alternative(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
 
         b_q = bracket(alpha)
         b_q1 = bracket(mp.pi**2 / alpha)
-        root = mp.sqrt(mp.pi / alpha)
-        w3, e3 = w3_integral(alpha, ctx)
-        c = mp.sqrt(12 * alpha / mp.pi)
         res = abs(c * w3 - b_q - root * b_q1)
         scale = max(abs(c * w3), abs(b_q), abs(root * b_q1), mpf(1))
         budget = (ctx.eps * 3 * (1 + abs(root)) + abs(c) * e3
                   + _round_slop(ctx, scale))
-        return [_entry("mf3_alternative", alpha, "alpha", res, scale, budget)]
+        out.append(_entry("mf3_alternative", alpha, "alpha", res, scale, budget))
+        return out
 
 
 def check_growth_omega(theta0, alpha_grid, ctx: PrecisionContext) -> List[CheckEntry]:
@@ -568,20 +526,51 @@ def check_wronskian_suite(ctx: PrecisionContext, n_pairs: int = 50,
 SUITES = ("mf5", "mf5_stokes", "mf3", "theta_eta", "algebra", "wronskian", "all")
 
 
-def _growth_grid(ctx):
-    with ctx.workprec():
-        moduli = [mpf(1), mpf("0.5"), mpf("0.25"), mpf("0.1"), mpf("0.05"),
-                  mpf("0.02")]
-        rays = [mpf(0), mp.pi / 6, mp.pi / 3]
-        return rays, moduli
+def _alpha_grid():
+    return [mp.pi, mpf(1), mpf(2), mpf("0.5"), mpc(1, "0.5"), mpc(2, 1)]
 
 
-def run_suite(suite: str, grid=None, ctx: Optional[PrecisionContext] = None,
-              stokes_eps_seq=("0.2", "0.1", "0.05", "0.025")) -> SuiteReport:
+def _stokes_moduli():
+    return [mpf(1), +mp.pi]
+
+
+def _mf3_grid():
+    return [mp.pi, mpf(1), mpf(2), mpc(1, "0.4")]
+
+
+def _tau_grid():
+    return [mpc(0, 1), mpc(0, 2), mpc(1, 3), mpc("0.2", "1.1")]
+
+
+def _growth_grid():
+    moduli = [mpf(1), mpf("0.5"), mpf("0.25"), mpf("0.1"), mpf("0.05"),
+              mpf("0.02")]
+    rays = [mpf(0), mp.pi / 6, mp.pi / 3]
+    return rays, moduli
+
+
+def _suite_table():
+    """(suite, check, default grid) in the order `all` runs them: the check
+    runs once per grid point, or once with no point where the grid is None.
+
+    Built per call, so that it holds the module's current bindings."""
+    return (
+        ("mf5", check_mf5, _alpha_grid),
+        ("mf5_stokes", check_stokes, _stokes_moduli),
+        ("mf3", check_mf3, _mf3_grid),
+        ("theta_eta", check_eta_theta, _tau_grid),
+        ("algebra", group_relations, None),
+        ("wronskian", check_wronskian_suite, None),
+    )
+
+
+def run_suite(suite: str, grid=None, ctx: Optional[PrecisionContext] = None) -> SuiteReport:
     """Run the named verification suite and aggregate an ordered report.
 
-    A failed point is recorded with its error message rather than aborting
-    the suite."""
+    grid replaces the default grid of a single suite; `all` runs every
+    suite on its default grid.  The mf3 suite also runs the growth check on
+    its own rays.  A failed check is recorded with its error message, as one
+    `<check>_error` entry, rather than aborting the suite."""
     ctx = ctx or PrecisionContext()
     if suite not in SUITES:
         raise DomainError("unknown suite %r (choose from %s)" % (suite, (SUITES,)))
@@ -598,36 +587,19 @@ def run_suite(suite: str, grid=None, ctx: Optional[PrecisionContext] = None,
                 detail={"error": "%s: %s" % (type(exc).__name__, exc)}))
 
     with ctx.workprec():
-        if suite in ("mf5", "all"):
-            pts = grid if (grid is not None and suite == "mf5") else DEFAULT_ALPHA_GRID(ctx)
-            for alpha in pts:
-                run(check_mf5_scalar, alpha, ctx)
-                run(check_mf5_matrix, alpha, ctx)
-                run(check_l_vector, alpha, ctx)
-        if suite in ("mf5_stokes", "all"):
-            moduli = grid if (grid is not None and suite == "mf5_stokes") else None
-            if moduli is None:
-                moduli = DEFAULT_STOKES_MODULI(ctx)
-            for a in moduli:
-                run(check_stokes, a, ctx, stokes_eps_seq)
-        if suite in ("mf3", "all"):
-            pts = grid if (grid is not None and suite == "mf3") else DEFAULT_MF3_GRID(ctx)
-            for alpha in pts:
-                run(check_mf3_omega, alpha, ctx)
-                run(check_mf3_omega_f, alpha, ctx)
-                run(check_mf3_alternative, alpha, ctx)
-            rays, moduli = _growth_grid(ctx)
-            for ray in rays:
-                alpha_grid = [m * mp.exp(1j * ray) for m in moduli]
-                run(check_growth_omega, mp.pi / 3, alpha_grid, ctx)
-        if suite in ("theta_eta", "all"):
-            pts = grid if (grid is not None and suite == "theta_eta") else DEFAULT_TAU_GRID(ctx)
-            for tau in pts:
-                run(check_eta_theta, tau, ctx)
-        if suite in ("algebra", "all"):
-            run(group_relations, ctx)
-        if suite in ("wronskian", "all"):
-            run(check_wronskian_suite, ctx)
+        for name, check, default_grid in _suite_table():
+            if suite not in (name, "all"):
+                continue
+            if default_grid is None:
+                run(check, ctx)
+                continue
+            for point in grid if suite == name and grid is not None else default_grid():
+                run(check, point, ctx)
+            if name == "mf3":
+                rays, moduli = _growth_grid()
+                for ray in rays:
+                    alpha_grid = [m * mp.exp(1j * ray) for m in moduli]
+                    run(check_growth_omega, mp.pi / 3, alpha_grid, ctx)
 
     return _aggregate(suite, entries, ctx)
 
@@ -653,7 +625,6 @@ def _aggregate(suite: str, entries: List[CheckEntry],
             entries=tuple(es),
             max_abs=max_abs,
             all_pass=all(e.passed for e in es),
-            metadata={"prec_bits": ctx.prec_bits},
         ))
     return SuiteReport(
         suite=suite,

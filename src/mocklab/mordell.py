@@ -11,7 +11,7 @@ with N_j and D short polynomials in v with integer exponents (the quotients
 of cosh/sinh of integer multiples of s a x, multiplied through by the top
 power of v).  So a node costs two complex exponentials and a few products,
 and the components of one family, such as L(1/5) and L(2/5), share their
-nodes: one quadrature yields the pair.
+nodes: one quadrature yields the pair (`l_pair`).
 
 Contour strategy: every integral is taken along the ray rotated by
 -arg(alpha)/2, which makes the Gaussian factor exactly real-decaying and
@@ -26,6 +26,7 @@ geometrically however close the Stokes line is approached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -47,6 +48,7 @@ __all__ = [
     "QuadratureResult",
     "RayIntegrand",
     "integrate_ray",
+    "l_pair",
     "l_integral",
     "w2_integral",
     "w3_integral",
@@ -60,10 +62,7 @@ __all__ = [
     "neville_extrapolate",
 ]
 
-LATERAL_FLOOR = mpf("1e-3")  # smallest admissible pi - |theta|
-
-_GL_NODE_CACHE: dict = {}
-_VALUE_CACHE: dict = {}
+LATERAL_FLOOR = "1e-3"  # smallest admissible pi - |theta|
 
 
 @dataclass(frozen=True)
@@ -93,15 +92,34 @@ class RayIntegrand:
     exclusion: mpf = mpf("1e-6")
 
 
+@functools.cache
 def _gl_nodes(degree: int, prec: int):
-    key = (degree, prec)
-    nodes = _GL_NODE_CACHE.get(key)
-    if nodes is None:
-        from mpmath.calculus.quadrature import GaussLegendre
+    from mpmath.calculus.quadrature import GaussLegendre
 
-        nodes = GaussLegendre(mp).calc_nodes(degree, prec + 10)
-        _GL_NODE_CACHE[key] = nodes
-    return nodes
+    return GaussLegendre(mp).calc_nodes(degree, prec + 10)
+
+
+def _gauss_panel(f, a, b, prec: int, tol):
+    """Gauss-Legendre integral over [a, b] of every component of f.
+
+    The degree rises from 4 to 9 until two successive degrees agree below
+    tol.  Returns (totals, larger difference over the components,
+    evaluations of f)."""
+    mid, half = (a + b) / 2, (b - a) / 2
+    prev = None
+    nodes_used = 0
+    for degree in range(4, 10):
+        rule = _gl_nodes(degree, prec)
+        vals = [f(mid + half * x) for x, _ in rule]
+        nodes_used += len(rule)
+        weights = [wt for _, wt in rule]
+        total = [half * mp.fdot(weights, comp) for comp in zip(*vals)]
+        if prev is not None:
+            diff = max(abs(t - p) for t, p in zip(total, prev))
+            if diff < tol:
+                return total, diff, nodes_used
+        prev = total
+    raise NonConvergenceError("Gauss panel failed to converge by degree 9")
 
 
 def _cut(bound_const, a_eff, ctx: PrecisionContext):
@@ -165,22 +183,10 @@ def integrate_ray(integrand: RayIntegrand, angle,
         err = mpf(0)
         nodes_used = 0
         for a, b in zip(points[:-1], points[1:]):
-            mid, half = (a + b) / 2, (b - a) / 2
-            prev = None
-            for degree in range(4, 10):
-                rule = _gl_nodes(degree, ctx.prec_bits)
-                vals = [integrand.func(w * (mid + half * x)) for x, _ in rule]
-                nodes_used += len(rule)
-                weights = [wt for _, wt in rule]
-                total = [half * mp.fdot(weights, comp) for comp in zip(*vals)]
-                if prev is not None:
-                    diff = max(abs(t - p) for t, p in zip(total, prev))
-                    if diff < panel_tol:
-                        err += diff
-                        break
-                prev = total
-            else:
-                raise NonConvergenceError("gauss_patch panel failed to converge")
+            total, diff, n = _gauss_panel(lambda s: integrand.func(w * s), a, b,
+                                          ctx.prec_bits, panel_tol)
+            err += diff
+            nodes_used += n
             value = total if value is None else [s + t for s, t in zip(value, total)]
         err += tail
         if not err < ctx.quad_eps:
@@ -307,18 +313,20 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
 
 def _integrate_family(family: _Family, alpha,
                       ctx: PrecisionContext) -> Tuple[Tuple[mpc, ...], mpf]:
-    """(component values, err_estimate) of the family at alpha, cached."""
+    """(component values, err_estimate) of the family at alpha."""
     with ctx.workprec():
         alpha = mpc(alpha)
         theta = mp.arg(alpha)
         if not abs(theta) < mp.pi:
             raise DomainError("the integrals need |arg alpha| < pi")
-        key = (family, alpha._mpc_, ctx.prec_bits, ctx.quad_eps._mpf_)
-        out = _VALUE_CACHE.get(key)
-        if out is None:
-            res = integrate_ray(_ray_integrand(family, alpha, ctx), -theta / 2, ctx)
-            out = _VALUE_CACHE[key] = (res.value, res.err_estimate)
-        return out
+        res = integrate_ray(_ray_integrand(family, alpha, ctx), -theta / 2, ctx)
+        return res.value, res.err_estimate
+
+
+def l_pair(alpha, ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
+    """((L(1/5, alpha), L(2/5, alpha)), err_estimate) from one quadrature:
+    the two integrands share their nodes, and the estimate bounds both."""
+    return _integrate_family(_l_family(_L_PAIR), alpha, ctx)
 
 
 def l_integral(r, alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
@@ -328,12 +336,15 @@ def l_integral(r, alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
     Returns (value, err_estimate).  The contour is the ray at -arg(alpha)/2;
     the quotient's poles sit at i*pi*(2k+1)/(3 alpha) and stay separated from
     the contour by the angle (pi - |arg alpha|)/2.  r = 1/5 and r = 2/5 are
-    computed together, so the second of them comes from the value cache.
+    components of `l_pair`, so asking for both costs two quadratures; call
+    `l_pair` once instead.
     """
     r = Fraction(r)
-    rs = _L_PAIR if r in _L_PAIR else (r,)
-    values, err = _integrate_family(_l_family(rs), alpha, ctx)
-    return values[rs.index(r)], err
+    if r in _L_PAIR:
+        values, err = l_pair(alpha, ctx)
+        return values[_L_PAIR.index(r)], err
+    values, err = _integrate_family(_l_family((r,)), alpha, ctx)
+    return values[0], err
 
 
 def w3_integral(alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
@@ -368,29 +379,35 @@ def l_vector(alpha, ctx: PrecisionContext) -> LVector:
     with ctx.workprec():
         alpha = mpc(alpha)
         pref = mp.sqrt(135 * alpha / mp.pi)
-        v1, e1 = l_integral(Fraction(1, 5), 10 * alpha, ctx)
-        v2, e2 = l_integral(Fraction(2, 5), 10 * alpha, ctx)
-        ap = abs(pref)
-        return LVector(pref * v1, pref * v2, ap * (e1 + e2))
+        (v1, v2), err = l_pair(10 * alpha, ctx)
+        # err bounds each component; the budget counts it once per component
+        return LVector(pref * v1, pref * v2, abs(pref) * (err + err))
 
 
-def lateral_l_vector(abs_alpha, theta, ctx: PrecisionContext,
-                     floor=LATERAL_FLOOR) -> LVector:
+def _check_lateral_floor(gap, what: str):
+    """Refuse a distance pi - |theta| below LATERAL_FLOOR.
+
+    The floor is built at the working precision, and a gap short of it by
+    no more than the rounding of theta = pi - eps (half an ulp of pi) is
+    admitted, so that the floor itself passes at every precision."""
+    floor = mpf(LATERAL_FLOOR)
+    if gap < floor - 4 * mp.eps:
+        raise PoleProximityError("%s %s below the lateral floor %s"
+                                 % (what, mp.nstr(gap, 5), mp.nstr(floor, 5)))
+
+
+def lateral_l_vector(abs_alpha, theta, ctx: PrecisionContext) -> LVector:
     """The vector at alpha = abs_alpha * e^{i theta} near the negative axis.
 
     Controlled approach window 0 < pi - |theta| <= pi/2; the pole-hugging
-    Gauss panels stay convergent down to the floor."""
+    Gauss panels stay convergent down to the floor pi - |theta| >= 1e-3."""
     with ctx.workprec():
         abs_alpha = mpf(abs_alpha)
         theta = mpf(theta)
         gap = mp.pi - abs(theta)
         if not (0 < gap <= mp.pi / 2):
             raise DomainError("lateral window requires 0 < pi - |theta| <= pi/2")
-        if gap < floor:
-            raise PoleProximityError(
-                "pi - |theta| = %s below the lateral floor %s"
-                % (mp.nstr(gap, 5), mp.nstr(mpf(floor), 5))
-            )
+        _check_lateral_floor(gap, "pi - |theta| =")
         return l_vector(abs_alpha * mp.exp(1j * theta), ctx)
 
 
@@ -452,8 +469,8 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
             raise DomainError("pv_quadrature requires p > 0 and real t > 0")
         h = mp.pi / (2 * p)
         threshold = ctx.eps * mpf(2) ** -8
+        tol = max(threshold, ctx.quad_eps) * mpf(2) ** -4
         total = mpf(0)
-        prec = ctx.prec_bits
         for k in range(100_000):
             xk = (2 * k + 1) * h
             mk = 2 * k * h  # segment left end
@@ -464,19 +481,9 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
             def S(u, xk=xk, sgn=sgn, cax=cax, sax=sax):
                 wgt = 2 * p * t * xk * u
                 num = cax * mp.cos(a * u) * mp.sinh(wgt) + sax * mp.sin(a * u) * mp.cosh(wgt)
-                return 2 * sgn * mp.exp(-p * t * (xk * xk + u * u)) * num / mp.sin(p * u)
+                return (2 * sgn * mp.exp(-p * t * (xk * xk + u * u)) * num / mp.sin(p * u),)
 
-            prev = None
-            for degree in range(4, 10):
-                acc = mpf(0)
-                for x, wt in _gl_nodes(degree, prec):
-                    acc += wt * S(h / 2 + h / 2 * x)
-                acc *= h / 2
-                if prev is not None and abs(acc - prev) < max(threshold, ctx.quad_eps) * mpf(2) ** -4:
-                    break
-                prev = acc
-            else:
-                raise NonConvergenceError("pv segment failed to refine")
+            (acc,), _, _ = _gauss_panel(S, mpf(0), h, ctx.prec_bits, tol)
             total += acc
             if envelope < threshold and k >= 2:
                 break
@@ -568,11 +575,7 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext,
             raise DomainError("eps_seq must be nonempty")
         if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
             raise DomainError("eps_seq must be strictly decreasing")
-        if eps_list[-1] < LATERAL_FLOOR:
-            raise PoleProximityError(
-                "smallest eps %s below the lateral floor %s"
-                % (mp.nstr(eps_list[-1], 5), mp.nstr(LATERAL_FLOOR, 5))
-            )
+        _check_lateral_floor(eps_list[-1], "smallest eps")
         extended = _extend_eps(eps_list)
 
         laterals = []

@@ -113,8 +113,7 @@ def pochhammer(a, b, n, ctx: PrecisionContext) -> mpc:
 # Mock theta functions: numeric evaluation
 # ---------------------------------------------------------------------------
 
-def _sum_with_stop_rule(terms: Iterator[mpc], ctx: PrecisionContext,
-                        max_terms: int) -> mpc:
+def _sum_with_stop_rule(terms: Iterator[mpc], ctx: PrecisionContext) -> mpc:
     """Sum terms until three consecutive ones drop below eps * 2^-8 (and at
     least 8 terms were taken)."""
     threshold = ctx.eps * mpf(2) ** -8
@@ -128,9 +127,9 @@ def _sum_with_stop_rule(terms: Iterator[mpc], ctx: PrecisionContext,
                 return total
         else:
             small_run = 0
-        if n + 1 >= max_terms:
+        if n + 1 >= MAX_TERMS_DEFAULT:
             raise NonConvergenceError(
-                "series stop rule unmet within %d terms" % max_terms
+                "series stop rule unmet within %d terms" % MAX_TERMS_DEFAULT
             )
     return total
 
@@ -204,8 +203,7 @@ _TERM_GENERATORS = {
 }
 
 
-def eval_mock(mid: MockThetaId, q, ctx: PrecisionContext,
-              max_terms: int = MAX_TERMS_DEFAULT) -> mpc:
+def eval_mock(mid: MockThetaId, q, ctx: PrecisionContext) -> mpc:
     """Numeric value of the named mock theta function at q, |q| < 1.
 
     Reliable tails require |q| <= 0.999; near the unit circle the defining
@@ -217,7 +215,7 @@ def eval_mock(mid: MockThetaId, q, ctx: PrecisionContext,
             raise DomainError("mock theta series require |q| < 1")
         if abs(q) > mpf("0.999"):
             raise DomainError("evaluation guard: |q| <= 0.999")
-        return _sum_with_stop_rule(_TERM_GENERATORS[mid.name](q), ctx, max_terms)
+        return _sum_with_stop_rule(_TERM_GENERATORS[mid.name](q), ctx)
 
 
 def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:

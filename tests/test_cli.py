@@ -124,6 +124,12 @@ def test_stokes_floor_exit_2(capsys):
     assert main(["stokes", "--abs-alpha", "1", "--eps-seq", "0.0001"]) == 2
 
 
+def test_stokes_at_the_floor(capsys):
+    assert main(["stokes", "--abs-alpha", "0.01", "--eps-seq", "0.002,0.001"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 4  # header + 2 rows + summary
+
+
 def test_stokes_csv_and_summary(capsys):
     assert main(["stokes", "--abs-alpha", "1", "--eps-seq", "0.2,0.1"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

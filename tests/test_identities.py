@@ -6,14 +6,11 @@ from mpmath import mp, mpc, mpf
 
 from mocklab import (
     DomainError,
+    NonConvergenceError,
     check_eta_theta,
     check_growth_omega,
-    check_l_vector,
-    check_mf3_alternative,
-    check_mf3_omega,
-    check_mf3_omega_f,
-    check_mf5_matrix,
-    check_mf5_scalar,
+    check_mf3,
+    check_mf5,
     check_wronskian_suite,
     g_function,
     group_relations,
@@ -23,6 +20,8 @@ from mocklab import (
     suite_report_to_json,
     wronskian_periodicity,
 )
+from mocklab import mordell
+from mocklab.cli import main
 from mocklab.matrices import identity2, mat_mul, mat_norm, mat_sub
 from mocklab.modpoint import power_from_alpha
 
@@ -61,20 +60,25 @@ def test_group_relations(ctx):
 # the full grids)
 # ---------------------------------------------------------------------------
 
+def _by_name(entries):
+    return {e.identity: e for e in entries}
+
+
 def test_mf5_checks_at_two(ctx):
     with ctx.workprec():
-        for e in check_mf5_scalar(mpf(2), ctx):
-            assert e.abs_residual < mpf(10) ** -20
-            assert e.abs_residual <= 10 * e.budget
-        for e in check_mf5_matrix(mpf(2), ctx):
+        entries = check_mf5(mpf(2), ctx)
+        assert [e.identity for e in entries] == [
+            "mf5_scalar_0", "mf5_scalar_1", "mf5_matrix", "l_vector_consistency"]
+        for e in entries:
             assert e.abs_residual < mpf(10) ** -20
             assert e.abs_residual <= 10 * e.budget
 
 
 def test_mf5_conjugate_pair_reflection(ctx):
     with ctx.workprec():
-        up = check_mf5_scalar(mpc(1, "0.3"), ctx)
-        dn = check_mf5_scalar(mpc(1, "-0.3"), ctx)
+        up = check_mf5(mpc(1, "0.3"), ctx)
+        dn = check_mf5(mpc(1, "-0.3"), ctx)
+        assert [e.identity for e in up] == [e.identity for e in dn]
         for a, b in zip(up, dn):
             # Schwarz reflection: conjugate points give equal residual moduli
             assert abs(a.abs_residual - b.abs_residual) < mpf(10) ** -30
@@ -84,8 +88,8 @@ def test_mf5_matrix_s_symmetry(ctx):
     # the residual stays at the same noise magnitude at the S-image point
     with ctx.workprec():
         a = mpf(2)
-        r1 = check_mf5_matrix(a, ctx)[0].abs_residual
-        r2 = check_mf5_matrix(mp.pi**2 / a, ctx)[0].abs_residual
+        r1 = _by_name(check_mf5(a, ctx))["mf5_matrix"].abs_residual
+        r2 = _by_name(check_mf5(mp.pi**2 / a, ctx))["mf5_matrix"].abs_residual
         bound = mpf(10) ** -20
         assert r1 < bound and r2 < bound
         assert abs(r1 - r2) < bound
@@ -93,28 +97,53 @@ def test_mf5_matrix_s_symmetry(ctx):
 
 def test_mf5_check_deterministic(ctx):
     with ctx.workprec():
-        r1 = check_mf5_matrix(mpf(2), ctx)[0]
-        r2 = check_mf5_matrix(mpf(2), ctx)[0]
-        assert r1.abs_residual == r2.abs_residual  # bit-identical rerun
+        r1 = check_mf5(mpf(2), ctx)
+        r2 = check_mf5(mpf(2), ctx)
+        # bit-identical rerun
+        assert [e.abs_residual for e in r1] == [e.abs_residual for e in r2]
+        assert [e.budget for e in r1] == [e.budget for e in r2]
 
 
 def test_l_vector_check(ctx):
     with ctx.workprec():
-        entries = check_l_vector(mp.pi, ctx)
+        entries = [e for e in check_mf5(mp.pi, ctx)
+                   if e.identity.startswith("l_vector")]
         names = [e.identity for e in entries]
         assert names == ["l_vector_consistency", "l_vector_fixed_point"]
         for e in entries:
             assert e.abs_residual < mpf(10) ** -20
 
 
+def test_one_quadrature_per_integral(ctx, monkeypatch):
+    # check_mf5: L pair at 5a, vector at a and at pi^2/a; check_mf3: W3 at
+    # a and W2 at a/2.  Repeating a check repeats its work: nothing is cached.
+    calls = []
+    real = mordell.integrate_ray
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mordell, "integrate_ray", counted)
+    with ctx.workprec():
+        check_mf5(mpf(2), ctx)
+        assert len(calls) == 3
+        check_mf5(mpf(2), ctx)
+        assert len(calls) == 6
+        check_mf3(mpf(1), ctx)
+        assert len(calls) == 8
+
+
 def test_mf3_checks(ctx):
     with ctx.workprec():
-        for check in (check_mf3_omega, check_mf3_omega_f, check_mf3_alternative):
-            e = check(mpf(1), ctx)[0]
+        entries = check_mf3(mpf(1), ctx)
+        assert [e.identity for e in entries] == [
+            "mf3_omega", "mf3_omega_f", "mf3_alternative"]
+        for e in entries:
             assert e.abs_residual < mpf(10) ** -20
             assert e.abs_residual <= 10 * e.budget
         # identity-theorem extension off the real axis
-        e = check_mf3_omega(mpc(1, "0.4"), ctx)[0]
+        e = _by_name(check_mf3(mpc(1, "0.4"), ctx))["mf3_omega"]
         assert e.abs_residual < mpf(10) ** -20
 
 
@@ -122,8 +151,9 @@ def test_mf3_alternative_difference_identity(ctx):
     # subtracting the two order-3 decompositions of the same integral leaves
     # a modular-pair statement whose residual is the difference of residuals
     with ctx.workprec():
-        r1 = check_mf3_omega(mpf(1), ctx)[0].abs_residual
-        r2 = check_mf3_alternative(mpf(1), ctx)[0].abs_residual
+        entries = _by_name(check_mf3(mpf(1), ctx))
+        r1 = entries["mf3_omega"].abs_residual
+        r2 = entries["mf3_alternative"].abs_residual
         assert abs(r1 - r2) < mpf(10) ** -20
 
 
@@ -230,3 +260,24 @@ def test_run_suite_custom_grid(ctx):
         if r.identity_name.startswith("mf3_") and r.identity_name != "mf3_growth":
             assert len(r.entries) == 1
     assert rep.all_pass
+
+
+def test_run_suite_records_check_error(ctx, monkeypatch, tmp_path, capsys):
+    # a failing integral turns the whole point into one error entry
+    def diverge(*args, **kwargs):
+        raise NonConvergenceError("panel diverged")
+
+    monkeypatch.setattr(mordell, "integrate_ray", diverge)
+    with ctx.workprec():
+        rep = run_suite("mf5", [mpf(2)], ctx)
+    assert [r.identity_name for r in rep.identities] == ["check_mf5_error"]
+    (entry,) = rep.identities[0].entries
+    assert entry.detail == {"error": "NonConvergenceError: panel diverged"}
+    assert not entry.passed
+    assert not rep.all_pass
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"re": 2.0, "im": 0.0, "as": "alpha"}]))
+    assert main(["verify", "--suite", "mf5", "--grid", str(grid)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_pass"] is False
+    assert [r["identity"] for r in doc["identities"]] == ["check_mf5_error"]

@@ -1,10 +1,12 @@
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from mocklab import (
     DomainError,
     ExtrapolationInstability,
     PoleProximityError,
+    PrecisionContext,
+    lateral_l_vector,
     stokes_decompose,
 )
 
@@ -67,13 +69,30 @@ def test_input_validation(ctx):
             stokes_decompose(mpf(-1), [mpf("0.1")], ctx)
         with pytest.raises(PoleProximityError):
             stokes_decompose(mpf(1), [mpf("0.0001")], ctx)
+        with pytest.raises(PoleProximityError):
+            stokes_decompose(mpf("0.01"), [mpf("0.002"), mpf("0.000999")], ctx)
+
+
+@pytest.mark.parametrize("prec_bits", [256, 192])
+def test_lateral_floor_admitted(prec_bits):
+    # the documented floor pi - |theta| >= 1e-3 holds with equality; at 192
+    # bits theta = pi - 1e-3 rounds to a gap just short of 1e-3
+    c = PrecisionContext(prec_bits=prec_bits, eps="1e-40", quad_eps="1e-30")
+    with c.workprec():
+        dec = stokes_decompose(mpf("0.01"), [mpf("0.002"), mpf("0.001")], c)
+        assert dec.extended_eps == (mpf("0.002"), mpf("0.001"))
+        assert dec.quad_budget < c.quad_eps * 16
+        vec = lateral_l_vector(mpf("0.01"), mp.pi - mpf("1e-3"), c)
+        assert vec.err_estimate < c.quad_eps * 16
+        with pytest.raises(PoleProximityError):
+            lateral_l_vector(mpf("0.01"), mp.pi - mpf("0.000999"), c)
 
 
 def test_monotonicity_enforcement(ctx, monkeypatch):
     # constant lateral values cannot show decreasing residuals
     import mocklab.mordell as mordell
 
-    def fake_lateral(abs_alpha, theta, c, floor=mordell.LATERAL_FLOOR):
+    def fake_lateral(abs_alpha, theta, c):
         from mpmath import mpc
         return mordell.LVector(mpc(1), mpc(1), mpf("1e-40"))
 
