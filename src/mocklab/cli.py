@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import MPContext, mpf
 
 from .errors import (
     DomainError,
@@ -26,7 +26,7 @@ from .errors import (
     NonConvergenceError,
     PrecisionError,
 )
-from .identities import SUITES, _digits, _fmt, run_suite, suite_report_to_json
+from .identities import SUITES, _digits, _fmt, _fmt_c, run_suite, suite_report_to_json
 from .matrices import identity2, mat_sub, mat_vec, mixing_matrix
 from .modpoint import PrecisionContext
 from .mordell import l_integral, l_vector, stokes_decompose, w2_integral, w3_integral
@@ -50,28 +50,30 @@ _REAL_RE = re.compile(
 )
 
 
-def parse_real(s: str) -> mpf:
-    """Real literal; accepts pi forms like 'pi', '2pi', 'pi/2', '3pi/4'."""
+def parse_real(s: str, mp: MPContext) -> mpf:
+    """Real literal in the mpmath context mp; accepts pi forms like 'pi',
+    '2pi', 'pi/2', '3pi/4'."""
     m = _REAL_RE.match(s.strip().replace(" ", ""))
     if not m or (m.group("num") is None and m.group("pi") is None):
         raise DomainError("cannot parse number %r" % s)
-    val = mpf(m.group("num")) if m.group("num") else mpf(1)
+    val = mp.mpf(m.group("num")) if m.group("num") else mp.mpf(1)
     if m.group("pi"):
         val *= mp.pi
     if m.group("den"):
-        val /= mpf(m.group("den"))
+        val /= mp.mpf(m.group("den"))
     if m.group("sign") == "-":
         val = -val
     return val
 
 
-def parse_number(s: str):
-    """Real or complex literal: '1+0.5i', '2i', 'pi', '0.3-0.7j', '1e-3'."""
+def parse_number(s: str, mp: MPContext):
+    """Real or complex literal in the mpmath context mp: '1+0.5i', '2i',
+    'pi', '0.3-0.7j', '1e-3'."""
     s = s.strip().replace(" ", "")
     if not s:
         raise DomainError("empty number")
     try:
-        return parse_real(s)  # 'pi' ends in 'i' but is real
+        return parse_real(s, mp)  # 'pi' ends in 'i' but is real
     except DomainError:
         pass
     if s[-1] in "ij":
@@ -87,8 +89,8 @@ def parse_number(s: str):
             re_part, im_part = body[:split], body[split:] or "1"
         if im_part in ("+", "-"):
             im_part += "1"
-        return mpc(parse_real(re_part), parse_real(im_part))
-    return parse_real(s)
+        return mp.mpc(parse_real(re_part, mp), parse_real(im_part, mp))
+    return parse_real(s, mp)
 
 
 def _context(args) -> PrecisionContext:
@@ -106,22 +108,18 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _fmt_c(z, prec_bits):
-    return {"re": _fmt(mpc(z).real, prec_bits), "im": _fmt(mpc(z).imag, prec_bits)}
-
-
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
-def _point_q(args, ctx):
+def _point_q(args, mp):
     """Nome for the mock-theta functions from --q, --alpha or --tau."""
     if args.q is not None:
-        return mpc(parse_number(args.q))
+        return mp.mpc(parse_number(args.q, mp))
     if args.alpha is not None:
-        return mp.exp(-mpc(parse_number(args.alpha)))
+        return mp.exp(-mp.mpc(parse_number(args.alpha, mp)))
     if args.tau is not None:
-        tau = mpc(parse_number(args.tau))
+        tau = mp.mpc(parse_number(args.tau, mp))
         if not tau.imag > 0:
             raise DomainError("tau must lie in the upper half-plane")
         return mp.exp(mp.pi * 1j * tau)
@@ -130,85 +128,84 @@ def _point_q(args, ctx):
 
 def cmd_eval(args) -> int:
     ctx = _context(args)
-    with ctx.workprec():
-        fn = args.fn
-        err = None
-        point_desc = None
-        if fn in MOCK_FNS:
-            q = _point_q(args, ctx)
-            point_desc = q
-            value = eval_mock(MockThetaId.from_name(fn), q, ctx)
-        elif fn in ("x0", "x1"):
-            if args.u is None:
-                raise DomainError("--u required for the unary series")
-            u = mpc(parse_number(args.u))
-            point_desc = u
-            value = unary_x(fn.upper(), u, ctx)
-        elif fn == "eta" or fn.startswith("theta"):
-            if args.tau is None:
-                raise DomainError("--tau required for eta/theta")
-            tau = mpc(parse_number(args.tau))
-            point_desc = tau
-            value = eta(tau, ctx) if fn == "eta" else theta(int(fn[-1]), tau, ctx)
-        elif fn in ("L", "W2", "W3"):
-            if args.alpha is None:
-                raise DomainError("--alpha required for the integrals")
-            alpha = mpc(parse_number(args.alpha))
-            point_desc = alpha
-            if fn == "L":
-                value, err = l_integral(Fraction(args.r), alpha, ctx)
-            elif fn == "W2":
-                value, err = w2_integral(alpha, ctx)
-            else:
-                value, err = w3_integral(alpha, ctx)
-        elif fn == "lvec":
-            if args.alpha is None:
-                raise DomainError("--alpha required for lvec")
-            alpha = mpc(parse_number(args.alpha))
-            point_desc = alpha
-            lv = l_vector(alpha, ctx)
-            err = lv.err_estimate
-            extra = {}
-            if abs(alpha - mp.pi) < mpf(2) ** -20:
-                v = mat_vec(mat_sub(identity2(), mixing_matrix(ctx)), lv.as_tuple())
-                extra["fixed_point_residual"] = max(abs(v[0]), abs(v[1]))
-            return _emit_eval(args, ctx, point_desc,
-                              {"l1": lv.l1, "l2": lv.l2}, err, extra)
-        else:  # pragma: no cover - argparse choices guard this
-            raise DomainError("unknown function %r" % fn)
-        return _emit_eval(args, ctx, point_desc, {"value": value}, err, {})
+    mp = ctx.mp
+    fn = args.fn
+    err = None
+    point_desc = None
+    if fn in MOCK_FNS:
+        q = _point_q(args, mp)
+        point_desc = q
+        value = eval_mock(MockThetaId.from_name(fn), q, ctx)
+    elif fn in ("x0", "x1"):
+        if args.u is None:
+            raise DomainError("--u required for the unary series")
+        u = mp.mpc(parse_number(args.u, mp))
+        point_desc = u
+        value = unary_x(fn.upper(), u, ctx)
+    elif fn == "eta" or fn.startswith("theta"):
+        if args.tau is None:
+            raise DomainError("--tau required for eta/theta")
+        tau = mp.mpc(parse_number(args.tau, mp))
+        point_desc = tau
+        value = eta(tau, ctx) if fn == "eta" else theta(int(fn[-1]), tau, ctx)
+    elif fn in ("L", "W2", "W3"):
+        if args.alpha is None:
+            raise DomainError("--alpha required for the integrals")
+        alpha = mp.mpc(parse_number(args.alpha, mp))
+        point_desc = alpha
+        if fn == "L":
+            value, err = l_integral(Fraction(args.r), alpha, ctx)
+        elif fn == "W2":
+            value, err = w2_integral(alpha, ctx)
+        else:
+            value, err = w3_integral(alpha, ctx)
+    elif fn == "lvec":
+        if args.alpha is None:
+            raise DomainError("--alpha required for lvec")
+        alpha = mp.mpc(parse_number(args.alpha, mp))
+        point_desc = alpha
+        lv = l_vector(alpha, ctx)
+        err = lv.err_estimate
+        extra = {}
+        if abs(alpha - mp.pi) < mp.mpf(2) ** -20:
+            v = mat_vec(mat_sub(identity2(), mixing_matrix(ctx)), lv.as_tuple())
+            extra["fixed_point_residual"] = max(abs(v[0]), abs(v[1]))
+        return _emit_eval(args, ctx, point_desc,
+                          {"l1": lv.l1, "l2": lv.l2}, err, extra)
+    else:  # pragma: no cover - argparse choices guard this
+        raise DomainError("unknown function %r" % fn)
+    return _emit_eval(args, ctx, point_desc, {"value": value}, err, {})
 
 
 def _emit_eval(args, ctx, point, values: dict, err, extra: dict) -> int:
-    pb = ctx.prec_bits
     if args.format == "json":
-        doc = {"fn": args.fn, "point": _fmt_c(point, pb)}
+        doc = {"fn": args.fn, "point": _fmt_c(point, ctx)}
         for k, v in values.items():
-            doc[k] = _fmt_c(v, pb)
+            doc[k] = _fmt_c(v, ctx)
         if err is not None:
-            doc["err_estimate"] = _fmt(err, pb)
+            doc["err_estimate"] = _fmt(err, ctx)
         for k, v in extra.items():
-            doc[k] = _fmt(v, pb)
+            doc[k] = _fmt(v, ctx)
         _emit(json.dumps(doc, separators=(",", ":")) + "\n", args.out)
     elif args.format == "csv":
         cols = ["fn", "point_re", "point_im"]
-        vals = [args.fn, _fmt(mpc(point).real, pb), _fmt(mpc(point).imag, pb)]
+        vals = [args.fn, *_fmt_c(point, ctx).values()]
         for k, v in values.items():
             cols += ["%s_re" % k, "%s_im" % k]
-            vals += [_fmt(mpc(v).real, pb), _fmt(mpc(v).imag, pb)]
+            vals += _fmt_c(v, ctx).values()
         if err is not None:
             cols.append("err_estimate")
-            vals.append(_fmt(err, pb))
+            vals.append(_fmt(err, ctx))
         _emit(",".join(cols) + "\n" + ",".join(vals) + "\n", args.out)
     else:
         lines = []
         for k, v in values.items():
-            v = mpc(v)
-            lines.append("%s = %s" % (k, mp.nstr(v, _digits(pb))))
+            v = ctx.mp.mpc(v)
+            lines.append("%s = %s" % (k, ctx.mp.nstr(v, _digits(ctx.prec_bits))))
         if err is not None:
-            lines.append("err_estimate = %s" % _fmt(err, pb))
+            lines.append("err_estimate = %s" % _fmt(err, ctx))
         for k, v in extra.items():
-            lines.append("%s = %s" % (k, _fmt(v, pb)))
+            lines.append("%s = %s" % (k, _fmt(v, ctx)))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -243,25 +240,25 @@ def _load_grid(path: str, suite: str, ctx: PrecisionContext):
     if not isinstance(raw, list) or not raw:
         raise DomainError("grid file must be a nonempty JSON list")
     want = "tau" if suite == "theta_eta" else "alpha"
+    mp = ctx.mp
     pts = []
-    with ctx.workprec():
-        for item in raw:
-            tag = item.get("as", want)
-            z = mpc(mpf(str(item["re"])), mpf(str(item["im"])))
-            if tag == "tau":
-                if not z.imag > 0:
-                    raise DomainError("grid tau point outside upper half-plane")
-                alpha = -mp.pi * 1j * z
-            elif tag == "alpha":
-                if not z.real > 0:
-                    raise DomainError("grid alpha point must have Re > 0")
-                alpha = z
-            else:
-                raise DomainError("grid 'as' tag must be 'tau' or 'alpha'")
-            if want == "tau":
-                pts.append(1j * alpha / mp.pi)
-            else:
-                pts.append(alpha)
+    for item in raw:
+        tag = item.get("as", want)
+        z = mp.mpc(mp.mpf(str(item["re"])), mp.mpf(str(item["im"])))
+        if tag == "tau":
+            if not z.imag > 0:
+                raise DomainError("grid tau point outside upper half-plane")
+            alpha = -mp.pi * 1j * z
+        elif tag == "alpha":
+            if not z.real > 0:
+                raise DomainError("grid alpha point must have Re > 0")
+            alpha = z
+        else:
+            raise DomainError("grid 'as' tag must be 'tau' or 'alpha'")
+        if want == "tau":
+            pts.append(1j * alpha / mp.pi)
+        else:
+            pts.append(alpha)
     return pts
 
 
@@ -273,21 +270,18 @@ def cmd_verify(args) -> int:
         lines = []
         for r in rep.identities:
             lines.append("%-24s max_abs=%s pass=%s"
-                         % (r.identity_name, _fmt(r.max_abs, ctx.prec_bits),
-                            r.all_pass))
+                         % (r.identity_name, _fmt(r.max_abs, ctx), r.all_pass))
         lines.append("ALL PASS" if rep.all_pass else "FAIL")
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "csv":
-        pb = ctx.prec_bits
         rows = ["identity,point_re,point_im,abs_residual,rel_residual,budget,pass"]
         for r in rep.identities:
             for e in r.entries:
-                pre = _fmt(e.point.real, pb) if e.point is not None else ""
-                pim = _fmt(e.point.imag, pb) if e.point is not None else ""
+                p = _fmt_c(e.point, ctx) if e.point is not None else {"re": "", "im": ""}
                 rows.append(",".join([
-                    r.identity_name, pre, pim,
-                    _fmt(e.abs_residual, pb), _fmt(e.rel_residual, pb),
-                    _fmt(e.budget, pb), str(e.passed).lower(),
+                    r.identity_name, p["re"], p["im"],
+                    _fmt(e.abs_residual, ctx), _fmt(e.rel_residual, ctx),
+                    _fmt(e.budget, ctx), str(e.passed).lower(),
                 ]))
         _emit("\n".join(rows) + "\n", args.out)
     else:
@@ -301,44 +295,40 @@ def cmd_verify(args) -> int:
 
 def cmd_stokes(args) -> int:
     ctx = _context(args)
-    with ctx.workprec():
-        abs_alpha = parse_real(args.abs_alpha)
-        eps_seq = [parse_real(tok) for tok in args.eps_seq.split(",") if tok]
-        dec = stokes_decompose(abs_alpha, eps_seq, ctx)
-        pb = ctx.prec_bits
-        header = ("eps,l1_re,l1_im,l2_re,l2_im,pred_q_1,pred_q_2,"
-                  "pred_q1_1,pred_q1_2,re_residual,im_residual")
-        rows = [header]
-        for i, e in enumerate(dec.eps_seq):
-            v = dec.lateral_values[i]
-            rows.append(",".join([
-                _fmt(e, pb),
-                _fmt(v[0].real, pb), _fmt(v[0].imag, pb),
-                _fmt(v[1].real, pb), _fmt(v[1].imag, pb),
-                _fmt(dec.pred_real[0], pb), _fmt(dec.pred_real[1], pb),
-                _fmt(dec.pred_imag[0], pb), _fmt(dec.pred_imag[1], pb),
-                _fmt(dec.re_residuals[i], pb), _fmt(dec.im_residuals[i], pb),
-            ]))
-        summary = {
-            "abs_alpha": _fmt(dec.abs_alpha, pb),
-            "matched_sign": dec.matched_sign,
-            "extrapolated": [_fmt_c(dec.extrapolated[0], pb),
-                             _fmt_c(dec.extrapolated[1], pb)],
-            "extrap_residual_real": _fmt(dec.extrap_residual_real, pb),
-            "extrap_residual_imag": _fmt(dec.extrap_residual_imag, pb),
-            "extrap_err_estimate": _fmt(dec.extrap_err_estimate, pb),
-            "literal_residual_real": _fmt(dec.literal_residual_real, pb),
-            "literal_residual_imag": _fmt(dec.literal_residual_imag, pb),
-            "extension_eps": [_fmt(e, pb) for e in dec.extended_eps],
-        }
-        if args.format == "json":
-            doc = {"table": rows[1:], "header": header, "summary": summary}
-            _emit(json.dumps(doc, separators=(",", ":")) + "\n", args.out)
-        else:
-            text = "\n".join(rows) + "\n" + json.dumps(
-                summary, separators=(",", ":")) + "\n"
-            _emit(text, args.out)
-        return 0
+    abs_alpha = parse_real(args.abs_alpha, ctx.mp)
+    eps_seq = [parse_real(tok, ctx.mp) for tok in args.eps_seq.split(",") if tok]
+    dec = stokes_decompose(abs_alpha, eps_seq, ctx)
+    header = ("eps,l1_re,l1_im,l2_re,l2_im,pred_q_1,pred_q_2,"
+              "pred_q1_1,pred_q1_2,re_residual,im_residual")
+    rows = [header]
+    for i, e in enumerate(dec.eps_seq):
+        v = dec.lateral_values[i]
+        rows.append(",".join(_fmt(x, ctx) for x in (
+            e, v[0].real, v[0].imag, v[1].real, v[1].imag,
+            dec.pred_real[0], dec.pred_real[1],
+            dec.pred_imag[0], dec.pred_imag[1],
+            dec.re_residuals[i], dec.im_residuals[i],
+        )))
+    summary = {
+        "abs_alpha": _fmt(dec.abs_alpha, ctx),
+        "matched_sign": dec.matched_sign,
+        "extrapolated": [_fmt_c(dec.extrapolated[0], ctx),
+                         _fmt_c(dec.extrapolated[1], ctx)],
+        "extrap_residual_real": _fmt(dec.extrap_residual_real, ctx),
+        "extrap_residual_imag": _fmt(dec.extrap_residual_imag, ctx),
+        "extrap_err_estimate": _fmt(dec.extrap_err_estimate, ctx),
+        "literal_residual_real": _fmt(dec.literal_residual_real, ctx),
+        "literal_residual_imag": _fmt(dec.literal_residual_imag, ctx),
+        "extension_eps": [_fmt(e, ctx) for e in dec.extended_eps],
+    }
+    if args.format == "json":
+        doc = {"table": rows[1:], "header": header, "summary": summary}
+        _emit(json.dumps(doc, separators=(",", ":")) + "\n", args.out)
+    else:
+        text = "\n".join(rows) + "\n" + json.dumps(
+            summary, separators=(",", ":")) + "\n"
+        _emit(text, args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------

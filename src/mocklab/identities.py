@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
 from .errors import DomainError
 from .matrices import (
@@ -71,7 +71,6 @@ WRONSKIAN_SEED = 20260808
 class CheckEntry:
     identity: str
     point: Optional[mpc]
-    kind: Optional[str]  # 'alpha' | 'tau' | 'abs_alpha' | None
     abs_residual: mpf
     rel_residual: mpf
     budget: mpf
@@ -97,15 +96,13 @@ class SuiteReport:
     all_pass: bool
 
 
-def _entry(identity, point, kind, residual, scale, budget, detail=None) -> CheckEntry:
-    residual = mpf(residual)
-    budget = mpf(budget)
-    scale = mpf(scale)
+def _entry(identity, point, residual, scale, budget, ctx, detail=None) -> CheckEntry:
+    mp = ctx.mp
+    residual, scale, budget = mp.mpf(residual), mp.mpf(scale), mp.mpf(budget)
     rel = residual / scale if scale > 0 else residual
     return CheckEntry(
         identity=identity,
-        point=None if point is None else mpc(point),
-        kind=kind,
+        point=None if point is None else mp.mpc(point),
         abs_residual=residual,
         rel_residual=rel,
         budget=budget,
@@ -115,7 +112,7 @@ def _entry(identity, point, kind, residual, scale, budget, detail=None) -> Check
 
 
 def _round_slop(ctx, scale):
-    return mpf(scale) * mpf(2) ** (-ctx.prec_bits + 16)
+    return ctx.mp.mpf(scale) * ctx.mp.mpf(2) ** (-ctx.prec_bits + 16)
 
 
 # ---------------------------------------------------------------------------
@@ -141,70 +138,70 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
       under alpha -> pi^2/alpha;
     - l_vector_fixed_point: at alpha = pi also the (1 - M) annihilation.
     """
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        (l1, l2), e_l = l_pair(5 * alpha, ctx)
-        lv = l_vector(alpha, ctx)
-        lv_s = l_vector(mp.pi**2 / alpha, ctx)
-        out = []
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    (l1, l2), e_l = l_pair(5 * alpha, ctx)
+    lv = l_vector(alpha, ctx)
+    lv_s = l_vector(mp.pi**2 / alpha, ctx)
+    out = []
 
-        # scalar laws
-        q = mp.exp(-alpha)
-        q14 = power_from_alpha(alpha, "q1", 4, ctx)
-        chi0_q = eval_mock(MockThetaId(5, "chi0"), q, ctx)
-        chi1_q = eval_mock(MockThetaId(5, "chi1"), q, ctx)
-        chi0_q14 = eval_mock(MockThetaId(5, "chi0"), q14, ctx)
-        chi1_q14 = eval_mock(MockThetaId(5, "chi1"), q14, ctx)
+    # scalar laws
+    q = mp.exp(-alpha)
+    q14 = power_from_alpha(alpha, "q1", 4, ctx)
+    chi0_q = eval_mock(MockThetaId(5, "chi0"), q, ctx)
+    chi1_q = eval_mock(MockThetaId(5, "chi1"), q, ctx)
+    chi0_q14 = eval_mock(MockThetaId(5, "chi0"), q14, ctx)
+    chi1_q14 = eval_mock(MockThetaId(5, "chi1"), q14, ctx)
 
-        c_minus = mp.sqrt(mp.pi * (5 - mp.sqrt(5)) / (5 * alpha))
-        c_plus = mp.sqrt(mp.pi * (5 + mp.sqrt(5)) / (5 * alpha))
-        c_int = mp.sqrt(135 * alpha / (2 * mp.pi))
-        p_m130 = power_from_alpha(alpha, "q1", Fraction(-1, 30), ctx)
-        p_7130 = power_from_alpha(alpha, "q1", Fraction(71, 30), ctx)
+    c_minus = mp.sqrt(mp.pi * (5 - mp.sqrt(5)) / (5 * alpha))
+    c_plus = mp.sqrt(mp.pi * (5 + mp.sqrt(5)) / (5 * alpha))
+    c_int = mp.sqrt(135 * alpha / (2 * mp.pi))
+    p_m130 = power_from_alpha(alpha, "q1", Fraction(-1, 30), ctx)
+    p_7130 = power_from_alpha(alpha, "q1", Fraction(71, 30), ctx)
 
-        lhs0 = power_from_alpha(alpha, "q", Fraction(-1, 120), ctx) * (chi0_q - 2)
-        rhs0 = (-c_minus * p_m130 * (chi0_q14 - 2)
-                - c_plus * p_7130 * chi1_q14
-                - c_int * l1)
-        lhs1 = power_from_alpha(alpha, "q", Fraction(71, 120), ctx) * chi1_q
-        rhs1 = (-c_plus * p_m130 * (chi0_q14 - 2)
-                + c_minus * p_7130 * chi1_q14
-                - c_int * l2)
+    lhs0 = power_from_alpha(alpha, "q", Fraction(-1, 120), ctx) * (chi0_q - 2)
+    rhs0 = (-c_minus * p_m130 * (chi0_q14 - 2)
+            - c_plus * p_7130 * chi1_q14
+            - c_int * l1)
+    lhs1 = power_from_alpha(alpha, "q", Fraction(71, 120), ctx) * chi1_q
+    rhs1 = (-c_plus * p_m130 * (chi0_q14 - 2)
+            + c_minus * p_7130 * chi1_q14
+            - c_int * l2)
 
-        series_budget = ctx.eps * (2 + 2 * (abs(c_minus) + abs(c_plus)) * max(abs(p_m130), abs(p_7130)))
-        for tag, lhs, rhs in (("mf5_scalar_0", lhs0, rhs0),
-                              ("mf5_scalar_1", lhs1, rhs1)):
-            scale = max(abs(lhs), abs(rhs), mpf(1))
-            budget = series_budget + abs(c_int) * e_l + _round_slop(ctx, scale)
-            out.append(_entry(tag, alpha, "alpha", abs(lhs - rhs), scale, budget))
+    series_budget = ctx.eps * (2 + 2 * (abs(c_minus) + abs(c_plus)) * max(abs(p_m130), abs(p_7130)))
+    for tag, lhs, rhs in (("mf5_scalar_0", lhs0, rhs0),
+                          ("mf5_scalar_1", lhs1, rhs1)):
+        scale = max(abs(lhs), abs(rhs), mp.mpf(1))
+        budget = series_budget + abs(c_int) * e_l + _round_slop(ctx, scale)
+        out.append(_entry(tag, alpha, abs(lhs - rhs), scale, budget, ctx))
 
-        # matrix law
-        vq, s1 = _k_vector(alpha, "Q", ctx)
-        vq1, s2 = _k_vector(alpha, "Q1", ctx)
-        root = mp.sqrt(mp.pi / alpha)
-        mix = mixing_matrix(ctx)
-        mixed = mat_vec(mix, vq1)
-        rhs = (vq[0] + root * mixed[0], vq[1] + root * mixed[1])
-        res = max(abs(lv.l1 - rhs[0]), abs(lv.l2 - rhs[1]))
-        scale = max(abs(lv.l1), abs(lv.l2), mpf(1))
-        budget = (ctx.eps * (s1 + 2 * abs(root) * s2) + lv.err_estimate
-                  + _round_slop(ctx, scale))
-        out.append(_entry("mf5_matrix", alpha, "alpha", res, scale, budget))
+    # matrix law
+    vq, s1 = _k_vector(alpha, "Q", ctx)
+    vq1, s2 = _k_vector(alpha, "Q1", ctx)
+    root = mp.sqrt(mp.pi / alpha)
+    mix = mixing_matrix(ctx)
+    mixed = mat_vec(mix, vq1)
+    rhs = (vq[0] + root * mixed[0], vq[1] + root * mixed[1])
+    res = max(abs(lv.l1 - rhs[0]), abs(lv.l2 - rhs[1]))
+    scale = max(abs(lv.l1), abs(lv.l2), mp.mpf(1))
+    budget = (ctx.eps * (s1 + 2 * abs(root) * s2) + lv.err_estimate
+              + _round_slop(ctx, scale))
+    out.append(_entry("mf5_matrix", alpha, res, scale, budget, ctx))
 
-        # modular consistency of the integral vector (same scale)
-        mixed = mat_vec(mix, lv_s.as_tuple())
-        res = max(abs(lv.l1 - root * mixed[0]), abs(lv.l2 - root * mixed[1]))
-        budget = (lv.err_estimate + abs(root) * lv_s.err_estimate
-                  + _round_slop(ctx, scale))
-        out.append(_entry("l_vector_consistency", alpha, "alpha", res, scale, budget))
-        if abs(alpha - mp.pi) < mpf(2) ** -20:
-            one_minus_m = mat_sub(identity2(), mix)
-            v = mat_vec(one_minus_m, lv.as_tuple())
-            res_fp = max(abs(v[0]), abs(v[1]))
-            budget_fp = 2 * lv.err_estimate + _round_slop(ctx, scale)
-            out.append(_entry("l_vector_fixed_point", alpha, "alpha",
-                              res_fp, scale, budget_fp))
-        return out
+    # modular consistency of the integral vector (same scale)
+    mixed = mat_vec(mix, lv_s.as_tuple())
+    res = max(abs(lv.l1 - root * mixed[0]), abs(lv.l2 - root * mixed[1]))
+    budget = (lv.err_estimate + abs(root) * lv_s.err_estimate
+              + _round_slop(ctx, scale))
+    out.append(_entry("l_vector_consistency", alpha, res, scale, budget, ctx))
+    if abs(alpha - mp.pi) < mp.mpf(2) ** -20:
+        one_minus_m = mat_sub(identity2(), mix)
+        v = mat_vec(one_minus_m, lv.as_tuple())
+        res_fp = max(abs(v[0]), abs(v[1]))
+        budget_fp = 2 * lv.err_estimate + _round_slop(ctx, scale)
+        out.append(_entry("l_vector_fixed_point", alpha,
+                          res_fp, scale, budget_fp, ctx))
+    return out
 
 
 def check_stokes(abs_alpha, ctx: PrecisionContext,
@@ -212,25 +209,25 @@ def check_stokes(abs_alpha, ctx: PrecisionContext,
     """Lateral-limit residuals against the unary predictions at the Stokes
     line; the entry records the matched lateral sign and both residual
     tables (corrected and literal-display predictions)."""
-    with ctx.workprec():
-        dec = stokes_decompose(abs_alpha, [mpf(e) for e in eps_seq], ctx)
-        res = max(dec.extrap_residual_real, dec.extrap_residual_imag)
-        scale = max(abs(dec.extrapolated[0]), abs(dec.extrapolated[1]), mpf(1))
-        # extrapolation error dominates; its a-posteriori Neville estimate
-        # (full table vs table with the coarsest point dropped) is the budget
-        budget = (4 * dec.extrap_err_estimate + 16 * dec.quad_budget
-                  + ctx.eps * 64 + _round_slop(ctx, scale))
-        detail = {
-            "matched_sign": dec.matched_sign,
-            "re_residuals": [mp.nstr(r, 8) for r in dec.re_residuals],
-            "im_residuals": [mp.nstr(r, 8) for r in dec.im_residuals],
-            "extrap_residual_real": mp.nstr(dec.extrap_residual_real, 8),
-            "extrap_residual_imag": mp.nstr(dec.extrap_residual_imag, 8),
-            "literal_residual_real": mp.nstr(dec.literal_residual_real, 8),
-            "literal_residual_imag": mp.nstr(dec.literal_residual_imag, 8),
-        }
-        return [_entry("mf5_stokes", mpc(abs_alpha), "abs_alpha", res, scale,
-                       budget, detail)]
+    mp = ctx.mp
+    dec = stokes_decompose(abs_alpha, eps_seq, ctx)
+    res = max(dec.extrap_residual_real, dec.extrap_residual_imag)
+    scale = max(abs(dec.extrapolated[0]), abs(dec.extrapolated[1]), mp.mpf(1))
+    # extrapolation error dominates; its a-posteriori Neville estimate
+    # (full table vs table with the coarsest point dropped) is the budget
+    budget = (4 * dec.extrap_err_estimate + 16 * dec.quad_budget
+              + ctx.eps * 64 + _round_slop(ctx, scale))
+    detail = {
+        "matched_sign": dec.matched_sign,
+        "re_residuals": [mp.nstr(r, 8) for r in dec.re_residuals],
+        "im_residuals": [mp.nstr(r, 8) for r in dec.im_residuals],
+        "extrap_residual_real": mp.nstr(dec.extrap_residual_real, 8),
+        "extrap_residual_imag": mp.nstr(dec.extrap_residual_imag, 8),
+        "literal_residual_real": mp.nstr(dec.literal_residual_real, 8),
+        "literal_residual_imag": mp.nstr(dec.literal_residual_imag, 8),
+    }
+    return [_entry("mf5_stokes", mp.mpc(abs_alpha), res, scale,
+                   budget, ctx, detail)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,57 +244,57 @@ def check_mf3(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
       rho and xi.  All fractional powers go through alpha, so xi is
       evaluated at -exp(-alpha/3), never at a complex cube root.
     """
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        w3, e3 = w3_integral(alpha, ctx)
-        w2, e2 = w2_integral(alpha / 2, ctx)
-        q = mp.exp(-alpha)
-        q_two_thirds = power_from_alpha(alpha, "q", Fraction(2, 3), ctx)
-        root = mp.sqrt(mp.pi / alpha)
-        om = MockThetaId(3, "omega")
-        out = []
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    w3, e3 = w3_integral(alpha, ctx)
+    w2, e2 = w2_integral(alpha / 2, ctx)
+    q = mp.exp(-alpha)
+    q_two_thirds = power_from_alpha(alpha, "q", Fraction(2, 3), ctx)
+    root = mp.sqrt(mp.pi / alpha)
+    om = MockThetaId(3, "omega")
+    out = []
 
-        # omega at -q and -q1 against W3
-        q1 = mp.exp(-mp.pi**2 / alpha)
-        t1 = q_two_thirds * eval_mock(om, -q, ctx)
-        t2 = root * power_from_alpha(alpha, "q1", Fraction(2, 3), ctx) * eval_mock(om, -q1, ctx)
-        c = mp.sqrt(12 * alpha / mp.pi)
-        res = abs(t1 + t2 - c * w3)
-        scale = max(abs(t1), abs(t2), abs(c * w3), mpf(1))
-        budget = ctx.eps * (1 + abs(root)) + abs(c) * e3 + _round_slop(ctx, scale)
-        out.append(_entry("mf3_omega", alpha, "alpha", res, scale, budget))
+    # omega at -q and -q1 against W3
+    q1 = mp.exp(-mp.pi**2 / alpha)
+    t1 = q_two_thirds * eval_mock(om, -q, ctx)
+    t2 = root * power_from_alpha(alpha, "q1", Fraction(2, 3), ctx) * eval_mock(om, -q1, ctx)
+    c = mp.sqrt(12 * alpha / mp.pi)
+    res = abs(t1 + t2 - c * w3)
+    scale = max(abs(t1), abs(t2), abs(c * w3), mp.mpf(1))
+    budget = ctx.eps * (1 + abs(root)) + abs(c) * e3 + _round_slop(ctx, scale)
+    out.append(_entry("mf3_omega", alpha, res, scale, budget, ctx))
 
-        # omega at q and f at Q1 against W2
-        Q1 = power_from_alpha(alpha, "Q1", 1, ctx)
-        t1 = q_two_thirds * eval_mock(om, q, ctx)
-        p = power_from_alpha(alpha, "q1", Fraction(-1, 12), ctx)
-        t2 = mp.sqrt(mp.pi / (4 * alpha)) * p * eval_mock(MockThetaId(3, "f"), Q1, ctx)
-        c2 = mp.sqrt(3 * alpha / mp.pi)
-        res = abs(t1 - t2 + c2 * w2)
-        scale = max(abs(t1), abs(t2), abs(c2 * w2), mpf(1))
-        budget = (ctx.eps * (1 + abs(mp.sqrt(mp.pi / (4 * alpha))) * abs(p))
-                  + abs(c2) * e2 + _round_slop(ctx, scale))
-        out.append(_entry("mf3_omega_f", alpha, "alpha", res, scale, budget))
+    # omega at q and f at Q1 against W2
+    Q1 = power_from_alpha(alpha, "Q1", 1, ctx)
+    t1 = q_two_thirds * eval_mock(om, q, ctx)
+    p = power_from_alpha(alpha, "q1", Fraction(-1, 12), ctx)
+    t2 = mp.sqrt(mp.pi / (4 * alpha)) * p * eval_mock(MockThetaId(3, "f"), Q1, ctx)
+    c2 = mp.sqrt(3 * alpha / mp.pi)
+    res = abs(t1 - t2 + c2 * w2)
+    scale = max(abs(t1), abs(t2), abs(c2 * w2), mp.mpf(1))
+    budget = (ctx.eps * (1 + abs(mp.sqrt(mp.pi / (4 * alpha))) * abs(p))
+              + abs(c2) * e2 + _round_slop(ctx, scale))
+    out.append(_entry("mf3_omega_f", alpha, res, scale, budget, ctx))
 
-        # rho and xi against W3
-        rho = MockThetaId(3, "rho")
-        xi = MockThetaId(3, "xi")
+    # rho and xi against W3
+    rho = MockThetaId(3, "rho")
+    xi = MockThetaId(3, "xi")
 
-        def bracket(expo_alpha):
-            # q^{2/3} [-rho(-q) + (1/2) q^{-2/3} xi(-q^{1/3})] at q = exp(-expo)
-            q = mp.exp(-expo_alpha)
-            q13 = mp.exp(-expo_alpha / 3)
-            q23 = mp.exp(-2 * expo_alpha / 3)
-            return q23 * (-eval_mock(rho, -q, ctx)) + eval_mock(xi, -q13, ctx) / 2
+    def bracket(expo_alpha):
+        # q^{2/3} [-rho(-q) + (1/2) q^{-2/3} xi(-q^{1/3})] at q = exp(-expo)
+        q = mp.exp(-expo_alpha)
+        q13 = mp.exp(-expo_alpha / 3)
+        q23 = mp.exp(-2 * expo_alpha / 3)
+        return q23 * (-eval_mock(rho, -q, ctx)) + eval_mock(xi, -q13, ctx) / 2
 
-        b_q = bracket(alpha)
-        b_q1 = bracket(mp.pi**2 / alpha)
-        res = abs(c * w3 - b_q - root * b_q1)
-        scale = max(abs(c * w3), abs(b_q), abs(root * b_q1), mpf(1))
-        budget = (ctx.eps * 3 * (1 + abs(root)) + abs(c) * e3
-                  + _round_slop(ctx, scale))
-        out.append(_entry("mf3_alternative", alpha, "alpha", res, scale, budget))
-        return out
+    b_q = bracket(alpha)
+    b_q1 = bracket(mp.pi**2 / alpha)
+    res = abs(c * w3 - b_q - root * b_q1)
+    scale = max(abs(c * w3), abs(b_q), abs(root * b_q1), mp.mpf(1))
+    budget = (ctx.eps * 3 * (1 + abs(root)) + abs(c) * e3
+              + _round_slop(ctx, scale))
+    out.append(_entry("mf3_alternative", alpha, res, scale, budget, ctx))
+    return out
 
 
 def check_growth_omega(theta0, alpha_grid, ctx: PrecisionContext) -> List[CheckEntry]:
@@ -305,34 +302,34 @@ def check_growth_omega(theta0, alpha_grid, ctx: PrecisionContext) -> List[CheckE
 
     The entry's residual is the excess of max(small-|a| half) over twice
     max(large-|a| half), zero when the bound statistic shows no trend."""
-    with ctx.workprec():
-        theta0 = mpf(theta0)
-        if not (0 < theta0 < mp.pi / 2):
-            raise DomainError("theta0 must lie in (0, pi/2)")
-        stats = []
-        for alpha in alpha_grid:
-            alpha = mpc(alpha)
-            if abs(mp.arg(alpha)) > theta0 + mpf(2) ** -30:
-                raise DomainError("grid point outside the sector")
-            q = mp.exp(-alpha)
-            q1_mag = abs(mp.exp(-mp.pi**2 / alpha))
-            s = (mp.sqrt(abs(alpha)) * q1_mag ** (mpf(1) / 12)
-                 * abs(eval_mock(MockThetaId(3, "omega"), q, ctx)))
-            stats.append((abs(alpha), s))
-        stats.sort(key=lambda t: t[0], reverse=True)
-        half = len(stats) // 2
-        larger = max(s for _, s in stats[:half])
-        smaller = max(s for _, s in stats[half:])
-        ratio = smaller / larger
-        res = max(mpf(0), ratio - 2)
-        detail = {
-            "ratio": mp.nstr(ratio, 8),
-            "stats": [[mp.nstr(m, 8), mp.nstr(s, 8)] for m, s in stats],
-        }
-        ray = mp.arg(mpc(alpha_grid[0]))
-        point = mpc(mp.cos(ray), mp.sin(ray))
-        return [CheckEntry("mf3_growth", point, "ray", res, ratio / 2, mpf(1),
-                           bool(ratio <= 2), detail)]
+    mp = ctx.mp
+    theta0 = mp.mpf(theta0)
+    if not (0 < theta0 < mp.pi / 2):
+        raise DomainError("theta0 must lie in (0, pi/2)")
+    stats = []
+    for alpha in alpha_grid:
+        alpha = mp.mpc(alpha)
+        if abs(mp.arg(alpha)) > theta0 + mp.mpf(2) ** -30:
+            raise DomainError("grid point outside the sector")
+        q = mp.exp(-alpha)
+        q1_mag = abs(mp.exp(-mp.pi**2 / alpha))
+        s = (mp.sqrt(abs(alpha)) * q1_mag ** (mp.mpf(1) / 12)
+             * abs(eval_mock(MockThetaId(3, "omega"), q, ctx)))
+        stats.append((abs(alpha), s))
+    stats.sort(key=lambda t: t[0], reverse=True)
+    half = len(stats) // 2
+    larger = max(s for _, s in stats[:half])
+    smaller = max(s for _, s in stats[half:])
+    ratio = smaller / larger
+    res = max(mp.mpf(0), ratio - 2)
+    detail = {
+        "ratio": mp.nstr(ratio, 8),
+        "stats": [[mp.nstr(m, 8), mp.nstr(s, 8)] for m, s in stats],
+    }
+    ray = mp.arg(mp.mpc(alpha_grid[0]))
+    point = mp.mpc(mp.cos(ray), mp.sin(ray))
+    return [CheckEntry("mf3_growth", point, res, ratio / 2, mp.mpf(1),
+                       bool(ratio <= 2), detail)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,56 +340,56 @@ def check_eta_theta(tau, ctx: PrecisionContext) -> List[CheckEntry]:
     """Transformation residuals for eta and theta3 plus the chain
     theta3(1 - 1/z) = theta4(-1/z) = sqrt(-iz) theta2(z) and the product
     lower bound on |theta3(1 - 1/z)|."""
-    with ctx.workprec():
-        tau = mpc(tau)
-        e_tau = eta(tau, ctx)
-        entries = []
+    mp = ctx.mp
+    tau = mp.mpc(tau)
+    e_tau = eta(tau, ctx)
+    entries = []
 
-        res = abs(eta(tau + 1, ctx) - mp.exp(mp.pi * 1j / 12) * e_tau)
-        scale = max(abs(e_tau), mpf(1))
-        budget = 2 * ctx.eps + _round_slop(ctx, scale)
-        entries.append(_entry("eta_T", tau, "tau", res, scale, budget))
+    res = abs(eta(tau + 1, ctx) - mp.exp(mp.pi * 1j / 12) * e_tau)
+    scale = max(abs(e_tau), mp.mpf(1))
+    budget = 2 * ctx.eps + _round_slop(ctx, scale)
+    entries.append(_entry("eta_T", tau, res, scale, budget, ctx))
 
-        root = mp.sqrt(-1j * tau)
-        res = abs(eta(-1 / tau, ctx) - root * e_tau)
-        budget = ctx.eps * (1 + abs(root)) + _round_slop(ctx, scale)
-        entries.append(_entry("eta_S", tau, "tau", res, scale, budget))
+    root = mp.sqrt(-1j * tau)
+    res = abs(eta(-1 / tau, ctx) - root * e_tau)
+    budget = ctx.eps * (1 + abs(root)) + _round_slop(ctx, scale)
+    entries.append(_entry("eta_S", tau, res, scale, budget, ctx))
 
-        t3 = theta(3, tau, ctx)
-        scale3 = max(abs(t3), mpf(1))
-        res = abs(theta(3, tau + 2, ctx) - t3)
-        entries.append(_entry("theta3_T", tau, "tau", res, scale3,
-                              2 * ctx.eps + _round_slop(ctx, scale3)))
-        res = abs(theta(3, -1 / tau, ctx) - root * t3)
-        entries.append(_entry("theta3_S", tau, "tau", res, scale3,
-                              ctx.eps * (1 + abs(root)) + _round_slop(ctx, scale3)))
+    t3 = theta(3, tau, ctx)
+    scale3 = max(abs(t3), mp.mpf(1))
+    res = abs(theta(3, tau + 2, ctx) - t3)
+    entries.append(_entry("theta3_T", tau, res, scale3,
+                          2 * ctx.eps + _round_slop(ctx, scale3), ctx))
+    res = abs(theta(3, -1 / tau, ctx) - root * t3)
+    entries.append(_entry("theta3_S", tau, res, scale3,
+                          ctx.eps * (1 + abs(root)) + _round_slop(ctx, scale3), ctx))
 
-        # chain at z = tau
-        z = tau
-        rootz = mp.sqrt(-1j * z)
-        lhs = theta(3, 1 - 1 / z, ctx)
-        mid = theta(4, -1 / z, ctx)
-        rhs = rootz * theta(2, z, ctx)
-        res = max(abs(lhs - mid), abs(mid - rhs))
-        scale_c = max(abs(lhs), abs(mid), abs(rhs), mpf(1))
-        entries.append(_entry("theta_chain", tau, "tau", res, scale_c,
-                              ctx.eps * (2 + abs(rootz)) + _round_slop(ctx, scale_c)))
+    # chain at z = tau
+    z = tau
+    rootz = mp.sqrt(-1j * z)
+    lhs = theta(3, 1 - 1 / z, ctx)
+    mid = theta(4, -1 / z, ctx)
+    rhs = rootz * theta(2, z, ctx)
+    res = max(abs(lhs - mid), abs(mid - rhs))
+    scale_c = max(abs(lhs), abs(mid), abs(rhs), mp.mpf(1))
+    entries.append(_entry("theta_chain", tau, res, scale_c,
+                          ctx.eps * (2 + abs(rootz)) + _round_slop(ctx, scale_c), ctx))
 
-        # product-form lower bound |theta3(1-1/z)| >= c |z|^{1/2} |q1z|^{1/4}
-        q1z = mp.exp(mp.pi * 1j * z)
-        aq = abs(q1z)
-        prod = mpf(1)
-        n = 1
-        while aq ** (2 * n) > mpf(2) ** (-ctx.prec_bits):
-            prod *= (1 - aq ** (2 * n)) ** 3
-            n += 1
-        bound = 2 * prod * mp.sqrt(abs(z)) * aq ** mpf("0.25")
-        res = max(mpf(0), bound - abs(lhs))
-        entries.append(_entry("theta3_lower", tau, "tau", res, max(bound, mpf(1)),
-                              ctx.eps * 4 + _round_slop(ctx, scale_c),
-                              detail={"bound": mp.nstr(bound, 8),
-                                      "value": mp.nstr(abs(lhs), 8)}))
-        return entries
+    # product-form lower bound |theta3(1-1/z)| >= c |z|^{1/2} |q1z|^{1/4}
+    q1z = mp.exp(mp.pi * 1j * z)
+    aq = abs(q1z)
+    prod = mp.mpf(1)
+    n = 1
+    while aq ** (2 * n) > mp.mpf(2) ** (-ctx.prec_bits):
+        prod *= (1 - aq ** (2 * n)) ** 3
+        n += 1
+    bound = 2 * prod * mp.sqrt(abs(z)) * aq ** mp.mpf("0.25")
+    res = max(mp.mpf(0), bound - abs(lhs))
+    entries.append(_entry("theta3_lower", tau, res, max(bound, mp.mpf(1)),
+                          ctx.eps * 4 + _round_slop(ctx, scale_c), ctx,
+                          detail={"bound": mp.nstr(bound, 8),
+                                  "value": mp.nstr(abs(lhs), 8)}))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +398,16 @@ def check_eta_theta(tau, ctx: PrecisionContext) -> List[CheckEntry]:
 
 def group_relations(ctx: PrecisionContext) -> List[CheckEntry]:
     """Matrix-norm residuals of D^20 = M^2 = (-M D)^3 = identity."""
-    with ctx.workprec():
-        M = mixing_matrix(ctx)
-        D = phase_matrix(ctx)
-        one = identity2()
-        slop = _round_slop(ctx, 64)
-        out = []
-        for name, A, n in (("group_D20", D, 20), ("group_M2", M, 2),
-                           ("group_MD3", mat_neg(mat_mul(M, D)), 3)):
-            res = mat_norm(mat_sub(mat_pow(A, n), one))
-            out.append(_entry(name, None, None, res, mpf(1), slop))
-        return out
+    M = mixing_matrix(ctx)
+    D = phase_matrix(ctx)
+    one = identity2()
+    slop = _round_slop(ctx, 64)
+    out = []
+    for name, A, n in (("group_D20", D, 20), ("group_M2", M, 2),
+                       ("group_MD3", mat_neg(mat_mul(M, D)), 3)):
+        res = mat_norm(mat_sub(mat_pow(A, n), one))
+        out.append(_entry(name, None, res, ctx.mp.mpf(1), slop, ctx))
+    return out
 
 
 def _v_vector(h0, h1, tau, ctx: PrecisionContext):
@@ -419,23 +415,23 @@ def _v_vector(h0, h1, tau, ctx: PrecisionContext):
 
     H0, H1 are finite Q-polynomials with rational coefficients; derivatives
     are exact term-wise (d/dtau of Q^s is 2 pi i s Q^s)."""
-    tau = mpc(tau)
+    mp = ctx.mp
+    tau = mp.mpc(tau)
     alpha = -mp.pi * 1j * tau
     two_pi_i = 2 * mp.pi * 1j
     vals = []
     ders = []
     for coeffs, shift in ((h0, Fraction(-1, 20)), (h1, Fraction(-9, 20))):
-        v = mpc(0)
-        dv = mpc(0)
+        v = dv = mp.mpc(0)
         for m, c in enumerate(coeffs):
             c = Fraction(c)
             if c == 0:
                 continue
             s = m + shift
-            term = (mpf(c.numerator) / c.denominator) * power_from_alpha(
+            term = (mp.mpf(c.numerator) / c.denominator) * power_from_alpha(
                 alpha, "Q", s, ctx)
             v += term
-            dv += two_pi_i * (mpf(s.numerator) / s.denominator) * term
+            dv += two_pi_i * (mp.mpf(s.numerator) / s.denominator) * term
         vals.append(v)
         ders.append(dv)
     return vals, ders
@@ -445,47 +441,45 @@ def wronskian_periodicity(h0_coeffs, h1_coeffs, tau,
                           ctx: PrecisionContext) -> List[CheckEntry]:
     """For v built from arbitrary polynomial Q-series: the phase relation
     v(tau+1) = D v(tau) and the sign flip W(tau+1) = -W(tau)."""
-    with ctx.workprec():
-        tau = mpc(tau)
-        v, dv = _v_vector(h0_coeffs, h1_coeffs, tau, ctx)
-        v1, dv1 = _v_vector(h0_coeffs, h1_coeffs, tau + 1, ctx)
-        D = phase_matrix(ctx)
-        dvv = mat_vec(D, v)
-        res_v = max(abs(v1[0] - dvv[0]), abs(v1[1] - dvv[1]))
-        w = v[0] * dv[1] - dv[0] * v[1]
-        w1 = v1[0] * dv1[1] - dv1[0] * v1[1]
-        res_w = abs(w1 + w)
-        scale_v = max(abs(v[0]), abs(v[1]), mpf(1))
-        scale_w = max(abs(w), mpf(1))
-        n_terms = len(h0_coeffs) + len(h1_coeffs)
-        slop_v = _round_slop(ctx, scale_v * max(4, n_terms))
-        slop_w = _round_slop(ctx, scale_w * max(16, 4 * n_terms))
-        return [
-            _entry("wronskian_v_T", tau, "tau", res_v, scale_v, slop_v),
-            _entry("wronskian_w_T", tau, "tau", res_w, scale_w, slop_w),
-        ]
+    mp = ctx.mp
+    tau = mp.mpc(tau)
+    v, dv = _v_vector(h0_coeffs, h1_coeffs, tau, ctx)
+    v1, dv1 = _v_vector(h0_coeffs, h1_coeffs, tau + 1, ctx)
+    D = phase_matrix(ctx)
+    dvv = mat_vec(D, v)
+    res_v = max(abs(v1[0] - dvv[0]), abs(v1[1] - dvv[1]))
+    w = v[0] * dv[1] - dv[0] * v[1]
+    w1 = v1[0] * dv1[1] - dv1[0] * v1[1]
+    res_w = abs(w1 + w)
+    scale_v = max(abs(v[0]), abs(v[1]), mp.mpf(1))
+    scale_w = max(abs(w), mp.mpf(1))
+    n_terms = len(h0_coeffs) + len(h1_coeffs)
+    slop_v = _round_slop(ctx, scale_v * max(4, n_terms))
+    slop_w = _round_slop(ctx, scale_w * max(16, 4 * n_terms))
+    return [
+        _entry("wronskian_v_T", tau, res_v, scale_v, slop_v, ctx),
+        _entry("wronskian_w_T", tau, res_w, scale_w, slop_w, ctx),
+    ]
 
 
 def g_function(h0_coeffs, h1_coeffs, tau, ctx: PrecisionContext) -> mpc:
     """G = W^3 / eta^12 for the vector built from the given pair."""
-    with ctx.workprec():
-        tau = mpc(tau)
-        v, dv = _v_vector(h0_coeffs, h1_coeffs, tau, ctx)
-        w = v[0] * dv[1] - dv[0] * v[1]
-        return w**3 / eta(tau, ctx) ** 12
+    tau = ctx.mp.mpc(tau)
+    v, dv = _v_vector(h0_coeffs, h1_coeffs, tau, ctx)
+    w = v[0] * dv[1] - dv[0] * v[1]
+    return w**3 / eta(tau, ctx) ** 12
 
 
 def check_g_invariance(h0_coeffs, h1_coeffs, tau,
                        ctx: PrecisionContext) -> List[CheckEntry]:
-    with ctx.workprec():
-        tau = mpc(tau)
-        g0 = g_function(h0_coeffs, h1_coeffs, tau, ctx)
-        g1 = g_function(h0_coeffs, h1_coeffs, tau + 1, ctx)
-        res = abs(g1 - g0)
-        scale = max(abs(g0), mpf(1))
-        n_terms = len(h0_coeffs) + len(h1_coeffs)
-        budget = ctx.eps * 24 * scale + _round_slop(ctx, scale * max(64, 16 * n_terms))
-        return [_entry("g_T_invariance", tau, "tau", res, scale, budget)]
+    tau = ctx.mp.mpc(tau)
+    g0 = g_function(h0_coeffs, h1_coeffs, tau, ctx)
+    g1 = g_function(h0_coeffs, h1_coeffs, tau + 1, ctx)
+    res = abs(g1 - g0)
+    scale = max(abs(g0), ctx.mp.mpf(1))
+    n_terms = len(h0_coeffs) + len(h1_coeffs)
+    budget = ctx.eps * 24 * scale + _round_slop(ctx, scale * max(64, 16 * n_terms))
+    return [_entry("g_T_invariance", tau, res, scale, budget, ctx)]
 
 
 def check_wronskian_suite(ctx: PrecisionContext, n_pairs: int = 50,
@@ -493,30 +487,28 @@ def check_wronskian_suite(ctx: PrecisionContext, n_pairs: int = 50,
                           seed: int = WRONSKIAN_SEED) -> List[CheckEntry]:
     """Canonical pair plus seeded random rational pairs at a fixed tau; the
     reported entries carry the worst residual over all pairs."""
-    with ctx.workprec():
-        tau = mpc("0.2", "1.1") if tau is None else mpc(tau)
-        rng = random.Random(seed)
-        worst: Dict[str, CheckEntry] = {}
+    tau = ctx.mp.mpc("0.2", "1.1") if tau is None else ctx.mp.mpc(tau)
+    rng = random.Random(seed)
+    worst: Dict[str, CheckEntry] = {}
 
-        def absorb(entries):
-            for e in entries:
-                cur = worst.get(e.identity)
-                if cur is None or e.abs_residual > cur.abs_residual:
-                    worst[e.identity] = e
+    def absorb(entries):
+        for e in entries:
+            cur = worst.get(e.identity)
+            if cur is None or e.abs_residual > cur.abs_residual:
+                worst[e.identity] = e
 
-        absorb(wronskian_periodicity([1], [0, 1], tau, ctx))
-        absorb(check_g_invariance([1], [0, 1], tau, ctx))
-        for _ in range(n_pairs):
-            h0 = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
-                  for _ in range(degree + 1)]
-            h1 = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
-                  for _ in range(degree + 1)]
-            absorb(wronskian_periodicity(h0, h1, tau, ctx))
-            absorb(check_g_invariance(h0, h1, tau, ctx))
-        detail = {"pairs": n_pairs + 1, "degree": degree, "seed": seed}
-        return [CheckEntry(e.identity, e.point, e.kind, e.abs_residual,
-                           e.rel_residual, e.budget, e.passed, detail)
-                for e in sorted(worst.values(), key=lambda e: e.identity)]
+    absorb(wronskian_periodicity([1], [0, 1], tau, ctx))
+    absorb(check_g_invariance([1], [0, 1], tau, ctx))
+    for _ in range(n_pairs):
+        h0 = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+              for _ in range(degree + 1)]
+        h1 = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+              for _ in range(degree + 1)]
+        absorb(wronskian_periodicity(h0, h1, tau, ctx))
+        absorb(check_g_invariance(h0, h1, tau, ctx))
+    detail = {"pairs": n_pairs + 1, "degree": degree, "seed": seed}
+    return [replace(e, detail=detail)
+            for e in sorted(worst.values(), key=lambda e: e.identity)]
 
 
 # ---------------------------------------------------------------------------
@@ -526,26 +518,25 @@ def check_wronskian_suite(ctx: PrecisionContext, n_pairs: int = 50,
 SUITES = ("mf5", "mf5_stokes", "mf3", "theta_eta", "algebra", "wronskian", "all")
 
 
-def _alpha_grid():
-    return [mp.pi, mpf(1), mpf(2), mpf("0.5"), mpc(1, "0.5"), mpc(2, 1)]
+def _alpha_grid(mp):
+    return [mp.pi, mp.mpf(1), mp.mpf(2), mp.mpf("0.5"), mp.mpc(1, "0.5"), mp.mpc(2, 1)]
 
 
-def _stokes_moduli():
-    return [mpf(1), +mp.pi]
+def _stokes_moduli(mp):
+    return [mp.mpf(1), +mp.pi]
 
 
-def _mf3_grid():
-    return [mp.pi, mpf(1), mpf(2), mpc(1, "0.4")]
+def _mf3_grid(mp):
+    return [mp.pi, mp.mpf(1), mp.mpf(2), mp.mpc(1, "0.4")]
 
 
-def _tau_grid():
-    return [mpc(0, 1), mpc(0, 2), mpc(1, 3), mpc("0.2", "1.1")]
+def _tau_grid(mp):
+    return [mp.mpc(0, 1), mp.mpc(0, 2), mp.mpc(1, 3), mp.mpc("0.2", "1.1")]
 
 
-def _growth_grid():
-    moduli = [mpf(1), mpf("0.5"), mpf("0.25"), mpf("0.1"), mpf("0.05"),
-              mpf("0.02")]
-    rays = [mpf(0), mp.pi / 6, mp.pi / 3]
+def _growth_grid(mp):
+    moduli = [mp.mpf(m) for m in (1, "0.5", "0.25", "0.1", "0.05", "0.02")]
+    rays = [mp.mpf(0), mp.pi / 6, mp.pi / 3]
     return rays, moduli
 
 
@@ -569,57 +560,60 @@ def run_suite(suite: str, grid=None, ctx: Optional[PrecisionContext] = None) -> 
 
     grid replaces the default grid of a single suite; `all` runs every
     suite on its default grid.  The mf3 suite also runs the growth check on
-    its own rays.  A failed check is recorded with its error message, as one
-    `<check>_error` entry, rather than aborting the suite."""
+    its own rays.  A failed check is recorded as one `<check>_error` entry,
+    with the grid point it was called at and its error message, rather than
+    aborting the suite."""
     ctx = ctx or PrecisionContext()
     if suite not in SUITES:
         raise DomainError("unknown suite %r (choose from %s)" % (suite, (SUITES,)))
+    mp = ctx.mp
     entries: List[CheckEntry] = []
 
-    def run(fn, *args):
+    def run(fn, *args, point=None):
         try:
             entries.extend(fn(*args))
         except Exception as exc:  # recorded, not fatal
             entries.append(CheckEntry(
-                identity="%s_error" % fn.__name__, point=None, kind=None,
-                abs_residual=mpf("inf"), rel_residual=mpf("inf"),
-                budget=mpf(0), passed=False,
+                identity="%s_error" % fn.__name__,
+                point=None if point is None else mp.mpc(point),
+                abs_residual=mp.inf, rel_residual=mp.inf,
+                budget=mp.zero, passed=False,
                 detail={"error": "%s: %s" % (type(exc).__name__, exc)}))
 
-    with ctx.workprec():
-        for name, check, default_grid in _suite_table():
-            if suite not in (name, "all"):
-                continue
-            if default_grid is None:
-                run(check, ctx)
-                continue
-            for point in grid if suite == name and grid is not None else default_grid():
-                run(check, point, ctx)
-            if name == "mf3":
-                rays, moduli = _growth_grid()
-                for ray in rays:
-                    alpha_grid = [m * mp.exp(1j * ray) for m in moduli]
-                    run(check_growth_omega, mp.pi / 3, alpha_grid, ctx)
+    for name, check, default_grid in _suite_table():
+        if suite not in (name, "all"):
+            continue
+        if default_grid is None:
+            run(check, ctx)
+            continue
+        for point in grid if suite == name and grid is not None else default_grid(mp):
+            run(check, point, ctx, point=point)
+        if name == "mf3":
+            rays, moduli = _growth_grid(mp)
+            for ray in rays:
+                alpha_grid = [m * mp.exp(1j * ray) for m in moduli]
+                run(check_growth_omega, mp.pi / 3, alpha_grid, ctx)
 
     return _aggregate(suite, entries, ctx)
 
 
-def _point_sort_key(e: CheckEntry):
-    if e.point is None:
-        return ("", "")
-    return (mp.nstr(e.point.real, 20), mp.nstr(e.point.imag, 20))
-
-
 def _aggregate(suite: str, entries: List[CheckEntry],
                ctx: PrecisionContext) -> SuiteReport:
+    mp = ctx.mp
+
+    def point_key(e: CheckEntry):
+        if e.point is None:
+            return ("", "")
+        return (mp.nstr(e.point.real, 20), mp.nstr(e.point.imag, 20))
+
     by_name: Dict[str, List[CheckEntry]] = {}
     for e in entries:
         by_name.setdefault(e.identity, []).append(e)
     reports = []
     for name in sorted(by_name):
-        es = sorted(by_name[name], key=_point_sort_key)
+        es = sorted(by_name[name], key=point_key)
         finite = [e.abs_residual for e in es if mp.isfinite(e.abs_residual)]
-        max_abs = max(finite) if finite else mpf("inf")
+        max_abs = max(finite) if finite else mp.inf
         reports.append(IdentityReport(
             identity_name=name,
             entries=tuple(es),
@@ -644,33 +638,33 @@ def _digits(prec_bits: int) -> int:
     return -(-prec_bits * 302 // 1000)  # ceil(prec_bits * 0.302)
 
 
-def _fmt(x, prec_bits: int) -> str:
-    return mp.nstr(mpf(x), _digits(prec_bits))
+def _fmt(x, ctx: PrecisionContext) -> str:
+    """x rounded to the working precision, in ceil(prec_bits * 0.302) digits."""
+    return ctx.mp.nstr(ctx.mp.mpf(x), _digits(ctx.prec_bits))
 
 
-def _point_json(e: CheckEntry, prec_bits: int):
-    if e.point is None:
-        return None
-    return {"re": _fmt(e.point.real, prec_bits), "im": _fmt(e.point.imag, prec_bits)}
+def _fmt_c(z, ctx: PrecisionContext) -> dict:
+    z = ctx.mp.mpc(z)
+    return {"re": _fmt(z.real, ctx), "im": _fmt(z.imag, ctx)}
+
+
+def _entry_dict(e: CheckEntry, ctx: PrecisionContext) -> dict:
+    d = {"point": None if e.point is None else _fmt_c(e.point, ctx)}
+    for key in ("abs_residual", "rel_residual", "budget"):
+        d[key] = _fmt(getattr(e, key), ctx)
+    d["pass"] = e.passed
+    if e.detail and "error" in e.detail:
+        d["error"] = e.detail["error"]
+    return d
 
 
 def identity_report_to_dict(rep: IdentityReport, ctx: PrecisionContext) -> dict:
-    pb = ctx.prec_bits
     d = {
         "identity": rep.identity_name,
-        "prec_bits": pb,
-        "eps": _fmt(ctx.eps, pb),
-        "entries": [
-            {
-                "point": _point_json(e, pb),
-                "abs_residual": _fmt(e.abs_residual, pb),
-                "rel_residual": _fmt(e.rel_residual, pb),
-                "budget": _fmt(e.budget, pb),
-                "pass": e.passed,
-            }
-            for e in rep.entries
-        ],
-        "max_abs": _fmt(rep.max_abs, pb),
+        "prec_bits": ctx.prec_bits,
+        "eps": _fmt(ctx.eps, ctx),
+        "entries": [_entry_dict(e, ctx) for e in rep.entries],
+        "max_abs": _fmt(rep.max_abs, ctx),
         "all_pass": rep.all_pass,
     }
     signs = sorted({e.detail["matched_sign"] for e in rep.entries
@@ -684,8 +678,8 @@ def suite_report_to_json(rep: SuiteReport, ctx: PrecisionContext) -> str:
     doc = {
         "suite": rep.suite,
         "prec_bits": rep.prec_bits,
-        "eps": _fmt(rep.eps, rep.prec_bits),
-        "quad_eps": _fmt(rep.quad_eps, rep.prec_bits),
+        "eps": _fmt(rep.eps, ctx),
+        "quad_eps": _fmt(rep.quad_eps, ctx),
         "identities": [identity_report_to_dict(r, ctx) for r in rep.identities],
         "all_pass": rep.all_pass,
     }

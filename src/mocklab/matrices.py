@@ -1,12 +1,10 @@
 """Small exact 2x2 matrix helpers shared by the integral and identity layers.
 
-Matrices are plain 2x2 tuples of mpmath numbers; only what the mixing/phase
-algebra needs is provided.
+Matrices are plain 2x2 tuples of mpmath numbers (and Python ints); only what
+the mixing/phase algebra needs is provided.
 """
 
 from __future__ import annotations
-
-from mpmath import mp, mpc
 
 from .modpoint import PrecisionContext
 
@@ -30,24 +28,24 @@ def mixing_matrix(ctx: PrecisionContext) -> Mat:
 
     An involution: M^2 = 1, det M = -1, trace 0, eigenvalues +-1.
     """
-    with ctx.workprec():
-        c = 2 / mp.sqrt(5)
-        s1 = mp.sin(mp.pi / 5)
-        s2 = mp.sin(2 * mp.pi / 5)
-        return ((c * s1, c * s2), (c * s2, -c * s1))
+    mp = ctx.mp
+    c = 2 / mp.sqrt(5)
+    s1 = mp.sin(mp.pi / 5)
+    s2 = mp.sin(2 * mp.pi / 5)
+    return ((c * s1, c * s2), (c * s2, -c * s1))
 
 
 def phase_matrix(ctx: PrecisionContext) -> Mat:
     """diag(e^{-pi i/10}, e^{-9 pi i/10}); det = -1."""
-    with ctx.workprec():
-        return (
-            (mp.exp(-mp.pi * 1j / 10), mpc(0)),
-            (mpc(0), mp.exp(-9 * mp.pi * 1j / 10)),
-        )
+    mp = ctx.mp
+    return (
+        (mp.exp(-mp.pi * 1j / 10), mp.mpc(0)),
+        (mp.mpc(0), mp.exp(-9 * mp.pi * 1j / 10)),
+    )
 
 
 def identity2() -> Mat:
-    return ((mpc(1), mpc(0)), (mpc(0), mpc(1)))
+    return ((1, 0), (0, 1))
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:

@@ -16,17 +16,18 @@ branch ambiguity; sqrt(pi/alpha) and sqrt(-i*tau) are principal roots, valid
 because their arguments have positive real part.
 
 All values are immutable after construction and results are reproducible
-bit for bit.  The library is single-threaded: every layer switches the
-precision of the global mpmath context, so threads working at different
-precisions corrupt each other's results.
+bit for bit.  Every layer computes in its PrecisionContext's own mpmath
+context (`ctx.mp`) and never reads or sets the precision of the global
+`mpmath.mp`, so threads may share the library at different precisions.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import MPContext, mpc, mpf
 
 from .errors import DomainError, PrecisionError
 
@@ -47,6 +48,17 @@ _FRAC_BASES = ("q", "Q", "q1", "Q1")
 _BASE_DOUBLING = {"q": 1, "Q": 2, "q1": 1, "Q1": 2}
 
 
+@functools.cache
+def _mp_context(prec: int) -> MPContext:
+    """The mpmath context computing at prec bits; never mutated after this."""
+    context = MPContext()
+    context.prec = prec
+    # its numbers pickle as global mpmath numbers of the same exact value
+    context.mpf.__reduce__ = lambda x: (mpf, (), x.__getstate__())
+    context.mpc.__reduce__ = lambda z: (mpc, (), z.__getstate__())
+    return context
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Working binary precision and target tolerances.
@@ -64,22 +76,26 @@ class PrecisionContext:
     def __post_init__(self):
         if self.prec_bits < 64:
             raise DomainError("prec_bits must be at least 64")
-        with mp.workprec(self.prec_bits):
-            eps = mpf("1e-40") if self.eps is None else mpf(self.eps)
-            if eps <= mpf(2) ** (-self.prec_bits + 16):
-                raise PrecisionError(
-                    "eps %s is tighter than working precision minus the "
-                    "16-bit guard" % mp.nstr(eps, 6)
-                )
-            quad_eps = eps * mpf(10) ** 10 if self.quad_eps is None else mpf(self.quad_eps)
-            if quad_eps < eps:
-                raise DomainError("quad_eps must not be tighter than eps")
+        mp = self.mp
+        eps = mp.mpf("1e-40") if self.eps is None else mp.mpf(self.eps)
+        if eps <= mp.mpf(2) ** (-self.prec_bits + 16):
+            raise PrecisionError(
+                "eps %s is tighter than working precision minus the "
+                "16-bit guard" % mp.nstr(eps, 6)
+            )
+        quad_eps = eps * mp.mpf(10) ** 10 if self.quad_eps is None else mp.mpf(self.quad_eps)
+        if quad_eps < eps:
+            raise DomainError("quad_eps must not be tighter than eps")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "quad_eps", quad_eps)
 
-    def workprec(self):
-        """mpmath context manager switching to this working precision."""
-        return mp.workprec(self.prec_bits)
+    @property
+    def mp(self) -> MPContext:
+        """The mpmath context computing at prec_bits."""
+        return _mp_context(self.prec_bits)
+
+    def __reduce__(self):
+        return PrecisionContext, (self.prec_bits, self.eps, self.quad_eps)
 
 
 def reference_context() -> PrecisionContext:
@@ -104,43 +120,37 @@ class ModularPoint:
         return frac_power(self, base, r, self.ctx)
 
 
-def _build_from_alpha(alpha: mpc, ctx: PrecisionContext) -> ModularPoint:
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        if not alpha.real > 0:
-            raise DomainError("Re(alpha) must be positive (Im tau > 0)")
-        tau = 1j * alpha / mp.pi
-        q = mp.exp(-alpha)
-        q1 = mp.exp(-mp.pi**2 / alpha)
-        point = ModularPoint(
-            tau=tau, alpha=alpha, q=q, Q=q * q, q1=q1, Q1=q1 * q1, ctx=ctx
-        )
-        for name in ("q", "q1"):
-            if not abs(getattr(point, name)) < 1:
-                raise PrecisionError(
-                    "|%s| rounds to 1 at %d bits; Im tau too small" % (name, ctx.prec_bits)
-                )
-        return point
+def from_alpha(alpha, ctx: PrecisionContext) -> ModularPoint:
+    """Build the modular point at alpha = -pi*i*tau, requiring Re alpha > 0."""
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    if not alpha.real > 0:
+        raise DomainError("Re(alpha) must be positive (Im tau > 0)")
+    tau = 1j * alpha / mp.pi
+    q = mp.exp(-alpha)
+    q1 = mp.exp(-mp.pi**2 / alpha)
+    point = ModularPoint(
+        tau=tau, alpha=alpha, q=q, Q=q * q, q1=q1, Q1=q1 * q1, ctx=ctx
+    )
+    for name in ("q", "q1"):
+        if not abs(getattr(point, name)) < 1:
+            raise PrecisionError(
+                "|%s| rounds to 1 at %d bits; Im tau too small" % (name, ctx.prec_bits)
+            )
+    return point
 
 
 def from_tau(tau, ctx: PrecisionContext) -> ModularPoint:
     """Build the modular point at tau, requiring Im tau > 0."""
-    with ctx.workprec():
-        tau = mpc(tau)
-        if not tau.imag > 0:
-            raise DomainError("tau must lie in the upper half-plane")
-        return _build_from_alpha(-mp.pi * 1j * tau, ctx)
-
-
-def from_alpha(alpha, ctx: PrecisionContext) -> ModularPoint:
-    """Build the modular point at alpha = -pi*i*tau, requiring Re alpha > 0."""
-    return _build_from_alpha(alpha, ctx)
+    tau = ctx.mp.mpc(tau)
+    if not tau.imag > 0:
+        raise DomainError("tau must lie in the upper half-plane")
+    return from_alpha(-ctx.mp.pi * 1j * tau, ctx)
 
 
 def s_transform(p: ModularPoint) -> ModularPoint:
     """The point at -1/tau; swaps (q, q1) and (Q, Q1) up to rounding."""
-    with p.ctx.workprec():
-        return _build_from_alpha(mp.pi**2 / p.alpha, p.ctx)
+    return from_alpha(p.ctx.mp.pi**2 / p.alpha, p.ctx)
 
 
 def power_from_alpha(alpha, base: str, r, ctx: PrecisionContext) -> mpc:
@@ -156,11 +166,11 @@ def power_from_alpha(alpha, base: str, r, ctx: PrecisionContext) -> mpc:
         r = Fraction(*r)
     else:
         r = Fraction(r)
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        expo = alpha if base in ("q", "Q") else mp.pi**2 / alpha
-        scale = _BASE_DOUBLING[base] * r
-        return mp.exp(-expo * mpf(scale.numerator) / scale.denominator)
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    expo = alpha if base in ("q", "Q") else mp.pi**2 / alpha
+    scale = _BASE_DOUBLING[base] * r
+    return mp.exp(-expo * mp.mpf(scale.numerator) / scale.denominator)
 
 
 def frac_power(p: ModularPoint, base: str, r, ctx: PrecisionContext | None = None) -> mpc:

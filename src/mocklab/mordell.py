@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, List, Sequence, Tuple
 
-from mpmath import mp, mpc, mpf
+from mpmath import MPContext, mpc, mpf
 
 from .errors import (
     DomainError,
@@ -41,7 +41,7 @@ from .errors import (
     PoleProximityError,
 )
 from .matrices import mat_vec, mixing_matrix
-from .modpoint import PrecisionContext, power_from_alpha
+from .modpoint import PrecisionContext, _mp_context, power_from_alpha
 from .qseries import unary_x
 
 __all__ = [
@@ -78,7 +78,9 @@ class RayIntegrand:
     """Descriptor of a vector integrand f on a pole-free cone.
 
     func          integrand in the unrotated variable x, returning the tuple
-                  of its components (all integrated on the same nodes)
+                  of its components (all integrated on the same nodes); x is
+                  a number of the guard-precision context of integrate_ray,
+                  and func computes in whatever arithmetic it closes over
     gauss_coeff   c with |f_j| <= bound_const * exp(-Re(c x^2)) away from poles
     poles         pole positions relevant to the contour (finite list)
     bound_const   envelope constant for the cut/tail estimate
@@ -88,19 +90,21 @@ class RayIntegrand:
     func: Callable[[mpc], Tuple[mpc, ...]]
     gauss_coeff: mpc
     poles: Tuple[mpc, ...] = ()
-    bound_const: mpf = mpf(16)
-    exclusion: mpf = mpf("1e-6")
+    bound_const: mpf = 16
+    exclusion: mpf = 1e-6
 
 
 @functools.cache
 def _gl_nodes(degree: int, prec: int):
     from mpmath.calculus.quadrature import GaussLegendre
 
-    return GaussLegendre(mp).calc_nodes(degree, prec + 10)
+    context = MPContext()  # calc_nodes sets its precision, then restores it
+    context.prec = prec + 16  # the nodes compute at the guard of integrate_ray
+    return GaussLegendre(context).calc_nodes(degree, prec + 10)
 
 
-def _gauss_panel(f, a, b, prec: int, tol):
-    """Gauss-Legendre integral over [a, b] of every component of f.
+def _gauss_panel(f, a, b, mp: MPContext, prec: int, tol):
+    """Gauss-Legendre integral in mp over [a, b] of every component of f.
 
     The degree rises from 4 to 9 until two successive degrees agree below
     tol.  Returns (totals, larger difference over the components,
@@ -122,24 +126,26 @@ def _gauss_panel(f, a, b, prec: int, tol):
     raise NonConvergenceError("Gauss panel failed to converge by degree 9")
 
 
-def _cut(bound_const, a_eff, ctx: PrecisionContext):
-    """Where bound_const * exp(-a_eff x^2) falls to the tail target."""
-    return mp.sqrt(mp.log(bound_const / (ctx.quad_eps * mpf(2) ** -10)) / a_eff)
+def _cut(bound_const, a_eff, quad_eps, mp: MPContext):
+    """Where bound_const * exp(-a_eff x^2) falls to the tail target, in mp."""
+    return mp.sqrt(mp.log(bound_const / mp.ldexp(quad_eps, -10)) / a_eff)
 
 
 def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
     """Rotation, cut point, tail bound and panel break points for the ray."""
-    w = mp.exp(1j * mpf(angle))
-    a_eff = (integrand.gauss_coeff * w * w).real
+    mp = _mp_context(ctx.prec_bits + 16)
+    w = mp.exp(1j * mp.mpf(angle))
+    a_eff = (mp.convert(integrand.gauss_coeff) * w * w).real
     if not a_eff > 0:
         raise DomainError("Gaussian factor does not decay along this ray")
-    cut = _cut(integrand.bound_const, a_eff, ctx)
+    bound = mp.convert(integrand.bound_const)
+    cut = _cut(bound, a_eff, ctx.quad_eps, mp)
     # pole guard and dyadic break points toward each pole projection; the
     # poles behind the start of the ray are hugged from 0 at their distance
     points: List[mpf] = []
     behind = cut
     for pole in integrand.poles:
-        sp = pole / w
+        sp = mp.convert(pole) / w
         proj, perp = sp.real, abs(sp.imag)
         dist = perp if 0 <= proj <= cut else min(abs(sp), abs(sp - cut))
         if dist / abs(sp) < integrand.exclusion:
@@ -161,8 +167,8 @@ def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
     while behind < cut:
         points.append(behind)
         behind *= 2
-    points = sorted(set([mpf(0)] + points + [cut]))
-    tail = integrand.bound_const * mp.exp(-a_eff * cut * cut) / (2 * a_eff * cut)
+    points = sorted(set([mp.zero] + points + [cut]))
+    tail = bound * mp.exp(-a_eff * cut * cut) / (2 * a_eff * cut)
     return w, points, tail
 
 
@@ -174,27 +180,28 @@ def integrate_ray(integrand: RayIntegrand, angle,
     Each Gauss-Legendre panel raises its degree from 4 to 9 until two
     successive degrees agree below the panel's share of the quadrature
     target; the larger difference over the components is the panel's error.
+    It runs 16 bits above the working precision; the value and the error are
+    numbers of ctx.mp that keep those bits until their next operation.
     """
-    with mp.workprec(ctx.prec_bits + 16):
-        w, points, tail = _geometry(integrand, angle, ctx)
-        target = ctx.quad_eps * mpf(2) ** -4
-        panel_tol = target / max(8, len(points) - 1)
-        value = None
-        err = mpf(0)
-        nodes_used = 0
-        for a, b in zip(points[:-1], points[1:]):
-            total, diff, n = _gauss_panel(lambda s: integrand.func(w * s), a, b,
-                                          ctx.prec_bits, panel_tol)
-            err += diff
-            nodes_used += n
-            value = total if value is None else [s + t for s, t in zip(value, total)]
-        err += tail
-        if not err < ctx.quad_eps:
-            raise NonConvergenceError(
-                "quadrature error estimate %s above target" % mp.nstr(err, 5)
-            )
-        return QuadratureResult(tuple(w * s for s in value), err, nodes_used,
-                                "gauss_patch")
+    mp = _mp_context(ctx.prec_bits + 16)
+    w, points, tail = _geometry(integrand, angle, ctx)
+    panel_tol = mp.ldexp(ctx.quad_eps, -4) / max(8, len(points) - 1)
+    value = None
+    err = mp.zero
+    nodes_used = 0
+    for a, b in zip(points[:-1], points[1:]):
+        total, diff, n = _gauss_panel(lambda s: integrand.func(w * s), a, b,
+                                      mp, ctx.prec_bits, panel_tol)
+        err += diff
+        nodes_used += n
+        value = total if value is None else [s + t for s, t in zip(value, total)]
+    err += tail
+    if not err < ctx.quad_eps:
+        raise NonConvergenceError(
+            "quadrature error estimate %s above target" % mp.nstr(err, 5)
+        )
+    return QuadratureResult(tuple(ctx.mp.convert(w * s) for s in value),
+                            ctx.mp.convert(err), nodes_used, "gauss_patch")
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +291,24 @@ def _poly(powers: dict, terms) -> mpc:
 
 def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayIntegrand:
     """The family at alpha with its envelope, pole lattice and guard."""
+    mp = ctx.mp
     gauss = family.gauss.numerator * alpha / family.gauss.denominator
     scale = family.scale.numerator * alpha / family.scale.denominator
     plan = _power_plan(e for terms in family.numerators + (family.denominator,)
                        for _, e in terms)
+    guard = _mp_context(ctx.prec_bits + 16)
+    neg_gauss, neg_scale = -guard.convert(gauss), -guard.convert(scale)
 
     def f(x):
-        powers = {0: 1, 1: mp.exp(-scale * x)}
+        powers = {0: 1, 1: guard.exp(neg_scale * x)}
         for e, i, j in plan:
             powers[e] = powers[i] * powers[j]
-        h = mp.exp(-gauss * x * x) / _poly(powers, family.denominator)
+        h = guard.exp(neg_gauss * x * x) / _poly(powers, family.denominator)
         return tuple(h * _poly(powers, terms) for terms in family.numerators)
 
     theta = mp.arg(alpha)
     const = 16 * (1 + 1 / mp.cos(theta / 2))
-    cut = _cut(const, abs(gauss), ctx)
+    cut = _cut(const, abs(gauss), ctx.quad_eps, mp)
     step = family.pole_step.numerator * mp.pi / (family.pole_step.denominator * abs(alpha))
     rot = 1j * mp.exp(-1j * theta)
     poles = []
@@ -307,20 +317,20 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
         if m % family.skip:
             poles += [m * step * rot, -m * step * rot]
         m += 1
-    exclusion = min(mpf("0.1"), (mp.pi - abs(theta)) / 8)
-    return RayIntegrand(f, gauss, tuple(poles), mpf(const), exclusion)
+    exclusion = min(mp.mpf("0.1"), (mp.pi - abs(theta)) / 8)
+    return RayIntegrand(f, gauss, tuple(poles), const, exclusion)
 
 
 def _integrate_family(family: _Family, alpha,
                       ctx: PrecisionContext) -> Tuple[Tuple[mpc, ...], mpf]:
     """(component values, err_estimate) of the family at alpha."""
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        theta = mp.arg(alpha)
-        if not abs(theta) < mp.pi:
-            raise DomainError("the integrals need |arg alpha| < pi")
-        res = integrate_ray(_ray_integrand(family, alpha, ctx), -theta / 2, ctx)
-        return res.value, res.err_estimate
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    theta = mp.arg(alpha)
+    if not abs(theta) < mp.pi:
+        raise DomainError("the integrals need |arg alpha| < pi")
+    res = integrate_ray(_ray_integrand(family, alpha, ctx), -theta / 2, ctx)
+    return res.value, res.err_estimate
 
 
 def l_pair(alpha, ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
@@ -376,21 +386,21 @@ class LVector:
 
 
 def l_vector(alpha, ctx: PrecisionContext) -> LVector:
-    with ctx.workprec():
-        alpha = mpc(alpha)
-        pref = mp.sqrt(135 * alpha / mp.pi)
-        (v1, v2), err = l_pair(10 * alpha, ctx)
-        # err bounds each component; the budget counts it once per component
-        return LVector(pref * v1, pref * v2, abs(pref) * (err + err))
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    pref = mp.sqrt(135 * alpha / mp.pi)
+    (v1, v2), err = l_pair(10 * alpha, ctx)
+    # err bounds each component; the budget counts it once per component
+    return LVector(pref * v1, pref * v2, abs(pref) * (err + err))
 
 
-def _check_lateral_floor(gap, what: str):
+def _check_lateral_floor(gap, what: str, mp: MPContext):
     """Refuse a distance pi - |theta| below LATERAL_FLOOR.
 
     The floor is built at the working precision, and a gap short of it by
     no more than the rounding of theta = pi - eps (half an ulp of pi) is
     admitted, so that the floor itself passes at every precision."""
-    floor = mpf(LATERAL_FLOOR)
+    floor = mp.mpf(LATERAL_FLOOR)
     if gap < floor - 4 * mp.eps:
         raise PoleProximityError("%s %s below the lateral floor %s"
                                  % (what, mp.nstr(gap, 5), mp.nstr(floor, 5)))
@@ -401,14 +411,14 @@ def lateral_l_vector(abs_alpha, theta, ctx: PrecisionContext) -> LVector:
 
     Controlled approach window 0 < pi - |theta| <= pi/2; the pole-hugging
     Gauss panels stay convergent down to the floor pi - |theta| >= 1e-3."""
-    with ctx.workprec():
-        abs_alpha = mpf(abs_alpha)
-        theta = mpf(theta)
-        gap = mp.pi - abs(theta)
-        if not (0 < gap <= mp.pi / 2):
-            raise DomainError("lateral window requires 0 < pi - |theta| <= pi/2")
-        _check_lateral_floor(gap, "pi - |theta| =")
-        return l_vector(abs_alpha * mp.exp(1j * theta), ctx)
+    mp = ctx.mp
+    abs_alpha = mp.mpf(abs_alpha)
+    theta = mp.mpf(theta)
+    gap = mp.pi - abs(theta)
+    if not (0 < gap <= mp.pi / 2):
+        raise DomainError("lateral window requires 0 < pi - |theta| <= pi/2")
+    _check_lateral_floor(gap, "pi - |theta| =", mp)
+    return l_vector(abs_alpha * mp.exp(1j * theta), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -419,31 +429,31 @@ def pv_sum(a, p, t, ctx: PrecisionContext):
     """sum_k (-1)^k [e^{-(a-(2k+1)p)^2/(4pt)} + e^{-(a+(2k+1)p)^2/(4pt)}].
 
     Requires Re t > 0; converges super-exponentially."""
-    with ctx.workprec():
-        a, p, t = mpf(a), mpf(p), mpc(t)
-        if not p > 0:
-            raise DomainError("p must be positive")
-        if not t.real > 0:
-            raise DomainError("pv_sum requires Re t > 0")
-        threshold = ctx.eps * mpf(2) ** -8
-        total = mpc(0)
-        small = 0
-        for k in range(100_000):
-            sgn = -1 if k % 2 else 1
-            m = (2 * k + 1) * p
-            term = mp.exp(-((a - m) ** 2) / (4 * p * t)) + mp.exp(-((a + m) ** 2) / (4 * p * t))
-            total += sgn * term
-            if abs(term) < threshold:
-                small += 1
-                if small >= 2 and k >= 4:
-                    break
-            else:
-                small = 0
+    mp = ctx.mp
+    a, p, t = mp.mpf(a), mp.mpf(p), mp.mpc(t)
+    if not p > 0:
+        raise DomainError("p must be positive")
+    if not t.real > 0:
+        raise DomainError("pv_sum requires Re t > 0")
+    threshold = ctx.eps * mp.mpf(2) ** -8
+    total = mp.mpc(0)
+    small = 0
+    for k in range(100_000):
+        sgn = -1 if k % 2 else 1
+        m = (2 * k + 1) * p
+        term = mp.exp(-((a - m) ** 2) / (4 * p * t)) + mp.exp(-((a + m) ** 2) / (4 * p * t))
+        total += sgn * term
+        if abs(term) < threshold:
+            small += 1
+            if small >= 2 and k >= 4:
+                break
         else:
-            raise NonConvergenceError("pv_sum did not converge")
-        if t.imag == 0:
-            return total.real
-        return total
+            small = 0
+    else:
+        raise NonConvergenceError("pv_sum did not converge")
+    if t.imag == 0:
+        return total.real
+    return total
 
 
 def pv_quadrature(a, p, t, ctx: PrecisionContext):
@@ -463,33 +473,33 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
                   + sin(a x_k)sin(au) cosh(2pt x_k u)] / sin(pu).
 
     Segments stop once their Gaussian envelope is below eps * 2^-8."""
-    with ctx.workprec():
-        a, p, t = mpf(a), mpf(p), mpf(t)
-        if not (p > 0 and t > 0):
-            raise DomainError("pv_quadrature requires p > 0 and real t > 0")
-        h = mp.pi / (2 * p)
-        threshold = ctx.eps * mpf(2) ** -8
-        tol = max(threshold, ctx.quad_eps) * mpf(2) ** -4
-        total = mpf(0)
-        for k in range(100_000):
-            xk = (2 * k + 1) * h
-            mk = 2 * k * h  # segment left end
-            envelope = h * (mp.pi / p) * (2 * p * t * xk + a) * mp.exp(-p * t * mk * mk)
-            sgn = -1 if k % 2 else 1
-            cax, sax = mp.cos(a * xk), mp.sin(a * xk)
+    mp = ctx.mp
+    a, p, t = mp.mpf(a), mp.mpf(p), mp.mpf(t)
+    if not (p > 0 and t > 0):
+        raise DomainError("pv_quadrature requires p > 0 and real t > 0")
+    h = mp.pi / (2 * p)
+    threshold = ctx.eps * mp.mpf(2) ** -8
+    tol = max(threshold, ctx.quad_eps) * mp.mpf(2) ** -4
+    total = mp.zero
+    for k in range(100_000):
+        xk = (2 * k + 1) * h
+        mk = 2 * k * h  # segment left end
+        envelope = h * (mp.pi / p) * (2 * p * t * xk + a) * mp.exp(-p * t * mk * mk)
+        sgn = -1 if k % 2 else 1
+        cax, sax = mp.cos(a * xk), mp.sin(a * xk)
 
-            def S(u, xk=xk, sgn=sgn, cax=cax, sax=sax):
-                wgt = 2 * p * t * xk * u
-                num = cax * mp.cos(a * u) * mp.sinh(wgt) + sax * mp.sin(a * u) * mp.cosh(wgt)
-                return (2 * sgn * mp.exp(-p * t * (xk * xk + u * u)) * num / mp.sin(p * u),)
+        def S(u, xk=xk, sgn=sgn, cax=cax, sax=sax):
+            wgt = 2 * p * t * xk * u
+            num = cax * mp.cos(a * u) * mp.sinh(wgt) + sax * mp.sin(a * u) * mp.cosh(wgt)
+            return (2 * sgn * mp.exp(-p * t * (xk * xk + u * u)) * num / mp.sin(p * u),)
 
-            (acc,), _, _ = _gauss_panel(S, mpf(0), h, ctx.prec_bits, tol)
-            total += acc
-            if envelope < threshold and k >= 2:
-                break
-        else:
-            raise NonConvergenceError("pv segments did not converge")
-        return mp.sqrt(4 * p * t / mp.pi) * total
+        (acc,), _, _ = _gauss_panel(S, mp.zero, h, mp, ctx.prec_bits, tol)
+        total += acc
+        if envelope < threshold and k >= 2:
+            break
+    else:
+        raise NonConvergenceError("pv segments did not converge")
+    return mp.sqrt(4 * p * t / mp.pi) * total
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +524,7 @@ def _unary_vector(a, base: str, sign: int, ctx: PrecisionContext):
     With alpha = -a the conventions give Q = e^{2a} and Q1 = e^{2 pi^2/a},
     both of modulus > 1, so 1/B feeds the unary series.  sign s = 1 is the
     folded normalization, s = -1 the literal display."""
-    alpha = mpc(-mpf(a))
+    alpha = -ctx.mp.mpc(a)
     u = power_from_alpha(alpha, base, Fraction(-1), ctx)  # 1/B, |u| < 1
     p0 = power_from_alpha(alpha, base, Fraction(-sign, 120), ctx)
     p1 = power_from_alpha(alpha, base, Fraction(-49 * sign, 120), ctx)
@@ -550,9 +560,9 @@ class StokesDecomposition:
     quad_budget: mpf
 
 
-def _extend_eps(eps_seq: Sequence[mpf]):
+def _extend_eps(eps_seq: Sequence[mpf], mp: MPContext):
     ext = list(eps_seq)
-    while ext[-1] / 2 >= mpf("0.002"):
+    while ext[-1] / 2 >= mp.mpf("0.002"):
         ext.append(ext[-1] / 2)
     return ext
 
@@ -566,94 +576,94 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext,
     the sequence geometrically down to ~2e-3 and runs a full Richardson
     (Neville) table, which is what pushes the extrapolated residual far below
     the lateral ones."""
-    with ctx.workprec():
-        a = mpf(abs_alpha)
-        if a <= 0:
-            raise DomainError("abs_alpha must be positive")
-        eps_list = [mpf(e) for e in eps_seq]
-        if not eps_list:
-            raise DomainError("eps_seq must be nonempty")
-        if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-            raise DomainError("eps_seq must be strictly decreasing")
-        _check_lateral_floor(eps_list[-1], "smallest eps")
-        extended = _extend_eps(eps_list)
+    mp = ctx.mp
+    a = mp.mpf(abs_alpha)
+    if a <= 0:
+        raise DomainError("abs_alpha must be positive")
+    eps_list = [mp.mpf(e) for e in eps_seq]
+    if not eps_list:
+        raise DomainError("eps_seq must be nonempty")
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise DomainError("eps_seq must be strictly decreasing")
+    _check_lateral_floor(eps_list[-1], "smallest eps", mp)
+    extended = _extend_eps(eps_list, mp)
 
-        laterals = []
-        budget = mpf(0)
-        for e in extended:
-            vec = lateral_l_vector(a, mp.pi - e, ctx)
-            laterals.append(vec.as_tuple())
-            budget = max(budget, vec.err_estimate)
+    laterals = []
+    budget = mp.zero
+    for e in extended:
+        vec = lateral_l_vector(a, mp.pi - e, ctx)
+        laterals.append(vec.as_tuple())
+        budget = max(budget, vec.err_estimate)
 
-        pred_real_vec = _unary_vector(a, "Q", 1, ctx)
-        mat = mixing_matrix(ctx)
-        mixed = mat_vec(mat, _unary_vector(a, "Q1", 1, ctx))
-        root = mp.sqrt(mp.pi / a)
-        three_half = mpf(3) / 2
-        pred_real = tuple(three_half * v.real for v in pred_real_vec)
-        pred_imag = tuple(three_half * root * v.real for v in mixed)
+    pred_real_vec = _unary_vector(a, "Q", 1, ctx)
+    mat = mixing_matrix(ctx)
+    mixed = mat_vec(mat, _unary_vector(a, "Q1", 1, ctx))
+    root = mp.sqrt(mp.pi / a)
+    three_half = mp.mpf(3) / 2
+    pred_real = tuple(three_half * v.real for v in pred_real_vec)
+    pred_imag = tuple(three_half * root * v.real for v in mixed)
 
-        lit_real_vec = _unary_vector(a, "Q", -1, ctx)
-        lit_mixed = mat_vec(mat, _unary_vector(a, "Q1", -1, ctx))
-        lit_real = tuple(v.real for v in lit_real_vec)
-        lit_imag = tuple(root * v.real for v in lit_mixed)
+    lit_real_vec = _unary_vector(a, "Q", -1, ctx)
+    lit_mixed = mat_vec(mat, _unary_vector(a, "Q1", -1, ctx))
+    lit_real = tuple(v.real for v in lit_real_vec)
+    lit_imag = tuple(root * v.real for v in lit_mixed)
 
-        nreq = len(eps_list)
-        re_res = tuple(
-            max(abs(laterals[i][j].real - pred_real[j]) for j in range(2))
-            for i in range(nreq)
+    nreq = len(eps_list)
+    re_res = tuple(
+        max(abs(laterals[i][j].real - pred_real[j]) for j in range(2))
+        for i in range(nreq)
+    )
+    im_res = tuple(
+        min(
+            max(abs(laterals[i][j].imag - s * pred_imag[j]) for j in range(2))
+            for s in (1, -1)
         )
-        im_res = tuple(
-            min(
-                max(abs(laterals[i][j].imag - s * pred_imag[j]) for j in range(2))
-                for s in (1, -1)
-            )
-            for i in range(nreq)
-        )
-        if require_monotone and nreq >= 2:
-            for seq in (re_res, im_res):
-                if any(r2 >= r1 for r1, r2 in zip(seq, seq[1:])):
-                    raise ExtrapolationInstability(
-                        "lateral residuals fail to decrease along eps_seq"
-                    )
+        for i in range(nreq)
+    )
+    if require_monotone and nreq >= 2:
+        for seq in (re_res, im_res):
+            if any(r2 >= r1 for r1, r2 in zip(seq, seq[1:])):
+                raise ExtrapolationInstability(
+                    "lateral residuals fail to decrease along eps_seq"
+                )
 
-        extrap = tuple(
-            neville_extrapolate(extended, [v[j] for v in laterals])
+    extrap = tuple(
+        neville_extrapolate(extended, [v[j] for v in laterals])
+        for j in range(2)
+    )
+    if len(extended) >= 3:
+        drop_one = tuple(
+            neville_extrapolate(extended[1:], [v[j] for v in laterals[1:]])
             for j in range(2)
         )
-        if len(extended) >= 3:
-            drop_one = tuple(
-                neville_extrapolate(extended[1:], [v[j] for v in laterals[1:]])
-                for j in range(2)
-            )
-            extrap_err = max(abs(extrap[j] - drop_one[j]) for j in range(2))
-        else:
-            extrap_err = mpf("inf")
-        res_plus = max(abs(extrap[j].imag - pred_imag[j]) for j in range(2))
-        res_minus = max(abs(extrap[j].imag + pred_imag[j]) for j in range(2))
-        sign = 1 if res_plus <= res_minus else -1
-        return StokesDecomposition(
-            abs_alpha=a,
-            eps_seq=tuple(eps_list),
-            extended_eps=tuple(extended),
-            lateral_values=tuple(laterals),
-            re_residuals=re_res,
-            im_residuals=im_res,
-            extrapolated=extrap,
-            extrap_err_estimate=extrap_err,
-            pred_real=pred_real,
-            pred_imag=pred_imag,
-            extrap_residual_real=max(
-                abs(extrap[j].real - pred_real[j]) for j in range(2)
-            ),
-            extrap_residual_imag=min(res_plus, res_minus),
-            matched_sign=sign,
-            literal_residual_real=max(
-                abs(extrap[j].real - lit_real[j]) for j in range(2)
-            ),
-            literal_residual_imag=min(
-                max(abs(extrap[j].imag - s * lit_imag[j]) for j in range(2))
-                for s in (1, -1)
-            ),
-            quad_budget=budget,
-        )
+        extrap_err = max(abs(extrap[j] - drop_one[j]) for j in range(2))
+    else:
+        extrap_err = mp.inf
+    res_plus = max(abs(extrap[j].imag - pred_imag[j]) for j in range(2))
+    res_minus = max(abs(extrap[j].imag + pred_imag[j]) for j in range(2))
+    sign = 1 if res_plus <= res_minus else -1
+    return StokesDecomposition(
+        abs_alpha=a,
+        eps_seq=tuple(eps_list),
+        extended_eps=tuple(extended),
+        lateral_values=tuple(laterals),
+        re_residuals=re_res,
+        im_residuals=im_res,
+        extrapolated=extrap,
+        extrap_err_estimate=extrap_err,
+        pred_real=pred_real,
+        pred_imag=pred_imag,
+        extrap_residual_real=max(
+            abs(extrap[j].real - pred_real[j]) for j in range(2)
+        ),
+        extrap_residual_imag=min(res_plus, res_minus),
+        matched_sign=sign,
+        literal_residual_real=max(
+            abs(extrap[j].real - lit_real[j]) for j in range(2)
+        ),
+        literal_residual_imag=min(
+            max(abs(extrap[j].imag - s * lit_imag[j]) for j in range(2))
+            for s in (1, -1)
+        ),
+        quad_budget=budget,
+    )

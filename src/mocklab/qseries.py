@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Tuple
 
-from mpmath import mp, mpc, mpf
+from mpmath import mpc
 
 from .errors import DomainError, NonConvergenceError
 from .modpoint import PrecisionContext, power_from_alpha
@@ -77,36 +77,36 @@ def pochhammer(a, b, n, ctx: PrecisionContext) -> mpc:
     very long products neither overflow nor lose the tail; truncation stops
     once the certified remainder of the log sum is below eps * 2^-8.
     """
-    with ctx.workprec():
-        a = mpc(a)
-        b = mpc(b)
-        if n != mp.inf:
-            n = int(n)
-            if n < 0:
-                raise DomainError("pochhammer length must be nonnegative")
-            prod = mpc(1)
-            for j in range(n):
-                prod *= 1 - a * b**j
-            return prod
-        if not abs(b) < 1:
-            raise DomainError("infinite pochhammer needs |b| < 1")
-        if a == 0:
-            return mpc(1)
-        tail_target = ctx.eps * mpf(2) ** -8
-        log_sum = mpc(0)
-        term = mpc(a)  # a * b^j
-        absb = abs(b)
-        for j in range(MAX_TERMS_DEFAULT):
-            factor = 1 - term
-            if factor == 0:
-                return mpc(0)
-            log_sum += mp.log(factor)
-            term *= b
-            # remaining |a||b|^j sum, inflated against log(1-x) curvature
-            rem = abs(term) / (1 - absb)
-            if rem < 1 and rem / (1 - rem) < tail_target:
-                return mp.exp(log_sum)
-        raise NonConvergenceError("infinite pochhammer did not converge")
+    mp = ctx.mp
+    a = mp.mpc(a)
+    b = mp.mpc(b)
+    if n != mp.inf:
+        n = int(n)
+        if n < 0:
+            raise DomainError("pochhammer length must be nonnegative")
+        prod = mp.mpc(1)
+        for j in range(n):
+            prod *= 1 - a * b**j
+        return prod
+    if not abs(b) < 1:
+        raise DomainError("infinite pochhammer needs |b| < 1")
+    if a == 0:
+        return mp.mpc(1)
+    tail_target = ctx.eps * mp.mpf(2) ** -8
+    log_sum = mp.mpc(0)
+    term = a  # a * b^j
+    absb = abs(b)
+    for j in range(MAX_TERMS_DEFAULT):
+        factor = 1 - term
+        if factor == 0:
+            return mp.mpc(0)
+        log_sum += mp.log(factor)
+        term *= b
+        # remaining |a||b|^j sum, inflated against log(1-x) curvature
+        rem = abs(term) / (1 - absb)
+        if rem < 1 and rem / (1 - rem) < tail_target:
+            return mp.exp(log_sum)
+    raise NonConvergenceError("infinite pochhammer did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +116,8 @@ def pochhammer(a, b, n, ctx: PrecisionContext) -> mpc:
 def _sum_with_stop_rule(terms: Iterator[mpc], ctx: PrecisionContext) -> mpc:
     """Sum terms until three consecutive ones drop below eps * 2^-8 (and at
     least 8 terms were taken)."""
-    threshold = ctx.eps * mpf(2) ** -8
-    total = mpc(0)
+    threshold = ctx.eps * ctx.mp.mpf(2) ** -8
+    total = ctx.mp.mpc(0)
     small_run = 0
     for n, t in enumerate(terms):
         total += t
@@ -136,9 +136,9 @@ def _sum_with_stop_rule(terms: Iterator[mpc], ctx: PrecisionContext) -> mpc:
 
 def _chi0_terms(q: mpc) -> Iterator[mpc]:
     # sum_n q^n / (q^{n+1}; q)_n
-    yield mpc(1)
-    denom = mpc(1)
-    qn = mpc(1)
+    yield 1
+    denom = 1
+    qn = 1
     for n in range(1, MAX_TERMS_DEFAULT):
         denom *= (1 - q ** (2 * n - 1)) * (1 - q ** (2 * n)) / (1 - q**n)
         qn *= q
@@ -149,7 +149,7 @@ def _chi1_terms(q: mpc) -> Iterator[mpc]:
     # sum_n q^n / (q^{n+1}; q)_{n+1}
     denom = 1 - q
     yield 1 / denom
-    qn = mpc(1)
+    qn = 1
     for n in range(1, MAX_TERMS_DEFAULT):
         denom *= (1 - q ** (2 * n)) * (1 - q ** (2 * n + 1)) / (1 - q**n)
         qn *= q
@@ -167,8 +167,8 @@ def _omega_terms(q: mpc) -> Iterator[mpc]:
 
 def _f_terms(q: mpc) -> Iterator[mpc]:
     # sum_n q^{n^2} / (-q; q)_n^2
-    yield mpc(1)
-    denom = mpc(1)
+    yield 1
+    denom = 1
     for n in range(1, MAX_TERMS_DEFAULT):
         denom *= (1 + q**n) ** 2
         yield q ** (n * n) / denom
@@ -185,7 +185,7 @@ def _rho_terms(q: mpc) -> Iterator[mpc]:
 
 def _xi_terms(q: mpc) -> Iterator[mpc]:
     # 1 + 2 sum_{n>=1} q^{6n(n-1)+1} / ((q; q^6)_n (q^5; q^6)_n)
-    yield mpc(1)
+    yield 1
     inv = 1 / ((1 - q) * (1 - q**5))
     yield 2 * q * inv
     for n in range(2, MAX_TERMS_DEFAULT):
@@ -209,22 +209,20 @@ def eval_mock(mid: MockThetaId, q, ctx: PrecisionContext) -> mpc:
     Reliable tails require |q| <= 0.999; near the unit circle the defining
     series converge too slowly for certified truncation.
     """
-    with ctx.workprec():
-        q = mpc(q)
-        if not abs(q) < 1:
-            raise DomainError("mock theta series require |q| < 1")
-        if abs(q) > mpf("0.999"):
-            raise DomainError("evaluation guard: |q| <= 0.999")
-        return _sum_with_stop_rule(_TERM_GENERATORS[mid.name](q), ctx)
+    q = ctx.mp.mpc(q)
+    if not abs(q) < 1:
+        raise DomainError("mock theta series require |q| < 1")
+    if abs(q) > ctx.mp.mpf("0.999"):
+        raise DomainError("evaluation guard: |q| <= 0.999")
+    return _sum_with_stop_rule(_TERM_GENERATORS[mid.name](q), ctx)
 
 
 def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:
     """The pair (2 - chi0(Q), -Q*chi1(Q)) entering the order-5 matrix law."""
-    with ctx.workprec():
-        Q = mpc(Q)
-        k0 = 2 - eval_mock(MockThetaId(5, "chi0"), Q, ctx)
-        k1 = -Q * eval_mock(MockThetaId(5, "chi1"), Q, ctx)
-        return k0, k1
+    Q = ctx.mp.mpc(Q)
+    k0 = 2 - eval_mock(MockThetaId(5, "chi0"), Q, ctx)
+    k1 = -Q * eval_mock(MockThetaId(5, "chi1"), Q, ctx)
+    return k0, k1
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +264,23 @@ def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
     if which not in _UNARY_FAMILIES:
         raise DomainError("unary id must be 'X0' or 'X1'")
     fams, base = _UNARY_FAMILIES[which]
-    with ctx.workprec():
-        u = mpc(u)
-        if not abs(u) < 1:
-            raise DomainError("unary series require |u| < 1")
-        threshold = ctx.eps * mpf(2) ** -8
-        total = mpc(0)
-        for k in range(MAX_TERMS_DEFAULT):
-            sign = -1 if k % 2 else 1
-            block = mpc(0)
-            for a in fams:
-                for s in (-1, 1):
-                    e = ((a + s * 15 * (2 * k + 1)) ** 2 - base) // 120
-                    block += u**e
-            total += sign * block
-            if abs(block) < threshold and k >= 1:
-                return total
-        raise NonConvergenceError("unary series did not converge")
+    mp = ctx.mp
+    u = mp.mpc(u)
+    if not abs(u) < 1:
+        raise DomainError("unary series require |u| < 1")
+    threshold = ctx.eps * mp.mpf(2) ** -8
+    total = mp.mpc(0)
+    for k in range(MAX_TERMS_DEFAULT):
+        sign = -1 if k % 2 else 1
+        block = mp.mpc(0)
+        for a in fams:
+            for s in (-1, 1):
+                e = ((a + s * 15 * (2 * k + 1)) ** 2 - base) // 120
+                block += u**e
+        total += sign * block
+        if abs(block) < threshold and k >= 1:
+            return total
+    raise NonConvergenceError("unary series did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +289,14 @@ def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
 
 def eta(tau, ctx: PrecisionContext) -> mpc:
     """Dedekind eta: Q^{1/24} (Q; Q)_infinity with Q = exp(2*pi*i*tau)."""
-    with ctx.workprec():
-        tau = mpc(tau)
-        if not tau.imag > 0:
-            raise DomainError("eta requires Im tau > 0")
-        alpha = -mp.pi * 1j * tau
-        Q = mp.exp(-2 * alpha)
-        pref = power_from_alpha(alpha, "Q", Fraction(1, 24), ctx)
-        return pref * pochhammer(Q, Q, mp.inf, ctx)
+    mp = ctx.mp
+    tau = mp.mpc(tau)
+    if not tau.imag > 0:
+        raise DomainError("eta requires Im tau > 0")
+    alpha = -mp.pi * 1j * tau
+    Q = mp.exp(-2 * alpha)
+    pref = power_from_alpha(alpha, "Q", Fraction(1, 24), ctx)
+    return pref * pochhammer(Q, Q, mp.inf, ctx)
 
 
 def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
@@ -309,46 +307,46 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     product form 2 q^{1/4} prod (1-Q^n)(1+Q^n)^2, the form used in the
     theta-chain check.
     """
-    with ctx.workprec():
-        tau = mpc(tau)
-        if not tau.imag > 0:
-            raise DomainError("theta requires Im tau > 0")
-        alpha = -mp.pi * 1j * tau
-        q = mp.exp(-alpha)
-        if which == 2:
-            Q = q * q
-            pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
-            return pref * pochhammer(Q, Q, mp.inf, ctx) * pochhammer(-Q, Q, mp.inf, ctx) ** 2
-        if which not in (3, 4):
-            raise DomainError("theta index must be 2, 3 or 4")
-        threshold = ctx.eps * mpf(2) ** -8
-        total = mpc(1)
-        qsq = abs(q)
-        for n in range(1, MAX_TERMS_DEFAULT):
-            t = q ** (n * n)
-            if which == 4 and n % 2:
-                t = -t
-            total += 2 * t
-            if qsq ** ((n + 1) ** 2) / (1 - qsq ** (2 * n + 3)) < threshold:
-                return total
-        raise NonConvergenceError("theta series did not converge")
+    mp = ctx.mp
+    tau = mp.mpc(tau)
+    if not tau.imag > 0:
+        raise DomainError("theta requires Im tau > 0")
+    alpha = -mp.pi * 1j * tau
+    q = mp.exp(-alpha)
+    if which == 2:
+        Q = q * q
+        pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
+        return pref * pochhammer(Q, Q, mp.inf, ctx) * pochhammer(-Q, Q, mp.inf, ctx) ** 2
+    if which not in (3, 4):
+        raise DomainError("theta index must be 2, 3 or 4")
+    threshold = ctx.eps * mp.mpf(2) ** -8
+    total = mp.mpc(1)
+    qsq = abs(q)
+    for n in range(1, MAX_TERMS_DEFAULT):
+        t = q ** (n * n)
+        if which == 4 and n % 2:
+            t = -t
+        total += 2 * t
+        if qsq ** ((n + 1) ** 2) / (1 - qsq ** (2 * n + 3)) < threshold:
+            return total
+    raise NonConvergenceError("theta series did not converge")
 
 
 def theta2_sum_form(tau, ctx: PrecisionContext) -> mpc:
     """theta2 as the series 2 sum_{n>=0} q^{(n+1/2)^2}; cross-check form."""
-    with ctx.workprec():
-        tau = mpc(tau)
-        if not tau.imag > 0:
-            raise DomainError("theta requires Im tau > 0")
-        alpha = -mp.pi * 1j * tau
-        threshold = ctx.eps * mpf(2) ** -8
-        total = mpc(0)
-        for n in range(MAX_TERMS_DEFAULT):
-            t = power_from_alpha(alpha, "q", Fraction((2 * n + 1) ** 2, 4), ctx)
-            total += 2 * t
-            if abs(t) < threshold and n >= 2:
-                return total
-        raise NonConvergenceError("theta2 series did not converge")
+    mp = ctx.mp
+    tau = mp.mpc(tau)
+    if not tau.imag > 0:
+        raise DomainError("theta requires Im tau > 0")
+    alpha = -mp.pi * 1j * tau
+    threshold = ctx.eps * mp.mpf(2) ** -8
+    total = mp.mpc(0)
+    for n in range(MAX_TERMS_DEFAULT):
+        t = power_from_alpha(alpha, "q", Fraction((2 * n + 1) ** 2, 4), ctx)
+        total += 2 * t
+        if abs(t) < threshold and n >= 2:
+            return total
+    raise NonConvergenceError("theta2 series did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +372,16 @@ class TruncatedQSeries:
 
     def eval(self, x, ctx: PrecisionContext) -> mpc:
         """Horner evaluation of the polynomial part times the prefactor."""
-        with ctx.workprec():
-            x = mpc(x)
-            acc = mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + mpf(c.numerator) / c.denominator
-            if self.prefactor_exp != 0:
-                acc *= x ** mpc(
-                    mpf(self.prefactor_exp.numerator) / self.prefactor_exp.denominator
-                )
-            return acc
+        mp = ctx.mp
+        x = mp.mpc(x)
+        acc = mp.mpc(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + mp.mpf(c.numerator) / c.denominator
+        if self.prefactor_exp != 0:
+            acc *= x ** mp.mpc(
+                mp.mpf(self.prefactor_exp.numerator) / self.prefactor_exp.denominator
+            )
+        return acc
 
 
 def _poly_mul_factor(c: List[int], k: int, sign: int, N: int) -> None:

@@ -94,7 +94,7 @@ def test_criterion_03_l_vector_consistency(suite_all):
 
 
 def test_criterion_04_pv_identity(ref):
-    with ref.workprec():
+    with mp.workprec(ref.prec_bits):
         worst = mpf(0)
         for a in ("0", "0.3", "0.7"):
             for p in ("1", "1.5"):
@@ -141,7 +141,7 @@ def test_criterion_06_mf3_laws(suite_all):
 
 
 def test_criterion_07_mf3_alternative(ref, suite_all):
-    with ref.workprec():
+    with mp.workprec(ref.prec_bits):
         worst = max(_entry_at(suite_all, "mf3_alternative", mp.pi).abs_residual,
                     _entry_at(suite_all, "mf3_alternative", mpf(1)).abs_residual)
     ok = worst < TOL[7]
@@ -190,7 +190,7 @@ def test_criterion_11_growth_bound(suite_all):
 
 
 def test_criterion_12_oracle_equivalence(ref):
-    with ref.workprec():
+    with mp.workprec(ref.prec_bits):
         worst = mpf(0)
         for name in ("chi0", "chi1", "omega", "f", "rho", "xi"):
             mid = MockThetaId.from_name(name)

@@ -2,6 +2,7 @@ import json
 
 from mpmath import mp, mpf, mpc
 
+from mocklab import reference_context, run_suite
 from mocklab.cli import main, parse_number, parse_real
 
 
@@ -11,23 +12,23 @@ from mocklab.cli import main, parse_number, parse_real
 
 def test_parse_real_pi_forms():
     with mp.workprec(128):
-        assert abs(parse_real("pi") - mp.pi) < mpf(2) ** -100
-        assert abs(parse_real("2pi") - 2 * mp.pi) < mpf(2) ** -100
-        assert abs(parse_real("pi/2") - mp.pi / 2) < mpf(2) ** -100
-        assert abs(parse_real("3pi/4") - 3 * mp.pi / 4) < mpf(2) ** -100
-        assert abs(parse_real("-pi") + mp.pi) < mpf(2) ** -100
-        assert parse_real("1e-3") == mpf("1e-3")
-        assert parse_real("1/4") == mpf("0.25")
+        assert abs(parse_real("pi", mp) - mp.pi) < mpf(2) ** -100
+        assert abs(parse_real("2pi", mp) - 2 * mp.pi) < mpf(2) ** -100
+        assert abs(parse_real("pi/2", mp) - mp.pi / 2) < mpf(2) ** -100
+        assert abs(parse_real("3pi/4", mp) - 3 * mp.pi / 4) < mpf(2) ** -100
+        assert abs(parse_real("-pi", mp) + mp.pi) < mpf(2) ** -100
+        assert parse_real("1e-3", mp) == mpf("1e-3")
+        assert parse_real("1/4", mp) == mpf("0.25")
 
 
 def test_parse_number_complex():
     with mp.workprec(128):
-        assert parse_number("1+0.5i") == mpc(1, "0.5")
-        assert parse_number("0.3-0.7j") == mpc("0.3", "-0.7")
-        assert parse_number("2i") == mpc(0, 2)
-        assert parse_number("-i") == mpc(0, -1)
-        assert abs(parse_number("pi") - mp.pi) < mpf(2) ** -100
-        assert parse_number("1e-3+2e-4i") == mpc("0.001", "0.0002")
+        assert parse_number("1+0.5i", mp) == mpc(1, "0.5")
+        assert parse_number("0.3-0.7j", mp) == mpc("0.3", "-0.7")
+        assert parse_number("2i", mp) == mpc(0, 2)
+        assert parse_number("-i", mp) == mpc(0, -1)
+        assert abs(parse_number("pi", mp) - mp.pi) < mpf(2) ** -100
+        assert parse_number("1e-3+2e-4i", mp) == mpc("0.001", "0.0002")
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,28 @@ def test_verify_alpha_grid_file(tmp_path, capsys):
                  "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "ALL PASS" in out
+
+
+def test_verify_reports_full_precision(capsys):
+    # every number is formatted at the working precision, not at 53 bits
+    ctx = reference_context()
+    rep = run_suite("algebra", None, ctx)
+    entries = [e for r in rep.identities for e in r.entries]
+    assert main(["verify", "--suite", "algebra"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["verify", "--suite", "algebra", "--format", "csv"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    json_entries = [e for r in doc["identities"] for e in r["entries"]]
+    assert len(json_entries) == len(rows) == len(entries)
+    with mp.workprec(256):
+        def close(text, want):
+            return abs(mpf(text) - want) <= abs(want) * mpf(2) ** -250
+
+        assert close(doc["eps"], ctx.eps) and close(doc["quad_eps"], ctx.quad_eps)
+        for e, je, row in zip(entries, json_entries, rows):
+            assert close(je["budget"], e.budget) and close(row[5], e.budget)
+            assert close(je["abs_residual"], e.abs_residual)
+            assert close(row[3], e.abs_residual)
 
 
 def test_verify_deterministic_bytes(tmp_path):

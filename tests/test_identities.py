@@ -31,7 +31,7 @@ from mocklab.modpoint import power_from_alpha
 # ---------------------------------------------------------------------------
 
 def test_mixing_matrix_involution(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         M = mixing_matrix(ctx)
         assert mat_norm(mat_sub(mat_mul(M, M), identity2())) < 10 * ctx.eps
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
@@ -40,7 +40,7 @@ def test_mixing_matrix_involution(ctx):
 
 
 def test_phase_matrix(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         D = phase_matrix(ctx)
         det = D[0][0] * D[1][1]
         assert abs(det + 1) < 10 * ctx.eps
@@ -65,7 +65,7 @@ def _by_name(entries):
 
 
 def test_mf5_checks_at_two(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         entries = check_mf5(mpf(2), ctx)
         assert [e.identity for e in entries] == [
             "mf5_scalar_0", "mf5_scalar_1", "mf5_matrix", "l_vector_consistency"]
@@ -75,7 +75,7 @@ def test_mf5_checks_at_two(ctx):
 
 
 def test_mf5_conjugate_pair_reflection(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         up = check_mf5(mpc(1, "0.3"), ctx)
         dn = check_mf5(mpc(1, "-0.3"), ctx)
         assert [e.identity for e in up] == [e.identity for e in dn]
@@ -86,7 +86,7 @@ def test_mf5_conjugate_pair_reflection(ctx):
 
 def test_mf5_matrix_s_symmetry(ctx):
     # the residual stays at the same noise magnitude at the S-image point
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         a = mpf(2)
         r1 = _by_name(check_mf5(a, ctx))["mf5_matrix"].abs_residual
         r2 = _by_name(check_mf5(mp.pi**2 / a, ctx))["mf5_matrix"].abs_residual
@@ -96,7 +96,7 @@ def test_mf5_matrix_s_symmetry(ctx):
 
 
 def test_mf5_check_deterministic(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         r1 = check_mf5(mpf(2), ctx)
         r2 = check_mf5(mpf(2), ctx)
         # bit-identical rerun
@@ -105,7 +105,7 @@ def test_mf5_check_deterministic(ctx):
 
 
 def test_l_vector_check(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         entries = [e for e in check_mf5(mp.pi, ctx)
                    if e.identity.startswith("l_vector")]
         names = [e.identity for e in entries]
@@ -125,7 +125,7 @@ def test_one_quadrature_per_integral(ctx, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mordell, "integrate_ray", counted)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         check_mf5(mpf(2), ctx)
         assert len(calls) == 3
         check_mf5(mpf(2), ctx)
@@ -135,7 +135,7 @@ def test_one_quadrature_per_integral(ctx, monkeypatch):
 
 
 def test_mf3_checks(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         entries = check_mf3(mpf(1), ctx)
         assert [e.identity for e in entries] == [
             "mf3_omega", "mf3_omega_f", "mf3_alternative"]
@@ -150,7 +150,7 @@ def test_mf3_checks(ctx):
 def test_mf3_alternative_difference_identity(ctx):
     # subtracting the two order-3 decompositions of the same integral leaves
     # a modular-pair statement whose residual is the difference of residuals
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         entries = _by_name(check_mf3(mpf(1), ctx))
         r1 = entries["mf3_omega"].abs_residual
         r2 = entries["mf3_alternative"].abs_residual
@@ -158,7 +158,7 @@ def test_mf3_alternative_difference_identity(ctx):
 
 
 def test_eta_theta_checks(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         for e in check_eta_theta(mpc("0.2", "1.1"), ctx):
             assert e.abs_residual < mpf(10) ** -25
         entries = {e.identity: e for e in check_eta_theta(mpc(1, 3), ctx)}
@@ -167,7 +167,7 @@ def test_eta_theta_checks(ctx):
 
 
 def test_growth_check(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         grid = [m * mp.exp(1j * mp.pi / 6) for m in
                 (mpf(1), mpf("0.5"), mpf("0.2"), mpf("0.05"))]
         e = check_growth_omega(mp.pi / 3, grid, ctx)[0]
@@ -182,7 +182,7 @@ def test_growth_check(ctx):
 
 def test_wronskian_canonical_pair_closed_form(ctx):
     # H0 = 1, H1 = Q: W = 2 pi i (3/5) Q^{1/2}; W(tau+1) = -W(tau)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         tau = mpc("0.2", "1.1")
         entries = wronskian_periodicity([1], [0, 1], tau, ctx)
         for e in entries:
@@ -196,7 +196,7 @@ def test_wronskian_canonical_pair_closed_form(ctx):
 
 
 def test_wronskian_zero_input(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         from mocklab.identities import _v_vector
         v, dv = _v_vector([0], [0], mpc(0, 1), ctx)
         assert v[0] == 0 and v[1] == 0
@@ -214,7 +214,7 @@ def test_wronskian_random_pairs(ctx):
 
 def test_g_cusp_decay(ctx):
     # H1 = O(Q) input: |G| decays up the imaginary axis
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         h0, h1 = [1, 2, 1], [0, 3, 1]
         g4 = abs(g_function(h0, h1, mpc(0, 4), ctx))
         g8 = abs(g_function(h0, h1, mpc(0, 8), ctx))
@@ -252,7 +252,7 @@ def test_run_suite_theta_eta_budget_invariant(ctx):
 
 
 def test_run_suite_custom_grid(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         rep = run_suite("mf3", [mpf(1)], ctx)
     names = {r.identity_name for r in rep.identities}
     assert {"mf3_omega", "mf3_omega_f", "mf3_alternative", "mf3_growth"} <= names
@@ -268,11 +268,12 @@ def test_run_suite_records_check_error(ctx, monkeypatch, tmp_path, capsys):
         raise NonConvergenceError("panel diverged")
 
     monkeypatch.setattr(mordell, "integrate_ray", diverge)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         rep = run_suite("mf5", [mpf(2)], ctx)
     assert [r.identity_name for r in rep.identities] == ["check_mf5_error"]
     (entry,) = rep.identities[0].entries
     assert entry.detail == {"error": "NonConvergenceError: panel diverged"}
+    assert entry.point == 2
     assert not entry.passed
     assert not rep.all_pass
     grid = tmp_path / "grid.json"
@@ -281,3 +282,7 @@ def test_run_suite_records_check_error(ctx, monkeypatch, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_pass"] is False
     assert [r["identity"] for r in doc["identities"]] == ["check_mf5_error"]
+    (entry,) = doc["identities"][0]["entries"]
+    # the report says where the check failed and why
+    assert mpf(entry["point"]["re"]) == 2 and mpf(entry["point"]["im"]) == 0
+    assert entry["error"] == "NonConvergenceError: panel diverged"

@@ -29,7 +29,7 @@ def test_context_invariants():
 
 def test_s_fixed_point(ctx):
     p = from_tau(mpc(0, 1), ctx)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         assert abs(p.alpha - mp.pi) < ctx.eps
         assert abs(p.q - mp.exp(-mp.pi)) < ctx.eps
         assert abs(p.q - p.q1) < ctx.eps  # tau = i is the S-fixed point
@@ -37,7 +37,7 @@ def test_s_fixed_point(ctx):
 
 def test_tau_2i(ctx):
     p = from_tau(mpc(0, 2), ctx)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         assert abs(p.alpha - 2 * mp.pi) < ctx.eps
         assert abs(p.q1 - mp.exp(-mp.pi / 2)) < ctx.eps
 
@@ -55,7 +55,7 @@ def test_consistency_two_precisions():
 
 
 def test_from_alpha(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         p = from_alpha(mp.pi, ctx)
         assert abs(p.tau - mpc(0, 1)) < ctx.eps
         p = from_alpha(mpf(1), ctx)
@@ -80,7 +80,7 @@ def test_domain_errors(ctx):
 def test_s_transform_swaps(ctx):
     p = from_tau(mpc(0, 2), ctx)
     ps = s_transform(p)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         assert abs(ps.tau - mpc(0, "0.5")) < ctx.eps
         assert abs(ps.q - p.q1) < ctx.eps
         assert abs(ps.q1 - p.q) < ctx.eps
@@ -95,7 +95,7 @@ def test_s_transform_involution(re, im):
     ctx = PrecisionContext(prec_bits=192, eps="1e-30")
     p = from_tau(mpc(re, im), ctx)
     pp = s_transform(s_transform(p))
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         scale = 1 + abs(p.tau) ** 2
         assert abs(pp.tau - p.tau) < 10 * ctx.eps * scale
         assert abs(pp.q - p.q) < 10 * ctx.eps
@@ -103,7 +103,7 @@ def test_s_transform_involution(re, im):
 
 def test_frac_power_basics(ctx):
     p = from_tau(mpc(0, 1), ctx)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         assert abs(frac_power(p, "q", 0) - 1) < ctx.eps
         lhs = frac_power(p, "q", Fraction(2, 3)) * frac_power(p, "q", Fraction(1, 3))
         assert abs(lhs - frac_power(p, "q", 1)) < ctx.eps
@@ -116,7 +116,7 @@ def test_conjugation_symmetry(ctx):
     a = mpc(1, "0.4")
     p = from_alpha(a, ctx)
     pc = from_alpha(mp.conj(a), ctx)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         assert abs(pc.q - mp.conj(p.q)) < ctx.eps
         assert abs(pc.q1 - mp.conj(p.q1)) < ctx.eps
 
@@ -129,7 +129,7 @@ def test_conjugation_symmetry(ctx):
 def test_frac_power_homomorphism(r1, r2):
     ctx = PrecisionContext(prec_bits=192, eps="1e-30")
     p = from_alpha(mpc(1, "0.3"), ctx)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         for base in ("q", "Q", "q1", "Q1"):
             lhs = frac_power(p, base, r1) * frac_power(p, base, r2)
             rhs = frac_power(p, base, r1 + r2)
@@ -139,7 +139,7 @@ def test_frac_power_homomorphism(r1, r2):
 def test_power_from_alpha_matches_point(ctx):
     a = mpc("0.8", "0.2")
     p = from_alpha(a, ctx)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         for base in ("q", "Q", "q1", "Q1"):
             direct = power_from_alpha(a, base, Fraction(5, 7), ctx)
             via_point = frac_power(p, base, Fraction(5, 7))

@@ -69,7 +69,7 @@ def _gaussian(gamma):
 def test_gaussian_half_line(ctx, method):
     """Both the production Gauss scheme and the test-only tanh-sinh
     reference reproduce sqrt(pi)/2 and agree with each other."""
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         integrand = _gaussian(mpc(1))
         res = integrate_ray(integrand, 0, ctx)
         ref = _tanh_sinh(lambda x: mp.exp(-x * x), integrand, 0, ctx)
@@ -87,7 +87,7 @@ def test_nodes_used_counts_evaluations(ctx):
         calls[0] += 1
         return (mp.exp(-x * x),)
 
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         integrand = RayIntegrand(func=f, gauss_coeff=mpc(1))
         assert len(mordell._geometry(integrand, 0, ctx)[1]) == 2  # one panel
         res = integrate_ray(integrand, 0, ctx)
@@ -95,7 +95,7 @@ def test_nodes_used_counts_evaluations(ctx):
 
 
 def test_rotated_gaussian_cauchy_invariance(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         gamma = mp.exp(-1j * mp.pi / 4)
         integrand = _gaussian(gamma)
         v0 = _tanh_sinh(lambda x: mp.exp(-gamma * x * x), integrand, 0, ctx)
@@ -105,14 +105,14 @@ def test_rotated_gaussian_cauchy_invariance(ctx):
 
 
 def test_divergent_ray_rejected(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         integrand = _gaussian(mp.exp(-1j * mp.pi / 4))
         with pytest.raises(DomainError):
             integrate_ray(integrand, mp.pi / 2, ctx)
 
 
 def test_pole_proximity_guard(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         pole = mp.exp(1j * mpf("1e-8")) * mpf("0.5")
         integrand = RayIntegrand(func=lambda x: (mp.exp(-x * x) / (x - pole),),
                                  gauss_coeff=mpc(1), poles=(pole,),
@@ -123,7 +123,7 @@ def test_pole_proximity_guard(ctx):
 
 def test_refinement_table_geometric(ctx):
     # node doubling converges at least geometrically for the W3 integrand
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         integrand = mordell._ray_integrand(mordell._W3, mpc(1), ctx)
         table = _fixed_degree_sweeps(integrand, 0, ctx, degrees=(3, 4, 5, 6, 7))
         diffs = [abs(b - a) for a, b in zip(table, table[1:])]
@@ -139,7 +139,7 @@ def test_refinement_table_geometric(ctx):
 
 def test_l_rotation_invariance(ctx):
     # ray angle 0 and the canonical -arg(alpha)/2 agree inside the pole-free cone
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         alpha = mp.exp(1j * mp.pi / 4)
         r = Fraction(1, 5)
         f = _l_cosh(r, alpha)
@@ -165,7 +165,7 @@ def _l_reference(r, alpha, ctx):
 
 
 def test_l_two_schemes_agree(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         for r in (Fraction(1, 5), Fraction(1, 3)):  # the pair, and r alone
             v1 = _l_reference(r, mpf(10), ctx)
             v2, _ = l_integral(r, mpf(10), ctx)
@@ -174,7 +174,7 @@ def test_l_two_schemes_agree(ctx):
 
 @pytest.mark.parametrize("where", ["complex", "lateral_floor", "endpoint_anchor"])
 def test_l_pair_matches_tanh_sinh(ctx, where):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         alpha = {
             "complex": 10 * mpc(2, 1),
             "lateral_floor": 10 * mpf("0.01") * mp.exp(1j * (mp.pi - mpf("1e-3"))),
@@ -187,7 +187,7 @@ def test_l_pair_matches_tanh_sinh(ctx, where):
 
 
 def test_w2_w3_match_tanh_sinh(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         alpha = mpc(1, "0.5")
         w2 = lambda x: (mp.exp(-mpf(3) / 2 * alpha * x * x)
                         * mp.cosh(alpha * x) / mp.cosh(3 * alpha * x))
@@ -201,7 +201,7 @@ def test_w2_w3_match_tanh_sinh(ctx):
 
 
 def test_schwarz_reflection(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         pts = [mpc(1, "0.3"), mpc(2, 1), mpc("0.7", "0.2"), mpc(mp.pi, "0.5"),
                mpc("1.5", "0.8")]
         for a in pts:
@@ -212,7 +212,7 @@ def test_schwarz_reflection(ctx):
 
 
 def test_w3_scaling_limit(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         a = mpf("1e-4")
         v, _ = w3_integral(a, ctx)
         limit = mp.sqrt(mp.pi) / (6 * mp.sqrt(3 * a))
@@ -220,14 +220,14 @@ def test_w3_scaling_limit(ctx):
 
 
 def test_w3_positive(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         v, _ = w3_integral(mpf(1), ctx)
         assert v.real > 0 and abs(v.imag) < ctx.quad_eps
 
 
 def test_w2_sector_bound(ctx):
     # |W2(a/2)| * sqrt|a| shows no growth trend as a -> 0 in the sector
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         stats = []
         for ray in (mpf(0), mp.pi / 3):
             for m in (mpf("0.5"), mpf("0.1"), mpf("0.02")):
@@ -240,7 +240,7 @@ def test_w2_sector_bound(ctx):
 
 
 def test_domain_guards(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         with pytest.raises(DomainError):
             l_integral(Fraction(1, 5), mpf(-1), ctx)
         with pytest.raises(DomainError):  # r > 5/6: cosh(2ax) outgrows cosh(3ax/2)
@@ -254,14 +254,14 @@ def test_domain_guards(ctx):
 # ---------------------------------------------------------------------------
 
 def test_l_vector_real_on_real_axis(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         lv = l_vector(mpf(1), ctx)
         assert abs(lv.l1.imag) < ctx.quad_eps
         assert abs(lv.l2.imag) < ctx.quad_eps
 
 
 def test_l_vector_fixed_point_eigenvector(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         lv = l_vector(mp.pi, ctx)
         M = mixing_matrix(ctx)
         r1 = lv.l1 - (M[0][0] * lv.l1 + M[0][1] * lv.l2)
@@ -270,7 +270,7 @@ def test_l_vector_fixed_point_eigenvector(ctx):
 
 
 def test_l_vector_modular_consistency(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         lv = l_vector(mpf(1), ctx)
         lvs = l_vector(mp.pi**2, ctx)
         M = mixing_matrix(ctx)
@@ -289,7 +289,7 @@ PV_GRID = [(a, p, t) for a in ("0", "0.3", "0.7")
 
 
 def test_pv_identity_grid(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         for a, p, t in PV_GRID:
             d = abs(pv_quadrature(mpf(a), mpf(p), mpf(t), ctx)
                     - pv_sum(mpf(a), mpf(p), mpf(t), ctx))
@@ -297,14 +297,14 @@ def test_pv_identity_grid(ctx):
 
 
 def test_pv_mutual_oracle_point(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         d = abs(pv_quadrature(mpf("0.5"), mpf("1.5"), mpf("0.8"), ctx)
                 - pv_sum(mpf("0.5"), mpf("1.5"), mpf("0.8"), ctx))
         assert d < mpf(10) ** -15
 
 
 def test_pv_sum_symmetry_and_limit(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         # a = 0: both exponentials coincide
         p, t = mpf(1), mpf("0.4")
         direct = mpf(0)
@@ -321,7 +321,7 @@ def test_pv_sum_symmetry_and_limit(ctx):
 
 
 def test_pv_quadrature_even_in_a(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         v1 = pv_quadrature(mpf("0.4"), mpf(1), mpf("0.7"), ctx)
         v2 = pv_quadrature(mpf("-0.4"), mpf(1), mpf("0.7"), ctx)
         assert abs(v1 - v2) < 10 * ctx.eps
@@ -330,7 +330,7 @@ def test_pv_quadrature_even_in_a(ctx):
 def test_pv_tolerance_consistency(ctx):
     # tightening the stop tolerance moves the value below the envelope bound
     loose = PrecisionContext(prec_bits=256, eps="1e-20", quad_eps="1e-16")
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         v1 = pv_quadrature(mpf("0.3"), mpf(1), mpf("0.8"), loose)
         v2 = pv_quadrature(mpf("0.3"), mpf(1), mpf("0.8"), ctx)
         assert abs(v1 - v2) < loose.eps
@@ -340,7 +340,7 @@ def test_precision_monotonicity(ctx):
     # halving eps never worsens the pv residual by more than 2x (plus floor)
     base = PrecisionContext(prec_bits=256, eps="1e-30", quad_eps="1e-24")
     half = PrecisionContext(prec_bits=256, eps="5e-31", quad_eps="1e-24")
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         r1 = abs(pv_quadrature(mpf("0.3"), mpf(1), mpf("2"), base)
                  - pv_sum(mpf("0.3"), mpf(1), mpf("2"), base))
         r2 = abs(pv_quadrature(mpf("0.3"), mpf(1), mpf("2"), half)
@@ -353,7 +353,7 @@ def test_precision_monotonicity(ctx):
 # ---------------------------------------------------------------------------
 
 def test_lateral_window_validation(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         with pytest.raises(DomainError):
             lateral_l_vector(1, mp.pi / 4, ctx)  # gap > pi/2
         with pytest.raises(PoleProximityError):
@@ -361,7 +361,7 @@ def test_lateral_window_validation(ctx):
 
 
 def test_lateral_conjugate_pair(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         up = lateral_l_vector(1, mp.pi - mpf("0.2"), ctx)
         dn = lateral_l_vector(1, -(mp.pi - mpf("0.2")), ctx)
         assert abs(up.l1 - mp.conj(dn.l1)) < 100 * up.err_estimate

@@ -29,7 +29,7 @@ ALL_IDS = [MockThetaId.from_name(n) for n in ("chi0", "chi1", "omega", "f", "rho
 # ---------------------------------------------------------------------------
 
 def test_pochhammer_finite(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         assert pochhammer(mpf("0.7"), mpf("0.3"), 0, ctx) == 1
         a, b = mpc("0.5", "0.1"), mpc("0.2", "-0.3")
         want = (1 - a) * (1 - a * b) * (1 - a * b**2)
@@ -37,7 +37,7 @@ def test_pochhammer_finite(ctx):
 
 
 def test_pochhammer_infinite(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         assert abs(pochhammer(0, mpf("0.5"), mp.inf, ctx) - 1) < ctx.eps
         # against an explicit long product
         a = b = mpf("0.5")
@@ -51,7 +51,7 @@ def test_pochhammer_infinite(ctx):
 
 def test_pochhammer_two_truncation_orders(ctx):
     loose = type(ctx)(prec_bits=256, eps="1e-20")
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         v1 = pochhammer(mpf("0.5"), mpf("0.5"), mp.inf, loose)
         v2 = pochhammer(mpf("0.5"), mpf("0.5"), mp.inf, ctx)
         assert abs(v1 - v2) < loose.eps
@@ -96,7 +96,7 @@ def test_series_expand_examples():
 def test_eval_matches_oracle_on_disc(ctx, name):
     mid = MockThetaId.from_name(name)
     s = series_expand(mid, 40)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         for q in (mpf("0.5"), mpf("-0.45"), mpc("0.3", "0.2"), mpf("0.1")):
             num = eval_mock(mid, q, ctx)
             poly = s.eval(q, ctx)
@@ -118,7 +118,7 @@ def test_eval_domain_guards(ctx):
 
 
 def test_k_pair(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         k0, k1 = k_pair(mpf(0), ctx)
         assert abs(k0 - 1) < ctx.eps and abs(k1) < ctx.eps
         # K0 = O(1), K1 = O(Q) as Q -> 0
@@ -161,7 +161,7 @@ def test_unary_exponents_are_integers():
 
 
 def test_unary_values(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         assert abs(unary_x("X0", mpf(0), ctx) - 1) < ctx.eps
         assert abs(unary_x("X1", mpf(0), ctx) - 1) < ctx.eps
         u = mpf("0.3")
@@ -176,7 +176,7 @@ def test_unary_values(ctx):
 
 def test_unary_partial_sum_decay(ctx):
     # consecutive truncations differ by less than the first omitted block
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         u = mpf("0.3")
         partial = {}
         for kmax in (2, 3, 4):
@@ -194,7 +194,7 @@ def test_unary_partial_sum_decay(ctx):
 # ---------------------------------------------------------------------------
 
 def test_eta_transformations(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         tau = mpc(0, 1)
         assert abs(eta(tau + 1, ctx) - mp.exp(mp.pi * 1j / 12) * eta(tau, ctx)) < 10 * ctx.eps
         # S law at the fixed point is trivial; do the round trip from i/2
@@ -204,7 +204,7 @@ def test_eta_transformations(ctx):
 
 
 def test_theta_transformations(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         tau = mpc(0, 1)
         assert abs(theta(3, tau + 2, ctx) - theta(3, tau, ctx)) < 10 * ctx.eps
         tau = mpc(0, 2)
@@ -213,13 +213,13 @@ def test_theta_transformations(ctx):
 
 
 def test_theta2_sum_vs_product(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         tau = mpc(0, "1.5")
         assert abs(theta(2, tau, ctx) - theta2_sum_form(tau, ctx)) < 10 * ctx.eps
 
 
 def test_eta_theta3_nonvanishing_grid(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         margin = mpf(2) ** (-ctx.prec_bits // 2)
         for i in range(10):
             for j in range(10):

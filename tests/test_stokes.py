@@ -13,7 +13,7 @@ from mocklab import (
 
 @pytest.fixture(scope="module")
 def dec_one(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         return stokes_decompose(mpf(1), [mpf("0.2"), mpf("0.1"), mpf("0.05")], ctx)
 
 
@@ -60,7 +60,7 @@ def test_extension_floor(dec_one):
 
 
 def test_input_validation(ctx):
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         with pytest.raises(DomainError):
             stokes_decompose(mpf(1), [], ctx)
         with pytest.raises(DomainError):
@@ -78,7 +78,7 @@ def test_lateral_floor_admitted(prec_bits):
     # the documented floor pi - |theta| >= 1e-3 holds with equality; at 192
     # bits theta = pi - 1e-3 rounds to a gap just short of 1e-3
     c = PrecisionContext(prec_bits=prec_bits, eps="1e-40", quad_eps="1e-30")
-    with c.workprec():
+    with mp.workprec(c.prec_bits):
         dec = stokes_decompose(mpf("0.01"), [mpf("0.002"), mpf("0.001")], c)
         assert dec.extended_eps == (mpf("0.002"), mpf("0.001"))
         assert dec.quad_budget < c.quad_eps * 16
@@ -97,7 +97,7 @@ def test_monotonicity_enforcement(ctx, monkeypatch):
         return mordell.LVector(mpc(1), mpc(1), mpf("1e-40"))
 
     monkeypatch.setattr(mordell, "lateral_l_vector", fake_lateral)
-    with ctx.workprec():
+    with mp.workprec(ctx.prec_bits):
         with pytest.raises(ExtrapolationInstability):
             stokes_decompose(mpf(1), [mpf("0.2"), mpf("0.1")], ctx)
         # the guard can be disabled for diagnostics
