@@ -30,16 +30,7 @@ from .identities import (
     wronskian_periodicity,
 )
 from .matrices import mixing_matrix, phase_matrix
-from .modpoint import (
-    ModularPoint,
-    PrecisionContext,
-    frac_power,
-    from_alpha,
-    from_tau,
-    power_from_alpha,
-    reference_context,
-    s_transform,
-)
+from .modpoint import PrecisionContext, power_from_alpha, reference_context
 from .mordell import (
     LVector,
     QuadratureResult,
@@ -63,7 +54,6 @@ from .qseries import (
     euler_inverse_coeffs,
     eval_mock,
     k_pair,
-    normalize_by_euler,
     pochhammer,
     series_expand,
     theta,

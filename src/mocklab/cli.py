@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from mpmath import MPContext, mpf
+from mpmath import MPContext, mpc, mpf
 
 from .errors import (
     DomainError,
@@ -26,8 +26,15 @@ from .errors import (
     NonConvergenceError,
     PrecisionError,
 )
-from .identities import SUITES, _digits, _fmt, _fmt_c, run_suite, suite_report_to_json
-from .matrices import identity2, mat_sub, mat_vec, mixing_matrix
+from .identities import (
+    SUITES,
+    _digits,
+    _fixed_point_residual,
+    _fmt,
+    _fmt_c,
+    run_suite,
+    suite_report_to_json,
+)
 from .modpoint import PrecisionContext
 from .mordell import l_integral, l_vector, stokes_decompose, w2_integral, w3_integral
 from .qseries import (
@@ -66,14 +73,14 @@ def parse_real(s: str, mp: MPContext) -> mpf:
     return val
 
 
-def parse_number(s: str, mp: MPContext):
-    """Real or complex literal in the mpmath context mp: '1+0.5i', '2i',
-    'pi', '0.3-0.7j', '1e-3'."""
+def parse_number(s: str, mp: MPContext) -> mpc:
+    """Real or complex literal as an mpc of the mpmath context mp: '1+0.5i',
+    '2i', 'pi', '0.3-0.7j', '1e-3'."""
     s = s.strip().replace(" ", "")
     if not s:
         raise DomainError("empty number")
     try:
-        return parse_real(s, mp)  # 'pi' ends in 'i' but is real
+        return mp.mpc(parse_real(s, mp))  # 'pi' ends in 'i' but is real
     except DomainError:
         pass
     if s[-1] in "ij":
@@ -90,7 +97,7 @@ def parse_number(s: str, mp: MPContext):
         if im_part in ("+", "-"):
             im_part += "1"
         return mp.mpc(parse_real(re_part, mp), parse_real(im_part, mp))
-    return parse_real(s, mp)
+    return mp.mpc(parse_real(s, mp))
 
 
 def _context(args) -> PrecisionContext:
@@ -115,11 +122,11 @@ def _emit(text: str, out_path):
 def _point_q(args, mp):
     """Nome for the mock-theta functions from --q, --alpha or --tau."""
     if args.q is not None:
-        return mp.mpc(parse_number(args.q, mp))
+        return parse_number(args.q, mp)
     if args.alpha is not None:
-        return mp.exp(-mp.mpc(parse_number(args.alpha, mp)))
+        return mp.exp(-parse_number(args.alpha, mp))
     if args.tau is not None:
-        tau = mp.mpc(parse_number(args.tau, mp))
+        tau = parse_number(args.tau, mp)
         if not tau.imag > 0:
             raise DomainError("tau must lie in the upper half-plane")
         return mp.exp(mp.pi * 1j * tau)
@@ -139,19 +146,19 @@ def cmd_eval(args) -> int:
     elif fn in ("x0", "x1"):
         if args.u is None:
             raise DomainError("--u required for the unary series")
-        u = mp.mpc(parse_number(args.u, mp))
+        u = parse_number(args.u, mp)
         point_desc = u
         value = unary_x(fn.upper(), u, ctx)
     elif fn == "eta" or fn.startswith("theta"):
         if args.tau is None:
             raise DomainError("--tau required for eta/theta")
-        tau = mp.mpc(parse_number(args.tau, mp))
+        tau = parse_number(args.tau, mp)
         point_desc = tau
         value = eta(tau, ctx) if fn == "eta" else theta(int(fn[-1]), tau, ctx)
     elif fn in ("L", "W2", "W3"):
         if args.alpha is None:
             raise DomainError("--alpha required for the integrals")
-        alpha = mp.mpc(parse_number(args.alpha, mp))
+        alpha = parse_number(args.alpha, mp)
         point_desc = alpha
         if fn == "L":
             value, err = l_integral(Fraction(args.r), alpha, ctx)
@@ -162,14 +169,12 @@ def cmd_eval(args) -> int:
     elif fn == "lvec":
         if args.alpha is None:
             raise DomainError("--alpha required for lvec")
-        alpha = mp.mpc(parse_number(args.alpha, mp))
+        alpha = parse_number(args.alpha, mp)
         point_desc = alpha
         lv = l_vector(alpha, ctx)
         err = lv.err_estimate
-        extra = {}
-        if abs(alpha - mp.pi) < mp.mpf(2) ** -20:
-            v = mat_vec(mat_sub(identity2(), mixing_matrix(ctx)), lv.as_tuple())
-            extra["fixed_point_residual"] = max(abs(v[0]), abs(v[1]))
+        res_fp = _fixed_point_residual(alpha, lv, ctx)
+        extra = {} if res_fp is None else {"fixed_point_residual": res_fp}
         return _emit_eval(args, ctx, point_desc,
                           {"l1": lv.l1, "l2": lv.l2}, err, extra)
     else:  # pragma: no cover - argparse choices guard this

@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from mpmath import mpc, mpf
 
@@ -194,22 +194,31 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     budget = (lv.err_estimate + abs(root) * lv_s.err_estimate
               + _round_slop(ctx, scale))
     out.append(_entry("l_vector_consistency", alpha, res, scale, budget, ctx))
-    if abs(alpha - mp.pi) < mp.mpf(2) ** -20:
-        one_minus_m = mat_sub(identity2(), mix)
-        v = mat_vec(one_minus_m, lv.as_tuple())
-        res_fp = max(abs(v[0]), abs(v[1]))
+    res_fp = _fixed_point_residual(alpha, lv, ctx)
+    if res_fp is not None:
         budget_fp = 2 * lv.err_estimate + _round_slop(ctx, scale)
         out.append(_entry("l_vector_fixed_point", alpha,
                           res_fp, scale, budget_fp, ctx))
     return out
 
 
-def check_stokes(abs_alpha, ctx: PrecisionContext,
-                 eps_seq: Sequence = ("0.2", "0.1", "0.05", "0.025")) -> List[CheckEntry]:
-    """Lateral-limit residuals against the unary predictions at the Stokes
-    line; the entry records the matched lateral sign and both residual
-    tables (corrected and literal-display predictions)."""
+def _fixed_point_residual(alpha, lv, ctx: PrecisionContext) -> Optional[mpf]:
+    """max_j |((1 - M) v)_j| for the integral vector v at alpha, which
+    vanishes at the fixed point alpha = pi; None away from it."""
     mp = ctx.mp
+    if not abs(alpha - mp.pi) < mp.mpf(2) ** -20:
+        return None
+    v = mat_vec(mat_sub(identity2(), mixing_matrix(ctx)), lv.as_tuple())
+    return max(abs(v[0]), abs(v[1]))
+
+
+def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
+    """Lateral-limit residuals against the unary predictions at the Stokes
+    line, at pi - |theta| = 0.2, 0.1, 0.05, 0.025; the entry records the
+    matched lateral sign and both residual tables (corrected and
+    literal-display predictions)."""
+    mp = ctx.mp
+    eps_seq = [mp.mpf(e) for e in ("0.2", "0.1", "0.05", "0.025")]
     dec = stokes_decompose(abs_alpha, eps_seq, ctx)
     res = max(dec.extrap_residual_real, dec.extrap_residual_imag)
     scale = max(abs(dec.extrapolated[0]), abs(dec.extrapolated[1]), mp.mpf(1))
@@ -297,15 +306,14 @@ def check_mf3(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     return out
 
 
-def check_growth_omega(theta0, alpha_grid, ctx: PrecisionContext) -> List[CheckEntry]:
-    """No-growth statistic |a|^{1/2} |q1|^{1/12} |w(e^{-a})| along a ray grid.
+def check_growth_omega(alpha_grid, ctx: PrecisionContext) -> List[CheckEntry]:
+    """No-growth statistic |a|^{1/2} |q1|^{1/12} |w(e^{-a})| along a ray grid
+    in the sector |arg a| <= pi/3.
 
     The entry's residual is the excess of max(small-|a| half) over twice
     max(large-|a| half), zero when the bound statistic shows no trend."""
     mp = ctx.mp
-    theta0 = mp.mpf(theta0)
-    if not (0 < theta0 < mp.pi / 2):
-        raise DomainError("theta0 must lie in (0, pi/2)")
+    theta0 = mp.pi / 3
     stats = []
     for alpha in alpha_grid:
         alpha = mp.mpc(alpha)
@@ -410,103 +418,113 @@ def group_relations(ctx: PrecisionContext) -> List[CheckEntry]:
     return out
 
 
-def _v_vector(h0, h1, tau, ctx: PrecisionContext):
-    """v = (Q^{-1/20} H0(Q), Q^{-9/20} H1(Q)) and d/dtau of both components.
+def _q_basis(tau, n: int, ctx: PrecisionContext):
+    """For v0 and v1: the pairs (Q^s, 2 pi i s) at tau, s = m - 1/20 resp.
+    m - 9/20 for m < n.  d/dtau of Q^s is 2 pi i s Q^s."""
+    mp = ctx.mp
+    alpha = -mp.pi * 1j * mp.mpc(tau)
+    two_pi_i = 2 * mp.pi * 1j
+    return tuple([(power_from_alpha(alpha, "Q", s, ctx),
+                   two_pi_i * (mp.mpf(s.numerator) / s.denominator))
+                  for s in (m + shift for m in range(n))]
+                 for shift in (Fraction(-1, 20), Fraction(-9, 20)))
+
+
+def _v_vector(h0, h1, basis, ctx: PrecisionContext):
+    """v = (Q^{-1/20} H0(Q), Q^{-9/20} H1(Q)) and its Wronskian
+    W = v0 dv1/dtau - dv0/dtau v1, from the _q_basis of at least
+    max(len(h0), len(h1)) terms at tau.
 
     H0, H1 are finite Q-polynomials with rational coefficients; derivatives
-    are exact term-wise (d/dtau of Q^s is 2 pi i s Q^s)."""
+    are exact term-wise."""
     mp = ctx.mp
-    tau = mp.mpc(tau)
-    alpha = -mp.pi * 1j * tau
-    two_pi_i = 2 * mp.pi * 1j
     vals = []
     ders = []
-    for coeffs, shift in ((h0, Fraction(-1, 20)), (h1, Fraction(-9, 20))):
+    for coeffs, powers in zip((h0, h1), basis):
         v = dv = mp.mpc(0)
-        for m, c in enumerate(coeffs):
+        for c, (power, d) in zip(coeffs, powers):
             c = Fraction(c)
             if c == 0:
                 continue
-            s = m + shift
-            term = (mp.mpf(c.numerator) / c.denominator) * power_from_alpha(
-                alpha, "Q", s, ctx)
+            term = (mp.mpf(c.numerator) / c.denominator) * power
             v += term
-            dv += two_pi_i * (mp.mpf(s.numerator) / s.denominator) * term
+            dv += d * term
         vals.append(v)
         ders.append(dv)
-    return vals, ders
+    return vals, vals[0] * ders[1] - ders[0] * vals[1]
+
+
+def _pair_laws(h0, h1, tau, bases, eta12s,
+               ctx: PrecisionContext) -> List[CheckEntry]:
+    """The laws of one pair at tau, from the _q_basis at tau and at tau+1:
+    v(tau+1) = D v(tau), W(tau+1) = -W(tau) and, given eta^12 at both
+    points (eta12s), the invariance G(tau+1) = G(tau) of G = W^3 / eta^12."""
+    mp = ctx.mp
+    (v, w), (v1, w1) = (_v_vector(h0, h1, basis, ctx) for basis in bases)
+    dvv = mat_vec(phase_matrix(ctx), v)
+    res_v = max(abs(v1[0] - dvv[0]), abs(v1[1] - dvv[1]))
+    res_w = abs(w1 + w)
+    scale_v = max(abs(v[0]), abs(v[1]), mp.mpf(1))
+    scale_w = max(abs(w), mp.mpf(1))
+    n_terms = len(h0) + len(h1)
+    slop_v = _round_slop(ctx, scale_v * max(4, n_terms))
+    slop_w = _round_slop(ctx, scale_w * max(16, 4 * n_terms))
+    out = [
+        _entry("wronskian_v_T", tau, res_v, scale_v, slop_v, ctx),
+        _entry("wronskian_w_T", tau, res_w, scale_w, slop_w, ctx),
+    ]
+    if eta12s is not None:
+        g0, g1 = w**3 / eta12s[0], w1**3 / eta12s[1]
+        scale = max(abs(g0), mp.mpf(1))
+        budget = ctx.eps * 24 * scale + _round_slop(ctx, scale * max(64, 16 * n_terms))
+        out.append(_entry("g_T_invariance", tau, abs(g1 - g0), scale, budget, ctx))
+    return out
 
 
 def wronskian_periodicity(h0_coeffs, h1_coeffs, tau,
                           ctx: PrecisionContext) -> List[CheckEntry]:
     """For v built from arbitrary polynomial Q-series: the phase relation
     v(tau+1) = D v(tau) and the sign flip W(tau+1) = -W(tau)."""
-    mp = ctx.mp
-    tau = mp.mpc(tau)
-    v, dv = _v_vector(h0_coeffs, h1_coeffs, tau, ctx)
-    v1, dv1 = _v_vector(h0_coeffs, h1_coeffs, tau + 1, ctx)
-    D = phase_matrix(ctx)
-    dvv = mat_vec(D, v)
-    res_v = max(abs(v1[0] - dvv[0]), abs(v1[1] - dvv[1]))
-    w = v[0] * dv[1] - dv[0] * v[1]
-    w1 = v1[0] * dv1[1] - dv1[0] * v1[1]
-    res_w = abs(w1 + w)
-    scale_v = max(abs(v[0]), abs(v[1]), mp.mpf(1))
-    scale_w = max(abs(w), mp.mpf(1))
-    n_terms = len(h0_coeffs) + len(h1_coeffs)
-    slop_v = _round_slop(ctx, scale_v * max(4, n_terms))
-    slop_w = _round_slop(ctx, scale_w * max(16, 4 * n_terms))
-    return [
-        _entry("wronskian_v_T", tau, res_v, scale_v, slop_v, ctx),
-        _entry("wronskian_w_T", tau, res_w, scale_w, slop_w, ctx),
-    ]
+    tau = ctx.mp.mpc(tau)
+    n = max(len(h0_coeffs), len(h1_coeffs))
+    bases = [_q_basis(t, n, ctx) for t in (tau, tau + 1)]
+    return _pair_laws(h0_coeffs, h1_coeffs, tau, bases, None, ctx)
 
 
 def g_function(h0_coeffs, h1_coeffs, tau, ctx: PrecisionContext) -> mpc:
     """G = W^3 / eta^12 for the vector built from the given pair."""
     tau = ctx.mp.mpc(tau)
-    v, dv = _v_vector(h0_coeffs, h1_coeffs, tau, ctx)
-    w = v[0] * dv[1] - dv[0] * v[1]
+    n = max(len(h0_coeffs), len(h1_coeffs))
+    _, w = _v_vector(h0_coeffs, h1_coeffs, _q_basis(tau, n, ctx), ctx)
     return w**3 / eta(tau, ctx) ** 12
 
 
-def check_g_invariance(h0_coeffs, h1_coeffs, tau,
-                       ctx: PrecisionContext) -> List[CheckEntry]:
-    tau = ctx.mp.mpc(tau)
-    g0 = g_function(h0_coeffs, h1_coeffs, tau, ctx)
-    g1 = g_function(h0_coeffs, h1_coeffs, tau + 1, ctx)
-    res = abs(g1 - g0)
-    scale = max(abs(g0), ctx.mp.mpf(1))
-    n_terms = len(h0_coeffs) + len(h1_coeffs)
-    budget = ctx.eps * 24 * scale + _round_slop(ctx, scale * max(64, 16 * n_terms))
-    return [_entry("g_T_invariance", tau, res, scale, budget, ctx)]
-
-
-def check_wronskian_suite(ctx: PrecisionContext, n_pairs: int = 50,
-                          degree: int = 8, tau=None,
-                          seed: int = WRONSKIAN_SEED) -> List[CheckEntry]:
-    """Canonical pair plus seeded random rational pairs at a fixed tau; the
-    reported entries carry the worst residual over all pairs."""
-    tau = ctx.mp.mpc("0.2", "1.1") if tau is None else ctx.mp.mpc(tau)
-    rng = random.Random(seed)
+def check_wronskian_suite(ctx: PrecisionContext) -> List[CheckEntry]:
+    """The canonical pair (H0, H1) = (1, Q) plus 50 seeded random rational
+    pairs of degree 8, all at tau = 0.2 + 1.1i; the reported entries carry
+    the worst residual over all pairs."""
+    n_pairs, degree = 50, 8
+    tau = ctx.mp.mpc("0.2", "1.1")
+    # every pair is evaluated at tau and tau+1 on the same Q-powers
+    bases = [_q_basis(t, degree + 1, ctx) for t in (tau, tau + 1)]
+    eta12s = [eta(t, ctx) ** 12 for t in (tau, tau + 1)]
+    rng = random.Random(WRONSKIAN_SEED)
     worst: Dict[str, CheckEntry] = {}
 
-    def absorb(entries):
-        for e in entries:
+    def absorb(h0, h1):
+        for e in _pair_laws(h0, h1, tau, bases, eta12s, ctx):
             cur = worst.get(e.identity)
             if cur is None or e.abs_residual > cur.abs_residual:
                 worst[e.identity] = e
 
-    absorb(wronskian_periodicity([1], [0, 1], tau, ctx))
-    absorb(check_g_invariance([1], [0, 1], tau, ctx))
+    absorb([1], [0, 1])
     for _ in range(n_pairs):
         h0 = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
               for _ in range(degree + 1)]
         h1 = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
               for _ in range(degree + 1)]
-        absorb(wronskian_periodicity(h0, h1, tau, ctx))
-        absorb(check_g_invariance(h0, h1, tau, ctx))
-    detail = {"pairs": n_pairs + 1, "degree": degree, "seed": seed}
+        absorb(h0, h1)
+    detail = {"pairs": n_pairs + 1, "degree": degree, "seed": WRONSKIAN_SEED}
     return [replace(e, detail=detail)
             for e in sorted(worst.values(), key=lambda e: e.identity)]
 
@@ -592,7 +610,7 @@ def run_suite(suite: str, grid=None, ctx: Optional[PrecisionContext] = None) -> 
             rays, moduli = _growth_grid(mp)
             for ray in rays:
                 alpha_grid = [m * mp.exp(1j * ray) for m in moduli]
-                run(check_growth_omega, mp.pi / 3, alpha_grid, ctx)
+                run(check_growth_omega, alpha_grid, ctx)
 
     return _aggregate(suite, entries, ctx)
 

@@ -1,11 +1,11 @@
-"""Precision context, branch conventions, and the modular-point data model.
+"""Precision contexts and the one spelling of the nomes, `power_from_alpha`.
 
 Every other module evaluates at a point of the upper half-plane through the
 parametrisation
 
     alpha = -pi*i*tau   (Re alpha > 0),
-    q  = exp(-alpha),          Q  = q^2,
-    q1 = exp(-pi^2/alpha),     Q1 = q1^2,
+    q  = exp(-alpha),          Q  = exp(-2*alpha),
+    q1 = exp(-pi^2/alpha),     Q1 = exp(-2*pi^2/alpha),
 
 and all fractional powers are taken through alpha:
 
@@ -33,12 +33,7 @@ from .errors import DomainError, PrecisionError
 
 __all__ = [
     "PrecisionContext",
-    "ModularPoint",
     "reference_context",
-    "from_tau",
-    "from_alpha",
-    "s_transform",
-    "frac_power",
     "power_from_alpha",
 ]
 
@@ -103,76 +98,18 @@ def reference_context() -> PrecisionContext:
     return PrecisionContext(prec_bits=256, eps="1e-40", quad_eps="1e-30")
 
 
-@dataclass(frozen=True)
-class ModularPoint:
-    """A point tau in the upper half-plane with its derived nomes."""
-
-    tau: mpc
-    alpha: mpc
-    q: mpc
-    Q: mpc
-    q1: mpc
-    Q1: mpc
-    ctx: PrecisionContext
-
-    def frac_power(self, base: str, r) -> mpc:
-        """base^r for base in {q, Q, q1, Q1} and rational r, through alpha."""
-        return frac_power(self, base, r, self.ctx)
-
-
-def from_alpha(alpha, ctx: PrecisionContext) -> ModularPoint:
-    """Build the modular point at alpha = -pi*i*tau, requiring Re alpha > 0."""
-    mp = ctx.mp
-    alpha = mp.mpc(alpha)
-    if not alpha.real > 0:
-        raise DomainError("Re(alpha) must be positive (Im tau > 0)")
-    tau = 1j * alpha / mp.pi
-    q = mp.exp(-alpha)
-    q1 = mp.exp(-mp.pi**2 / alpha)
-    point = ModularPoint(
-        tau=tau, alpha=alpha, q=q, Q=q * q, q1=q1, Q1=q1 * q1, ctx=ctx
-    )
-    for name in ("q", "q1"):
-        if not abs(getattr(point, name)) < 1:
-            raise PrecisionError(
-                "|%s| rounds to 1 at %d bits; Im tau too small" % (name, ctx.prec_bits)
-            )
-    return point
-
-
-def from_tau(tau, ctx: PrecisionContext) -> ModularPoint:
-    """Build the modular point at tau, requiring Im tau > 0."""
-    tau = ctx.mp.mpc(tau)
-    if not tau.imag > 0:
-        raise DomainError("tau must lie in the upper half-plane")
-    return from_alpha(-ctx.mp.pi * 1j * tau, ctx)
-
-
-def s_transform(p: ModularPoint) -> ModularPoint:
-    """The point at -1/tau; swaps (q, q1) and (Q, Q1) up to rounding."""
-    return from_alpha(p.ctx.mp.pi**2 / p.alpha, p.ctx)
-
-
 def power_from_alpha(alpha, base: str, r, ctx: PrecisionContext) -> mpc:
     """base^r computed from alpha alone (base in {q, Q, q1, Q1}, r rational).
 
     q^r = exp(-r*alpha); q1^r = exp(-r*pi^2/alpha); Q, Q1 double the exponent.
-    r may be a Fraction, an int, or a (num, den) pair; it is kept exact until
-    the final multiplication by alpha.
+    r may be a Fraction or an int; it is kept exact until the final
+    multiplication by alpha.
     """
     if base not in _FRAC_BASES:
         raise DomainError("base must be one of %s" % (_FRAC_BASES,))
-    if isinstance(r, tuple):
-        r = Fraction(*r)
-    else:
-        r = Fraction(r)
+    r = Fraction(r)
     mp = ctx.mp
     alpha = mp.mpc(alpha)
     expo = alpha if base in ("q", "Q") else mp.pi**2 / alpha
     scale = _BASE_DOUBLING[base] * r
     return mp.exp(-expo * mp.mpf(scale.numerator) / scale.denominator)
-
-
-def frac_power(p: ModularPoint, base: str, r, ctx: PrecisionContext | None = None) -> mpc:
-    """base^r at the point p; see power_from_alpha for the conventions."""
-    return power_from_alpha(p.alpha, base, r, ctx or p.ctx)

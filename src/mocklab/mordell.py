@@ -518,17 +518,19 @@ def neville_extrapolate(xs: Sequence[mpf], ys: Sequence, x0=0):
     return t[-1]
 
 
-def _unary_vector(a, base: str, sign: int, ctx: PrecisionContext):
-    """(B^{-s/120} X0(1/B), B^{-49s/120} X1(1/B)) for B = Q or Q1 at alpha=-a.
+def _unary_vectors(a, base: str, ctx: PrecisionContext):
+    """(B^{-s/120} X0(1/B), B^{-49s/120} X1(1/B)) for B = Q or Q1 at
+    alpha = -a: the folded normalization s = 1, then the literal display
+    s = -1, from one evaluation of X0 and X1.
 
     With alpha = -a the conventions give Q = e^{2a} and Q1 = e^{2 pi^2/a},
-    both of modulus > 1, so 1/B feeds the unary series.  sign s = 1 is the
-    folded normalization, s = -1 the literal display."""
+    both of modulus > 1, so 1/B feeds the unary series."""
     alpha = -ctx.mp.mpc(a)
     u = power_from_alpha(alpha, base, Fraction(-1), ctx)  # 1/B, |u| < 1
-    p0 = power_from_alpha(alpha, base, Fraction(-sign, 120), ctx)
-    p1 = power_from_alpha(alpha, base, Fraction(-49 * sign, 120), ctx)
-    return (p0 * unary_x("X0", u, ctx), p1 * unary_x("X1", u, ctx))
+    x0, x1 = unary_x("X0", u, ctx), unary_x("X1", u, ctx)
+    return tuple((power_from_alpha(alpha, base, Fraction(-s, 120), ctx) * x0,
+                  power_from_alpha(alpha, base, Fraction(-49 * s, 120), ctx) * x1)
+                 for s in (1, -1))
 
 
 @dataclass(frozen=True)
@@ -567,12 +569,12 @@ def _extend_eps(eps_seq: Sequence[mpf], mp: MPContext):
     return ext
 
 
-def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext,
-                     require_monotone: bool = True) -> StokesDecomposition:
+def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecomposition:
     """Lateral limits at theta = pi - eps, extrapolated to the Stokes line.
 
     eps_seq must be strictly decreasing with min >= 1e-3.  Residuals are
-    reported at the requested eps values; the extrapolation itself continues
+    reported at the requested eps values, and they must decrease along it
+    (ExtrapolationInstability otherwise); the extrapolation itself continues
     the sequence geometrically down to ~2e-3 and runs a full Richardson
     (Neville) table, which is what pushes the extrapolated residual far below
     the lateral ones."""
@@ -595,16 +597,16 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext,
         laterals.append(vec.as_tuple())
         budget = max(budget, vec.err_estimate)
 
-    pred_real_vec = _unary_vector(a, "Q", 1, ctx)
+    pred_real_vec, lit_real_vec = _unary_vectors(a, "Q", ctx)
+    pred_q1_vec, lit_q1_vec = _unary_vectors(a, "Q1", ctx)
     mat = mixing_matrix(ctx)
-    mixed = mat_vec(mat, _unary_vector(a, "Q1", 1, ctx))
+    mixed = mat_vec(mat, pred_q1_vec)
     root = mp.sqrt(mp.pi / a)
     three_half = mp.mpf(3) / 2
     pred_real = tuple(three_half * v.real for v in pred_real_vec)
     pred_imag = tuple(three_half * root * v.real for v in mixed)
 
-    lit_real_vec = _unary_vector(a, "Q", -1, ctx)
-    lit_mixed = mat_vec(mat, _unary_vector(a, "Q1", -1, ctx))
+    lit_mixed = mat_vec(mat, lit_q1_vec)
     lit_real = tuple(v.real for v in lit_real_vec)
     lit_imag = tuple(root * v.real for v in lit_mixed)
 
@@ -620,12 +622,11 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext,
         )
         for i in range(nreq)
     )
-    if require_monotone and nreq >= 2:
-        for seq in (re_res, im_res):
-            if any(r2 >= r1 for r1, r2 in zip(seq, seq[1:])):
-                raise ExtrapolationInstability(
-                    "lateral residuals fail to decrease along eps_seq"
-                )
+    for seq in (re_res, im_res):
+        if any(r2 >= r1 for r1, r2 in zip(seq, seq[1:])):
+            raise ExtrapolationInstability(
+                "lateral residuals fail to decrease along eps_seq"
+            )
 
     extrap = tuple(
         neville_extrapolate(extended, [v[j] for v in laterals])

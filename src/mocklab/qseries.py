@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Iterator, List, Tuple
 
 from mpmath import mpc
@@ -31,7 +32,6 @@ __all__ = [
     "theta",
     "theta2_sum_form",
     "euler_inverse_coeffs",
-    "normalize_by_euler",
 ]
 
 MAX_TERMS_DEFAULT = 200_000
@@ -232,27 +232,36 @@ def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:
 _UNARY_FAMILIES = {"X0": ((14, 4), 1), "X1": ((8, 2), 49)}
 
 
-def unary_exponents(which: str, kmax: int) -> List[Tuple[int, int]]:
-    """(sign, exponent) pairs of the folded unary series, exact arithmetic.
+def _unary_blocks(which: str) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """(sign, exponents) of the blocks k = 0, 1, 2, ... of the folded unary
+    series, in exact arithmetic.
 
-    Family a in {14,4} (X0) or {8,2} (X1); exponent ((a +- 15(2k+1))^2 - c)/120
-    with c = 1 resp. 49.  Every net exponent is a nonnegative integer, which
-    is asserted here exactly.
+    Family a in {14,4} (X0) or {8,2} (X1); block k holds the exponents
+    ((a +- 15(2k+1))^2 - c)/120 with c = 1 resp. 49, all of sign (-1)^k.
+    Every exponent is a nonnegative integer, which is asserted here exactly.
     """
     if which not in _UNARY_FAMILIES:
         raise DomainError("unary id must be 'X0' or 'X1'")
     fams, base = _UNARY_FAMILIES[which]
-    out: List[Tuple[int, int]] = []
-    for k in range(kmax + 1):
-        sign = -1 if k % 2 else 1
+
+    def block(k):
+        exps = []
         for a in fams:
             for s in (-1, 1):
-                num = (a + s * 15 * (2 * k + 1)) ** 2 - base
-                e = Fraction(num, 120)
+                e = Fraction((a + s * 15 * (2 * k + 1)) ** 2 - base, 120)
                 if e.denominator != 1 or e < 0:
                     raise AssertionError("unary exponent not a nonneg integer")
-                out.append((sign, int(e)))
-    return out
+                exps.append(int(e))
+        return (-1 if k % 2 else 1), tuple(exps)
+
+    return map(block, count())
+
+
+def unary_exponents(which: str, kmax: int) -> List[Tuple[int, int]]:
+    """(sign, exponent) pairs of the blocks k <= kmax of the folded unary
+    series, in the order unary_x sums them."""
+    return [(sign, e) for sign, exps in islice(_unary_blocks(which), kmax + 1)
+            for e in exps]
 
 
 def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
@@ -261,22 +270,17 @@ def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
     X0(u) = 1 + u + u^3 + u^7 - u^8 - u^14 - u^20 - u^29 + u^31 + ...
     X1(u) = 1 + u + u^2 + u^4 - u^11 - u^15 - u^18 - u^23 + ...
     """
-    if which not in _UNARY_FAMILIES:
-        raise DomainError("unary id must be 'X0' or 'X1'")
-    fams, base = _UNARY_FAMILIES[which]
+    blocks = _unary_blocks(which)
     mp = ctx.mp
     u = mp.mpc(u)
     if not abs(u) < 1:
         raise DomainError("unary series require |u| < 1")
     threshold = ctx.eps * mp.mpf(2) ** -8
     total = mp.mpc(0)
-    for k in range(MAX_TERMS_DEFAULT):
-        sign = -1 if k % 2 else 1
+    for k, (sign, exps) in enumerate(islice(blocks, MAX_TERMS_DEFAULT)):
         block = mp.mpc(0)
-        for a in fams:
-            for s in (-1, 1):
-                e = ((a + s * 15 * (2 * k + 1)) ** 2 - base) // 120
-                block += u**e
+        for e in exps:
+            block += u**e
         total += sign * block
         if abs(block) < threshold and k >= 1:
             return total
@@ -355,32 +359,22 @@ def theta2_sum_form(tau, ctx: PrecisionContext) -> mpc:
 
 @dataclass(frozen=True)
 class TruncatedQSeries:
-    """base^prefactor_exp * sum_{n<=N} coeffs[n] * base^n with a tail bound.
+    """sum_{n<=N} coeffs[n] * q^n with a tail bound.
 
     Coefficients are exact rationals when produced by series_expand; the tail
-    bound is stated for the disc |base| <= 1/2.
+    bound is stated for the disc |q| <= 1/2.
     """
 
-    prefactor_exp: Fraction
     coeffs: Tuple[Fraction, ...]
     tail_bound: float
-    base: str = "q"  # 'q' or 'Q'
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def eval(self, x, ctx: PrecisionContext) -> mpc:
-        """Horner evaluation of the polynomial part times the prefactor."""
+        """Horner evaluation of the polynomial."""
         mp = ctx.mp
         x = mp.mpc(x)
         acc = mp.mpc(0)
         for c in reversed(self.coeffs):
             acc = acc * x + mp.mpf(c.numerator) / c.denominator
-        if self.prefactor_exp != 0:
-            acc *= x ** mp.mpc(
-                mp.mpf(self.prefactor_exp.numerator) / self.prefactor_exp.denominator
-            )
         return acc
 
 
@@ -489,11 +483,11 @@ def series_expand(mid: MockThetaId, N: int) -> TruncatedQSeries:
     coeffs = tuple(Fraction(c) for c in acc)
     max_abs = max((abs(c) for c in acc), default=0)
     tail = 4.0 * float(max_abs) * 2.0 ** -(N + 1)
-    return TruncatedQSeries(Fraction(0), coeffs, tail, base="q")
+    return TruncatedQSeries(coeffs, tail)
 
 
 # ---------------------------------------------------------------------------
-# Euler product inversion (partition numbers) and normalization
+# Euler product inversion (partition numbers)
 # ---------------------------------------------------------------------------
 
 def euler_inverse_coeffs(N: int) -> List[int]:
@@ -520,20 +514,3 @@ def euler_inverse_coeffs(N: int) -> List[int]:
             k += 1
         p[n] = total
     return p
-
-
-def normalize_by_euler(s: TruncatedQSeries) -> TruncatedQSeries:
-    """Divide a Q-series by (Q; Q)_infinity, i.e. convolve with p(n)."""
-    if s.base != "Q":
-        raise DomainError("normalization is defined for base-Q series")
-    N = s.degree
-    p = euler_inverse_coeffs(N)
-    out = [Fraction(0)] * (N + 1)
-    for i, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        for j in range(0, N + 1 - i):
-            out[i + j] += c * p[j]
-    max_abs = max((abs(c) for c in out), default=Fraction(0))
-    tail = 4.0 * float(max_abs) * 2.0 ** -(N + 1) + s.tail_bound
-    return TruncatedQSeries(s.prefactor_exp, tuple(out), tail, base="Q")

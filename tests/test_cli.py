@@ -154,7 +154,7 @@ def test_stokes_at_the_floor(capsys):
 
 
 def test_stokes_csv_and_summary(capsys):
-    assert main(["stokes", "--abs-alpha", "1", "--eps-seq", "0.2,0.1"]) == 0
+    assert main(["stokes", "--abs-alpha", "0.3", "--eps-seq", "0.016,0.008"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].startswith("eps,")
     assert len(out) == 4  # header + 2 rows + summary

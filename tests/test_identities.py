@@ -168,12 +168,13 @@ def test_eta_theta_checks(ctx):
 
 def test_growth_check(ctx):
     with mp.workprec(ctx.prec_bits):
-        grid = [m * mp.exp(1j * mp.pi / 6) for m in
-                (mpf(1), mpf("0.5"), mpf("0.2"), mpf("0.05"))]
-        e = check_growth_omega(mp.pi / 3, grid, ctx)[0]
+        moduli = (mpf(1), mpf("0.5"), mpf("0.2"), mpf("0.05"))
+        grid = [m * mp.exp(1j * mp.pi / 6) for m in moduli]
+        e = check_growth_omega(grid, ctx)[0]
         assert e.passed and e.abs_residual == 0
+        outside = [m * mp.exp(1j * 5 * mp.pi / 12) for m in moduli]
         with pytest.raises(DomainError):
-            check_growth_omega(mp.pi / 12, grid, ctx)  # grid outside sector
+            check_growth_omega(outside, ctx)  # grid outside the pi/3 sector
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +188,8 @@ def test_wronskian_canonical_pair_closed_form(ctx):
         entries = wronskian_periodicity([1], [0, 1], tau, ctx)
         for e in entries:
             assert e.abs_residual < mpf(10) ** -40
-        from mocklab.identities import _v_vector
-        v, dv = _v_vector([1], [0, 1], tau, ctx)
-        w = v[0] * dv[1] - dv[0] * v[1]
+        from mocklab.identities import _q_basis, _v_vector
+        _, w = _v_vector([1], [0, 1], _q_basis(tau, 2, ctx), ctx)
         closed = 2 * mp.pi * 1j * mpf(3) / 5 * power_from_alpha(
             -mp.pi * 1j * tau, "Q", Fraction(1, 2), ctx)
         assert abs(w - closed) < mpf(10) ** -50
@@ -197,14 +197,14 @@ def test_wronskian_canonical_pair_closed_form(ctx):
 
 def test_wronskian_zero_input(ctx):
     with mp.workprec(ctx.prec_bits):
-        from mocklab.identities import _v_vector
-        v, dv = _v_vector([0], [0], mpc(0, 1), ctx)
-        assert v[0] == 0 and v[1] == 0
+        from mocklab.identities import _q_basis, _v_vector
+        v, w = _v_vector([0], [0], _q_basis(mpc(0, 1), 1, ctx), ctx)
+        assert v[0] == 0 and v[1] == 0 and w == 0
         assert g_function([0], [0], mpc(0, 1), ctx) == 0
 
 
 def test_wronskian_random_pairs(ctx):
-    entries = check_wronskian_suite(ctx, n_pairs=10)
+    entries = check_wronskian_suite(ctx)
     names = {e.identity for e in entries}
     assert names == {"wronskian_v_T", "wronskian_w_T", "g_T_invariance"}
     for e in entries:

@@ -7,12 +7,10 @@ from mpmath import mp, mpc, mpf
 from mocklab import (
     DomainError,
     MockThetaId,
-    TruncatedQSeries,
     eta,
     euler_inverse_coeffs,
     eval_mock,
     k_pair,
-    normalize_by_euler,
     pochhammer,
     series_expand,
     theta,
@@ -278,35 +276,6 @@ def test_partition_defining_inverse():
         k += 1
     conv = [sum(p[i] * prod[n - i] for i in range(n + 1)) for n in range(N + 1)]
     assert conv == [1] + [0] * N
-
-
-def test_normalize_by_euler(ctx):
-    N = 25
-    one = TruncatedQSeries(Fraction(0), tuple([Fraction(1)] + [Fraction(0)] * N),
-                           0.0, base="Q")
-    out = normalize_by_euler(one)
-    assert [int(c) for c in out.coeffs] == euler_inverse_coeffs(N)
-    # normalizing the K0 expansion keeps constant term 1
-    chi0_s = series_expand(MockThetaId.from_name("chi0"), N)
-    k0 = TruncatedQSeries(Fraction(0),
-                          tuple([2 - chi0_s.coeffs[0]] + [-c for c in chi0_s.coeffs[1:]]),
-                          chi0_s.tail_bound, base="Q")
-    assert normalize_by_euler(k0).coeffs[0] == 1
-    # normalize is inverse to multiplying by the Euler product
-    pent = [Fraction(0)] * (N + 1)
-    pent[0] = Fraction(1)
-    k = 1
-    while k * (3 * k - 1) // 2 <= N:
-        sign = -1 if k % 2 else 1
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g <= N:
-                pent[g] += sign
-        k += 1
-    conv = [sum(k0.coeffs[i] * pent[n - i] for i in range(n + 1)) for n in range(N + 1)]
-    back = normalize_by_euler(TruncatedQSeries(Fraction(0), tuple(conv), 0.0, base="Q"))
-    assert back.coeffs == k0.coeffs
-    with pytest.raises(DomainError):
-        normalize_by_euler(chi0_s)  # base q, not Q
 
 
 def test_euler_inverse_caps():
