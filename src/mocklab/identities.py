@@ -142,7 +142,9 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     alpha = mp.mpc(alpha)
     (l1, l2), e_l = l_pair(5 * alpha, ctx)
     lv = l_vector(alpha, ctx)
-    lv_s = l_vector(mp.pi**2 / alpha, ctx)
+    alpha_s = mp.pi**2 / alpha
+    # alpha = pi is mapped to itself exactly: one quadrature serves both
+    lv_s = lv if alpha_s == alpha else l_vector(alpha_s, ctx)
     out = []
 
     # scalar laws

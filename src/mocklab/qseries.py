@@ -4,13 +4,18 @@ exact-rational truncated-expansion oracle.
 
 Numeric evaluation and the symbolic oracle are fully independent code paths;
 tests cross-validate one against the other.
+
+Stop rules: the partial thetas (`unary_x`, the theta3/theta4 series and
+`theta2_sum_form`) share one evaluator, `_partial_theta`, which stops on a
+certified bound on the omitted tail, as does the infinite `pochhammer`
+product.  `eval_mock` still stops on three small terms, a heuristic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
 from typing import Iterator, List, Tuple
 
 from mpmath import mpc
@@ -27,7 +32,6 @@ __all__ = [
     "series_expand",
     "k_pair",
     "unary_x",
-    "unary_exponents",
     "eta",
     "theta",
     "theta2_sum_form",
@@ -226,42 +230,49 @@ def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:
 
 
 # ---------------------------------------------------------------------------
-# Unary false-theta series (valid on the |Q| > 1 side, argument u = 1/Q)
+# Partial theta series: the unary false thetas and the theta constants
 # ---------------------------------------------------------------------------
 
-_UNARY_FAMILIES = {"X0": ((14, 4), 1), "X1": ((8, 2), 49)}
+def _partial_theta(psi, period: int, N: int, c: int, u, ctx: PrecisionContext,
+                   scale=1) -> mpc:
+    """sum_{n>=1} psi(n mod period) u^{(n^2 - c)/N} for |u| < 1; psi maps
+    residues to coefficients, and every exponent on its support is asserted
+    to be a nonnegative integer.
 
-
-def _unary_blocks(which: str) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """(sign, exponents) of the blocks k = 0, 1, 2, ... of the folded unary
-    series, in exact arithmetic.
-
-    Family a in {14,4} (X0) or {8,2} (X1); block k holds the exponents
-    ((a +- 15(2k+1))^2 - c)/120 with c = 1 resp. 49, all of sign (-1)^k.
-    Every exponent is a nonnegative integer, which is asserted here exactly.
+    Stops once scale (the modulus of the caller's prefactor) times the bound
+    max|psi| |u|^{(n0^2 - c)/N} / (1 - |u|^{(2 n0 + 1)/N}) on the terms
+    n >= n0 is below eps * 2^-8; the bound holds as n^2 >= n0^2 +
+    (n - n0)(2 n0 + 1).  It is taken in double-precision logarithms, whose
+    rounding is far below the 2^-8 slack.
     """
-    if which not in _UNARY_FAMILIES:
-        raise DomainError("unary id must be 'X0' or 'X1'")
-    fams, base = _UNARY_FAMILIES[which]
+    mp = ctx.mp
+    u = mp.mpc(u)
+    if not abs(u) < 1:
+        raise DomainError("partial theta series require |u| < 1")
+    log_u = float(mp.log(abs(u)))  # -inf at u = 0
+    log_room = float(mp.log(ctx.eps * mp.mpf(2) ** -8
+                            / (max(map(abs, psi.values())) * scale)))
+    total = mp.mpc(0)
+    for n in range(1, MAX_TERMS_DEFAULT):
+        coeff = psi.get(n % period)
+        if not coeff:
+            continue
+        e, rem = divmod(n * n - c, N)
+        if rem or e < 0:
+            raise AssertionError("partial theta exponent not a nonneg integer")
+        total += coeff * u**e
+        n0 = n + 1
+        if (log_u * (n0 * n0 - c) / N
+                - math.log(-math.expm1(log_u * (2 * n0 + 1) / N)) < log_room):
+            return total
+    raise NonConvergenceError("partial theta series did not converge")
 
-    def block(k):
-        exps = []
-        for a in fams:
-            for s in (-1, 1):
-                e = Fraction((a + s * 15 * (2 * k + 1)) ** 2 - base, 120)
-                if e.denominator != 1 or e < 0:
-                    raise AssertionError("unary exponent not a nonneg integer")
-                exps.append(int(e))
-        return (-1 if k % 2 else 1), tuple(exps)
 
-    return map(block, count())
-
-
-def unary_exponents(which: str, kmax: int) -> List[Tuple[int, int]]:
-    """(sign, exponent) pairs of the blocks k <= kmax of the folded unary
-    series, in the order unary_x sums them."""
-    return [(sign, e) for sign, exps in islice(_unary_blocks(which), kmax + 1)
-            for e in exps]
+# psi mod 60 and shift c of the folded unary series, N = 120.
+_UNARY_PSI = {
+    "X0": ({1: 1, 11: 1, 19: 1, 29: 1, 31: -1, 41: -1, 49: -1, 59: -1}, 1),
+    "X1": ({7: 1, 13: 1, 17: 1, 23: 1, 37: -1, 43: -1, 47: -1, 53: -1}, 49),
+}
 
 
 def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
@@ -269,22 +280,15 @@ def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
 
     X0(u) = 1 + u + u^3 + u^7 - u^8 - u^14 - u^20 - u^29 + u^31 + ...
     X1(u) = 1 + u + u^2 + u^4 - u^11 - u^15 - u^18 - u^23 + ...
+
+    The series of the |Q| > 1 side, at u = 1/Q: each is the partial theta
+    sum_{n>=1} psi(n) u^{(n^2 - c)/120} with psi and c from `_UNARY_PSI`,
+    summed by `_partial_theta` to its certified tail bound.
     """
-    blocks = _unary_blocks(which)
-    mp = ctx.mp
-    u = mp.mpc(u)
-    if not abs(u) < 1:
-        raise DomainError("unary series require |u| < 1")
-    threshold = ctx.eps * mp.mpf(2) ** -8
-    total = mp.mpc(0)
-    for k, (sign, exps) in enumerate(islice(blocks, MAX_TERMS_DEFAULT)):
-        block = mp.mpc(0)
-        for e in exps:
-            block += u**e
-        total += sign * block
-        if abs(block) < threshold and k >= 1:
-            return total
-    raise NonConvergenceError("unary series did not converge")
+    if which not in _UNARY_PSI:
+        raise DomainError("unary id must be 'X0' or 'X1'")
+    psi, c = _UNARY_PSI[which]
+    return _partial_theta(psi, 60, 120, c, u, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +310,10 @@ def eta(tau, ctx: PrecisionContext) -> mpc:
 def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     """Jacobi theta constants theta_2/3/4 at nome q = exp(pi*i*tau).
 
-    theta3 = sum_n q^{n^2}, theta4 = sum_n (-1)^n q^{n^2} (symmetric
-    truncation with a Gaussian tail bound); theta2 is returned in the triple
-    product form 2 q^{1/4} prod (1-Q^n)(1+Q^n)^2, the form used in the
-    theta-chain check.
+    theta3 = 1 + 2 sum_{n>=1} q^{n^2} and theta4 = 1 + 2 sum_{n>=1} (-1)^n
+    q^{n^2}, each sum a partial theta of `_partial_theta` and truncated on its
+    certified tail bound; theta2 is returned in the triple product form
+    2 q^{1/4} prod (1-Q^n)(1+Q^n)^2, the form used in the theta-chain check.
     """
     mp = ctx.mp
     tau = mp.mpc(tau)
@@ -323,34 +327,21 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
         return pref * pochhammer(Q, Q, mp.inf, ctx) * pochhammer(-Q, Q, mp.inf, ctx) ** 2
     if which not in (3, 4):
         raise DomainError("theta index must be 2, 3 or 4")
-    threshold = ctx.eps * mp.mpf(2) ** -8
-    total = mp.mpc(1)
-    qsq = abs(q)
-    for n in range(1, MAX_TERMS_DEFAULT):
-        t = q ** (n * n)
-        if which == 4 and n % 2:
-            t = -t
-        total += 2 * t
-        if qsq ** ((n + 1) ** 2) / (1 - qsq ** (2 * n + 3)) < threshold:
-            return total
-    raise NonConvergenceError("theta series did not converge")
+    psi = {0: 1, 1: 1} if which == 3 else {0: 1, 1: -1}
+    return 1 + 2 * _partial_theta(psi, 2, 1, 0, q, ctx, scale=2)
 
 
 def theta2_sum_form(tau, ctx: PrecisionContext) -> mpc:
-    """theta2 as the series 2 sum_{n>=0} q^{(n+1/2)^2}; cross-check form."""
+    """theta2 as the series 2 q^{1/4} sum_{n odd} q^{(n^2-1)/4}; cross-check
+    form, summed by `_partial_theta`."""
     mp = ctx.mp
     tau = mp.mpc(tau)
     if not tau.imag > 0:
         raise DomainError("theta requires Im tau > 0")
     alpha = -mp.pi * 1j * tau
-    threshold = ctx.eps * mp.mpf(2) ** -8
-    total = mp.mpc(0)
-    for n in range(MAX_TERMS_DEFAULT):
-        t = power_from_alpha(alpha, "q", Fraction((2 * n + 1) ** 2, 4), ctx)
-        total += 2 * t
-        if abs(t) < threshold and n >= 2:
-            return total
-    raise NonConvergenceError("theta2 series did not converge")
+    pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
+    return pref * _partial_theta({1: 1}, 2, 4, 1, mp.exp(-alpha), ctx,
+                                 scale=abs(pref))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,24 @@ def test_eval_w3_scaling(capsys):
         assert abs(mpf(doc["value"]["re"]) / limit - 1) < mpf("0.01")
 
 
+def test_eval_x0_where_a_block_vanishes(capsys):
+    # u0 (50 digits) is a root of 1 + u^6 + u^12 + u^21, so the four terms
+    # u^8, u^14, u^20, u^29 of X0 nearly cancel: the sum must go on past them
+    u0 = ("0.8893493945444123964960251353826948744915944621579"
+          "+0.40924341121839212279958213621703953299394393141228i")
+    assert main(["eval", "--fn", "x0", "--u", u0, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ctx = reference_context()
+    mp_ = ctx.mp
+    u = parse_number(u0, mp_)
+    assert abs(1 + u**6 + u**12 + u**21) < mpf(10) ** -45
+    # X0 block by block: exponents ((a +- 15(2k+1))^2 - 1)/120, sign (-1)^k
+    direct = sum((-1) ** k * u ** (((a + s * 15 * (2 * k + 1)) ** 2 - 1) // 120)
+                 for k in range(60) for a in (14, 4) for s in (-1, 1))
+    value = mp_.mpc(doc["value"]["re"], doc["value"]["im"])
+    assert abs(value - direct) < 10 * ctx.eps
+
+
 def test_eval_domain_error_exit_2(capsys):
     assert main(["eval", "--fn", "chi0", "--q", "1.5"]) == 2
     assert "domain error" in capsys.readouterr().err

@@ -115,8 +115,9 @@ def test_l_vector_check(ctx):
 
 
 def test_one_quadrature_per_integral(ctx, monkeypatch):
-    # check_mf5: L pair at 5a, vector at a and at pi^2/a; check_mf3: W3 at
-    # a and W2 at a/2.  Repeating a check repeats its work: nothing is cached.
+    # check_mf5: L pair at 5a, vector at a and at pi^2/a (one vector at the
+    # fixed point a = pi); check_mf3: W3 at a and W2 at a/2.  Repeating a
+    # check repeats its work: nothing is cached.
     calls = []
     real = mordell.integrate_ray
 
@@ -132,6 +133,8 @@ def test_one_quadrature_per_integral(ctx, monkeypatch):
         assert len(calls) == 6
         check_mf3(mpf(1), ctx)
         assert len(calls) == 8
+        check_mf5(ctx.mp.pi, ctx)
+        assert len(calls) == 10
 
 
 def test_mf3_checks(ctx):

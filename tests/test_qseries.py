@@ -7,6 +7,7 @@ from mpmath import mp, mpc, mpf
 from mocklab import (
     DomainError,
     MockThetaId,
+    PrecisionContext,
     eta,
     euler_inverse_coeffs,
     eval_mock,
@@ -17,7 +18,7 @@ from mocklab import (
     theta2_sum_form,
     unary_x,
 )
-from mocklab.qseries import unary_exponents
+from mocklab.qseries import _UNARY_PSI, _partial_theta
 
 ALL_IDS = [MockThetaId.from_name(n) for n in ("chi0", "chi1", "omega", "f", "rho", "xi")]
 
@@ -137,37 +138,90 @@ def test_k_pair(ctx):
 # Unary false-theta series
 # ---------------------------------------------------------------------------
 
-def _unary_coeffs(which, nmax):
+# the folded unary series block by block: block k holds the exponents
+# ((a +- 15(2k+1))^2 - c)/120 for both a of the family, all of sign (-1)^k
+BLOCK_FAMILIES = {"X0": ((14, 4), 1), "X1": ((8, 2), 49)}
+
+
+def _block_terms(which, kmax):
+    """(sign, exponent) pairs of the blocks k <= kmax, exponents exact."""
+    fams, c = BLOCK_FAMILIES[which]
+    out = []
+    for k in range(kmax + 1):
+        for a in fams:
+            for s in (-1, 1):
+                e = Fraction((a + s * 15 * (2 * k + 1)) ** 2 - c, 120)
+                assert e.denominator == 1 and e >= 0
+                out.append((-1 if k % 2 else 1, int(e)))
+    return out
+
+
+def _psi_terms(which, nmax):
+    """(sign, exponent) pairs of the psi table of unary_x for n <= nmax."""
+    psi, c = _UNARY_PSI[which]
+    return [(psi[n % 60], Fraction(n * n - c, 120))
+            for n in range(1, nmax + 1) if n % 60 in psi]
+
+
+def _coeffs(terms, emax):
     out = {}
-    for sign, e in unary_exponents(which, 40):
-        if e <= nmax:
+    for sign, e in terms:
+        if e <= emax:
             out[e] = out.get(e, 0) + sign
     return out
 
 
+def _direct(terms, u):
+    return sum(sign * u**int(e) for sign, e in terms)
+
+
 def test_unary_exponent_table():
-    x0 = _unary_coeffs("X0", 31)
-    assert x0 == {0: 1, 1: 1, 3: 1, 7: 1, 8: -1, 14: -1, 20: -1, 29: -1, 31: 1}
-    x1 = _unary_coeffs("X1", 23)
-    assert x1 == {0: 1, 1: 1, 2: 1, 4: 1, 11: -1, 15: -1, 18: -1, 23: -1}
+    # blocks k <= kmax hold exactly the terms n < 30 (kmax + 1) of the psi table
+    for which in ("X0", "X1"):
+        for kmax in (0, 1, 5, 40):
+            assert (sorted(_block_terms(which, kmax))
+                    == sorted(_psi_terms(which, 30 * (kmax + 1) - 1)))
+    x0 = {0: 1, 1: 1, 3: 1, 7: 1, 8: -1, 14: -1, 20: -1, 29: -1, 31: 1}
+    x1 = {0: 1, 1: 1, 2: 1, 4: 1, 11: -1, 15: -1, 18: -1, 23: -1}
+    assert _coeffs(_block_terms("X0", 40), 31) == x0
+    assert _coeffs(_psi_terms("X0", 1300), 31) == x0
+    assert _coeffs(_block_terms("X1", 40), 23) == x1
+    assert _coeffs(_psi_terms("X1", 1300), 23) == x1
 
 
-def test_unary_exponents_are_integers():
-    # exactness asserted inside for every k up to 200
-    unary_exponents("X0", 200)
-    unary_exponents("X1", 200)
+def test_unary_exponents_are_integers(ctx):
+    # exactness asserted for every block k up to 200, i.e. n < 30 * 201
+    for which in ("X0", "X1"):
+        _block_terms(which, 200)
+        terms = _psi_terms(which, 30 * 201 - 1)
+        assert all(e.denominator == 1 and e >= 0 for _, e in terms)
+        assert len(terms) == 4 * 201
+    # the evaluator asserts it on psi's support
+    with pytest.raises(AssertionError):
+        _partial_theta({1: 1}, 2, 4, 0, mpf("0.5"), ctx)
+
+
+def _block_root(mp_):
+    """The root of 1 + u^6 + u^12 + u^21 of largest modulus in |u| < 1, where
+    the block k = 1 of X0, u^8 (1 + u^6 + u^12 + u^21), vanishes."""
+    coeffs = [0] * 22
+    for e in (0, 6, 12, 21):
+        coeffs[21 - e] = 1
+    roots = mp_.polyroots(coeffs, maxsteps=200, extraprec=2 * mp_.prec)
+    return max((r for r in roots if abs(r) < 1), key=abs)
 
 
 def test_unary_values(ctx):
+    u0 = _block_root(ctx.mp)
+    assert abs(u0) > mpf("0.97")
     with mp.workprec(ctx.prec_bits):
         assert abs(unary_x("X0", mpf(0), ctx) - 1) < ctx.eps
         assert abs(unary_x("X1", mpf(0), ctx) - 1) < ctx.eps
-        u = mpf("0.3")
-        for which in ("X0", "X1"):
-            direct = mpf(0)
-            for sign, e in unary_exponents(which, 60):
-                direct += sign * u**e
-            assert abs(unary_x(which, u, ctx) - direct) < 10 * ctx.eps
+        # summing must go on past the vanishing block at u0
+        for u in (mpf("0.3"), u0):
+            for which in ("X0", "X1"):
+                direct = _direct(_block_terms(which, 60), u)
+                assert abs(unary_x(which, u, ctx) - direct) < 10 * ctx.eps
     with pytest.raises(DomainError):
         unary_x("X0", mpf(1), ctx)
 
@@ -176,15 +230,27 @@ def test_unary_partial_sum_decay(ctx):
     # consecutive truncations differ by less than the first omitted block
     with mp.workprec(ctx.prec_bits):
         u = mpf("0.3")
-        partial = {}
-        for kmax in (2, 3, 4):
-            total = mpf(0)
-            for sign, e in unary_exponents("X0", kmax):
-                total += sign * u**e
-            partial[kmax] = total
+        partial = {kmax: _direct(_psi_terms("X0", 30 * (kmax + 1) - 1), u)
+                   for kmax in (2, 3, 4)}
         for kmax in (2, 3):
-            omitted = sum(u**e for _, e in unary_exponents("X0", kmax + 1)[4 * (kmax + 1):])
+            omitted = sum(u**e for _, e in _block_terms("X0", kmax + 1)[4 * (kmax + 1):])
             assert abs(partial[kmax + 1] - partial[kmax]) <= omitted + ctx.eps
+
+
+STRESS = PrecisionContext(prec_bits=400, eps="1e-80")
+
+
+def test_partial_theta_stress_edge(ctx):
+    # |u| = |q| = 0.999, against the same call at 400 bits and eps 1e-80
+    mp_ = ctx.mp
+    u = mp_.mpf("0.999") * mp_.expj("0.7")
+    for which in ("X0", "X1"):
+        assert abs(unary_x(which, u, ctx) - unary_x(which, u, STRESS)) < ctx.eps
+    tau = mp_.mpc("0.3", -mp_.log(mp_.mpf("0.999")) / mp_.pi)
+    assert abs(abs(mp_.exp(mp_.pi * 1j * tau)) - mp_.mpf("0.999")) < ctx.eps
+    for f in (lambda c: theta(3, tau, c), lambda c: theta(4, tau, c),
+              lambda c: theta2_sum_form(tau, c)):
+        assert abs(f(ctx) - f(STRESS)) < ctx.eps
 
 
 # ---------------------------------------------------------------------------
