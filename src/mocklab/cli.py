@@ -161,7 +161,11 @@ def cmd_eval(args) -> int:
         alpha = parse_number(args.alpha, mp)
         point_desc = alpha
         if fn == "L":
-            value, err = l_integral(Fraction(args.r), alpha, ctx)
+            try:
+                r = Fraction(args.r)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError("cannot parse --r %r as a rational" % args.r)
+            value, err = l_integral(r, alpha, ctx)
         elif fn == "W2":
             value, err = w2_integral(alpha, ctx)
         else:
@@ -240,16 +244,25 @@ def cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_grid(path: str, suite: str, ctx: PrecisionContext):
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError("cannot read grid file %r: %s" % (path, exc))
     if not isinstance(raw, list) or not raw:
         raise DomainError("grid file must be a nonempty JSON list")
     want = "tau" if suite == "theta_eta" else "alpha"
     mp = ctx.mp
     pts = []
-    for item in raw:
-        tag = item.get("as", want)
-        z = mp.mpc(mp.mpf(str(item["re"])), mp.mpf(str(item["im"])))
+    for i, item in enumerate(raw):
+        try:
+            tag = item.get("as", want)
+            z = mp.mpc(mp.mpf(str(item["re"])), mp.mpf(str(item["im"])))
+        except (AttributeError, KeyError, ValueError):
+            raise DomainError("grid entry %d, %r, is not an object with "
+                              "numeric re and im" % (i, item))
+        if not mp.isfinite(z):
+            raise DomainError("grid entry %d, %r, is not finite" % (i, item))
         if tag == "tau":
             if not z.imag > 0:
                 raise DomainError("grid tau point outside upper half-plane")
@@ -322,8 +335,6 @@ def cmd_stokes(args) -> int:
         "extrap_residual_real": _fmt(dec.extrap_residual_real, ctx),
         "extrap_residual_imag": _fmt(dec.extrap_residual_imag, ctx),
         "extrap_err_estimate": _fmt(dec.extrap_err_estimate, ctx),
-        "literal_residual_real": _fmt(dec.literal_residual_real, ctx),
-        "literal_residual_imag": _fmt(dec.literal_residual_imag, ctx),
         "extension_eps": [_fmt(e, ctx) for e in dec.extended_eps],
     }
     if args.format == "json":

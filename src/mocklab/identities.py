@@ -36,13 +36,14 @@ from .matrices import (
 )
 from .modpoint import PrecisionContext, power_from_alpha
 from .mordell import (
+    _law_rhs,
     l_pair,
     l_vector,
     stokes_decompose,
     w2_integral,
     w3_integral,
 )
-from .qseries import MockThetaId, eval_mock, eta, k_pair, theta
+from .qseries import MockThetaId, eval_mock, eta, pochhammer, theta
 
 __all__ = [
     "CheckEntry",
@@ -119,21 +120,14 @@ def _round_slop(ctx, scale):
 # Order-5 checks
 # ---------------------------------------------------------------------------
 
-def _k_vector(alpha, base: str, ctx: PrecisionContext):
-    """(B^{-1/120} K0(B), B^{-49/120} K1(B)) for B = Q or Q1 at alpha."""
-    B = power_from_alpha(alpha, base, 1, ctx)
-    k0, k1 = k_pair(B, ctx)
-    p0 = power_from_alpha(alpha, base, Fraction(-1, 120), ctx)
-    p1 = power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
-    return (p0 * k0, p1 * k1), abs(p0) + abs(p1) * abs(B)
-
-
 def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     """Every order-5 law at one point, each integral computed once.
 
     - mf5_scalar_0/1: the two scalar laws relating the order-5 pair at q to
       its values at q1^4 plus the L-integral correction at 5 alpha;
-    - mf5_matrix: the compact matrix form, with the integral vector at alpha;
+    - mf5_matrix: the compact matrix form, the integral vector at alpha
+      against the series side K(Q) + sqrt(pi/alpha) M K(Q1) of
+      `mordell._law_rhs`;
     - l_vector_consistency: the modular consistency of the integral vector
       under alpha -> pi^2/alpha;
     - l_vector_fixed_point: at alpha = pi also the (1 - M) annihilation.
@@ -178,12 +172,7 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
         out.append(_entry(tag, alpha, abs(lhs - rhs), scale, budget, ctx))
 
     # matrix law
-    vq, s1 = _k_vector(alpha, "Q", ctx)
-    vq1, s2 = _k_vector(alpha, "Q1", ctx)
-    root = mp.sqrt(mp.pi / alpha)
-    mix = mixing_matrix(ctx)
-    mixed = mat_vec(mix, vq1)
-    rhs = (vq[0] + root * mixed[0], vq[1] + root * mixed[1])
+    rhs, root, s1, s2 = _law_rhs(alpha, ctx)
     res = max(abs(lv.l1 - rhs[0]), abs(lv.l2 - rhs[1]))
     scale = max(abs(lv.l1), abs(lv.l2), mp.mpf(1))
     budget = (ctx.eps * (s1 + 2 * abs(root) * s2) + lv.err_estimate
@@ -191,7 +180,7 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     out.append(_entry("mf5_matrix", alpha, res, scale, budget, ctx))
 
     # modular consistency of the integral vector (same scale)
-    mixed = mat_vec(mix, lv_s.as_tuple())
+    mixed = mat_vec(mixing_matrix(ctx), lv_s.as_tuple())
     res = max(abs(lv.l1 - root * mixed[0]), abs(lv.l2 - root * mixed[1]))
     budget = (lv.err_estimate + abs(root) * lv_s.err_estimate
               + _round_slop(ctx, scale))
@@ -215,10 +204,11 @@ def _fixed_point_residual(alpha, lv, ctx: PrecisionContext) -> Optional[mpf]:
 
 
 def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """Lateral-limit residuals against the unary predictions at the Stokes
-    line, at pi - |theta| = 0.2, 0.1, 0.05, 0.025; the entry records the
-    matched lateral sign and both residual tables (corrected and
-    literal-display predictions)."""
+    """Lateral-limit residuals at pi - |theta| = 0.2, 0.1, 0.05, 0.025,
+    extrapolated to the Stokes line, against the predictions of
+    `stokes_decompose`: the order-5 matrix law's series side at
+    alpha = -|alpha|.  The entry records the matched lateral sign and the
+    residual tables."""
     mp = ctx.mp
     eps_seq = [mp.mpf(e) for e in ("0.2", "0.1", "0.05", "0.025")]
     dec = stokes_decompose(abs_alpha, eps_seq, ctx)
@@ -234,8 +224,6 @@ def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
         "im_residuals": [mp.nstr(r, 8) for r in dec.im_residuals],
         "extrap_residual_real": mp.nstr(dec.extrap_residual_real, 8),
         "extrap_residual_imag": mp.nstr(dec.extrap_residual_imag, 8),
-        "literal_residual_real": mp.nstr(dec.literal_residual_real, 8),
-        "literal_residual_imag": mp.nstr(dec.literal_residual_imag, 8),
     }
     return [_entry("mf5_stokes", mp.mpc(abs_alpha), res, scale,
                    budget, ctx, detail)]
@@ -386,13 +374,8 @@ def check_eta_theta(tau, ctx: PrecisionContext) -> List[CheckEntry]:
                           ctx.eps * (2 + abs(rootz)) + _round_slop(ctx, scale_c), ctx))
 
     # product-form lower bound |theta3(1-1/z)| >= c |z|^{1/2} |q1z|^{1/4}
-    q1z = mp.exp(mp.pi * 1j * z)
-    aq = abs(q1z)
-    prod = mp.mpf(1)
-    n = 1
-    while aq ** (2 * n) > mp.mpf(2) ** (-ctx.prec_bits):
-        prod *= (1 - aq ** (2 * n)) ** 3
-        n += 1
+    aq = abs(mp.exp(mp.pi * 1j * z))
+    prod = pochhammer(aq**2, aq**2, mp.inf, ctx).real ** 3
     bound = 2 * prod * mp.sqrt(abs(z)) * aq ** mp.mpf("0.25")
     res = max(mp.mpf(0), bound - abs(lhs))
     entries.append(_entry("theta3_lower", tau, res, max(bound, mp.mpf(1)),

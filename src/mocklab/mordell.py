@@ -42,7 +42,7 @@ from .errors import (
 )
 from .matrices import mat_vec, mixing_matrix
 from .modpoint import PrecisionContext, _mp_context, power_from_alpha
-from .qseries import unary_x
+from .qseries import k_pair, unary_x
 
 __all__ = [
     "QuadratureResult",
@@ -394,6 +394,36 @@ def l_vector(alpha, ctx: PrecisionContext) -> LVector:
     return LVector(pref * v1, pref * v2, abs(pref) * (err + err))
 
 
+def _k_vector(alpha, base: str, ctx: PrecisionContext):
+    """(B^{-1/120} K0(B), B^{-49/120} K1(B)) for B = Q or Q1 at alpha, and
+    the modulus by which an eps error of the series scales into it.
+
+    K = (2 - chi0(B), -B chi1(B)) for |B| < 1; past the natural boundary
+    |B| > 1 it continues as (3/2) (X0(1/B), X1(1/B))."""
+    B = power_from_alpha(alpha, base, 1, ctx)
+    p0 = power_from_alpha(alpha, base, Fraction(-1, 120), ctx)
+    p1 = power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
+    if abs(B) < 1:
+        k0, k1 = k_pair(B, ctx)
+        return (p0 * k0, p1 * k1), abs(p0) + abs(p1) * abs(B)
+    u = power_from_alpha(alpha, base, -1, ctx)
+    k0, k1 = (3 * unary_x(which, u, ctx) / 2 for which in ("X0", "X1"))
+    return (p0 * k0, p1 * k1), 3 * (abs(p0) + abs(p1)) / 2
+
+
+def _law_rhs(alpha, ctx: PrecisionContext):
+    """(K(Q) + sqrt(pi/alpha) M K(Q1), sqrt(pi/alpha), scale of K(Q), scale
+    of K(Q1)): the series side of the order-5 matrix law, whose integral
+    side is l_vector(alpha), with K the pair of `_k_vector`."""
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    kq, s1 = _k_vector(alpha, "Q", ctx)
+    kq1, s2 = _k_vector(alpha, "Q1", ctx)
+    root = mp.sqrt(mp.pi / alpha)
+    mixed = mat_vec(mixing_matrix(ctx), kq1)
+    return (kq[0] + root * mixed[0], kq[1] + root * mixed[1]), root, s1, s2
+
+
 def _check_lateral_floor(gap, what: str, mp: MPContext):
     """Refuse a distance pi - |theta| below LATERAL_FLOOR.
 
@@ -518,30 +548,14 @@ def neville_extrapolate(xs: Sequence[mpf], ys: Sequence, x0=0):
     return t[-1]
 
 
-def _unary_vectors(a, base: str, ctx: PrecisionContext):
-    """(B^{-s/120} X0(1/B), B^{-49s/120} X1(1/B)) for B = Q or Q1 at
-    alpha = -a: the folded normalization s = 1, then the literal display
-    s = -1, from one evaluation of X0 and X1.
-
-    With alpha = -a the conventions give Q = e^{2a} and Q1 = e^{2 pi^2/a},
-    both of modulus > 1, so 1/B feeds the unary series."""
-    alpha = -ctx.mp.mpc(a)
-    u = power_from_alpha(alpha, base, Fraction(-1), ctx)  # 1/B, |u| < 1
-    x0, x1 = unary_x("X0", u, ctx), unary_x("X1", u, ctx)
-    return tuple((power_from_alpha(alpha, base, Fraction(-s, 120), ctx) * x0,
-                  power_from_alpha(alpha, base, Fraction(-49 * s, 120), ctx) * x1)
-                 for s in (1, -1))
-
-
 @dataclass(frozen=True)
 class StokesDecomposition:
-    """Lateral values of the integral vector near the Stokes line together
-    with the unary-series predictions of the real and imaginary parts.
+    """Lateral values of the integral vector near the Stokes line, and the
+    predictions of their limit: the matrix law's series side at
+    alpha = -|alpha|, split into pred_real and pred_imag.
 
     matched_sign s records which lateral carries which jump: the upper
     lateral (theta = +(pi - eps)) satisfies Im V -> s * (imag prediction).
-    literal_* fields keep the residuals against the uncorrected textbook
-    display (positive prefactor exponents, no 3/2) for the record.
     """
 
     abs_alpha: mpf
@@ -557,8 +571,6 @@ class StokesDecomposition:
     extrap_residual_real: mpf
     extrap_residual_imag: mpf
     matched_sign: int
-    literal_residual_real: mpf
-    literal_residual_imag: mpf
     quad_budget: mpf
 
 
@@ -577,7 +589,10 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
     (ExtrapolationInstability otherwise); the extrapolation itself continues
     the sequence geometrically down to ~2e-3 and runs a full Richardson
     (Neville) table, which is what pushes the extrapolated residual far below
-    the lateral ones."""
+    the lateral ones.
+
+    The predictions are the real and imaginary parts of `_law_rhs` at
+    alpha = -|alpha|, where K continues as (3/2) X(1/B)."""
     mp = ctx.mp
     a = mp.mpf(abs_alpha)
     if a <= 0:
@@ -597,18 +612,10 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
         laterals.append(vec.as_tuple())
         budget = max(budget, vec.err_estimate)
 
-    pred_real_vec, lit_real_vec = _unary_vectors(a, "Q", ctx)
-    pred_q1_vec, lit_q1_vec = _unary_vectors(a, "Q1", ctx)
-    mat = mixing_matrix(ctx)
-    mixed = mat_vec(mat, pred_q1_vec)
-    root = mp.sqrt(mp.pi / a)
-    three_half = mp.mpf(3) / 2
-    pred_real = tuple(three_half * v.real for v in pred_real_vec)
-    pred_imag = tuple(three_half * root * v.real for v in mixed)
-
-    lit_mixed = mat_vec(mat, lit_q1_vec)
-    lit_real = tuple(v.real for v in lit_real_vec)
-    lit_imag = tuple(root * v.real for v in lit_mixed)
+    # at alpha = -a, K is real and sqrt(pi/alpha) = +i sqrt(pi/a)
+    side = _law_rhs(-a, ctx)[0]
+    pred_real = tuple(v.real for v in side)
+    pred_imag = tuple(v.imag for v in side)
 
     nreq = len(eps_list)
     re_res = tuple(
@@ -659,12 +666,5 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
         ),
         extrap_residual_imag=min(res_plus, res_minus),
         matched_sign=sign,
-        literal_residual_real=max(
-            abs(extrap[j].real - lit_real[j]) for j in range(2)
-        ),
-        literal_residual_imag=min(
-            max(abs(extrap[j].imag - s * lit_imag[j]) for j in range(2))
-            for s in (1, -1)
-        ),
         quad_budget=budget,
     )

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from mpmath import mp, mpf, mpc
 
 from mocklab import reference_context, run_suite
@@ -117,6 +118,29 @@ def test_verify_bad_grid_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"re": 0.5, "im": -1.0, "as": "tau"}]))
     assert main(["verify", "--suite", "theta_eta", "--grid", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "grid entry 0, 1, is not an object with numeric re and im"),
+    ('[{"im": 0.5}]', "grid entry 0, {'im': 0.5}, is not an object"),
+    ('[{"re": "x", "im": 0}]', "entry 0, {'re': 'x', 'im': 0}, is not an"),
+    ('[{"re": "inf", "im": 0}]', "{'re': 'inf', 'im': 0}, is not finite"),
+    (None, "cannot read grid file"),
+], ids=["not_an_object", "missing_re", "non_numeric_re", "infinite_re",
+        "missing_file"])
+def test_verify_malformed_grid_exit_2(tmp_path, capsys, content, message):
+    grid = tmp_path / "grid.json"
+    if content is not None:
+        grid.write_text(content)
+    assert main(["verify", "--suite", "algebra", "--grid", str(grid)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and message in err
+
+
+@pytest.mark.parametrize("r", ["abc", "1/0"])
+def test_eval_bad_r_exit_2(capsys, r):
+    assert main(["eval", "--fn", "L", "--alpha", "2", "--r", r]) == 2
+    assert "cannot parse --r %r" % r in capsys.readouterr().err
 
 
 def test_verify_alpha_grid_file(tmp_path, capsys):

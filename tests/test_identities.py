@@ -95,6 +95,19 @@ def test_mf5_matrix_s_symmetry(ctx):
         assert abs(r1 - r2) < bound
 
 
+@pytest.mark.parametrize("modulus, arg", [("0.8", "-1.9"), ("1.5", "2.2")])
+def test_mf5_matrix_law_past_the_natural_boundary(ctx, modulus, arg):
+    # for pi/2 < |arg alpha| < pi both |Q| and |Q1| exceed 1: no mock series
+    # converges there, and K continues as (3/2) X(1/B)
+    m = ctx.mp
+    alpha = m.mpf(modulus) * m.exp(1j * m.mpf(arg))
+    for base in ("Q", "Q1"):
+        assert abs(power_from_alpha(alpha, base, 1, ctx)) > 1
+    lv = mordell.l_vector(alpha, ctx)
+    side = mordell._law_rhs(alpha, ctx)[0]
+    assert max(abs(v - w) for v, w in zip(lv.as_tuple(), side)) < m.mpf(10) ** -30
+
+
 def test_mf5_check_deterministic(ctx):
     with mp.workprec(ctx.prec_bits):
         r1 = check_mf5(mpf(2), ctx)

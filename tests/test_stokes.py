@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
@@ -7,8 +9,13 @@ from mocklab import (
     PoleProximityError,
     PrecisionContext,
     lateral_l_vector,
+    mixing_matrix,
     stokes_decompose,
+    unary_x,
 )
+from mocklab.matrices import mat_vec
+from mocklab.modpoint import power_from_alpha
+from mocklab.mordell import _law_rhs
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +53,33 @@ def test_prediction_structure(ctx, dec_one):
 
 
 def test_lateral_matches_folded_normalization(dec_one):
-    # the laterals land on the folded-prefactor normalization; the unfolded
-    # one (positive prefactor exponents, no 3/2) misses by orders of magnitude
+    # the laterals land on the folded-prefactor normalization
     assert dec_one.extrap_residual_real < mpf(10) ** -8
-    assert dec_one.literal_residual_real > mpf("1e-2")
-    assert dec_one.literal_residual_imag > mpf("1e-2")
+
+
+@pytest.mark.parametrize("a", ["0.3", "1", "pi"])
+def test_predictions_are_the_law_at_minus_a(ctx, a):
+    # on the Stokes line the matrix law's series side splits into
+    # (3/2) Re U(Q) and (3/2) sqrt(pi/a) Re(M U(Q1)), with
+    # U(B) = (B^{-1/120} X0(1/B), B^{-49/120} X1(1/B)) at alpha = -a
+    m = ctx.mp
+    a = m.pi if a == "pi" else m.mpf(a)
+    alpha = -m.mpc(a)
+
+    def unary(base):
+        u = power_from_alpha(alpha, base, -1, ctx)
+        return (power_from_alpha(alpha, base, Fraction(-1, 120), ctx)
+                * unary_x("X0", u, ctx),
+                power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
+                * unary_x("X1", u, ctx))
+
+    mixed = mat_vec(mixing_matrix(ctx), unary("Q1"))
+    want_real = [3 * v.real / 2 for v in unary("Q")]
+    want_imag = [3 * m.sqrt(m.pi / a) * v.real / 2 for v in mixed]
+    side = _law_rhs(-a, ctx)[0]
+    for j in range(2):
+        assert abs(side[j].real - want_real[j]) < m.mpf(10) ** -70
+        assert abs(side[j].imag - want_imag[j]) < m.mpf(10) ** -70
 
 
 def test_extension_floor(dec_one):
