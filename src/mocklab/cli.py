@@ -103,7 +103,12 @@ def parse_number(s: str, mp: MPContext) -> mpc:
 def _context(args) -> PrecisionContext:
     prec = args.prec
     if prec is None:
-        prec = int(os.environ.get("MOCKLAB_PREC", "256"))
+        raw = os.environ.get("MOCKLAB_PREC", "256")
+        try:
+            prec = int(raw)
+        except ValueError:
+            raise DomainError("cannot parse MOCKLAB_PREC %r as a number of bits"
+                              % raw)
     return PrecisionContext(prec_bits=prec, eps=args.eps)
 
 

@@ -22,11 +22,19 @@ scheme is Gauss-Legendre on panels that accumulate dyadically toward the
 projections of nearby poles, and from the start of the ray toward the poles
 behind it (close to the origin when |alpha| is large), so that it converges
 geometrically however close the Stokes line is approached.
+
+Parallelism: the panels not yet converged rise through the degrees together,
+and the panels of each degree are split over the CPUs available to the
+process, one forked child per CPU after the first.  The results are summed
+in panel order, so every value is bit-identical to a run on one CPU.  The
+quadrature runs in-process when other threads are alive.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -103,27 +111,108 @@ def _gl_nodes(degree: int, prec: int):
     return GaussLegendre(context).calc_nodes(degree, prec + 10)
 
 
-def _gauss_panel(f, a, b, mp: MPContext, prec: int, tol):
-    """Gauss-Legendre integral in mp over [a, b] of every component of f.
+def _split_map(fn, items: Sequence) -> list:
+    """[fn(x) for x in items], with the items cut into one contiguous chunk
+    per CPU available to the process.
 
-    The degree rises from 4 to 9 until two successive degrees agree below
-    tol.  Returns (totals, larger difference over the components,
-    evaluations of f)."""
-    mid, half = (a + b) / 2, (b - a) / 2
-    prev = None
+    The caller runs the first chunk; each other chunk runs in a forked child,
+    which sends back its results, or its exception, pickled through a pipe.
+    Every child is killed and reaped however this returns.  Runs in-process
+    when there is one chunk, when other threads are alive (forking them is
+    unsafe) and where the platform cannot fork."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(cpus, len(items))
+    if k < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    # here, so that a process that never splits does not load them
+    import pickle
+    import signal
+
+    bounds = [len(items) * i // k for i in range(k + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children = []  # (pid, read end of its pipe), in chunk order
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: compute, send, and never return
+                try:
+                    os.close(r)
+                    try:
+                        message = (True, [fn(x) for x in chunk])
+                    except BaseException as exc:
+                        message = (False, exc)
+                    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(w, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [fn(x) for x in chunks[0]]
+        for _, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError("a worker process ended without a result")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            results += payload
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a no-op on a child that has ended
+            os.waitpid(pid, 0)
+
+
+def _gauss_panels(f, panels, mp: MPContext, prec: int, tol):
+    """Gauss-Legendre integrals in mp over the panels [a, b] of every
+    component of f, summed in panel order.
+
+    Each panel raises its degree from 4 to 9 until two successive degrees
+    agree below tol.  The panels not yet converged rise together, and those
+    of one degree are split over the CPUs by `_split_map`, with the rule
+    built here first so that no child builds it.  Returns (totals, sum of
+    the panels' larger differences over the components, evaluations of f)."""
+    frames = [((a + b) / 2, (b - a) / 2) for a, b in panels]
+    prev = [None] * len(frames)
+    done = [None] * len(frames)
+    rising = list(range(len(frames)))
     nodes_used = 0
     for degree in range(4, 10):
         rule = _gl_nodes(degree, prec)
-        vals = [f(mid + half * x) for x, _ in rule]
-        nodes_used += len(rule)
         weights = [wt for _, wt in rule]
-        total = [half * mp.fdot(weights, comp) for comp in zip(*vals)]
-        if prev is not None:
-            diff = max(abs(t - p) for t, p in zip(total, prev))
-            if diff < tol:
-                return total, diff, nodes_used
-        prev = total
-    raise NonConvergenceError("Gauss panel failed to converge by degree 9")
+
+        def totals(i):
+            mid, half = frames[i]
+            vals = [f(mid + half * x) for x, _ in rule]
+            return [half * mp.fdot(weights, comp) for comp in zip(*vals)]
+
+        nodes_used += len(rule) * len(rising)
+        still = []
+        for i, total in zip(rising, _split_map(totals, rising)):
+            # a child's numbers arrive as global mpmath numbers; convert
+            # takes them into mp exactly
+            total = [mp.convert(t) for t in total]
+            if prev[i] is not None:
+                diff = max(abs(t - p) for t, p in zip(total, prev[i]))
+                if diff < tol:
+                    done[i] = total, diff
+                    continue
+            prev[i] = total
+            still.append(i)
+        rising = still
+        if not rising:
+            break
+    else:
+        raise NonConvergenceError("Gauss panel failed to converge by degree 9")
+    value = None
+    err = mp.zero
+    for total, diff in done:
+        err += diff
+        value = total if value is None else [s + t for s, t in zip(value, total)]
+    return value, err, nodes_used
 
 
 def _cut(bound_const, a_eff, quad_eps, mp: MPContext):
@@ -180,21 +269,18 @@ def integrate_ray(integrand: RayIntegrand, angle,
     Each Gauss-Legendre panel raises its degree from 4 to 9 until two
     successive degrees agree below the panel's share of the quadrature
     target; the larger difference over the components is the panel's error.
-    It runs 16 bits above the working precision; the value and the error are
-    numbers of ctx.mp that keep those bits until their next operation.
+    The panels of each degree are split over the CPUs available to the
+    process and summed in panel order, so the result is bit-identical to one
+    CPU's; with other threads alive it runs in-process.  It runs 16 bits
+    above the working precision; the value and the error are numbers of
+    ctx.mp that keep those bits until their next operation.
     """
     mp = _mp_context(ctx.prec_bits + 16)
     w, points, tail = _geometry(integrand, angle, ctx)
     panel_tol = mp.ldexp(ctx.quad_eps, -4) / max(8, len(points) - 1)
-    value = None
-    err = mp.zero
-    nodes_used = 0
-    for a, b in zip(points[:-1], points[1:]):
-        total, diff, n = _gauss_panel(lambda s: integrand.func(w * s), a, b,
-                                      mp, ctx.prec_bits, panel_tol)
-        err += diff
-        nodes_used += n
-        value = total if value is None else [s + t for s, t in zip(value, total)]
+    value, err, nodes_used = _gauss_panels(
+        lambda s: integrand.func(w * s), list(zip(points[:-1], points[1:])),
+        mp, ctx.prec_bits, panel_tol)
     err += tail
     if not err < ctx.quad_eps:
         raise NonConvergenceError(
@@ -326,6 +412,8 @@ def _integrate_family(family: _Family, alpha,
     """(component values, err_estimate) of the family at alpha."""
     mp = ctx.mp
     alpha = mp.mpc(alpha)
+    if alpha == 0:
+        raise DomainError("the integrals need alpha != 0")
     theta = mp.arg(alpha)
     if not abs(theta) < mp.pi:
         raise DomainError("the integrals need |arg alpha| < pi")
@@ -523,7 +611,7 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
             num = cax * mp.cos(a * u) * mp.sinh(wgt) + sax * mp.sin(a * u) * mp.cosh(wgt)
             return (2 * sgn * mp.exp(-p * t * (xk * xk + u * u)) * num / mp.sin(p * u),)
 
-        (acc,), _, _ = _gauss_panel(S, mp.zero, h, mp, ctx.prec_bits, tol)
+        (acc,), _, _ = _gauss_panels(S, [(mp.zero, h)], mp, ctx.prec_bits, tol)
         total += acc
         if envelope < threshold and k >= 2:
             break

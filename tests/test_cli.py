@@ -143,6 +143,19 @@ def test_eval_bad_r_exit_2(capsys, r):
     assert "cannot parse --r %r" % r in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fn", ["W2", "W3", "L", "lvec"])
+def test_eval_alpha_zero_exit_2(capsys, fn):
+    assert main(["eval", "--fn", fn, "--alpha", "0"]) == 2
+    assert capsys.readouterr().err == "domain error: the integrals need alpha != 0\n"
+
+
+def test_malformed_env_prec_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("MOCKLAB_PREC", "abc")
+    assert main(["eval", "--fn", "chi0", "--q", "0.1"]) == 2
+    assert ("domain error: cannot parse MOCKLAB_PREC 'abc' as a number of bits"
+            in capsys.readouterr().err)
+
+
 def test_verify_alpha_grid_file(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([{"re": 1.0, "im": 0.0, "as": "alpha"}]))

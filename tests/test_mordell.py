@@ -1,3 +1,5 @@
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -131,6 +133,97 @@ def test_refinement_table_geometric(ctx):
             if d1 < mpf(10) ** -55:  # numerical floor reached
                 break
             assert d2 < d1 / 2
+
+
+# ---------------------------------------------------------------------------
+# Gauss panels split over the CPUs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPUs the process may use, and counts the forks."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def use(ids):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(ids),
+                            raising=False)
+        forks.clear()
+        return forks
+
+    return use
+
+
+def _family_quadrature(family, alpha, ctx):
+    return integrate_ray(mordell._ray_integrand(family, alpha, ctx),
+                         -ctx.mp.arg(alpha) / 2, ctx)
+
+
+@pytest.mark.parametrize("where", ["l_pair", "w3", "lateral"])
+def test_split_panels_are_bit_identical(ctx, cpus, where):
+    mp_ = ctx.mp
+    family, alpha = {
+        "l_pair": (mordell._l_family(mordell._L_PAIR), 10 * mp_.mpc(2, 1)),
+        "w3": (mordell._W3, mp_.mpc(1, "0.5")),
+        "lateral": (mordell._l_family(mordell._L_PAIR),
+                    3 * mp_.exp(1j * (mp_.pi - mp_.mpf("0.004")))),
+    }[where]
+    cpus({0})
+    single = _family_quadrature(family, alpha, ctx)
+    forks = cpus({0, 1, 2})
+    split = _family_quadrature(family, alpha, ctx)
+    assert forks
+    assert split.value == single.value
+    assert split.err_estimate == single.err_estimate
+    assert split.nodes_used == single.nodes_used
+
+
+def test_split_child_error_reaches_caller(ctx, cpus):
+    mp_ = ctx.mp
+
+    def f(x):
+        if x > 2:
+            raise PoleProximityError("integrand refused a node past 2")
+        return (mp_.exp(-x),)
+
+    panels = [(mp_.mpf(a), mp_.mpf(a + 1)) for a in range(3)]
+    forks = cpus({0, 1, 2})
+    with pytest.raises(PoleProximityError, match="^integrand refused a node past 2$"):
+        mordell._gauss_panels(f, panels, mp_, ctx.prec_bits, ctx.quad_eps)
+    assert len(forks) == 2  # the last panel ran in a child
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child has been reaped
+
+
+def test_split_runs_in_process_beside_other_threads(ctx, cpus):
+    alpha = ctx.mp.mpc(1, "0.5")
+    cpus({0})
+    single = _family_quadrature(mordell._W3, alpha, ctx)
+    forks = cpus({0, 1, 2})
+    out = []
+    thread = threading.Thread(
+        target=lambda: out.append(_family_quadrature(mordell._W3, alpha, ctx)))
+    thread.start()
+    thread.join()
+    assert not forks
+    assert out == [single]
+
+
+def test_split_map_keeps_order(cpus):
+    square = lambda x: x * x
+    forks = cpus(range(8))
+    assert mordell._split_map(square, [3, 1, 2]) == [9, 1, 4]
+    assert len(forks) == 2  # one chunk per item, the first in-process
+    forks = cpus({0, 1, 2})
+    assert mordell._split_map(square, range(7)) == [x * x for x in range(7)]
+    assert len(forks) == 2
+    assert mordell._split_map(square, []) == []
 
 
 # ---------------------------------------------------------------------------
