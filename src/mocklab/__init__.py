@@ -32,7 +32,6 @@ from .identities import (
 from .matrices import mixing_matrix, phase_matrix
 from .modpoint import PrecisionContext, power_from_alpha, reference_context
 from .mordell import (
-    LVector,
     QuadratureResult,
     RayIntegrand,
     StokesDecomposition,

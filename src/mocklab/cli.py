@@ -23,6 +23,7 @@ from mpmath import MPContext, mpc, mpf
 from .errors import (
     DomainError,
     ExtrapolationInstability,
+    MocklabError,
     NonConvergenceError,
     PrecisionError,
 )
@@ -38,6 +39,7 @@ from .identities import (
 from .modpoint import PrecisionContext
 from .mordell import l_integral, l_vector, stokes_decompose, w2_integral, w3_integral
 from .qseries import (
+    MOCK_THETA_IDS,
     MockThetaId,
     eta,
     euler_inverse_coeffs,
@@ -47,7 +49,7 @@ from .qseries import (
     unary_x,
 )
 
-MOCK_FNS = ("chi0", "chi1", "omega", "f", "rho", "xi")
+MOCK_FNS = tuple(name for _, name in MOCK_THETA_IDS)
 EVAL_FNS = MOCK_FNS + ("x0", "x1", "eta", "theta2", "theta3", "theta4",
                        "L", "W2", "W3", "lvec")
 
@@ -109,7 +111,12 @@ def _context(args) -> PrecisionContext:
         except ValueError:
             raise DomainError("cannot parse MOCKLAB_PREC %r as a number of bits"
                               % raw)
-    return PrecisionContext(prec_bits=prec, eps=args.eps)
+    try:
+        return PrecisionContext(prec_bits=prec, eps=args.eps)
+    except MocklabError:
+        raise
+    except ValueError:  # mpmath cannot read it
+        raise DomainError("cannot parse --eps %r as a number" % args.eps)
 
 
 def _emit(text: str, out_path):
@@ -180,12 +187,10 @@ def cmd_eval(args) -> int:
             raise DomainError("--alpha required for lvec")
         alpha = parse_number(args.alpha, mp)
         point_desc = alpha
-        lv = l_vector(alpha, ctx)
-        err = lv.err_estimate
-        res_fp = _fixed_point_residual(alpha, lv, ctx)
+        (l1, l2), err = l_vector(alpha, ctx)
+        res_fp = _fixed_point_residual(alpha, (l1, l2), ctx)
         extra = {} if res_fp is None else {"fixed_point_residual": res_fp}
-        return _emit_eval(args, ctx, point_desc,
-                          {"l1": lv.l1, "l2": lv.l2}, err, extra)
+        return _emit_eval(args, ctx, point_desc, {"l1": l1, "l2": l2}, err, extra)
     else:  # pragma: no cover - argparse choices guard this
         raise DomainError("unknown function %r" % fn)
     return _emit_eval(args, ctx, point_desc, {"value": value}, err, {})

@@ -10,6 +10,10 @@ quadrature error estimates that went into the evaluation (scaled by the
 prefactors they pass through).  An entry passes while its residual stays
 within 100x its budget; the acceptance thresholds are enforced on top of
 that by the test suite.
+
+The order-5 laws are one law, the integral vector against the series side of
+`mordell._law_rhs`, read at alpha and at alpha/2, so they hold on both sides
+of the natural boundary |q| = 1.
 """
 
 from __future__ import annotations
@@ -35,14 +39,7 @@ from .matrices import (
     phase_matrix,
 )
 from .modpoint import PrecisionContext, power_from_alpha
-from .mordell import (
-    _law_rhs,
-    l_pair,
-    l_vector,
-    stokes_decompose,
-    w2_integral,
-    w3_integral,
-)
+from .mordell import _law_rhs, l_vector, stokes_decompose, w2_integral, w3_integral
 from .qseries import MockThetaId, eval_mock, eta, pochhammer, theta
 
 __all__ = [
@@ -123,83 +120,64 @@ def _round_slop(ctx, scale):
 def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     """Every order-5 law at one point, each integral computed once.
 
-    - mf5_scalar_0/1: the two scalar laws relating the order-5 pair at q to
-      its values at q1^4 plus the L-integral correction at 5 alpha;
     - mf5_matrix: the compact matrix form, the integral vector at alpha
       against the series side K(Q) + sqrt(pi/alpha) M K(Q1) of
       `mordell._law_rhs`;
+    - mf5_scalar_0/1: the two scalar laws relating the order-5 pair at q to
+      its values at q1^4 plus the L integrals at 5 alpha, which are the two
+      components of the matrix law at alpha/2 (there Q = q and Q1 = q1^4);
     - l_vector_consistency: the modular consistency of the integral vector
       under alpha -> pi^2/alpha;
     - l_vector_fixed_point: at alpha = pi also the (1 - M) annihilation.
+
+    `_law_rhs` continues K across |B| = 1, so every law holds with
+    Re alpha < 0 too.
     """
     mp = ctx.mp
     alpha = mp.mpc(alpha)
-    (l1, l2), e_l = l_pair(5 * alpha, ctx)
-    lv = l_vector(alpha, ctx)
-    alpha_s = mp.pi**2 / alpha
-    # alpha = pi is mapped to itself exactly: one quadrature serves both
-    lv_s = lv if alpha_s == alpha else l_vector(alpha_s, ctx)
-    out = []
-
-    # scalar laws
-    q = mp.exp(-alpha)
-    q14 = power_from_alpha(alpha, "q1", 4, ctx)
-    chi0_q = eval_mock(MockThetaId(5, "chi0"), q, ctx)
-    chi1_q = eval_mock(MockThetaId(5, "chi1"), q, ctx)
-    chi0_q14 = eval_mock(MockThetaId(5, "chi0"), q14, ctx)
-    chi1_q14 = eval_mock(MockThetaId(5, "chi1"), q14, ctx)
-
-    c_minus = mp.sqrt(mp.pi * (5 - mp.sqrt(5)) / (5 * alpha))
-    c_plus = mp.sqrt(mp.pi * (5 + mp.sqrt(5)) / (5 * alpha))
-    c_int = mp.sqrt(135 * alpha / (2 * mp.pi))
-    p_m130 = power_from_alpha(alpha, "q1", Fraction(-1, 30), ctx)
-    p_7130 = power_from_alpha(alpha, "q1", Fraction(71, 30), ctx)
-
-    lhs0 = power_from_alpha(alpha, "q", Fraction(-1, 120), ctx) * (chi0_q - 2)
-    rhs0 = (-c_minus * p_m130 * (chi0_q14 - 2)
-            - c_plus * p_7130 * chi1_q14
-            - c_int * l1)
-    lhs1 = power_from_alpha(alpha, "q", Fraction(71, 120), ctx) * chi1_q
-    rhs1 = (-c_plus * p_m130 * (chi0_q14 - 2)
-            + c_minus * p_7130 * chi1_q14
-            - c_int * l2)
-
-    series_budget = ctx.eps * (2 + 2 * (abs(c_minus) + abs(c_plus)) * max(abs(p_m130), abs(p_7130)))
-    for tag, lhs, rhs in (("mf5_scalar_0", lhs0, rhs0),
-                          ("mf5_scalar_1", lhs1, rhs1)):
-        scale = max(abs(lhs), abs(rhs), mp.mpf(1))
-        budget = series_budget + abs(c_int) * e_l + _round_slop(ctx, scale)
-        out.append(_entry(tag, alpha, abs(lhs - rhs), scale, budget, ctx))
-
-    # matrix law
-    rhs, root, s1, s2 = _law_rhs(alpha, ctx)
-    res = max(abs(lv.l1 - rhs[0]), abs(lv.l2 - rhs[1]))
-    scale = max(abs(lv.l1), abs(lv.l2), mp.mpf(1))
-    budget = (ctx.eps * (s1 + 2 * abs(root) * s2) + lv.err_estimate
-              + _round_slop(ctx, scale))
-    out.append(_entry("mf5_matrix", alpha, res, scale, budget, ctx))
+    _, _, res, scale, budget = _matrix_law(alpha / 2, ctx)
+    out = [_entry("mf5_scalar_%d" % j, alpha, res[j], scale, budget, ctx)
+           for j in range(2)]
+    ((l1, l2), err), root, res, scale, budget = _matrix_law(alpha, ctx)
+    out.append(_entry("mf5_matrix", alpha, max(res), scale, budget, ctx))
 
     # modular consistency of the integral vector (same scale)
-    mixed = mat_vec(mixing_matrix(ctx), lv_s.as_tuple())
-    res = max(abs(lv.l1 - root * mixed[0]), abs(lv.l2 - root * mixed[1]))
-    budget = (lv.err_estimate + abs(root) * lv_s.err_estimate
-              + _round_slop(ctx, scale))
+    alpha_s = mp.pi**2 / alpha
+    # alpha = pi is mapped to itself exactly: one quadrature serves both
+    vs, err_s = ((l1, l2), err) if alpha_s == alpha else l_vector(alpha_s, ctx)
+    mixed = mat_vec(mixing_matrix(ctx), vs)
+    res = max(abs(l1 - root * mixed[0]), abs(l2 - root * mixed[1]))
+    budget = err + abs(root) * err_s + _round_slop(ctx, scale)
     out.append(_entry("l_vector_consistency", alpha, res, scale, budget, ctx))
-    res_fp = _fixed_point_residual(alpha, lv, ctx)
+    res_fp = _fixed_point_residual(alpha, (l1, l2), ctx)
     if res_fp is not None:
-        budget_fp = 2 * lv.err_estimate + _round_slop(ctx, scale)
+        budget_fp = 2 * err + _round_slop(ctx, scale)
         out.append(_entry("l_vector_fixed_point", alpha,
                           res_fp, scale, budget_fp, ctx))
     return out
 
 
-def _fixed_point_residual(alpha, lv, ctx: PrecisionContext) -> Optional[mpf]:
+def _matrix_law(alpha, ctx: PrecisionContext):
+    """The order-5 matrix law at alpha, l_vector(alpha) against
+    `_law_rhs(alpha)`: (l_vector(alpha), sqrt(pi/alpha), the residual of
+    each component, the scale and the budget)."""
+    mp = ctx.mp
+    lv = l_vector(alpha, ctx)
+    (l1, l2), err = lv
+    rhs, root, s1, s2 = _law_rhs(alpha, ctx)
+    res = (abs(l1 - rhs[0]), abs(l2 - rhs[1]))
+    scale = max(abs(l1), abs(l2), mp.mpf(1))
+    budget = ctx.eps * (s1 + 2 * abs(root) * s2) + err + _round_slop(ctx, scale)
+    return lv, root, res, scale, budget
+
+
+def _fixed_point_residual(alpha, v, ctx: PrecisionContext) -> Optional[mpf]:
     """max_j |((1 - M) v)_j| for the integral vector v at alpha, which
     vanishes at the fixed point alpha = pi; None away from it."""
     mp = ctx.mp
     if not abs(alpha - mp.pi) < mp.mpf(2) ** -20:
         return None
-    v = mat_vec(mat_sub(identity2(), mixing_matrix(ctx)), lv.as_tuple())
+    v = mat_vec(mat_sub(identity2(), mixing_matrix(ctx)), v)
     return max(abs(v[0]), abs(v[1]))
 
 

@@ -73,12 +73,16 @@ class PrecisionContext:
             raise DomainError("prec_bits must be at least 64")
         mp = self.mp
         eps = mp.mpf("1e-40") if self.eps is None else mp.mpf(self.eps)
+        if not (mp.isfinite(eps) and eps > 0):
+            raise DomainError("eps must be finite and positive")
         if eps <= mp.mpf(2) ** (-self.prec_bits + 16):
             raise PrecisionError(
                 "eps %s is tighter than working precision minus the "
                 "16-bit guard" % mp.nstr(eps, 6)
             )
         quad_eps = eps * mp.mpf(10) ** 10 if self.quad_eps is None else mp.mpf(self.quad_eps)
+        if not mp.isfinite(quad_eps):
+            raise DomainError("quad_eps must be finite")
         if quad_eps < eps:
             raise DomainError("quad_eps must not be tighter than eps")
         object.__setattr__(self, "eps", eps)

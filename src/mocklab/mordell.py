@@ -60,7 +60,6 @@ __all__ = [
     "l_integral",
     "w2_integral",
     "w3_integral",
-    "LVector",
     "l_vector",
     "pv_sum",
     "pv_quadrature",
@@ -461,25 +460,15 @@ def w2_integral(alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
 # The two-component integral vector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LVector:
-    """sqrt(135 alpha/pi) * (L(1/5, 10 alpha), L(2/5, 10 alpha))."""
-
-    l1: mpc
-    l2: mpc
-    err_estimate: mpf
-
-    def as_tuple(self):
-        return (self.l1, self.l2)
-
-
-def l_vector(alpha, ctx: PrecisionContext) -> LVector:
+def l_vector(alpha, ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
+    """(sqrt(135 alpha/pi) * (L(1/5, 10 alpha), L(2/5, 10 alpha)),
+    err_estimate) from one `l_pair` quadrature."""
     mp = ctx.mp
     alpha = mp.mpc(alpha)
     pref = mp.sqrt(135 * alpha / mp.pi)
     (v1, v2), err = l_pair(10 * alpha, ctx)
     # err bounds each component; the budget counts it once per component
-    return LVector(pref * v1, pref * v2, abs(pref) * (err + err))
+    return (pref * v1, pref * v2), abs(pref) * (err + err)
 
 
 def _k_vector(alpha, base: str, ctx: PrecisionContext):
@@ -524,8 +513,9 @@ def _check_lateral_floor(gap, what: str, mp: MPContext):
                                  % (what, mp.nstr(gap, 5), mp.nstr(floor, 5)))
 
 
-def lateral_l_vector(abs_alpha, theta, ctx: PrecisionContext) -> LVector:
-    """The vector at alpha = abs_alpha * e^{i theta} near the negative axis.
+def lateral_l_vector(abs_alpha, theta,
+                     ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
+    """`l_vector` at alpha = abs_alpha * e^{i theta} near the negative axis.
 
     Controlled approach window 0 < pi - |theta| <= pi/2; the pole-hugging
     Gauss panels stay convergent down to the floor pi - |theta| >= 1e-3."""
@@ -546,7 +536,12 @@ def lateral_l_vector(abs_alpha, theta, ctx: PrecisionContext) -> LVector:
 def pv_sum(a, p, t, ctx: PrecisionContext):
     """sum_k (-1)^k [e^{-(a-(2k+1)p)^2/(4pt)} + e^{-(a+(2k+1)p)^2/(4pt)}].
 
-    Requires Re t > 0; converges super-exponentially."""
+    Requires Re t > 0; converges super-exponentially.  The sum stops on the
+    Gaussian envelope, never on a small term: with c = Re(1/t)/(4p), once
+    m = (2k+1)p >= |a| every later term is at most 2 e^{-c (m' - |a|)^2}, and
+    m' - |a| grows by 2p per term, so the terms after k are bounded by
+    2 e^{-c (m - |a|)^2} / (1 - e^{-p Re(1/t)}), which must be below
+    eps 2^-8."""
     mp = ctx.mp
     a, p, t = mp.mpf(a), mp.mpf(p), mp.mpc(t)
     if not p > 0:
@@ -554,19 +549,16 @@ def pv_sum(a, p, t, ctx: PrecisionContext):
     if not t.real > 0:
         raise DomainError("pv_sum requires Re t > 0")
     threshold = ctx.eps * mp.mpf(2) ** -8
+    c = (1 / t).real / (4 * p)
+    ratio = 1 - mp.exp(-4 * c * p * p)
     total = mp.mpc(0)
-    small = 0
     for k in range(100_000):
         sgn = -1 if k % 2 else 1
         m = (2 * k + 1) * p
         term = mp.exp(-((a - m) ** 2) / (4 * p * t)) + mp.exp(-((a + m) ** 2) / (4 * p * t))
         total += sgn * term
-        if abs(term) < threshold:
-            small += 1
-            if small >= 2 and k >= 4:
-                break
-        else:
-            small = 0
+        if m >= abs(a) and 2 * mp.exp(-c * (m - abs(a)) ** 2) < threshold * ratio:
+            break
     else:
         raise NonConvergenceError("pv_sum did not converge")
     if t.imag == 0:
@@ -696,9 +688,9 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
     laterals = []
     budget = mp.zero
     for e in extended:
-        vec = lateral_l_vector(a, mp.pi - e, ctx)
-        laterals.append(vec.as_tuple())
-        budget = max(budget, vec.err_estimate)
+        vec, err = lateral_l_vector(a, mp.pi - e, ctx)
+        laterals.append(vec)
+        budget = max(budget, err)
 
     # at alpha = -a, K is real and sqrt(pi/alpha) = +i sqrt(pi/a)
     side = _law_rhs(-a, ctx)[0]

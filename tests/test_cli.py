@@ -149,6 +149,16 @@ def test_eval_alpha_zero_exit_2(capsys, fn):
     assert capsys.readouterr().err == "domain error: the integrals need alpha != 0\n"
 
 
+@pytest.mark.parametrize("eps, message", [
+    ("abc", "cannot parse --eps 'abc' as a number"),
+    ("inf", "eps must be finite and positive"),
+    ("nan", "eps must be finite and positive"),
+])
+def test_eval_bad_eps_exit_2(capsys, eps, message):
+    assert main(["eval", "--fn", "chi0", "--q", "0.1", "--eps", eps]) == 2
+    assert capsys.readouterr().err == "domain error: %s\n" % message
+
+
 def test_malformed_env_prec_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("MOCKLAB_PREC", "abc")
     assert main(["eval", "--fn", "chi0", "--q", "0.1"]) == 2

@@ -68,11 +68,11 @@ def test_threads_at_two_precisions():
 
 def _library_outputs(ctx):
     reps = [run_suite(suite, None, ctx) for suite in ("algebra", "theta_eta")]
-    lv = l_vector(1, ctx)
+    (l1, l2), err = l_vector(1, ctx)
     chi0 = eval_mock(MockThetaId(5, "chi0"), "0.3", ctx)
     x0 = unary_x("X0", ctx.mp.mpc("0.5", "0.6"), ctx)
     values = [v for rep in reps for v in _report_values(rep)]
-    values += [_raw(x) for x in (lv.l1, lv.l2, lv.err_estimate, chi0, x0)]
+    values += [_raw(x) for x in (l1, l2, err, chi0, x0)]
     return values, [suite_report_to_json(rep, ctx) for rep in reps]
 
 

@@ -21,9 +21,10 @@ from mocklab import (
     wronskian_periodicity,
 )
 from mocklab import mordell
-from mocklab.cli import main
+from mocklab.cli import main, parse_number
 from mocklab.matrices import identity2, mat_mul, mat_norm, mat_sub
 from mocklab.modpoint import power_from_alpha
+from mocklab.qseries import MockThetaId, eval_mock
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +104,58 @@ def test_mf5_matrix_law_past_the_natural_boundary(ctx, modulus, arg):
     alpha = m.mpf(modulus) * m.exp(1j * m.mpf(arg))
     for base in ("Q", "Q1"):
         assert abs(power_from_alpha(alpha, base, 1, ctx)) > 1
-    lv = mordell.l_vector(alpha, ctx)
+    lv, _ = mordell.l_vector(alpha, ctx)
     side = mordell._law_rhs(alpha, ctx)[0]
-    assert max(abs(v - w) for v, w in zip(lv.as_tuple(), side)) < m.mpf(10) ** -30
+    assert max(abs(v - w) for v, w in zip(lv, side)) < m.mpf(10) ** -30
+
+
+def _scalar_series_sides(alpha, ctx):
+    """Test-local oracle, the hand-expanded scalar laws lhs_j = rhs_j -
+    c_int L_j with L_j = L(1/5 resp. 2/5, 5 alpha): their series sides
+    lhs_j - rhs_j, and the largest of their terms."""
+    m = ctx.mp
+    chi0, chi1 = MockThetaId(5, "chi0"), MockThetaId(5, "chi1")
+    q = m.exp(-alpha)
+    q14 = power_from_alpha(alpha, "q1", 4, ctx)
+    c_minus = m.sqrt(m.pi * (5 - m.sqrt(5)) / (5 * alpha))
+    c_plus = m.sqrt(m.pi * (5 + m.sqrt(5)) / (5 * alpha))
+    p_m130 = power_from_alpha(alpha, "q1", Fraction(-1, 30), ctx)
+    p_7130 = power_from_alpha(alpha, "q1", Fraction(71, 30), ctx)
+    a = p_m130 * (eval_mock(chi0, q14, ctx) - 2)
+    b = p_7130 * eval_mock(chi1, q14, ctx)
+    lhs0 = power_from_alpha(alpha, "q", Fraction(-1, 120), ctx) * (eval_mock(chi0, q, ctx) - 2)
+    lhs1 = power_from_alpha(alpha, "q", Fraction(71, 120), ctx) * eval_mock(chi1, q, ctx)
+    terms = (lhs0, -c_minus * a, -c_plus * b, lhs1, -c_plus * a, c_minus * b)
+    sides = (terms[0] - terms[1] - terms[2], terms[3] - terms[4] - terms[5])
+    return sides, max(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("alpha", ["2", "1+0.5i", "0.004"])
+def test_scalar_laws_are_the_matrix_law_at_half_alpha(ctx, alpha):
+    # check_mf5 reads the scalar laws at alpha from the matrix law at
+    # alpha/2, where Q = q and Q1 = q1^4, so _law_rhs(alpha/2) = c_int L_j is
+    # minus their series sides; at 0.004 the terms are about e^82
+    m = ctx.mp
+    alpha = parse_number(alpha, m)
+    side = mordell._law_rhs(alpha / 2, ctx)[0]
+    oracle, size = _scalar_series_sides(alpha, ctx)
+    for v, w in zip(side, oracle):
+        assert abs(v + w) <= m.mpf(10) ** -70 * size
+
+
+@pytest.mark.parametrize("modulus, arg", [("0.8", "-1.9"), ("1.5", "2.2")],
+                         ids=["0.8e^{-1.9i}", "1.5e^{2.2i}"])
+def test_check_mf5_past_the_natural_boundary(ctx, modulus, arg):
+    # |q| > 1 at alpha and at alpha/2: every law continues through _law_rhs
+    m = ctx.mp
+    alpha = m.mpf(modulus) * m.exp(1j * m.mpf(arg))
+    assert abs(m.exp(-alpha)) > 1
+    entries = check_mf5(alpha, ctx)
+    assert [e.identity for e in entries] == [
+        "mf5_scalar_0", "mf5_scalar_1", "mf5_matrix", "l_vector_consistency"]
+    for e in entries:
+        assert e.passed
+        assert e.abs_residual < m.mpf(10) ** -30
 
 
 def test_mf5_check_deterministic(ctx):

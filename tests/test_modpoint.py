@@ -27,6 +27,14 @@ def test_context_invariants():
         PrecisionContext(prec_bits=256, eps="1e-40", quad_eps="1e-50")
 
 
+@pytest.mark.parametrize("eps, quad_eps", [
+    ("inf", None), ("nan", None), ("0", None), ("1e-40", "inf"), ("1e-40", "nan"),
+])
+def test_context_rejects_nonfinite_tolerances(eps, quad_eps):
+    with pytest.raises(DomainError, match="finite"):
+        PrecisionContext(prec_bits=256, eps=eps, quad_eps=quad_eps)
+
+
 def test_s_fixed_point(ctx):
     with mp.workprec(ctx.prec_bits):
         alpha = _alpha(mpc(0, 1))

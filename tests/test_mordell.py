@@ -348,28 +348,28 @@ def test_domain_guards(ctx):
 
 def test_l_vector_real_on_real_axis(ctx):
     with mp.workprec(ctx.prec_bits):
-        lv = l_vector(mpf(1), ctx)
-        assert abs(lv.l1.imag) < ctx.quad_eps
-        assert abs(lv.l2.imag) < ctx.quad_eps
+        (l1, l2), _ = l_vector(mpf(1), ctx)
+        assert abs(l1.imag) < ctx.quad_eps
+        assert abs(l2.imag) < ctx.quad_eps
 
 
 def test_l_vector_fixed_point_eigenvector(ctx):
     with mp.workprec(ctx.prec_bits):
-        lv = l_vector(mp.pi, ctx)
+        (l1, l2), err = l_vector(mp.pi, ctx)
         M = mixing_matrix(ctx)
-        r1 = lv.l1 - (M[0][0] * lv.l1 + M[0][1] * lv.l2)
-        r2 = lv.l2 - (M[1][0] * lv.l1 + M[1][1] * lv.l2)
-        assert max(abs(r1), abs(r2)) < 100 * lv.err_estimate
+        r1 = l1 - (M[0][0] * l1 + M[0][1] * l2)
+        r2 = l2 - (M[1][0] * l1 + M[1][1] * l2)
+        assert max(abs(r1), abs(r2)) < 100 * err
 
 
 def test_l_vector_modular_consistency(ctx):
     with mp.workprec(ctx.prec_bits):
-        lv = l_vector(mpf(1), ctx)
-        lvs = l_vector(mp.pi**2, ctx)
+        (l1, l2), _ = l_vector(mpf(1), ctx)
+        (s1, s2), _ = l_vector(mp.pi**2, ctx)
         M = mixing_matrix(ctx)
         root = mp.sqrt(mp.pi)
-        r1 = lv.l1 - root * (M[0][0] * lvs.l1 + M[0][1] * lvs.l2)
-        r2 = lv.l2 - root * (M[1][0] * lvs.l1 + M[1][1] * lvs.l2)
+        r1 = l1 - root * (M[0][0] * s1 + M[0][1] * s2)
+        r2 = l2 - root * (M[1][0] * s1 + M[1][1] * s2)
         assert max(abs(r1), abs(r2)) < mpf(10) ** -25
 
 
@@ -394,6 +394,14 @@ def test_pv_mutual_oracle_point(ctx):
         d = abs(pv_quadrature(mpf("0.5"), mpf("1.5"), mpf("0.8"), ctx)
                 - pv_sum(mpf("0.5"), mpf("1.5"), mpf("0.8"), ctx))
         assert d < mpf(10) ** -15
+
+
+def test_pv_sum_past_the_first_terms(ctx):
+    # |a| a few multiples of p: the Gaussian peaks at (2k+1)p ~ |a|, far
+    # beyond the first terms, which are all tiny
+    with mp.workprec(ctx.prec_bits):
+        a, p, t = mpf("50.3"), mpf(1), mpf("0.3")
+        assert abs(pv_sum(a, p, t, ctx) - pv_quadrature(a, p, t, ctx)) < mpf(10) ** -25
 
 
 def test_pv_sum_symmetry_and_limit(ctx):
@@ -455,13 +463,13 @@ def test_lateral_window_validation(ctx):
 
 def test_lateral_conjugate_pair(ctx):
     with mp.workprec(ctx.prec_bits):
-        up = lateral_l_vector(1, mp.pi - mpf("0.2"), ctx)
-        dn = lateral_l_vector(1, -(mp.pi - mpf("0.2")), ctx)
-        assert abs(up.l1 - mp.conj(dn.l1)) < 100 * up.err_estimate
-        assert abs(up.l2 - mp.conj(dn.l2)) < 100 * up.err_estimate
+        (up1, up2), err = lateral_l_vector(1, mp.pi - mpf("0.2"), ctx)
+        (dn1, dn2), _ = lateral_l_vector(1, -(mp.pi - mpf("0.2")), ctx)
+        assert abs(up1 - mp.conj(dn1)) < 100 * err
+        assert abs(up2 - mp.conj(dn2)) < 100 * err
         # conjugate-lateral average recovers the real part
-        avg = (up.l1 + dn.l1) / 2
-        assert abs(avg.imag) < 100 * up.err_estimate
+        avg = (up1 + dn1) / 2
+        assert abs(avg.imag) < 100 * err
 
 
 def test_neville_extrapolation_exactness():
