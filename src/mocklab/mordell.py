@@ -10,8 +10,10 @@ Integrand family: every integrand is
 with N_j and D short polynomials in v with integer exponents (the quotients
 of cosh/sinh of integer multiples of s a x, multiplied through by the top
 power of v).  So a node costs two complex exponentials and a few products,
-and the components of one family, such as L(1/5) and L(2/5), share their
-nodes: one quadrature yields the pair (`l_pair`).
+all done on Python integers scaled by a power of two (fixed point, see
+`_ray_integrand`), and the components of one family, such as L(1/5) and
+L(2/5), share their nodes: one quadrature yields the pair (`l_pair`).  The
+Gauss-Legendre rules are built on integers too (`_gl_nodes`).
 
 Contour strategy: every integral is taken along the ray rotated by
 -arg(alpha)/2, which makes the Gaussian factor exactly real-decaying and
@@ -33,6 +35,7 @@ quadrature runs in-process when other threads are alive.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -41,6 +44,9 @@ from math import lcm
 from typing import Callable, List, Sequence, Tuple
 
 from mpmath import MPContext, mpc, mpf
+from mpmath.libmp import (from_float, from_man_exp, ln2_fixed, pi_fixed,
+                          round_nearest, to_fixed)
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import (
     DomainError,
@@ -103,11 +109,40 @@ class RayIntegrand:
 
 @functools.cache
 def _gl_nodes(degree: int, prec: int):
-    from mpmath.calculus.quadrature import GaussLegendre
+    """The Gauss-Legendre rule of n = 3 * 2^(degree-1) nodes on [-1, 1], as
+    (node, weight) pairs of the guard context of integrate_ray (prec + 16
+    bits), for degree >= 2.
 
-    context = MPContext()  # calc_nodes sets its precision, then restores it
-    context.prec = prec + 16  # the nodes compute at the guard of integrate_ray
-    return GaussLegendre(context).calc_nodes(degree, prec + 10)
+    This is the Newton iteration of mpmath's `GaussLegendre.calc_nodes(degree,
+    prec + 10)`, done on integers scaled by 2^wp with its 1.5x working bits
+    wp: each root starts from the asymptotic formula cos(pi (j - 1/4) /
+    (n + 1/2)), the Legendre polynomial and its derivative come from the
+    three-term recurrence, and the iteration stops once a Newton step is
+    below 2^-(prec+18).  The pairs come in calc_nodes' order, (x_j, w_j)
+    then (-x_j, w_j), and each number keeps the wp-bit mantissa exactly."""
+    n = 3 << (degree - 1)
+    wp = int((prec + 10) * 1.5)
+    one = 1 << wp
+    step_floor = 1 << (wp - prec - 18)
+    make = _mp_context(prec + 16).make_mpf
+    rule = []
+    for j in range(1, n // 2 + 1):
+        r = to_fixed(from_float(math.cos(math.pi * (j - 0.25) / (n + 0.5))), wp)
+        while True:
+            t1, t2 = one, 0  # P_k(r) and P_{k-1}(r)
+            for k in range(1, n + 1):
+                t1, t2 = ((2 * k - 1) * (r * t1 >> wp) - (k - 1) * t2) // k, t1
+            # P_n'(r) = n (r P_n - P_{n-1}) / (r^2 - 1)
+            dp = (n * ((r * t1 >> wp) - t2) << wp) // ((r * r >> wp) - one)
+            a = (t1 << wp) // dp
+            r -= a
+            if abs(a) < step_floor:
+                break
+        w = (2 << 3 * wp) // ((one - (r * r >> wp)) * (dp * dp >> wp))
+        weight = make(from_man_exp(w, -wp))
+        rule += [(make(from_man_exp(r, -wp)), weight),
+                 (make(from_man_exp(-r, -wp)), weight)]
+    return rule
 
 
 def _split_map(fn, items: Sequence) -> list:
@@ -366,30 +401,76 @@ def _power_plan(exponents) -> List[Tuple[int, int, int]]:
     return plan
 
 
-def _poly(powers: dict, terms) -> mpc:
-    (sign, e), *rest = terms
-    total = powers[e] if sign > 0 else -powers[e]
-    for sign, e in rest:
-        total = total + powers[e] if sign > 0 else total - powers[e]
-    return total
-
-
 def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayIntegrand:
-    """The family at alpha with its envelope, pole lattice and guard."""
+    """The family at alpha with its envelope, pole lattice and guard.
+
+    The integrand computes in integers scaled by 2^P, P = (prec_bits + 16)
+    + 32: x, the constants -scale and -gauss and every intermediate are
+    fixed-point complex numbers, the two exponentials come from mpmath's
+    fixed-point basecases (`exp_fixed` for the modulus, `cos_sin_fixed` for
+    the phase), v^e from `_power_plan`'s products, and N_j(v) / D(v) from one
+    integer division by |D|^2.  Each component is rounded to nearest into
+    the guard context.
+
+    This is safe on the ray where integrate_ray evaluates it, rotated by
+    -arg(alpha)/2: there Re(scale x) >= 0 and Re(gauss x^2) >= 0, so every
+    |v^e| <= 1 and the Gaussian is at most 1, and no intermediate outgrows a
+    few bits above 2^P.  Each product and each basecase is off by a few
+    units of 2^-P, so each component is off by a few units of 2^-P times
+    1/|D|^2.  The floating-point evaluation carries the same factor, because
+    the sum D cancels there too, and the exclusion check of `_geometry` keeps
+    |D| away from 0 on every node."""
     mp = ctx.mp
     gauss = family.gauss.numerator * alpha / family.gauss.denominator
     scale = family.scale.numerator * alpha / family.scale.denominator
     plan = _power_plan(e for terms in family.numerators + (family.denominator,)
                        for _, e in terms)
     guard = _mp_context(ctx.prec_bits + 16)
-    neg_gauss, neg_scale = -guard.convert(gauss), -guard.convert(scale)
+    prec = guard.prec
+    P = prec + 32
+    ln2, half_pi = ln2_fixed(P), pi_fixed(P - 1)
+
+    def fixed(z):
+        re, im = guard.mpc(z)._mpc_
+        return to_fixed(re, P), to_fixed(im, P)
+
+    gr, gi = fixed(-gauss)
+    sr, si = fixed(-scale)
+    one = 1 << P
+
+    def cexp(re, im):
+        """e^{(re + i im) 2^-P} scaled by 2^P."""
+        modulus = exp_fixed(re, P, ln2)
+        c, s = cos_sin_fixed(im, P, half_pi)
+        return modulus * c >> P, modulus * s >> P
+
+    def poly(powers, terms):
+        re = im = 0
+        for sign, e in terms:
+            pr, pim = powers[e]
+            re, im = re + sign * pr, im + sign * pim
+        return re, im
 
     def f(x):
-        powers = {0: 1, 1: guard.exp(neg_scale * x)}
+        re, im = x._mpc_
+        xr, xi = to_fixed(re, P), to_fixed(im, P)
+        powers = {0: (one, 0), 1: cexp(sr * xr - si * xi >> P, sr * xi + si * xr >> P)}
         for e, i, j in plan:
-            powers[e] = powers[i] * powers[j]
-        h = guard.exp(neg_gauss * x * x) / _poly(powers, family.denominator)
-        return tuple(h * _poly(powers, terms) for terms in family.numerators)
+            (ar, ai), (br, bi) = powers[i], powers[j]
+            powers[e] = ar * br - ai * bi >> P, ar * bi + ai * br >> P
+        x2r, x2i = xr * xr - xi * xi >> P, 2 * xr * xi >> P
+        hr, hi = cexp(gr * x2r - gi * x2i >> P, gr * x2i + gi * x2r >> P)
+        # h = e^{-gauss x^2} / D = e^{-gauss x^2} conj(D) / |D|^2
+        dr, di = poly(powers, family.denominator)
+        inv = (1 << 3 * P) // (dr * dr + di * di)
+        hr, hi = (hr * dr + hi * di) * inv >> 2 * P, (hi * dr - hr * di) * inv >> 2 * P
+        out = []
+        for terms in family.numerators:
+            nr, ni = poly(powers, terms)
+            out.append(guard.make_mpc(
+                (from_man_exp(hr * nr - hi * ni, -2 * P, prec, round_nearest),
+                 from_man_exp(hr * ni + hi * nr, -2 * P, prec, round_nearest))))
+        return tuple(out)
 
     theta = mp.arg(alpha)
     const = 16 * (1 + 1 / mp.cos(theta / 2))

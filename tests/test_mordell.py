@@ -3,7 +3,8 @@ import threading
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import MPContext, mp, mpc, mpf
+from mpmath.calculus.quadrature import GaussLegendre
 
 from mocklab import (
     DomainError,
@@ -133,6 +134,77 @@ def test_refinement_table_geometric(ctx):
             if d1 < mpf(10) ** -55:  # numerical floor reached
                 break
             assert d2 < d1 / 2
+
+
+@pytest.mark.parametrize("p", [256, 64])
+def test_gl_nodes_match_mpmath(p):
+    """The integer Newton iteration reproduces mpmath's rules, node order
+    included, and each rule's weights sum to 2."""
+    hi = MPContext()
+    hi.prec = 1000  # exact for every difference below
+    tol = hi.ldexp(1, -(p + 8))
+    for degree in range(3, 8):
+        rule = mordell._gl_nodes(degree, p)
+        ref = GaussLegendre(MPContext()).calc_nodes(degree, p + 10)
+        assert len(rule) == len(ref) == 3 * 2 ** (degree - 1)
+        for (x, wt), (x_ref, wt_ref) in zip(rule, ref):
+            assert abs(hi.mpf(x) - hi.mpf(x_ref)) <= tol
+            assert abs(hi.mpf(wt) - hi.mpf(wt_ref)) <= tol
+        assert abs(hi.fsum(hi.mpf(wt) for _, wt in rule) - 2) <= tol
+
+
+def _float_integrand(family, alpha, ctx):
+    """Test-only oracle: the family's integrand evaluated on mpmath numbers
+    of the guard context, two complex exponentials and the products of
+    `_power_plan`."""
+    gauss = family.gauss.numerator * alpha / family.gauss.denominator
+    scale = family.scale.numerator * alpha / family.scale.denominator
+    plan = mordell._power_plan(e for terms in family.numerators
+                               + (family.denominator,) for _, e in terms)
+    guard = mordell._mp_context(ctx.prec_bits + 16)
+    neg_gauss, neg_scale = -guard.convert(gauss), -guard.convert(scale)
+
+    def poly(powers, terms):
+        (sign, e), *rest = terms
+        total = powers[e] if sign > 0 else -powers[e]
+        for sign, e in rest:
+            total = total + powers[e] if sign > 0 else total - powers[e]
+        return total
+
+    def f(x):
+        powers = {0: 1, 1: guard.exp(neg_scale * x)}
+        for e, i, j in plan:
+            powers[e] = powers[i] * powers[j]
+        h = guard.exp(neg_gauss * x * x) / poly(powers, family.denominator)
+        return tuple(h * poly(powers, terms) for terms in family.numerators)
+
+    return f
+
+
+@pytest.mark.parametrize("family", ["l_pair", "w2", "w3"])
+def test_fixed_point_integrand_matches_float_oracle(ctx, family):
+    """On every degree-5 node of the production panels, at the lateral
+    floor, near the Stokes line, off the axes, at small real alpha and with
+    endpoint anchoring, the integer kernel is within 2^-prec_bits of the
+    floating-point evaluation, relative to max(1, |f|)."""
+    mp_ = ctx.mp
+    family = {"l_pair": mordell._l_family(mordell._L_PAIR),
+              "w2": mordell._W2, "w3": mordell._W3}[family]
+    rule = mordell._gl_nodes(5, ctx.prec_bits)
+    for alpha in (10 * mp_.mpf("0.01") * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-3"))),
+                  10 * mp_.mpf("0.307141") * mp_.exp(1j * (mp_.pi - mp_.mpf("0.002"))),
+                  10 * mp_.mpc(2, 1), mp_.mpc("0.03929"),
+                  mp_.mpc(10 * mp_.pi ** 2 / mp_.mpf("0.004"))):
+        integrand = mordell._ray_integrand(family, alpha, ctx)
+        oracle = _float_integrand(family, alpha, ctx)
+        w, points, _tail = mordell._geometry(integrand, -mp_.arg(alpha) / 2, ctx)
+        for a, b in zip(points[:-1], points[1:]):
+            mid, half = (a + b) / 2, (b - a) / 2
+            for x, _ in rule:
+                node = w * (mid + half * x)
+                for got, want in zip(integrand.func(node), oracle(node)):
+                    assert abs(got - want) <= mp_.ldexp(max(1, abs(want)),
+                                                       -ctx.prec_bits)
 
 
 # ---------------------------------------------------------------------------
