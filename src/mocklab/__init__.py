@@ -23,19 +23,14 @@ from .identities import (
     check_mf5,
     check_stokes,
     check_wronskian_suite,
-    g_function,
     group_relations,
     run_suite,
     suite_report_to_json,
-    wronskian_periodicity,
 )
 from .matrices import mixing_matrix, phase_matrix
 from .modpoint import PrecisionContext, power_from_alpha, reference_context
 from .mordell import (
-    QuadratureResult,
-    RayIntegrand,
     StokesDecomposition,
-    integrate_ray,
     l_integral,
     l_pair,
     l_vector,
@@ -56,7 +51,6 @@ from .qseries import (
     pochhammer,
     series_expand,
     theta,
-    theta2_sum_form,
     unary_x,
 )
 

@@ -53,8 +53,6 @@ __all__ = [
     "check_eta_theta",
     "check_growth_omega",
     "group_relations",
-    "wronskian_periodicity",
-    "g_function",
     "check_wronskian_suite",
     "run_suite",
     "suite_report_to_json",
@@ -442,24 +440,6 @@ def _pair_laws(h0, h1, tau, bases, eta12s,
         budget = ctx.eps * 24 * scale + _round_slop(ctx, scale * max(64, 16 * n_terms))
         out.append(_entry("g_T_invariance", tau, abs(g1 - g0), scale, budget, ctx))
     return out
-
-
-def wronskian_periodicity(h0_coeffs, h1_coeffs, tau,
-                          ctx: PrecisionContext) -> List[CheckEntry]:
-    """For v built from arbitrary polynomial Q-series: the phase relation
-    v(tau+1) = D v(tau) and the sign flip W(tau+1) = -W(tau)."""
-    tau = ctx.mp.mpc(tau)
-    n = max(len(h0_coeffs), len(h1_coeffs))
-    bases = [_q_basis(t, n, ctx) for t in (tau, tau + 1)]
-    return _pair_laws(h0_coeffs, h1_coeffs, tau, bases, None, ctx)
-
-
-def g_function(h0_coeffs, h1_coeffs, tau, ctx: PrecisionContext) -> mpc:
-    """G = W^3 / eta^12 for the vector built from the given pair."""
-    tau = ctx.mp.mpc(tau)
-    n = max(len(h0_coeffs), len(h1_coeffs))
-    _, w = _v_vector(h0_coeffs, h1_coeffs, _q_basis(tau, n, ctx), ctx)
-    return w**3 / eta(tau, ctx) ** 12
 
 
 def check_wronskian_suite(ctx: PrecisionContext) -> List[CheckEntry]:

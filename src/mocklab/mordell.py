@@ -10,10 +10,8 @@ Integrand family: every integrand is
 with N_j and D short polynomials in v with integer exponents (the quotients
 of cosh/sinh of integer multiples of s a x, multiplied through by the top
 power of v).  So a node costs two complex exponentials and a few products,
-all done on Python integers scaled by a power of two (fixed point, see
-`_ray_integrand`), and the components of one family, such as L(1/5) and
-L(2/5), share their nodes: one quadrature yields the pair (`l_pair`).  The
-Gauss-Legendre rules are built on integers too (`_gl_nodes`).
+and the components of one family, such as L(1/5) and L(2/5), share their
+nodes: one quadrature yields the pair (`l_pair`).
 
 Contour strategy: every integral is taken along the ray rotated by
 -arg(alpha)/2, which makes the Gaussian factor exactly real-decaying and
@@ -25,11 +23,16 @@ projections of nearby poles, and from the start of the ray toward the poles
 behind it (close to the origin when |alpha| is large), so that it converges
 geometrically however close the Stokes line is approached.
 
-Parallelism: the panels not yet converged rise through the degrees together,
-and the panels of each degree are split over the CPUs available to the
-process, one forked child per CPU after the first.  The results are summed
-in panel order, so every value is bit-identical to a run on one CPU.  The
-quadrature runs in-process when other threads are alive.
+Fixed point: the quadrature computes on complex numbers given as pairs of
+integers scaled by 2^P, P = prec_bits + 48, from the panel frames and the
+Gauss-Legendre rules through the integrand to the panel totals; only the
+final sums are rounded into the guard context.
+
+Parallelism: the panels of one quadrature are split over the CPUs available
+to the process, one forked child per CPU after the first, and each panel
+raises its degree where it runs.  The totals are exact integer sums, so
+every value is bit-identical to a run on one CPU.  The quadrature runs
+in-process when other threads are alive.
 """
 
 from __future__ import annotations
@@ -59,9 +62,6 @@ from .modpoint import PrecisionContext, _mp_context, power_from_alpha
 from .qseries import k_pair, unary_x
 
 __all__ = [
-    "QuadratureResult",
-    "RayIntegrand",
-    "integrate_ray",
     "l_pair",
     "l_integral",
     "w2_integral",
@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 LATERAL_FLOOR = "1e-3"  # smallest admissible pi - |theta|
+_FIXED_BITS = 48  # the quadrature's integers are scaled by 2^(prec_bits + 48)
 
 
 @dataclass(frozen=True)
@@ -91,16 +92,16 @@ class RayIntegrand:
     """Descriptor of a vector integrand f on a pole-free cone.
 
     func          integrand in the unrotated variable x, returning the tuple
-                  of its components (all integrated on the same nodes); x is
-                  a number of the guard-precision context of integrate_ray,
-                  and func computes in whatever arithmetic it closes over
+                  of its components (all integrated on the same nodes); x
+                  and every component are fixed-point complex numbers, pairs
+                  (re, im) of integers scaled by 2^(prec_bits + 48)
     gauss_coeff   c with |f_j| <= bound_const * exp(-Re(c x^2)) away from poles
     poles         pole positions relevant to the contour (finite list)
     bound_const   envelope constant for the cut/tail estimate
     exclusion     minimal admissible sine of the ray-pole angular separation
     """
 
-    func: Callable[[mpc], Tuple[mpc, ...]]
+    func: Callable[[int, int], Tuple[Tuple[int, int], ...]]
     gauss_coeff: mpc
     poles: Tuple[mpc, ...] = ()
     bound_const: mpf = 16
@@ -110,8 +111,8 @@ class RayIntegrand:
 @functools.cache
 def _gl_nodes(degree: int, prec: int):
     """The Gauss-Legendre rule of n = 3 * 2^(degree-1) nodes on [-1, 1], as
-    (node, weight) pairs of the guard context of integrate_ray (prec + 16
-    bits), for degree >= 2.
+    (node, weight) pairs of integers scaled by 2^(prec + 48), the fixed
+    point of integrate_ray, for degree >= 2.
 
     This is the Newton iteration of mpmath's `GaussLegendre.calc_nodes(degree,
     prec + 10)`, done on integers scaled by 2^wp with its 1.5x working bits
@@ -119,12 +120,12 @@ def _gl_nodes(degree: int, prec: int):
     (n + 1/2)), the Legendre polynomial and its derivative come from the
     three-term recurrence, and the iteration stops once a Newton step is
     below 2^-(prec+18).  The pairs come in calc_nodes' order, (x_j, w_j)
-    then (-x_j, w_j), and each number keeps the wp-bit mantissa exactly."""
+    then (-x_j, w_j)."""
     n = 3 << (degree - 1)
     wp = int((prec + 10) * 1.5)
     one = 1 << wp
     step_floor = 1 << (wp - prec - 18)
-    make = _mp_context(prec + 16).make_mpf
+    P = prec + _FIXED_BITS
     rule = []
     for j in range(1, n // 2 + 1):
         r = to_fixed(from_float(math.cos(math.pi * (j - 0.25) / (n + 0.5))), wp)
@@ -139,10 +140,15 @@ def _gl_nodes(degree: int, prec: int):
             if abs(a) < step_floor:
                 break
         w = (2 << 3 * wp) // ((one - (r * r >> wp)) * (dp * dp >> wp))
-        weight = make(from_man_exp(w, -wp))
-        rule += [(make(from_man_exp(r, -wp)), weight),
-                 (make(from_man_exp(-r, -wp)), weight)]
+        node, weight = (r << P) >> wp, (w << P) >> wp
+        rule += [(node, weight), (-node, weight)]
     return rule
+
+
+def _fixed(z, P: int) -> Tuple[int, int]:
+    """The mpc z as a pair of integers scaled by 2^P."""
+    re, im = z._mpc_
+    return to_fixed(re, P), to_fixed(im, P)
 
 
 def _split_map(fn, items: Sequence) -> list:
@@ -200,53 +206,44 @@ def _split_map(fn, items: Sequence) -> list:
             os.waitpid(pid, 0)
 
 
-def _gauss_panels(f, panels, mp: MPContext, prec: int, tol):
-    """Gauss-Legendre integrals in mp over the panels [a, b] of every
-    component of f, summed in panel order.
+def _gauss_panels(f, frames, prec: int, tol: int):
+    """Gauss-Legendre integrals of every component of f over the panels, in
+    integers scaled by 2^P, P = prec + 48.
 
+    A panel's frame ((mr, mi), (hr, hi)) maps t in [-1, 1] to the node
+    m + h t, and f(re, im) returns the node's components as (re, im) pairs.
     Each panel raises its degree from 4 to 9 until two successive degrees
-    agree below tol.  The panels not yet converged rise together, and those
-    of one degree are split over the CPUs by `_split_map`, with the rule
-    built here first so that no child builds it.  Returns (totals, sum of
-    the panels' larger differences over the components, evaluations of f)."""
-    frames = [((a + b) / 2, (b - a) / 2) for a, b in panels]
-    prev = [None] * len(frames)
-    done = [None] * len(frames)
-    rising = list(range(len(frames)))
-    nodes_used = 0
-    for degree in range(4, 10):
-        rule = _gl_nodes(degree, prec)
-        weights = [wt for _, wt in rule]
+    differ by less than tol in complex modulus, in every component; the
+    largest of those differences is the panel's error.  The panels are split
+    over the CPUs by one `_split_map`, with the rules of degrees 4 and 5
+    built here first so that no child builds them.  Returns (component
+    totals as (re, im) pairs, sum of the panels' errors, evaluations of f)."""
+    P = prec + _FIXED_BITS
+    _gl_nodes(4, prec), _gl_nodes(5, prec)
 
-        def totals(i):
-            mid, half = frames[i]
-            vals = [f(mid + half * x) for x, _ in rule]
-            return [half * mp.fdot(weights, comp) for comp in zip(*vals)]
-
-        nodes_used += len(rule) * len(rising)
-        still = []
-        for i, total in zip(rising, _split_map(totals, rising)):
-            # a child's numbers arrive as global mpmath numbers; convert
-            # takes them into mp exactly
-            total = [mp.convert(t) for t in total]
-            if prev[i] is not None:
-                diff = max(abs(t - p) for t, p in zip(total, prev[i]))
+    def panel(frame):
+        (mr, mi), (hr, hi) = frame
+        prev, nodes = None, 0
+        for degree in range(4, 10):
+            rule = _gl_nodes(degree, prec)
+            nodes += len(rule)
+            vals = [f(mr + (hr * t >> P), mi + (hi * t >> P)) for t, _ in rule]
+            total = []
+            for comp in zip(*vals):
+                sr, si = (sum(wt * v for (_, wt), v in zip(rule, part)) >> P
+                          for part in zip(*comp))
+                total.append((hr * sr - hi * si >> P, hr * si + hi * sr >> P))
+            if prev is not None:
+                diff = max(math.isqrt((a - c) ** 2 + (b - d) ** 2)
+                           for (a, b), (c, d) in zip(total, prev))
                 if diff < tol:
-                    done[i] = total, diff
-                    continue
-            prev[i] = total
-            still.append(i)
-        rising = still
-        if not rising:
-            break
-    else:
+                    return total, diff, nodes
+            prev = total
         raise NonConvergenceError("Gauss panel failed to converge by degree 9")
-    value = None
-    err = mp.zero
-    for total, diff in done:
-        err += diff
-        value = total if value is None else [s + t for s, t in zip(value, total)]
-    return value, err, nodes_used
+
+    done = _split_map(panel, frames)
+    totals = [tuple(map(sum, zip(*parts))) for parts in zip(*(t for t, _, _ in done))]
+    return totals, sum(d for _, d, _ in done), sum(n for _, _, n in done)
 
 
 def _cut(bound_const, a_eff, quad_eps, mp: MPContext):
@@ -300,28 +297,33 @@ def integrate_ray(integrand: RayIntegrand, angle,
     """Integrate every component of integrand.func from 0 to infinity along
     the ray at the given angle.
 
-    Each Gauss-Legendre panel raises its degree from 4 to 9 until two
-    successive degrees agree below the panel's share of the quadrature
-    target; the larger difference over the components is the panel's error.
-    The panels of each degree are split over the CPUs available to the
-    process and summed in panel order, so the result is bit-identical to one
-    CPU's; with other threads alive it runs in-process.  It runs 16 bits
-    above the working precision; the value and the error are numbers of
-    ctx.mp that keep those bits until their next operation.
+    Each panel [a, b] of `_geometry` becomes the frame (w (a + b)/2,
+    w (b - a)/2) of the rotation w, in integers scaled by 2^(prec_bits +
+    48), and `_gauss_panels` integrates every panel to its share of the
+    quadrature target, with the panels split once over the CPUs.  The totals
+    are exact integer sums, so the result is bit-identical to one CPU's.
+    Only the final sums are rounded, into the guard context 16 bits above
+    the working precision; the value and the error are numbers of ctx.mp
+    that keep those bits until their next operation.
     """
     mp = _mp_context(ctx.prec_bits + 16)
+    P = ctx.prec_bits + _FIXED_BITS
     w, points, tail = _geometry(integrand, angle, ctx)
+    wr, wi = _fixed(w, P)
+    ends = [to_fixed(x._mpf_, P) for x in points]
+    frames = [((wr * m >> P, wi * m >> P), (wr * h >> P, wi * h >> P))
+              for m, h in ((b + a >> 1, b - a >> 1) for a, b in zip(ends, ends[1:]))]
     panel_tol = mp.ldexp(ctx.quad_eps, -4) / max(8, len(points) - 1)
-    value, err, nodes_used = _gauss_panels(
-        lambda s: integrand.func(w * s), list(zip(points[:-1], points[1:])),
-        mp, ctx.prec_bits, panel_tol)
-    err += tail
+    totals, err, nodes_used = _gauss_panels(
+        integrand.func, frames, ctx.prec_bits, to_fixed(panel_tol._mpf_, P))
+    err = mp.ldexp(err, -P) + tail
     if not err < ctx.quad_eps:
         raise NonConvergenceError(
             "quadrature error estimate %s above target" % mp.nstr(err, 5)
         )
-    return QuadratureResult(tuple(ctx.mp.convert(w * s) for s in value),
-                            ctx.mp.convert(err), nodes_used, "gauss_patch")
+    value = tuple(ctx.mp.make_mpc(tuple(from_man_exp(v, -P, mp.prec, round_nearest)
+                                        for v in total)) for total in totals)
+    return QuadratureResult(value, ctx.mp.convert(err), nodes_used, "gauss_patch")
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +406,12 @@ def _power_plan(exponents) -> List[Tuple[int, int, int]]:
 def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayIntegrand:
     """The family at alpha with its envelope, pole lattice and guard.
 
-    The integrand computes in integers scaled by 2^P, P = (prec_bits + 16)
-    + 32: x, the constants -scale and -gauss and every intermediate are
-    fixed-point complex numbers, the two exponentials come from mpmath's
-    fixed-point basecases (`exp_fixed` for the modulus, `cos_sin_fixed` for
-    the phase), v^e from `_power_plan`'s products, and N_j(v) / D(v) from one
-    integer division by |D|^2.  Each component is rounded to nearest into
-    the guard context.
+    The integrand computes in integers scaled by 2^P, P = prec_bits + 48:
+    x, the constants -scale and -gauss, every intermediate and the
+    components are fixed-point complex numbers, the two exponentials come
+    from mpmath's fixed-point basecases (`exp_fixed` for the modulus,
+    `cos_sin_fixed` for the phase), v^e from `_power_plan`'s products, and
+    N_j(v) / D(v) from one integer division by |D|^2.
 
     This is safe on the ray where integrate_ray evaluates it, rotated by
     -arg(alpha)/2: there Re(scale x) >= 0 and Re(gauss x^2) >= 0, so every
@@ -426,16 +427,10 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     plan = _power_plan(e for terms in family.numerators + (family.denominator,)
                        for _, e in terms)
     guard = _mp_context(ctx.prec_bits + 16)
-    prec = guard.prec
-    P = prec + 32
+    P = ctx.prec_bits + _FIXED_BITS
     ln2, half_pi = ln2_fixed(P), pi_fixed(P - 1)
-
-    def fixed(z):
-        re, im = guard.mpc(z)._mpc_
-        return to_fixed(re, P), to_fixed(im, P)
-
-    gr, gi = fixed(-gauss)
-    sr, si = fixed(-scale)
+    gr, gi = _fixed(guard.mpc(-gauss), P)
+    sr, si = _fixed(guard.mpc(-scale), P)
     one = 1 << P
 
     def cexp(re, im):
@@ -451,9 +446,7 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
             re, im = re + sign * pr, im + sign * pim
         return re, im
 
-    def f(x):
-        re, im = x._mpc_
-        xr, xi = to_fixed(re, P), to_fixed(im, P)
+    def f(xr, xi):
         powers = {0: (one, 0), 1: cexp(sr * xr - si * xi >> P, sr * xi + si * xr >> P)}
         for e, i, j in plan:
             (ar, ai), (br, bi) = powers[i], powers[j]
@@ -464,13 +457,8 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
         dr, di = poly(powers, family.denominator)
         inv = (1 << 3 * P) // (dr * dr + di * di)
         hr, hi = (hr * dr + hi * di) * inv >> 2 * P, (hi * dr - hr * di) * inv >> 2 * P
-        out = []
-        for terms in family.numerators:
-            nr, ni = poly(powers, terms)
-            out.append(guard.make_mpc(
-                (from_man_exp(hr * nr - hi * ni, -2 * P, prec, round_nearest),
-                 from_man_exp(hr * ni + hi * nr, -2 * P, prec, round_nearest))))
-        return tuple(out)
+        return tuple((hr * nr - hi * ni >> P, hr * ni + hi * nr >> P)
+                     for nr, ni in (poly(powers, terms) for terms in family.numerators))
 
     theta = mp.arg(alpha)
     const = 16 * (1 + 1 / mp.cos(theta / 2))
@@ -670,27 +658,32 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
         raise DomainError("pv_quadrature requires p > 0 and real t > 0")
     h = mp.pi / (2 * p)
     threshold = ctx.eps * mp.mpf(2) ** -8
-    tol = max(threshold, ctx.quad_eps) * mp.mpf(2) ** -4
-    total = mp.zero
+    P = ctx.prec_bits + _FIXED_BITS
+    tol = to_fixed((max(threshold, ctx.quad_eps) * mp.mpf(2) ** -4)._mpf_, P)
+    half = (to_fixed((h / 2)._mpf_, P), 0)  # the one panel [0, h]
+    total = 0
     for k in range(100_000):
         xk = (2 * k + 1) * h
         mk = 2 * k * h  # segment left end
-        envelope = h * (mp.pi / p) * (2 * p * t * xk + a) * mp.exp(-p * t * mk * mk)
+        # the integrand is even in a
+        envelope = h * (mp.pi / p) * (2 * p * t * xk + abs(a)) * mp.exp(-p * t * mk * mk)
         sgn = -1 if k % 2 else 1
         cax, sax = mp.cos(a * xk), mp.sin(a * xk)
 
-        def S(u, xk=xk, sgn=sgn, cax=cax, sax=sax):
+        def S(ur, ui, xk=xk, sgn=sgn, cax=cax, sax=sax):
+            u = mp.ldexp(ur, -P)  # the segment is real: ui is 0
             wgt = 2 * p * t * xk * u
             num = cax * mp.cos(a * u) * mp.sinh(wgt) + sax * mp.sin(a * u) * mp.cosh(wgt)
-            return (2 * sgn * mp.exp(-p * t * (xk * xk + u * u)) * num / mp.sin(p * u),)
+            val = 2 * sgn * mp.exp(-p * t * (xk * xk + u * u)) * num / mp.sin(p * u)
+            return ((to_fixed(val._mpf_, P), 0),)
 
-        (acc,), _, _ = _gauss_panels(S, [(mp.zero, h)], mp, ctx.prec_bits, tol)
+        [(acc, _)], _, _ = _gauss_panels(S, [(half, half)], ctx.prec_bits, tol)
         total += acc
         if envelope < threshold and k >= 2:
             break
     else:
         raise NonConvergenceError("pv segments did not converge")
-    return mp.sqrt(4 * p * t / mp.pi) * total
+    return mp.sqrt(4 * p * t / mp.pi) * mp.ldexp(total, -P)
 
 
 # ---------------------------------------------------------------------------

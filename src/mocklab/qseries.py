@@ -5,10 +5,10 @@ exact-rational truncated-expansion oracle.
 Numeric evaluation and the symbolic oracle are fully independent code paths;
 tests cross-validate one against the other.
 
-Stop rules: the partial thetas (`unary_x`, the theta3/theta4 series and
-`theta2_sum_form`) share one evaluator, `_partial_theta`, which stops on a
-certified bound on the omitted tail, as does the infinite `pochhammer`
-product.  `eval_mock` still stops on three small terms, a heuristic.
+Stop rules: the partial thetas (`unary_x` and the theta3/theta4 series)
+share one evaluator, `_partial_theta`, which stops on a certified bound on
+the omitted tail, as does the infinite `pochhammer` product.  `eval_mock`
+still stops on three small terms, a heuristic.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "unary_x",
     "eta",
     "theta",
-    "theta2_sum_form",
     "euler_inverse_coeffs",
 ]
 
@@ -329,19 +328,6 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
         raise DomainError("theta index must be 2, 3 or 4")
     psi = {0: 1, 1: 1} if which == 3 else {0: 1, 1: -1}
     return 1 + 2 * _partial_theta(psi, 2, 1, 0, q, ctx, scale=2)
-
-
-def theta2_sum_form(tau, ctx: PrecisionContext) -> mpc:
-    """theta2 as the series 2 q^{1/4} sum_{n odd} q^{(n^2-1)/4}; cross-check
-    form, summed by `_partial_theta`."""
-    mp = ctx.mp
-    tau = mp.mpc(tau)
-    if not tau.imag > 0:
-        raise DomainError("theta requires Im tau > 0")
-    alpha = -mp.pi * 1j * tau
-    pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
-    return pref * _partial_theta({1: 1}, 2, 4, 1, mp.exp(-alpha), ctx,
-                                 scale=abs(pref))
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,16 @@ from mocklab import (
     check_mf3,
     check_mf5,
     check_wronskian_suite,
-    g_function,
+    eta,
     group_relations,
     mixing_matrix,
     phase_matrix,
     run_suite,
     suite_report_to_json,
-    wronskian_periodicity,
 )
 from mocklab import mordell
 from mocklab.cli import main, parse_number
+from mocklab.identities import _pair_laws, _q_basis, _v_vector
 from mocklab.matrices import identity2, mat_mul, mat_norm, mat_sub
 from mocklab.modpoint import power_from_alpha
 from mocklab.qseries import MockThetaId, eval_mock
@@ -247,14 +247,28 @@ def test_growth_check(ctx):
 # Wronskian machinery
 # ---------------------------------------------------------------------------
 
+def _wronskian_periodicity(h0, h1, tau, ctx):
+    """The suite's laws v(tau+1) = D v(tau) and W(tau+1) = -W(tau) for the
+    vector built from one pair of polynomial Q-series."""
+    tau = ctx.mp.mpc(tau)
+    bases = [_q_basis(t, max(len(h0), len(h1)), ctx) for t in (tau, tau + 1)]
+    return _pair_laws(h0, h1, tau, bases, None, ctx)
+
+
+def _g_function(h0, h1, tau, ctx):
+    """G = W^3 / eta^12 for the vector built from one pair."""
+    tau = ctx.mp.mpc(tau)
+    _, w = _v_vector(h0, h1, _q_basis(tau, max(len(h0), len(h1)), ctx), ctx)
+    return w**3 / eta(tau, ctx) ** 12
+
+
 def test_wronskian_canonical_pair_closed_form(ctx):
     # H0 = 1, H1 = Q: W = 2 pi i (3/5) Q^{1/2}; W(tau+1) = -W(tau)
     with mp.workprec(ctx.prec_bits):
         tau = mpc("0.2", "1.1")
-        entries = wronskian_periodicity([1], [0, 1], tau, ctx)
+        entries = _wronskian_periodicity([1], [0, 1], tau, ctx)
         for e in entries:
             assert e.abs_residual < mpf(10) ** -40
-        from mocklab.identities import _q_basis, _v_vector
         _, w = _v_vector([1], [0, 1], _q_basis(tau, 2, ctx), ctx)
         closed = 2 * mp.pi * 1j * mpf(3) / 5 * power_from_alpha(
             -mp.pi * 1j * tau, "Q", Fraction(1, 2), ctx)
@@ -263,10 +277,9 @@ def test_wronskian_canonical_pair_closed_form(ctx):
 
 def test_wronskian_zero_input(ctx):
     with mp.workprec(ctx.prec_bits):
-        from mocklab.identities import _q_basis, _v_vector
         v, w = _v_vector([0], [0], _q_basis(mpc(0, 1), 1, ctx), ctx)
         assert v[0] == 0 and v[1] == 0 and w == 0
-        assert g_function([0], [0], mpc(0, 1), ctx) == 0
+        assert _g_function([0], [0], mpc(0, 1), ctx) == 0
 
 
 def test_wronskian_random_pairs(ctx):
@@ -282,8 +295,8 @@ def test_g_cusp_decay(ctx):
     # H1 = O(Q) input: |G| decays up the imaginary axis
     with mp.workprec(ctx.prec_bits):
         h0, h1 = [1, 2, 1], [0, 3, 1]
-        g4 = abs(g_function(h0, h1, mpc(0, 4), ctx))
-        g8 = abs(g_function(h0, h1, mpc(0, 8), ctx))
+        g4 = abs(_g_function(h0, h1, mpc(0, 4), ctx))
+        g8 = abs(_g_function(h0, h1, mpc(0, 8), ctx))
         assert g8 < g4 / 100
 
 

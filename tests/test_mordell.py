@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 from mpmath import MPContext, mp, mpc, mpf
 from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import to_fixed
 
 from mocklab import (
     DomainError,
     PoleProximityError,
     PrecisionContext,
-    RayIntegrand,
-    integrate_ray,
     l_integral,
     l_vector,
     lateral_l_vector,
@@ -22,7 +21,26 @@ from mocklab import (
     w3_integral,
 )
 from mocklab import mordell
-from mocklab.mordell import neville_extrapolate
+from mocklab.mordell import RayIntegrand, integrate_ray, neville_extrapolate
+
+
+def _as_fixed(func, ctx):
+    """The RayIntegrand.func of an integrand func on mpmath numbers: the
+    node arrives as an mpc of the guard context, 16 bits above the working
+    precision, and each component leaves in the quadrature's fixed point."""
+    P = ctx.prec_bits + mordell._FIXED_BITS
+    guard = mordell._mp_context(ctx.prec_bits + 16)
+    return lambda xr, xi: tuple(
+        mordell._fixed(guard.mpc(v), P)
+        for v in func(guard.mpc(guard.ldexp(xr, -P), guard.ldexp(xi, -P))))
+
+
+def _at(func, z, ctx):
+    """The components of a RayIntegrand.func at the number z, as mpc."""
+    P = ctx.prec_bits + mordell._FIXED_BITS
+    guard = mordell._mp_context(ctx.prec_bits + 16)
+    return tuple(guard.mpc(guard.ldexp(re, -P), guard.ldexp(im, -P))
+                 for re, im in func(*mordell._fixed(guard.mpc(z), P)))
 
 
 def _tanh_sinh(f, integrand, angle, ctx):
@@ -37,6 +55,7 @@ def _tanh_sinh(f, integrand, angle, ctx):
 
 def _fixed_degree_sweeps(integrand, angle, ctx, degrees):
     """One Gauss total per degree over the production panel set."""
+    P = ctx.prec_bits + mordell._FIXED_BITS
     with mp.workprec(ctx.prec_bits + 16):
         w, points, _tail = mordell._geometry(integrand, angle, ctx)
         out = []
@@ -45,7 +64,8 @@ def _fixed_degree_sweeps(integrand, angle, ctx, degrees):
             for a, b in zip(points[:-1], points[1:]):
                 mid, half = (a + b) / 2, (b - a) / 2
                 total += half * mp.fsum(
-                    wt * integrand.func(w * (mid + half * x))[0]
+                    mp.ldexp(wt, -P)
+                    * _at(integrand.func, w * (mid + half * mp.ldexp(x, -P)), ctx)[0]
                     for x, wt in mordell._gl_nodes(degree, ctx.prec_bits))
             out.append(w * total)
         return out
@@ -64,8 +84,9 @@ def _l_cosh(r, alpha):
 # integrate_ray on known integrals
 # ---------------------------------------------------------------------------
 
-def _gaussian(gamma):
-    return RayIntegrand(func=lambda x: (mp.exp(-gamma * x * x),), gauss_coeff=gamma)
+def _gaussian(gamma, ctx):
+    return RayIntegrand(func=_as_fixed(lambda x: (mp.exp(-gamma * x * x),), ctx),
+                        gauss_coeff=gamma)
 
 
 @pytest.mark.parametrize("method", ["tanh_sinh", "gauss_patch"])
@@ -73,7 +94,7 @@ def test_gaussian_half_line(ctx, method):
     """Both the production Gauss scheme and the test-only tanh-sinh
     reference reproduce sqrt(pi)/2 and agree with each other."""
     with mp.workprec(ctx.prec_bits):
-        integrand = _gaussian(mpc(1))
+        integrand = _gaussian(mpc(1), ctx)
         res = integrate_ray(integrand, 0, ctx)
         ref = _tanh_sinh(lambda x: mp.exp(-x * x), integrand, 0, ctx)
         value = res.value[0] if method == "gauss_patch" else ref
@@ -91,7 +112,7 @@ def test_nodes_used_counts_evaluations(ctx):
         return (mp.exp(-x * x),)
 
     with mp.workprec(ctx.prec_bits):
-        integrand = RayIntegrand(func=f, gauss_coeff=mpc(1))
+        integrand = RayIntegrand(func=_as_fixed(f, ctx), gauss_coeff=mpc(1))
         assert len(mordell._geometry(integrand, 0, ctx)[1]) == 2  # one panel
         res = integrate_ray(integrand, 0, ctx)
         assert res.nodes_used == calls[0] > 0
@@ -100,7 +121,7 @@ def test_nodes_used_counts_evaluations(ctx):
 def test_rotated_gaussian_cauchy_invariance(ctx):
     with mp.workprec(ctx.prec_bits):
         gamma = mp.exp(-1j * mp.pi / 4)
-        integrand = _gaussian(gamma)
+        integrand = _gaussian(gamma, ctx)
         v0 = _tanh_sinh(lambda x: mp.exp(-gamma * x * x), integrand, 0, ctx)
         v1 = integrate_ray(integrand, mp.pi / 8, ctx).value[0]
         assert abs(v0 - v1) < 10 * ctx.quad_eps
@@ -109,7 +130,7 @@ def test_rotated_gaussian_cauchy_invariance(ctx):
 
 def test_divergent_ray_rejected(ctx):
     with mp.workprec(ctx.prec_bits):
-        integrand = _gaussian(mp.exp(-1j * mp.pi / 4))
+        integrand = _gaussian(mp.exp(-1j * mp.pi / 4), ctx)
         with pytest.raises(DomainError):
             integrate_ray(integrand, mp.pi / 2, ctx)
 
@@ -117,9 +138,9 @@ def test_divergent_ray_rejected(ctx):
 def test_pole_proximity_guard(ctx):
     with mp.workprec(ctx.prec_bits):
         pole = mp.exp(1j * mpf("1e-8")) * mpf("0.5")
-        integrand = RayIntegrand(func=lambda x: (mp.exp(-x * x) / (x - pole),),
-                                 gauss_coeff=mpc(1), poles=(pole,),
-                                 exclusion=mpf("0.1"))
+        integrand = RayIntegrand(
+            func=_as_fixed(lambda x: (mp.exp(-x * x) / (x - pole),), ctx),
+            gauss_coeff=mpc(1), poles=(pole,), exclusion=mpf("0.1"))
         with pytest.raises(PoleProximityError):
             integrate_ray(integrand, 0, ctx)
 
@@ -144,13 +165,15 @@ def test_gl_nodes_match_mpmath(p):
     hi.prec = 1000  # exact for every difference below
     tol = hi.ldexp(1, -(p + 8))
     for degree in range(3, 8):
-        rule = mordell._gl_nodes(degree, p)
+        rule = [(hi.ldexp(x, -(p + mordell._FIXED_BITS)),
+                 hi.ldexp(wt, -(p + mordell._FIXED_BITS)))
+                for x, wt in mordell._gl_nodes(degree, p)]
         ref = GaussLegendre(MPContext()).calc_nodes(degree, p + 10)
         assert len(rule) == len(ref) == 3 * 2 ** (degree - 1)
         for (x, wt), (x_ref, wt_ref) in zip(rule, ref):
-            assert abs(hi.mpf(x) - hi.mpf(x_ref)) <= tol
-            assert abs(hi.mpf(wt) - hi.mpf(wt_ref)) <= tol
-        assert abs(hi.fsum(hi.mpf(wt) for _, wt in rule) - 2) <= tol
+            assert abs(x - hi.mpf(x_ref)) <= tol
+            assert abs(wt - hi.mpf(wt_ref)) <= tol
+        assert abs(hi.fsum(wt for _, wt in rule) - 2) <= tol
 
 
 def _float_integrand(family, alpha, ctx):
@@ -190,6 +213,7 @@ def test_fixed_point_integrand_matches_float_oracle(ctx, family):
     mp_ = ctx.mp
     family = {"l_pair": mordell._l_family(mordell._L_PAIR),
               "w2": mordell._W2, "w3": mordell._W3}[family]
+    P = ctx.prec_bits + mordell._FIXED_BITS
     rule = mordell._gl_nodes(5, ctx.prec_bits)
     for alpha in (10 * mp_.mpf("0.01") * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-3"))),
                   10 * mp_.mpf("0.307141") * mp_.exp(1j * (mp_.pi - mp_.mpf("0.002"))),
@@ -201,8 +225,8 @@ def test_fixed_point_integrand_matches_float_oracle(ctx, family):
         for a, b in zip(points[:-1], points[1:]):
             mid, half = (a + b) / 2, (b - a) / 2
             for x, _ in rule:
-                node = w * (mid + half * x)
-                for got, want in zip(integrand.func(node), oracle(node)):
+                node = w * (mid + half * mp_.ldexp(x, -P))
+                for got, want in zip(_at(integrand.func, node, ctx), oracle(node)):
                     assert abs(got - want) <= mp_.ldexp(max(1, abs(want)),
                                                        -ctx.prec_bits)
 
@@ -258,19 +282,33 @@ def test_split_panels_are_bit_identical(ctx, cpus, where):
 
 def test_split_child_error_reaches_caller(ctx, cpus):
     mp_ = ctx.mp
+    P = ctx.prec_bits + mordell._FIXED_BITS
 
     def f(x):
-        if x > 2:
+        if x.real > 2:
             raise PoleProximityError("integrand refused a node past 2")
         return (mp_.exp(-x),)
 
-    panels = [(mp_.mpf(a), mp_.mpf(a + 1)) for a in range(3)]
+    # the panels [0, 1], [1, 2] and [2, 3]
+    frames = [(((2 * a + 1) << P - 1, 0), (1 << P - 1, 0)) for a in range(3)]
     forks = cpus({0, 1, 2})
     with pytest.raises(PoleProximityError, match="^integrand refused a node past 2$"):
-        mordell._gauss_panels(f, panels, mp_, ctx.prec_bits, ctx.quad_eps)
+        mordell._gauss_panels(_as_fixed(f, ctx), frames, ctx.prec_bits,
+                              to_fixed(ctx.quad_eps._mpf_, P))
     assert len(forks) == 2  # the last panel ran in a child
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child has been reaped
+
+
+def test_one_split_per_quadrature(ctx, cpus):
+    """Each panel raises its degree in the process that holds it, so one
+    quadrature over three or more panels on three CPUs forks twice."""
+    alpha = ctx.mp.mpc(1, "0.5")
+    integrand = mordell._ray_integrand(mordell._W3, alpha, ctx)
+    assert len(mordell._geometry(integrand, -ctx.mp.arg(alpha) / 2, ctx)[1]) > 3
+    forks = cpus({0, 1, 2})
+    _family_quadrature(mordell._W3, alpha, ctx)
+    assert len(forks) == 2
 
 
 def test_split_runs_in_process_beside_other_threads(ctx, cpus):
@@ -314,7 +352,8 @@ def test_l_rotation_invariance(ctx):
             rad = m * mp.pi / (3 * abs(alpha))
             poles += [1j * rad / mp.exp(1j * mp.pi / 4), -1j * rad / mp.exp(1j * mp.pi / 4)]
             m += 2
-        integrand = RayIntegrand(lambda x: (f(x),), mpf(3) / 2 * alpha, tuple(poles), mpf(64))
+        integrand = RayIntegrand(_as_fixed(lambda x: (f(x),), ctx), mpf(3) / 2 * alpha,
+                                 tuple(poles), mpf(64))
         v0 = _tanh_sinh(f, integrand, 0, ctx)
         v1 = integrate_ray(integrand, -mp.pi / 8, ctx).value[0]
         direct, _ = l_integral(r, alpha, ctx)
@@ -470,10 +509,12 @@ def test_pv_mutual_oracle_point(ctx):
 
 def test_pv_sum_past_the_first_terms(ctx):
     # |a| a few multiples of p: the Gaussian peaks at (2k+1)p ~ |a|, far
-    # beyond the first terms, which are all tiny
+    # beyond the first terms, which are all tiny; negative a, where the
+    # quadrature's segment envelope must take |a|
     with mp.workprec(ctx.prec_bits):
-        a, p, t = mpf("50.3"), mpf(1), mpf("0.3")
-        assert abs(pv_sum(a, p, t, ctx) - pv_quadrature(a, p, t, ctx)) < mpf(10) ** -25
+        for a in (mpf("50.3"), mpf(-5)):
+            p, t = mpf(1), mpf("0.3")
+            assert abs(pv_sum(a, p, t, ctx) - pv_quadrature(a, p, t, ctx)) < mpf(10) ** -25
 
 
 def test_pv_sum_symmetry_and_limit(ctx):

@@ -15,9 +15,9 @@ from mocklab import (
     pochhammer,
     series_expand,
     theta,
-    theta2_sum_form,
     unary_x,
 )
+from mocklab.modpoint import power_from_alpha
 from mocklab.qseries import _UNARY_PSI, _partial_theta
 
 ALL_IDS = [MockThetaId.from_name(n) for n in ("chi0", "chi1", "omega", "f", "rho", "xi")]
@@ -237,6 +237,16 @@ def test_unary_partial_sum_decay(ctx):
             assert abs(partial[kmax + 1] - partial[kmax]) <= omitted + ctx.eps
 
 
+def _theta2_sum_form(tau, ctx):
+    """theta2 as the series 2 q^{1/4} sum_{n odd} q^{(n^2-1)/4}, summed by
+    `_partial_theta`: a cross-check of the product form theta(2)."""
+    mp_ = ctx.mp
+    alpha = -mp_.pi * 1j * mp_.mpc(tau)
+    pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
+    return pref * _partial_theta({1: 1}, 2, 4, 1, mp_.exp(-alpha), ctx,
+                                 scale=abs(pref))
+
+
 STRESS = PrecisionContext(prec_bits=400, eps="1e-80")
 
 
@@ -249,7 +259,7 @@ def test_partial_theta_stress_edge(ctx):
     tau = mp_.mpc("0.3", -mp_.log(mp_.mpf("0.999")) / mp_.pi)
     assert abs(abs(mp_.exp(mp_.pi * 1j * tau)) - mp_.mpf("0.999")) < ctx.eps
     for f in (lambda c: theta(3, tau, c), lambda c: theta(4, tau, c),
-              lambda c: theta2_sum_form(tau, c)):
+              lambda c: _theta2_sum_form(tau, c)):
         assert abs(f(ctx) - f(STRESS)) < ctx.eps
 
 
@@ -279,7 +289,7 @@ def test_theta_transformations(ctx):
 def test_theta2_sum_vs_product(ctx):
     with mp.workprec(ctx.prec_bits):
         tau = mpc(0, "1.5")
-        assert abs(theta(2, tau, ctx) - theta2_sum_form(tau, ctx)) < 10 * ctx.eps
+        assert abs(theta(2, tau, ctx) - _theta2_sum_form(tau, ctx)) < 10 * ctx.eps
 
 
 def test_eta_theta3_nonvanishing_grid(ctx):
