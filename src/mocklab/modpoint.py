@@ -26,8 +26,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Tuple
 
 from mpmath import MPContext, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DomainError, PrecisionError
 
@@ -38,6 +40,10 @@ __all__ = [
 ]
 
 _FRAC_BASES = ("q", "Q", "q1", "Q1")
+
+# The fixed point of the hot loops (ray quadrature, q-series): integers
+# scaled by 2^(prec_bits + 48), so 48 guard bits below the working precision.
+_FIXED_BITS = 48
 
 # Exponent multiplier per base: q^r = exp(-r*alpha), Q^r = exp(-2r*alpha), ...
 _BASE_DOUBLING = {"q": 1, "Q": 2, "q1": 1, "Q1": 2}
@@ -52,6 +58,19 @@ def _mp_context(prec: int) -> MPContext:
     context.mpf.__reduce__ = lambda x: (mpf, (), x.__getstate__())
     context.mpc.__reduce__ = lambda z: (mpc, (), z.__getstate__())
     return context
+
+
+def _fixed(z, P: int) -> Tuple[int, int]:
+    """The mpc z as a pair of integers scaled by 2^P."""
+    re, im = z._mpc_
+    return to_fixed(re, P), to_fixed(im, P)
+
+
+def _from_fixed(z: Tuple[int, int], P: int, mp: MPContext, prec: int = 0) -> mpc:
+    """The pair z of integers scaled by 2^P as an mpc of mp, rounded to
+    nearest at prec bits (mp's own precision by default)."""
+    prec = prec or mp.prec
+    return mp.make_mpc(tuple(from_man_exp(v, -P, prec, round_nearest) for v in z))
 
 
 @dataclass(frozen=True)

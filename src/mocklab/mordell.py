@@ -47,8 +47,7 @@ from math import lcm
 from typing import Callable, List, Sequence, Tuple
 
 from mpmath import MPContext, mpc, mpf
-from mpmath.libmp import (from_float, from_man_exp, ln2_fixed, pi_fixed,
-                          round_nearest, to_fixed)
+from mpmath.libmp import from_float, ln2_fixed, pi_fixed, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import (
@@ -58,7 +57,8 @@ from .errors import (
     PoleProximityError,
 )
 from .matrices import mat_vec, mixing_matrix
-from .modpoint import PrecisionContext, _mp_context, power_from_alpha
+from .modpoint import (_FIXED_BITS, PrecisionContext, _fixed, _from_fixed,
+                       _mp_context, power_from_alpha)
 from .qseries import k_pair, unary_x
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
 ]
 
 LATERAL_FLOOR = "1e-3"  # smallest admissible pi - |theta|
-_FIXED_BITS = 48  # the quadrature's integers are scaled by 2^(prec_bits + 48)
 
 
 @dataclass(frozen=True)
@@ -143,12 +142,6 @@ def _gl_nodes(degree: int, prec: int):
         node, weight = (r << P) >> wp, (w << P) >> wp
         rule += [(node, weight), (-node, weight)]
     return rule
-
-
-def _fixed(z, P: int) -> Tuple[int, int]:
-    """The mpc z as a pair of integers scaled by 2^P."""
-    re, im = z._mpc_
-    return to_fixed(re, P), to_fixed(im, P)
 
 
 def _split_map(fn, items: Sequence) -> list:
@@ -321,8 +314,7 @@ def integrate_ray(integrand: RayIntegrand, angle,
         raise NonConvergenceError(
             "quadrature error estimate %s above target" % mp.nstr(err, 5)
         )
-    value = tuple(ctx.mp.make_mpc(tuple(from_man_exp(v, -P, mp.prec, round_nearest)
-                                        for v in total)) for total in totals)
+    value = tuple(_from_fixed(total, P, ctx.mp, mp.prec) for total in totals)
     return QuadratureResult(value, ctx.mp.convert(err), nodes_used, "gauss_patch")
 
 

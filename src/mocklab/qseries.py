@@ -9,6 +9,14 @@ Stop rules: the partial thetas (`unary_x` and the theta3/theta4 series)
 share one evaluator, `_partial_theta`, which stops on a certified bound on
 the omitted tail, as does the infinite `pochhammer` product.  `eval_mock`
 still stops on three small terms, a heuristic.
+
+Arithmetic: each mock theta series is described once, as data (`_SERIES`):
+its first term and its term ratio t_n / t_{n-1}, a monomial in q times
+factors 1 +- q^{k n + d}.  One evaluator, `_sum_series`, runs all six on
+complex integers scaled by 2^(prec_bits + 48), the fixed point of the ray
+quadrature, updating every power of q by one multiplication per term; the
+sum is rounded into the context only at the end.  `pochhammer` multiplies
+its factors directly in mpf, whose exponents are unbounded.
 """
 
 from __future__ import annotations
@@ -16,12 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from mpmath import mpc
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergenceError
-from .modpoint import PrecisionContext, power_from_alpha
+from .modpoint import (_FIXED_BITS, PrecisionContext, _fixed, _from_fixed,
+                       power_from_alpha)
 
 __all__ = [
     "MockThetaId",
@@ -76,39 +86,43 @@ class MockThetaId:
 def pochhammer(a, b, n, ctx: PrecisionContext) -> mpc:
     """(a; b)_n = prod_{j=0}^{n-1} (1 - a b^j); n may be mp.inf.
 
-    The infinite product requires |b| < 1 and accumulates log factors so that
-    very long products neither overflow nor lose the tail; truncation stops
-    once the certified remainder of the log sum is below eps * 2^-8.
+    Both branches multiply the factors directly, updating a b^j by one
+    multiplication per factor.  The infinite product requires |b| < 1; mpf
+    exponents are unbounded, so however long it runs it can neither
+    overflow nor underflow.  It stops once the remaining |a| |b|^j / (1 -
+    |b|) = r < 1 has r / (1 - r) < eps * 2^-8, which bounds the modulus of
+    the log of the omitted factors, and so the relative error of the
+    truncated product.
     """
     mp = ctx.mp
     a = mp.mpc(a)
     b = mp.mpc(b)
+    prod = mp.mpc(1)
+    term = a  # a * b^j
     if n != mp.inf:
         n = int(n)
         if n < 0:
             raise DomainError("pochhammer length must be nonnegative")
-        prod = mp.mpc(1)
-        for j in range(n):
-            prod *= 1 - a * b**j
+        for _ in range(n):
+            prod *= 1 - term
+            term *= b
         return prod
     if not abs(b) < 1:
         raise DomainError("infinite pochhammer needs |b| < 1")
     if a == 0:
-        return mp.mpc(1)
+        return prod
     tail_target = ctx.eps * mp.mpf(2) ** -8
-    log_sum = mp.mpc(0)
-    term = a  # a * b^j
     absb = abs(b)
-    for j in range(MAX_TERMS_DEFAULT):
+    for _ in range(MAX_TERMS_DEFAULT):
         factor = 1 - term
         if factor == 0:
             return mp.mpc(0)
-        log_sum += mp.log(factor)
+        prod *= factor
         term *= b
         # remaining |a||b|^j sum, inflated against log(1-x) curvature
         rem = abs(term) / (1 - absb)
         if rem < 1 and rem / (1 - rem) < tail_target:
-            return mp.exp(log_sum)
+            return prod
     raise NonConvergenceError("infinite pochhammer did not converge")
 
 
@@ -116,94 +130,120 @@ def pochhammer(a, b, n, ctx: PrecisionContext) -> mpc:
 # Mock theta functions: numeric evaluation
 # ---------------------------------------------------------------------------
 
-def _sum_with_stop_rule(terms: Iterator[mpc], ctx: PrecisionContext) -> mpc:
-    """Sum terms until three consecutive ones drop below eps * 2^-8 (and at
-    least 8 terms were taken)."""
-    threshold = ctx.eps * ctx.mp.mpf(2) ** -8
-    total = ctx.mp.mpc(0)
+# (s, k, d) stands for the factor 1 + s q^{k n + d} at term index n.
+_Factor = Tuple[int, int, int]
+
+
+class _Ratio(NamedTuple):
+    """q^{a n + b} prod_num (1 + s q^{k n + d}) / prod_den (1 + s q^{k n + d})
+    as a function of the term index n."""
+
+    a: int
+    b: int
+    num: Tuple[_Factor, ...] = ()
+    den: Tuple[_Factor, ...] = ()
+
+
+class _Series(NamedTuple):
+    """head + sum_{n>=0} t_n with t_0 = coeff * first(0) and, for n >= 1,
+    t_n = t_{n-1} * ratio(n); every exponent k n + d and a n + b is
+    nonnegative from n = 1 on."""
+
+    first: _Ratio
+    ratio: _Ratio
+    coeff: int = 1
+    head: int = 0
+
+
+_SERIES = {
+    # sum_n q^n / (q^{n+1}; q)_n
+    "chi0": _Series(_Ratio(0, 0),
+                    _Ratio(0, 1, ((-1, 1, 0),), ((-1, 2, -1), (-1, 2, 0)))),
+    # sum_n q^n / (q^{n+1}; q)_{n+1}
+    "chi1": _Series(_Ratio(0, 0, (), ((-1, 0, 1),)),
+                    _Ratio(0, 1, ((-1, 1, 0),), ((-1, 2, 0), (-1, 2, 1)))),
+    # sum_n q^{2n(n+1)} / (q; q^2)_{n+1}^2
+    "omega": _Series(_Ratio(0, 0, (), ((-1, 0, 1),) * 2),
+                     _Ratio(4, 0, (), ((-1, 2, 1),) * 2)),
+    # sum_n q^{n^2} / (-q; q)_n^2
+    "f": _Series(_Ratio(0, 0), _Ratio(2, -1, (), ((1, 1, 0),) * 2)),
+    # sum_n q^{2n(n+1)} (q; q^2)_{n+1} / (q^3; q^6)_{n+1}
+    "rho": _Series(_Ratio(0, 0, ((-1, 0, 1),), ((-1, 0, 3),)),
+                   _Ratio(4, 0, ((-1, 2, 1),), ((-1, 6, 3),))),
+    # 1 + 2 sum_{n>=0} q^{6n(n+1)+1} / ((q; q^6)_{n+1} (q^5; q^6)_{n+1})
+    "xi": _Series(_Ratio(0, 1, (), ((-1, 0, 1), (-1, 0, 5))),
+                  _Ratio(12, 0, (), ((-1, 6, 1), (-1, 6, 5))), coeff=2, head=1),
+}
+
+
+def _sum_series(series: _Series, q, ctx: PrecisionContext) -> mpc:
+    """The series at q, |q| < 1, summed in integers scaled by 2^P, P =
+    prec_bits + 48, and rounded to nearest into ctx.mp.
+
+    Stops after three consecutive terms with |t|^2 < (eps 2^-8)^2, compared
+    exactly in integers, once at least 8 terms (counting the head) were
+    taken.
+    """
+    P = ctx.prec_bits + _FIXED_BITS
+    one = 1 << P
+    thr = to_fixed(ctx.mp.ldexp(ctx.eps, -8)._mpf_, P)
+    thr2 = thr * thr
+    powers = [(one, 0), _fixed(q, P)]  # q^e by exponent e
+
+    def mul(x, y):
+        (xr, xi), (yr, yi) = x, y
+        return xr * yr - xi * yi >> P, xr * yi + xi * yr >> P
+
+    def power(e):
+        while len(powers) <= e:
+            powers.append(mul(powers[-1], powers[1]))
+        return powers[e]
+
+    def product(z, factors):
+        """z times prod (1 + s p) over the pairs (s, p), p a power of q; z
+        may be None, which stands for 1 and saves one multiplication."""
+        for s, (pr, pi) in factors:
+            w = one + s * pr, s * pi
+            z = w if z is None else mul(z, w)
+        return (one, 0) if z is None else z
+
+    def next_term(t, mono, num, den):
+        """t * mono * prod_num (1 + s p) / prod_den (1 + s p), with the
+        division one integer division by |prod_den|^2."""
+        dr, di = product(None, den)
+        tr, ti = mul(mul(t, product(mono, num)), (dr, -di))
+        inv = (1 << 3 * P) // (dr * dr + di * di)
+        return tr * inv >> P, ti * inv >> P
+
+    first, ratio = series.first, series.ratio
+    t = next_term((series.coeff * one, 0), power(first.b),
+                  [(s, power(d)) for s, _, d in first.num],
+                  [(s, power(d)) for s, _, d in first.den])
+    # the running powers q^{k n + d} of the ratio, one per distinct (k, d),
+    # and the factors q^k that advance them from n - 1 to n
+    slots = list(dict.fromkeys([(ratio.a, ratio.b)]
+                               + [(k, d) for _, k, d in ratio.num + ratio.den]))
+    cur = [power(k + d) for k, d in slots]  # at n = 1
+    moving = [(i, power(k)) for i, (k, _) in enumerate(slots) if k]
+    num = [(s, slots.index((k, d))) for s, k, d in ratio.num]
+    den = [(s, slots.index((k, d))) for s, k, d in ratio.den]
+    sr, si = series.head * one, 0
     small_run = 0
-    for n, t in enumerate(terms):
-        total += t
-        if abs(t) < threshold:
+    for n in range(series.head, MAX_TERMS_DEFAULT):
+        sr, si = sr + t[0], si + t[1]
+        if t[0] * t[0] + t[1] * t[1] < thr2:
             small_run += 1
             if small_run >= 3 and n >= 8:
-                return total
+                return _from_fixed((sr, si), P, ctx.mp)
         else:
             small_run = 0
-        if n + 1 >= MAX_TERMS_DEFAULT:
-            raise NonConvergenceError(
-                "series stop rule unmet within %d terms" % MAX_TERMS_DEFAULT
-            )
-    return total
-
-
-def _chi0_terms(q: mpc) -> Iterator[mpc]:
-    # sum_n q^n / (q^{n+1}; q)_n
-    yield 1
-    denom = 1
-    qn = 1
-    for n in range(1, MAX_TERMS_DEFAULT):
-        denom *= (1 - q ** (2 * n - 1)) * (1 - q ** (2 * n)) / (1 - q**n)
-        qn *= q
-        yield qn / denom
-
-
-def _chi1_terms(q: mpc) -> Iterator[mpc]:
-    # sum_n q^n / (q^{n+1}; q)_{n+1}
-    denom = 1 - q
-    yield 1 / denom
-    qn = 1
-    for n in range(1, MAX_TERMS_DEFAULT):
-        denom *= (1 - q ** (2 * n)) * (1 - q ** (2 * n + 1)) / (1 - q**n)
-        qn *= q
-        yield qn / denom
-
-
-def _omega_terms(q: mpc) -> Iterator[mpc]:
-    # sum_n q^{2n(n+1)} / (q; q^2)_{n+1}^2
-    denom = (1 - q) ** 2
-    yield 1 / denom
-    for n in range(1, MAX_TERMS_DEFAULT):
-        denom *= (1 - q ** (2 * n + 1)) ** 2
-        yield q ** (2 * n * (n + 1)) / denom
-
-
-def _f_terms(q: mpc) -> Iterator[mpc]:
-    # sum_n q^{n^2} / (-q; q)_n^2
-    yield 1
-    denom = 1
-    for n in range(1, MAX_TERMS_DEFAULT):
-        denom *= (1 + q**n) ** 2
-        yield q ** (n * n) / denom
-
-
-def _rho_terms(q: mpc) -> Iterator[mpc]:
-    # sum_n q^{2n(n+1)} (q; q^2)_{n+1} / (q^3; q^6)_{n+1}
-    ratio = (1 - q) / (1 - q**3)
-    yield ratio
-    for n in range(1, MAX_TERMS_DEFAULT):
-        ratio *= (1 - q ** (2 * n + 1)) / (1 - q ** (6 * n + 3))
-        yield q ** (2 * n * (n + 1)) * ratio
-
-
-def _xi_terms(q: mpc) -> Iterator[mpc]:
-    # 1 + 2 sum_{n>=1} q^{6n(n-1)+1} / ((q; q^6)_n (q^5; q^6)_n)
-    yield 1
-    inv = 1 / ((1 - q) * (1 - q**5))
-    yield 2 * q * inv
-    for n in range(2, MAX_TERMS_DEFAULT):
-        inv /= (1 - q ** (6 * n - 5)) * (1 - q ** (6 * n - 1))
-        yield 2 * q ** (6 * n * (n - 1) + 1) * inv
-
-
-_TERM_GENERATORS = {
-    "chi0": _chi0_terms,
-    "chi1": _chi1_terms,
-    "omega": _omega_terms,
-    "f": _f_terms,
-    "rho": _rho_terms,
-    "xi": _xi_terms,
-}
+        t = next_term(t, cur[0], [(s, cur[i]) for s, i in num],
+                      [(s, cur[i]) for s, i in den])
+        for i, step in moving:
+            cur[i] = mul(cur[i], step)
+    raise NonConvergenceError(
+        "series stop rule unmet within %d terms" % MAX_TERMS_DEFAULT
+    )
 
 
 def eval_mock(mid: MockThetaId, q, ctx: PrecisionContext) -> mpc:
@@ -211,13 +251,27 @@ def eval_mock(mid: MockThetaId, q, ctx: PrecisionContext) -> mpc:
 
     Reliable tails require |q| <= 0.999; near the unit circle the defining
     series converge too slowly for certified truncation.
+
+    The series is summed by `_sum_series` in integers scaled by 2^P, P =
+    prec_bits + 48.  The error, with u = 2^-P: q and every product
+    truncate by at most u per part.  A running power q^e, e = k n + d,
+    damps the error it carries by |q^k| < 1 per step, so it is off by at
+    most a few u / (1 - |q|), and by a few e u while e < 1 / (1 - |q|).
+    As |1 +- q^e| >= 1 - |q|^e, each factor of a ratio, the division by the
+    denominator included, then has a relative error of a few u / (1 - |q|):
+    with 1 - |q| >= 0.001, about 10 of the 48 guard bits, a few more for
+    the factor count.  A term, a product of n ratios, adds log2 n bits
+    (under 18 at the term cap), which leaves the sum within about
+    2^-(prec_bits + 10) of sum |t_n|, the order of the rounding error of a
+    floating-point sum of the same terms.  For real q every imaginary part
+    stays 0, and the arithmetic is real.
     """
     q = ctx.mp.mpc(q)
     if not abs(q) < 1:
         raise DomainError("mock theta series require |q| < 1")
     if abs(q) > ctx.mp.mpf("0.999"):
         raise DomainError("evaluation guard: |q| <= 0.999")
-    return _sum_with_stop_rule(_TERM_GENERATORS[mid.name](q), ctx)
+    return _sum_series(_SERIES[mid.name], q, ctx)
 
 
 def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:

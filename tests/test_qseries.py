@@ -17,8 +17,9 @@ from mocklab import (
     theta,
     unary_x,
 )
+from mocklab.errors import NonConvergenceError
 from mocklab.modpoint import power_from_alpha
-from mocklab.qseries import _UNARY_PSI, _partial_theta
+from mocklab.qseries import MAX_TERMS_DEFAULT, _UNARY_PSI, _partial_theta
 
 ALL_IDS = [MockThetaId.from_name(n) for n in ("chi0", "chi1", "omega", "f", "rho", "xi")]
 
@@ -46,6 +47,26 @@ def test_pochhammer_infinite(ctx):
         assert abs(pochhammer(a, b, mp.inf, ctx) - direct) < 10 * ctx.eps
     with pytest.raises(DomainError):
         pochhammer(mpf("0.5"), mpf(1), mp.inf, ctx)
+
+
+def test_pochhammer_finite_against_powers(ctx):
+    # the finite branch against the product with b^j taken by pow
+    mp_ = ctx.mp
+    for a, b, n in ((mp_.mpc("0.5", "0.1"), mp_.mpc("0.2", "-0.3"), 12),
+                    (mp_.mpf("0.9"), mp_.mpf("0.95"), 200)):
+        want = mp_.mpc(1)
+        for j in range(n):
+            want *= 1 - a * b**j
+        assert abs(pochhammer(a, b, n, ctx) - want) < ctx.eps * abs(want)
+
+
+def test_pochhammer_infinite_stress(ctx):
+    # against 400 bits and eps 1e-80; at b = 0.99 the product is about e^-160
+    # and takes about 11 000 factors
+    mp_ = ctx.mp
+    for b in (mp_.mpf("0.91") * mp_.expj("0.3"), mp_.mpf("0.99")):
+        want = pochhammer(b, b, mp_.inf, STRESS)
+        assert abs(pochhammer(b, b, mp_.inf, ctx) - want) < ctx.eps * abs(want)
 
 
 def test_pochhammer_two_truncation_orders(ctx):
@@ -104,6 +125,119 @@ def test_eval_matches_oracle_on_disc(ctx, name):
             bound = ctx.eps + 4 * abs(q) ** 41 * mpf(maxc.numerator) / maxc.denominator
             assert abs(num - poly) < bound
             assert abs(num - poly) < ctx.eps + s.tail_bound
+
+
+# The series as mpf term generators summed by the three-small-terms rule: the
+# floating-point form of `eval_mock`, kept as its oracle.
+
+def _chi0_terms(q):
+    # sum_n q^n / (q^{n+1}; q)_n
+    yield 1
+    denom = 1
+    qn = 1
+    for n in range(1, MAX_TERMS_DEFAULT):
+        denom *= (1 - q ** (2 * n - 1)) * (1 - q ** (2 * n)) / (1 - q**n)
+        qn *= q
+        yield qn / denom
+
+
+def _chi1_terms(q):
+    # sum_n q^n / (q^{n+1}; q)_{n+1}
+    denom = 1 - q
+    yield 1 / denom
+    qn = 1
+    for n in range(1, MAX_TERMS_DEFAULT):
+        denom *= (1 - q ** (2 * n)) * (1 - q ** (2 * n + 1)) / (1 - q**n)
+        qn *= q
+        yield qn / denom
+
+
+def _omega_terms(q):
+    # sum_n q^{2n(n+1)} / (q; q^2)_{n+1}^2
+    denom = (1 - q) ** 2
+    yield 1 / denom
+    for n in range(1, MAX_TERMS_DEFAULT):
+        denom *= (1 - q ** (2 * n + 1)) ** 2
+        yield q ** (2 * n * (n + 1)) / denom
+
+
+def _f_terms(q):
+    # sum_n q^{n^2} / (-q; q)_n^2
+    yield 1
+    denom = 1
+    for n in range(1, MAX_TERMS_DEFAULT):
+        denom *= (1 + q**n) ** 2
+        yield q ** (n * n) / denom
+
+
+def _rho_terms(q):
+    # sum_n q^{2n(n+1)} (q; q^2)_{n+1} / (q^3; q^6)_{n+1}
+    ratio = (1 - q) / (1 - q**3)
+    yield ratio
+    for n in range(1, MAX_TERMS_DEFAULT):
+        ratio *= (1 - q ** (2 * n + 1)) / (1 - q ** (6 * n + 3))
+        yield q ** (2 * n * (n + 1)) * ratio
+
+
+def _xi_terms(q):
+    # 1 + 2 sum_{n>=1} q^{6n(n-1)+1} / ((q; q^6)_n (q^5; q^6)_n)
+    yield 1
+    inv = 1 / ((1 - q) * (1 - q**5))
+    yield 2 * q * inv
+    for n in range(2, MAX_TERMS_DEFAULT):
+        inv /= (1 - q ** (6 * n - 5)) * (1 - q ** (6 * n - 1))
+        yield 2 * q ** (6 * n * (n - 1) + 1) * inv
+
+
+TERM_GENERATORS = {"chi0": _chi0_terms, "chi1": _chi1_terms,
+                   "omega": _omega_terms, "f": _f_terms, "rho": _rho_terms,
+                   "xi": _xi_terms}
+
+
+def _sum_with_stop_rule(terms, ctx):
+    """Sum terms until three consecutive ones drop below eps * 2^-8 (and at
+    least 8 terms were taken)."""
+    threshold = ctx.eps * ctx.mp.mpf(2) ** -8
+    total = ctx.mp.mpc(0)
+    small_run = 0
+    for n, t in enumerate(terms):
+        total += t
+        if abs(t) < threshold:
+            small_run += 1
+            if small_run >= 3 and n >= 8:
+                return total
+        else:
+            small_run = 0
+        if n + 1 >= MAX_TERMS_DEFAULT:
+            raise NonConvergenceError("series stop rule unmet")
+    return total
+
+
+LOW = PrecisionContext(prec_bits=64, eps="1e-12")
+# the series_edge nomes e^-0.008024 and e^-0.004012, points near |q| = 1
+# and the points of the disc test
+ORACLE_POINTS = (("exp", "-0.008024"), ("exp", "-0.004012"), "0.996", "-0.99",
+                 ("0.7", "0.69"), ("-0.3", "-0.9"), "0.5", "-0.45", ("0.3", "0.2"))
+
+
+def _oracle_point(p, mp_):
+    if isinstance(p, str):
+        return mp_.mpf(p)
+    if p[0] == "exp":
+        return mp_.exp(mp_.mpf(p[1]))
+    return mp_.mpc(*p)
+
+
+@pytest.mark.parametrize("c", [pytest.param(None, id="256"), pytest.param(LOW, id="64")])
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_eval_matches_float_oracle(ctx, c, name):
+    c = c or ctx
+    mid = MockThetaId.from_name(name)
+    tol = c.mp.mpf(2) ** -(c.prec_bits - 16)
+    for p in ORACLE_POINTS:
+        q = _oracle_point(p, c.mp)
+        want = _sum_with_stop_rule(TERM_GENERATORS[name](q), c)
+        assert abs(eval_mock(mid, q, c) - want) < tol * max(1, abs(want)), p
 
 
 def test_eval_domain_guards(ctx):
