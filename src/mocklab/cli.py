@@ -69,7 +69,10 @@ def parse_real(s: str, mp: MPContext) -> mpf:
     if m.group("pi"):
         val *= mp.pi
     if m.group("den"):
-        val /= mp.mpf(m.group("den"))
+        den = mp.mpf(m.group("den"))
+        if not den:
+            raise DomainError("zero denominator in %r" % s)
+        val /= den
     if m.group("sign") == "-":
         val = -val
     return val
@@ -276,17 +279,15 @@ def _load_grid(path: str, suite: str, ctx: PrecisionContext):
         if tag == "tau":
             if not z.imag > 0:
                 raise DomainError("grid tau point outside upper half-plane")
-            alpha = -mp.pi * 1j * z
         elif tag == "alpha":
             if not z.real > 0:
                 raise DomainError("grid alpha point must have Re > 0")
-            alpha = z
         else:
             raise DomainError("grid 'as' tag must be 'tau' or 'alpha'")
-        if want == "tau":
-            pts.append(1j * alpha / mp.pi)
-        else:
-            pts.append(alpha)
+        # alpha = -pi i tau; a point already in the suite's variable stays exact
+        if tag != want:
+            z = -mp.pi * 1j * z if tag == "tau" else 1j * z / mp.pi
+        pts.append(z)
     return pts
 
 

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from mocklab import reference_context, run_suite
-from mocklab.cli import main, parse_number, parse_real
+from mocklab.cli import _load_grid, main, parse_number, parse_real
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,18 @@ def test_eval_bad_r_exit_2(capsys, r):
     assert "cannot parse --r %r" % r in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, literal", [
+    (["eval", "--fn", "chi0", "--q", "1/0"], "1/0"),
+    (["eval", "--fn", "W2", "--alpha", "pi/0"], "pi/0"),
+    (["stokes", "--abs-alpha", "1/0"], "1/0"),
+    (["eval", "--fn", "x0", "--u", "0/0"], "0/0"),
+    (["stokes", "--abs-alpha", "0.3", "--eps-seq", "0.1,1/0"], "1/0"),
+], ids=["q", "alpha_pi", "abs_alpha", "u", "eps_seq"])
+def test_zero_denominator_exit_2(capsys, args, literal):
+    assert main(args) == 2
+    assert capsys.readouterr().err == "domain error: zero denominator in %r\n" % literal
+
+
 @pytest.mark.parametrize("fn", ["W2", "W3", "L", "lvec"])
 def test_eval_alpha_zero_exit_2(capsys, fn):
     assert main(["eval", "--fn", fn, "--alpha", "0"]) == 2
@@ -173,6 +185,23 @@ def test_verify_alpha_grid_file(tmp_path, capsys):
                  "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "ALL PASS" in out
+
+
+def test_load_grid_converts_only_across(tmp_path):
+    # these two tau points do not survive the round trip through alpha
+    points = [{"re": 0.25, "im": 0.015, "as": "tau"},
+              {"re": -0.27, "im": 0.0153, "as": "tau"},
+              {"re": 2.337666, "im": 0.95249, "as": "alpha"}]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(points))
+    ctx = reference_context()
+    mp_ = ctx.mp
+    z = [mp_.mpc(mp_.mpf(str(p["re"])), mp_.mpf(str(p["im"]))) for p in points]
+    taus = _load_grid(str(grid), "theta_eta", ctx)
+    alphas = _load_grid(str(grid), "mf5", ctx)
+    assert taus[:2] == z[:2] and alphas[2] == z[2]
+    assert alphas[:2] == [-mp_.pi * 1j * tau for tau in z[:2]]
+    assert taus[2] == 1j * z[2] / mp_.pi
 
 
 def test_verify_reports_full_precision(capsys):

@@ -261,23 +261,25 @@ def _family_quadrature(family, alpha, ctx):
                          -ctx.mp.arg(alpha) / 2, ctx)
 
 
-@pytest.mark.parametrize("where", ["l_pair", "w3", "lateral"])
+@pytest.mark.parametrize("where", ["l_pair", "w3", "lateral", "pv"])
 def test_split_panels_are_bit_identical(ctx, cpus, where):
     mp_ = ctx.mp
-    family, alpha = {
-        "l_pair": (mordell._l_family(mordell._L_PAIR), 10 * mp_.mpc(2, 1)),
-        "w3": (mordell._W3, mp_.mpc(1, "0.5")),
-        "lateral": (mordell._l_family(mordell._L_PAIR),
-                    3 * mp_.exp(1j * (mp_.pi - mp_.mpf("0.004")))),
+    run = {
+        "l_pair": lambda: _family_quadrature(mordell._l_family(mordell._L_PAIR),
+                                             10 * mp_.mpc(2, 1), ctx),
+        "w3": lambda: _family_quadrature(mordell._W3, mp_.mpc(1, "0.5"), ctx),
+        "lateral": lambda: _family_quadrature(
+            mordell._l_family(mordell._L_PAIR),
+            3 * mp_.exp(1j * (mp_.pi - mp_.mpf("0.004"))), ctx),
+        "pv": lambda: pv_quadrature("0.3", 1, "0.8", ctx),
     }[where]
     cpus({0})
-    single = _family_quadrature(family, alpha, ctx)
+    single = run()
     forks = cpus({0, 1, 2})
-    split = _family_quadrature(family, alpha, ctx)
+    split = run()
     assert forks
-    assert split.value == single.value
-    assert split.err_estimate == single.err_estimate
-    assert split.nodes_used == single.nodes_used
+    # a QuadratureResult compares its value, err_estimate and nodes_used
+    assert split == single
 
 
 def test_split_child_error_reaches_caller(ctx, cpus):
@@ -308,6 +310,9 @@ def test_one_split_per_quadrature(ctx, cpus):
     assert len(mordell._geometry(integrand, -ctx.mp.arg(alpha) / 2, ctx)[1]) > 3
     forks = cpus({0, 1, 2})
     _family_quadrature(mordell._W3, alpha, ctx)
+    assert len(forks) == 2
+    forks = cpus({0, 1, 2})
+    pv_quadrature("0.3", 1, "0.8", ctx)  # three or more pole-centred panels
     assert len(forks) == 2
 
 
@@ -515,6 +520,28 @@ def test_pv_sum_past_the_first_terms(ctx):
         for a in (mpf("50.3"), mpf(-5)):
             p, t = mpf(1), mpf("0.3")
             assert abs(pv_sum(a, p, t, ctx) - pv_quadrature(a, p, t, ctx)) < mpf(10) ** -25
+
+
+@pytest.mark.parametrize("a", ["0.3", "1"])
+def test_quadrature_takes_the_pv_on_the_stokes_line(ctx, a):
+    """At alpha = -10a the L pair's poles lie on the path x = -i y, at
+    y = (2k+1)h, h = pi/(30a).  On panels [2kh, 2(k+1)h] centred on them the
+    driver's +- node pairs take the principal value, which is the real part
+    of the matrix law's series side at -a; the residue jump, its imaginary
+    part, is not part of this integral."""
+    guard = mordell._mp_context(ctx.prec_bits + 16)
+    a = ctx.mp.mpf(a)
+    h = guard.pi / (30 * guard.convert(a))
+    k = 0
+    while not 16 * guard.exp(-15 * a * (2 * k * h) ** 2) < guard.ldexp(ctx.quad_eps, -10):
+        k += 1
+    integrand = mordell._ray_integrand(mordell._l_family(mordell._L_PAIR),
+                                       ctx.mp.mpc(-10 * a), ctx)
+    res = mordell._quadrature(integrand.func, guard.mpc(0, -1),
+                              [2 * j * h for j in range(k + 1)], 0, ctx)
+    pref = ctx.mp.sqrt(135 * ctx.mp.mpc(-a) / ctx.mp.pi)
+    for v, want in zip(res.value, mordell._law_rhs(-a, ctx)[0]):
+        assert abs((pref * v).real - want.real) < mpf("1e-30")
 
 
 def test_pv_sum_symmetry_and_limit(ctx):
