@@ -6,7 +6,7 @@ Each check covers one grid point (or one fixed configuration) and computes
 every integral it needs exactly once; nothing is cached between checks.  It
 returns entries carrying an absolute residual, a relative residual, and a
 certified error budget assembled from the series tails and
-quadrature error estimates that went into the evaluation (scaled by the
+quadrature error bounds that went into the evaluation (scaled by the
 prefactors they pass through).  An entry passes while its residual stays
 within 100x its budget; the acceptance thresholds are enforced on top of
 that by the test suite.

@@ -25,16 +25,25 @@ geometrically however close the Stokes line is approached.  The same driver
 takes `pv_quadrature`'s principal value on real panels centred on the poles,
 where the +- pairs of Gauss nodes cancel each pole's odd part.
 
+Error bound: each panel is summed once, at the smallest degree whose proved
+Gauss error bound is below its share eps 2^-4 of the series target.  The
+bound is (64/15) M rho^(-2n) / (1 - rho^-2) times the panel's half-length,
+with M a closed-form bound on |f| over the boundary of the panel's
+Bernstein ellipse E_rho, from float logarithms on 8 boxes covering it, and
+rho kept below the ellipse parameter of the nearest pole that the panel
+does not cancel.  err_estimate adds up these bounds, the rounding bound of
+the fixed-point kernel and the tail.
+
 Fixed point: the quadrature computes on complex numbers given as pairs of
 integers scaled by 2^P, P = prec_bits + 48, from the panel frames and the
 Gauss-Legendre rules through the integrand to the panel totals; only the
 final sums are rounded into the guard context.
 
-Parallelism: the panels of one quadrature are split over the CPUs available
-to the process, one forked child per CPU after the first, and each panel
-raises its degree where it runs.  The totals are exact integer sums, so
-every value is bit-identical to a run on one CPU.  The quadrature runs
-in-process when other threads are alive.
+Parallelism: every panel's degree is chosen first, in the calling process,
+which then splits the panels over the CPUs available to it, one forked
+child per CPU after the first, in chunks of equal node counts.  The totals
+are exact integer sums, so every value is bit-identical to a run on one
+CPU.  The quadrature runs in-process when other threads are alive.
 """
 
 from __future__ import annotations
@@ -83,7 +92,7 @@ LATERAL_FLOOR = "1e-3"  # smallest admissible pi - |theta|
 @dataclass(frozen=True)
 class QuadratureResult:
     value: Tuple[mpc, ...]  # one integral per integrand component
-    err_estimate: mpf  # bound for every component
+    err_estimate: mpf  # proved bound for every component
     nodes_used: int  # integrand evaluations
     scheme: str  # always 'gauss_patch'
 
@@ -93,17 +102,26 @@ class RayIntegrand:
     """Descriptor of a vector integrand f on a pole-free cone.
 
     func          integrand in the unrotated variable x, returning the tuple
-                  of its components (all integrated on the same nodes); x
-                  and every component are fixed-point complex numbers, pairs
-                  (re, im) of integers scaled by 2^(prec_bits + 48)
+                  of its components (all integrated on the same nodes) and a
+                  bound on the error of each; x and every component are
+                  fixed-point complex numbers, pairs (re, im) of integers
+                  scaled by 2^P, P = prec_bits + 48, and the error bound is
+                  an integer in units of 2^-P, covering a node displaced by
+                  up to 8 units
     gauss_coeff   c with |f_j| <= bound_const * exp(-Re(c x^2)) away from poles
+    bound         panel bound: bound(mid, half), the panel x = mid + half t,
+                  t in [-1, 1], as complex floats, gives the candidate pairs
+                  (rho, log M) with every |f_j| <= M on the boundary of the
+                  panel's Bernstein ellipse E_rho, inside which every f_j is
+                  analytic, save for a simple pole at the panel's centre
     poles         pole positions relevant to the contour (finite list)
     bound_const   envelope constant for the cut/tail estimate
     exclusion     minimal admissible sine of the ray-pole angular separation
     """
 
-    func: Callable[[int, int], Tuple[Tuple[int, int], ...]]
+    func: Callable[[int, int], Tuple[Tuple[Tuple[int, int], ...], int]]
     gauss_coeff: mpc
+    bound: Callable[[complex, complex], List[Tuple[float, float]]]
     poles: Tuple[mpc, ...] = ()
     bound_const: mpf = 16
     exclusion: mpf = 1e-6
@@ -121,8 +139,9 @@ def _gl_nodes(degree: int, prec: int):
     (n + 1/2)), the Legendre polynomial and its derivative come from the
     three-term recurrence, and the iteration stops once a Newton step is
     below 2^-(prec+18).  The pairs come in calc_nodes' order, (x_j, w_j)
-    then (-x_j, w_j); `pv_quadrature` relies on n even and on these +- pairs
-    of equal weight: no node is a panel's centre, and a pole there cancels."""
+    then (-x_j, w_j); the principal values rely on n even and on these +-
+    pairs of equal weight: no node is a panel's centre, and a pole there
+    cancels."""
     n = 3 << (degree - 1)
     wp = int((prec + 10) * 1.5)
     one = 1 << wp
@@ -147,9 +166,103 @@ def _gl_nodes(degree: int, prec: int):
     return rule
 
 
-def _split_map(fn, items: Sequence) -> list:
+# ---------------------------------------------------------------------------
+# Bernstein-ellipse bounds: the degree of each panel, chosen before it is
+# summed
+# ---------------------------------------------------------------------------
+
+_LOG_GAUSS = math.log(64 / 15)
+_RHO_CAP = 1e3  # the largest ellipse tried, on a panel far from every pole
+_RADII = (0.45, 0.8, 0.95)  # candidate log rho / log rho_max
+# added to every float log bound, for the rounding of its evaluation
+_FLOAT_SLACK = 2.0 ** -20
+# the (centre, half-width) of cos t and of sin t over each octant of t in
+# [0, 2 pi], where both are monotone
+_OCTANTS = tuple(((math.cos(t0) + math.cos(t1)) / 2, abs(math.cos(t1) - math.cos(t0)) / 2,
+                  (math.sin(t0) + math.sin(t1)) / 2, abs(math.sin(t1) - math.sin(t0)) / 2)
+                 for t0, t1 in ((k * math.pi / 4, (k + 1) * math.pi / 4) for k in range(8)))
+
+
+def _radii(rho_max: float) -> List[float]:
+    """The candidate parameters rho < rho_max of a panel's ellipses; none
+    when a pole lies on the panel (rho_max = 1)."""
+    top = math.log(min(rho_max, _RHO_CAP))
+    return [math.exp(f * top) for f in _RADII] if top > 0 else []
+
+
+def _ellipse_boxes(rho: float):
+    """Boxes (uc, du, vc, dv), u = U + iV with |U - uc| <= du and
+    |V - vc| <= dv, covering the boundary of the Bernstein ellipse E_rho,
+    u = (rho e^{it} + e^{-it} / rho) / 2, one per octant of t: cos t and
+    sin t are monotone on an octant, so the box of its two ends holds the
+    arc."""
+    a, b = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+    return [(a * cm, a * cd, b * sm, b * sd) for cm, cd, sm, sd in _OCTANTS]
+
+
+def _gauss_log_max(c2: complex, mu: complex, box) -> float:
+    """max of Re(-c2 z^2), z = mu + u = x + iy, over the box of u, from the
+    ranges of x^2 - y^2 and x y: the log of the Gaussian e^{-c x^2} on a
+    panel x = mid + half u, with c2 = c half^2 and mu = mid / half."""
+    uc, du, vc, dv = box
+    x, y = abs(uc + mu.real), abs(vc + mu.imag)
+    if c2.real > 0:  # the least x^2 - y^2
+        out = -c2.real * (max(0.0, x - du) ** 2 - (y + dv) ** 2)
+    else:
+        out = -c2.real * ((x + du) ** 2 - max(0.0, y - dv) ** 2)
+    if c2.imag:
+        out += 2 * (c2.imag * (uc + mu.real) * (vc + mu.imag)
+                    + abs(c2.imag) * (x * dv + y * du + du * dv))
+    return out
+
+
+def _cos_range(y0: float, y1: float) -> Tuple[float, float]:
+    """(min, max) of cos on [y0, y1]."""
+    c0, c1 = math.cos(y0), math.cos(y1)
+    lo, hi = (c0, c1) if c0 < c1 else (c1, c0)
+    turn = 2 * math.pi
+    if math.floor(y1 / turn) != math.floor(y0 / turn):
+        hi = 1.0
+    if math.floor(y1 / turn - 0.5) != math.floor(y0 / turn - 0.5):
+        lo = -1.0
+    return lo, hi
+
+
+def _panel_degree(candidates, log_half: float, log_target: float):
+    """The smallest degree d in 2..9 whose Gauss bound on the panel is below
+    the target, and the log of that bound.
+
+    If f is analytic inside the Bernstein ellipse E_rho of [-1, 1] and
+    |f| <= M there, its Chebyshev coefficients are |a_k| <= 2 M rho^-k.  The
+    n-point Gauss-Legendre rule integrates T_k exactly for k < 2n and for
+    every odd k, and |I(T_k) - I_n(T_k)| <= 2 + 2/(k^2 - 1) <= 32/15 for
+    k >= 4, so the rule errs by at most (64/15) M rho^(-2n) / (1 - rho^-2)
+    (the argument of Trefethen, "Is Gauss quadrature better than
+    Clenshaw-Curtis?", SIAM Review 50, 2008, Theorem 4.5, whose sum over
+    k >= 2n starts at rho^(-2n)); on the panel x = mid + half t that is
+    |half| times as much.  With a simple pole at the centre the bound holds
+    for the principal value, with M the maximum on the boundary: the rule's
+    +- node pairs sum the even fold f(c + u) + f(c - u), which is analytic
+    and at most 2M on E_rho, and the fold's integral is twice the principal
+    value.  candidates are pairs (rho, log M), and a degree's bound is the
+    least over them."""
+    for degree in range(2, 10):
+        n = 3 << (degree - 1)
+        log_err = min((_LOG_GAUSS + log_half + log_m - 2 * n * math.log(rho)
+                       - math.log1p(-rho ** -2) for rho, log_m in candidates),
+                      default=math.inf)
+        if log_err < log_target:
+            return degree, log_err
+    raise NonConvergenceError("no Gauss degree up to 9 meets the panel target")
+
+
+# ---------------------------------------------------------------------------
+# The quadrature driver
+# ---------------------------------------------------------------------------
+
+def _split_map(fn, items: Sequence, weights: Sequence[int]) -> list:
     """[fn(x) for x in items], with the items cut into one contiguous chunk
-    per CPU available to the process.
+    per CPU available to the process, the chunks of equal total weight.
 
     The caller runs the first chunk; each other chunk runs in a forked child,
     which sends back its results, or its exception, pickled through a pipe.
@@ -164,8 +277,13 @@ def _split_map(fn, items: Sequence) -> list:
     import pickle
     import signal
 
-    bounds = [len(items) * i // k for i in range(k + 1)]
-    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    total, acc, bounds = sum(weights), 0, [0]
+    for i, weight in enumerate(weights):
+        acc += weight
+        while len(bounds) < k and acc * k >= total * len(bounds):
+            bounds.append(i + 1)
+    bounds.append(len(items))
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     children = []  # (pid, read end of its pipe), in chunk order
     try:
         for chunk in chunks[1:]:
@@ -202,44 +320,41 @@ def _split_map(fn, items: Sequence) -> list:
             os.waitpid(pid, 0)
 
 
-def _gauss_panels(f, frames, prec: int, tol: int):
+def _gauss_panels(f, frames, degrees, prec: int):
     """Gauss-Legendre integrals of every component of f over the panels, in
     integers scaled by 2^P, P = prec + 48.
 
     A panel's frame ((mr, mi), (hr, hi)) maps t in [-1, 1] to the node
-    m + h t, and f(re, im) returns the node's components as (re, im) pairs.
-    Each panel raises its degree from 4 to 9 until two successive degrees
-    differ by less than tol in complex modulus, in every component; the
-    largest of those differences is the panel's error.  The panels are split
-    over the CPUs by one `_split_map`, with the rules of degrees 4 and 5
-    built here first so that no child builds them.  Returns (component
-    totals as (re, im) pairs, sum of the panels' errors, evaluations of f)."""
+    m + h t, and f(re, im) returns the node's components as (re, im) pairs
+    and their error bound in units of 2^-P.  Panel i is summed once, with the
+    rule of degrees[i].  The rules are built here and the panels are split
+    over the CPUs by one `_split_map`, in chunks of equal node counts, so no
+    child builds a rule.  Returns (component totals as (re, im) pairs,
+    rounding bound in units of 2^-P, evaluations of f).
+
+    A panel's rounding bound is |h| times f's errors weighted by the rule,
+    plus the rounding of the weights (a unit each, times |f|), plus a few
+    units for the shifts."""
     P = prec + _FIXED_BITS
-    _gl_nodes(4, prec), _gl_nodes(5, prec)
+    rules = {d: _gl_nodes(d, prec) for d in sorted(set(degrees))}
 
-    def panel(frame):
-        (mr, mi), (hr, hi) = frame
-        prev, nodes = None, 0
-        for degree in range(4, 10):
-            rule = _gl_nodes(degree, prec)
-            nodes += len(rule)
-            vals = [f(mr + (hr * t >> P), mi + (hi * t >> P)) for t, _ in rule]
-            total = []
-            for comp in zip(*vals):
-                sr, si = (sum(wt * v for (_, wt), v in zip(rule, part)) >> P
-                          for part in zip(*comp))
-                total.append((hr * sr - hi * si >> P, hr * si + hi * sr >> P))
-            if prev is not None:
-                diff = max(math.isqrt((a - c) ** 2 + (b - d) ** 2)
-                           for (a, b), (c, d) in zip(total, prev))
-                if diff < tol:
-                    return total, diff, nodes
-            prev = total
-        raise NonConvergenceError("Gauss panel failed to converge by degree 9")
+    def panel(job):
+        ((mr, mi), (hr, hi)), degree = job
+        rule = rules[degree]
+        vals = [f(mr + (hr * t >> P), mi + (hi * t >> P)) for t, _ in rule]
+        total = []
+        for comp in zip(*(v for v, _ in vals)):
+            sr, si = (sum(wt * v for (_, wt), v in zip(rule, part)) >> P
+                      for part in zip(*comp))
+            total.append((hr * sr - hi * si >> P, hr * si + hi * sr >> P))
+        spread = (sum(wt * e for (_, wt), (_, e) in zip(rule, vals))
+                  + sum(abs(re) + abs(im) for v, _ in vals for re, im in v)) >> P
+        return total, ((abs(hr) + abs(hi)) * (spread + 3) >> P) + 3, len(rule)
 
-    done = _split_map(panel, frames)
+    done = _split_map(panel, list(zip(frames, degrees)),
+                      [len(rules[d]) for d in degrees])
     totals = [tuple(map(sum, zip(*parts))) for parts in zip(*(t for t, _, _ in done))]
-    return totals, sum(d for _, d, _ in done), sum(n for _, _, n in done)
+    return totals, sum(r for _, r, _ in done), sum(n for _, _, n in done)
 
 
 def _cut(bound_const, a_eff, quad_eps, mp: MPContext):
@@ -284,36 +399,55 @@ def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
         points.append(behind)
         behind *= 2
     points = sorted(set([mp.zero] + points + [cut]))
-    tail = bound * mp.exp(-a_eff * cut * cut) / (2 * a_eff * cut)
+    # the envelope's integral past the cut, and |f| <= bound over the last
+    # 2 units of 2^-P, where the rounded path of `_quadrature` ends
+    tail = (bound * mp.exp(-a_eff * cut * cut) / (2 * a_eff * cut)
+            + mp.ldexp(bound, 1 - ctx.prec_bits - _FIXED_BITS))
     return w, points, tail
 
 
-def _quadrature(func, w, points, tail, ctx: PrecisionContext) -> QuadratureResult:
+def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> QuadratureResult:
     """Every component of the `RayIntegrand.func` func integrated along
     x = w s, s from points[0] to points[-1], with tail added to the error.
 
-    Each pair of successive break points a < b becomes the panel frame
-    (w (a + b)/2, w (b - a)/2), in integers scaled by 2^(prec_bits + 48), and
-    `_gauss_panels` integrates every panel to its share of the quadrature
-    target, with the panels split once over the CPUs.  The totals are exact
-    integer sums, so the result is bit-identical to one CPU's.  Only the
-    final sums are rounded, into the guard context 16 bits above the working
-    precision; the value and the error are numbers of ctx.mp that keep those
-    bits until their next operation.
-    """
+    The path is the polygon through the points w s rounded to even integers
+    scaled by 2^P, P = prec_bits + 48, so that its panels, the frames
+    (mid, half) of each side, are exact.  By Cauchy's theorem its integral is
+    the ray's, save for the last 2 units of 2^-P, which the tail must cover.
+    Each panel's degree is chosen here, before any panel is summed: the
+    smallest whose Bernstein-ellipse bound, from the `RayIntegrand.bound`
+    bound, is below the series share eps 2^-4 (`_panel_degree`).
+    `_gauss_panels` then sums every panel once, with the panels split once
+    over the CPUs.  The totals are exact integer sums, so the result is
+    bit-identical to one CPU's.
+
+    err_estimate is a proved bound: the sum of the panel bounds, the
+    rounding bound of `_gauss_panels` and the tail.  Only the final sums
+    are rounded, into the guard context 16 bits above the working
+    precision; the value and the error are numbers of ctx.mp that keep
+    those bits until their next operation."""
+    if not tail < ctx.quad_eps:
+        raise NonConvergenceError("quadrature tail bound above target")
     mp = _mp_context(ctx.prec_bits + 16)
     P = ctx.prec_bits + _FIXED_BITS
-    wr, wi = _fixed(w, P)
-    ends = [to_fixed(x._mpf_, P) for x in points]
-    frames = [((wr * m >> P, wi * m >> P), (wr * h >> P, wi * h >> P))
-              for m, h in ((b + a >> 1, b - a >> 1) for a, b in zip(ends, ends[1:]))]
-    panel_tol = mp.ldexp(ctx.quad_eps, -4) / max(8, len(points) - 1)
-    totals, err, nodes_used = _gauss_panels(
-        func, frames, ctx.prec_bits, to_fixed(panel_tol._mpf_, P))
-    err = mp.ldexp(err, -P) + tail
+    ends = [tuple(v & ~1 for v in _fixed(w * x, P)) for x in points]
+    frames = [((ar + br >> 1, ai + bi >> 1), (br - ar >> 1, bi - ai >> 1))
+              for (ar, ai), (br, bi) in zip(ends, ends[1:])]
+    log_target = float(mp.log(ctx.eps)) - 4 * math.log(2)
+    degrees, log_errs = [], []
+    for mid, half in frames:
+        mid, half = (complex(_from_fixed(z, P, mp, 53)) for z in (mid, half))
+        # a side that rounds to a point integrates exactly to 0
+        degree, log_err = (_panel_degree(bound(mid, half), math.log(abs(half)), log_target)
+                           if half else (2, -math.inf))
+        degrees.append(degree)
+        log_errs.append(log_err)
+    totals, rounding, nodes_used = _gauss_panels(func, frames, degrees, ctx.prec_bits)
+    err = (mp.fsum(mp.exp(x + _FLOAT_SLACK) for x in log_errs)
+           + mp.ldexp(rounding, -P) + tail)
     if not err < ctx.quad_eps:
         raise NonConvergenceError(
-            "quadrature error estimate %s above target" % mp.nstr(err, 5)
+            "quadrature error bound %s above target" % mp.nstr(err, 5)
         )
     value = tuple(_from_fixed(total, P, ctx.mp, mp.prec) for total in totals)
     return QuadratureResult(value, ctx.mp.convert(err), nodes_used, "gauss_patch")
@@ -324,7 +458,7 @@ def integrate_ray(integrand: RayIntegrand, angle,
     """Integrate every component of integrand.func from 0 to infinity along
     the ray at the given angle, on the panels of `_geometry`."""
     w, points, tail = _geometry(integrand, angle, ctx)
-    return _quadrature(integrand.func, w, points, tail, ctx)
+    return _quadrature(integrand.func, integrand.bound, w, points, tail, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +538,85 @@ def _power_plan(exponents) -> List[Tuple[int, int, int]]:
     return plan
 
 
+def _family_bound(family: _Family, gauss: complex, scale: complex, lines):
+    """`RayIntegrand.bound` of the family with the Gaussian e^{-gauss x^2},
+    v = e^{-scale x} and the poles m * line, line in lines, m >= 1 not
+    divisible by family.skip (complex floats).
+
+    Normalised by v^-c, c half the degree of D, the quotient is
+    v^-c N_j(v) / D~ with D~ = v^-c D(v) = 2 cosh(c tau) - 2 cos(phi), tau =
+    scale x: L is cosh(15 tau) (cos(phi) = 0), W2 2 cosh(2 tau) - 1 and W3
+    2 cosh(2 tau) + 1.  On a box with X = Re tau, Y = Im tau:
+    - |v^-c N_j| <= T (e^{kX} + e^{-kX}), T the number of terms and k the
+      largest |c - e| over the numerators;
+    - |D~|^2 / 16 = S^2 + S (1 - C cos(phi)) + (C - cos(phi))^2 / 4 with
+      S = sinh^2(c X / 2) and C = cos(c Y), whose least value over the box
+      takes the least S and the quadratic's least C; far from the imaginary
+      axis, |D~| >= 2 sinh(c |X|) - 2 |cos(phi)|;
+    - every family has cos(phi) = 0 or constant numerators, and k <= c, so
+      the quotient's bound falls as |X| grows: its value at the box's least
+      |X| bounds the box.
+    The Gaussian takes its box maximum (`_gauss_log_max`).  rho stays below
+    the ellipse parameter of the nearest lattice pole, found on each line
+    next to the point that minimises the sum of the distances to the
+    panel's ends, a convex function along the line.  A pole within 2^-30 of
+    the half-width from the panel's centre is cancelled by the +- node pairs
+    (a principal value), so the next pole limits rho."""
+    c = max(e for _, e in family.denominator) / 2
+    cos_phi = -sum(sign for sign, e in family.denominator if e == c) / 2
+    k = max(abs(c - e) for terms in family.numerators for _, e in terms)
+    log_terms = math.log(max(map(len, family.numerators)))
+
+    def nearest(mid, half):
+        mu, best = mid / half, math.inf
+        for line in lines:
+            d = line / half  # the pole m sits at u = m d - mu
+            e = d / abs(d)
+            (ta, pa), (tb, pb) = ((z.real, abs(z.imag))
+                                  for z in ((f + mu) * e.conjugate() for f in (1, -1)))
+            t = ta + (tb - ta) * pa / (pa + pb) if pa + pb else (ta + tb) / 2
+            first = max(1, math.floor(t / abs(d)) - 3)
+            for m in range(first, first + 7):
+                u = m * d - mu
+                if m % family.skip and abs(u) > 2 ** -30:
+                    # E_rho has foci +-1 and the sum of distances rho + 1/rho
+                    a = (abs(u - 1) + abs(u + 1)) / 2
+                    best = min(best, a + math.sqrt((a - 1) * (a + 1)))
+        return best
+
+    def log_max(mid, half, rho):
+        t_mid, t_half = scale * mid, scale * half
+        tr, ti = t_half.real, t_half.imag
+        c2, mu = gauss * half * half, mid / half
+        worst = -math.inf
+        for box in _ellipse_boxes(rho):
+            uc, du, vc, dv = box
+            # the ranges of tau = t_mid + t_half u over the box
+            x = max(0.0, abs(t_mid.real + tr * uc - ti * vc) - abs(tr) * du - abs(ti) * dv)
+            z = c * x
+            if z > 20:
+                log_den = z + math.log1p(-math.exp(-2 * z) - 2 * abs(cos_phi) * math.exp(-z))
+            else:
+                y, dy = t_mid.imag + ti * uc + tr * vc, abs(ti) * du + abs(tr) * dv
+                s = math.sinh(z / 2) ** 2
+                lo, hi = _cos_range(c * (y - dy), c * (y + dy))
+                cc = min(max(cos_phi * (1 + 2 * s), lo), hi)
+                q = (s * s + s * (1 - cc * cos_phi) + (cc - cos_phi) ** 2 / 4
+                     - 2.0 ** -50 * (1 + s) ** 2)
+                if not q > 0:
+                    return math.inf
+                log_den = math.log(4) + math.log(q) / 2
+            log_num = log_terms + k * x + math.log1p(math.exp(-2 * k * x))
+            worst = max(worst, _gauss_log_max(c2, mu, box) + log_num - log_den)
+        return worst
+
+    return lambda mid, half: [(rho, log_max(mid, half, rho))
+                              for rho in _radii(nearest(mid, half))]
+
+
 def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayIntegrand:
-    """The family at alpha with its envelope, pole lattice and guard.
+    """The family at alpha with its envelope, pole lattice, guard and panel
+    bound (`_family_bound`).
 
     The integrand computes in integers scaled by 2^P, P = prec_bits + 48:
     x, the constants -scale and -gauss, every intermediate and the
@@ -418,10 +629,20 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     -arg(alpha)/2: there Re(scale x) >= 0 and Re(gauss x^2) >= 0, so every
     |v^e| <= 1 and the Gaussian is at most 1, and no intermediate outgrows a
     few bits above 2^P.  Each product and each basecase is off by a few
-    units of 2^-P, so each component is off by a few units of 2^-P times
-    1/|D|^2.  The floating-point evaluation carries the same factor, because
-    the sum D cancels there too, and the exclusion check of `_geometry` keeps
-    |D| away from 0 on every node."""
+    units of 2^-P, v^e by about 4 (e + 1) units, so D and N_j are off by
+    dD and dN units, and each component by about (3 dD T + dN) / |D|^2
+    units, T the numerator's number of terms.  A node displaced by 8 units
+    moves a component by 8 |f'| <= 8 slope / |D|^2, with |N_j|, |D| at most
+    their numbers of terms, |N_j'|, |D'| at most |scale| times their
+    exponent sums and the Gaussian's derivative at most 2 |gauss| cut.  The
+    error returned with each node is the sum of both, twice over, times
+    1 + 1/|D|^2.  The exclusion check of `_geometry` keeps |D| away from 0
+    on every node.
+
+    The pole list is what `_geometry` needs for the ray at -arg(alpha)/2:
+    on each lattice line, the poles in front of its start up to |x| = 2 cut,
+    or else, when the whole line lies behind the start, its nearest pole
+    alone."""
     mp = ctx.mp
     gauss = family.gauss.numerator * alpha / family.gauss.denominator
     scale = family.scale.numerator * alpha / family.scale.denominator
@@ -433,6 +654,18 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     gr, gi = _fixed(guard.mpc(-gauss), P)
     sr, si = _fixed(guard.mpc(-scale), P)
     one = 1 << P
+
+    theta = mp.arg(alpha)
+    const = 16 * (1 + 1 / mp.cos(theta / 2))
+    cut = _cut(const, abs(gauss), ctx.quad_eps, mp)
+    d_err = 4 * sum(e + 1 for _, e in family.denominator)
+    n_err = 4 * max(sum(e + 1 for _, e in terms) for terms in family.numerators)
+    n_terms, d_terms = max(map(len, family.numerators)), len(family.denominator)
+    exponents = max(sum(e for _, e in terms)
+                    for terms in family.numerators + (family.denominator,))
+    slope = (2 * abs(gauss) * cut * n_terms * d_terms
+             + abs(scale) * exponents * (n_terms + d_terms))
+    node_err = 2 * (3 * d_err * n_terms + n_err + int(mp.ceil(8 * slope))) + 64
 
     def cexp(re, im):
         """e^{(re + i im) 2^-P} scaled by 2^P."""
@@ -458,22 +691,23 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
         dr, di = poly(powers, family.denominator)
         inv = (1 << 3 * P) // (dr * dr + di * di)
         hr, hi = (hr * dr + hi * di) * inv >> 2 * P, (hi * dr - hr * di) * inv >> 2 * P
-        return tuple((hr * nr - hi * ni >> P, hr * ni + hi * nr >> P)
-                     for nr, ni in (poly(powers, terms) for terms in family.numerators))
+        return (tuple((hr * nr - hi * ni >> P, hr * ni + hi * nr >> P)
+                      for nr, ni in (poly(powers, terms) for terms in family.numerators)),
+                node_err * (1 + (inv >> P)))
 
-    theta = mp.arg(alpha)
-    const = 16 * (1 + 1 / mp.cos(theta / 2))
-    cut = _cut(const, abs(gauss), ctx.quad_eps, mp)
     step = family.pole_step.numerator * mp.pi / (family.pole_step.denominator * abs(alpha))
     rot = 1j * mp.exp(-1j * theta)
     poles = []
-    m = 1
-    while m * step <= 2 * cut:
-        if m % family.skip:
-            poles += [m * step * rot, -m * step * rot]
-        m += 1
+    for sign in (1, -1):
+        ahead = sign * step * mp.sin(theta / 2)  # m = 1 projected on the ray
+        last = 1 if not ahead > 0 else int(mp.floor(min(2 * cut / step, cut / ahead))) + 1
+        for m in range(1, last + 1):
+            if m % family.skip and m * step <= 2 * cut:
+                poles.append(sign * m * step * rot)
     exclusion = min(mp.mpf("0.1"), (mp.pi - abs(theta)) / 8)
-    return RayIntegrand(f, gauss, tuple(poles), const, exclusion)
+    bound = _family_bound(family, complex(gauss), complex(scale),
+                          [complex(step * rot), complex(-step * rot)])
+    return RayIntegrand(f, gauss, bound, tuple(poles), const, exclusion)
 
 
 def _integrate_family(family: _Family, alpha,
@@ -492,7 +726,7 @@ def _integrate_family(family: _Family, alpha,
 
 def l_pair(alpha, ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
     """((L(1/5, alpha), L(2/5, alpha)), err_estimate) from one quadrature:
-    the two integrands share their nodes, and the estimate bounds both."""
+    the two integrands share their nodes, and the error bound holds for both."""
     return _integrate_family(_l_family(_L_PAIR), alpha, ctx)
 
 
@@ -646,11 +880,15 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
     It is one `_quadrature` on the panels [2kh, 2(k+1)h], h = pi/(2p), each
     centred on one pole (2k+1)h: the +- node pairs of every `_gl_nodes` rule
     miss the pole and cancel its odd part pair by pair, so each panel's sum
-    is the principal value.  Each node is rounded relative to |f| <=
-    |Res| / (h t_min) in the guard context, 16 bits above the working
-    precision; with t_min ~ 0.03 at degree 5 the cancellation costs about 5
-    of them.  The panels stop at the first k >= 2 whose Gaussian envelope,
-    the tail, is below eps * 2^-8."""
+    is the principal value.  Each panel's degree comes from the bound on
+    |f| on the boundary of its Bernstein ellipses, rho < 2 + sqrt 3 so that
+    the neighbouring poles at u = +-2 stay outside: |cos(ax)| <= cosh(a y)
+    and |cos(px)|^2 = cos^2(p Re x) + sinh^2(p y), y = Im x, on 8 boxes.
+    Each node is computed in the guard context, 16 bits above the working
+    precision, and its error bound counts the rounding of p x amplified by
+    1/|cos(px)| near the pole, and a node displaced by 8 units of 2^-P.  The
+    panels stop at the first k >= 2 whose Gaussian envelope, the tail, is
+    below eps * 2^-8."""
     mp = _mp_context(ctx.prec_bits + 16)
     a, p, t = (mp.convert(ctx.mp.mpf(v)) for v in (a, p, t))
     if not (p > 0 and t > 0):
@@ -666,12 +904,42 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
     else:
         raise NonConvergenceError("pv segments did not converge")
     P = ctx.prec_bits + _FIXED_BITS
+    fa, fp, fpt = float(abs(a)), float(p), float(pt)
 
     def f(xr, xi):  # the panels are real: xi is 0
         x = mp.ldexp(xr, -P)
-        return (_fixed(mp.mpc(mp.exp(-pt * x * x) * mp.cos(a * x) / mp.cos(p * x)), P),)
+        gauss, cos_px = mp.exp(-pt * x * x), mp.cos(p * x)
+        value = _fixed(mp.mpc(gauss * mp.cos(a * x) / cos_px), P)
+        slope = 1 / abs(float(cos_px))
+        rounding = int(8 * (1 + fp * float(x) * slope)) + 1
+        slide = 8 * (abs(float(value[0])) * 2.0 ** -P * (2 * fpt * float(x) + fp * slope)
+                     + fa * float(gauss) * slope)
+        return (value,), (rounding * abs(value[0]) >> ctx.prec_bits + 16) + int(slide) + 2
 
-    res = _quadrature(f, mp.mpc(1), [2 * j * h for j in range(k + 2)], envelope, ctx)
+    def bound(mid, half):
+        mid, half = mid.real, half.real
+        c2, mu = complex(fpt * half * half), complex(mid / half)
+
+        def log_max(rho):
+            worst = -math.inf
+            for box in _ellipse_boxes(rho):
+                uc, du, vc, dv = box
+                lo, hi = _cos_range(fp * (mid + half * (uc - du)), fp * (mid + half * (uc + du)))
+                cos2 = 0.0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
+                den = cos2 + math.sinh(fp * half * max(0.0, abs(vc) - dv)) ** 2
+                if not den > 0:
+                    return math.inf
+                y = half * (abs(vc) + dv)
+                log_cosh = fa * y + math.log1p(math.exp(-2 * fa * y)) - math.log(2)
+                worst = max(worst, _gauss_log_max(c2, mu, box) + log_cosh - math.log(den) / 2)
+            return worst
+
+        return [(rho, log_max(rho)) for rho in _radii(2 + math.sqrt(3))]
+
+    # the tail: the envelope, and |f| <= 1 at the end 2 (k + 1) h, where
+    # cos(p x) = +-1, over the last 2 units of 2^-P
+    res = _quadrature(f, bound, mp.mpc(1), [2 * j * h for j in range(k + 2)],
+                      envelope + mp.ldexp(1, 2 - P), ctx)
     return ctx.mp.sqrt(4 * pt / mp.pi) * res.value[0].real
 
 

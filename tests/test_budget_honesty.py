@@ -1,0 +1,60 @@
+"""Budget honesty of the quadrature: every reported err_estimate bounds the
+true error, measured against a reference computed at 400 bits with
+eps 1e-80 and quad_eps 1e-60, at the stress edges of the ray quadrature."""
+
+import pytest
+
+from mocklab import (PrecisionContext, lateral_l_vector, l_vector, pv_quadrature,
+                     pv_sum, w2_integral, w3_integral)
+from mocklab import mordell
+
+REF = PrecisionContext(prec_bits=400, eps="1e-80", quad_eps="1e-60")
+
+# name: (function of (point, ctx) returning (values, err), the point as a
+# function of the context's mp)
+CASES = {
+    # the mf5_complex workload's integral vector point
+    "l_pair_complex": (mordell.l_pair, lambda mp: 10 * mp.mpc("2.337666", "0.95249")),
+    # the lateral floor pi - |theta| = 1e-3 at |alpha| = 0.3
+    "lateral_floor": (lambda theta, ctx: lateral_l_vector("0.3", theta, ctx),
+                      lambda mp: mp.pi - mp.mpf("1e-3")),
+    # series_edge's three L pairs: long panels, and 12 anchored at the start
+    "l_pair_0.04": (mordell.l_pair, lambda mp: mp.mpf("0.04")),
+    "l_pair_0.02": (mordell.l_pair, lambda mp: mp.mpf("0.02")),
+    "l_pair_anchored": (mordell.l_pair, lambda mp: mp.mpf("24674.011")),
+    # one long panel from the origin
+    "w3_small": (lambda alpha, ctx: _pack(w3_integral(alpha, ctx)),
+                 lambda mp: mp.mpf("1e-4")),
+    "w2_complex": (lambda alpha, ctx: _pack(w2_integral(alpha, ctx)),
+                   lambda mp: mp.mpc(1, "0.4")),
+    # a dense pole lattice near arg alpha = pi/2
+    "dense_lattice": (l_vector, lambda mp: 3 * mp.exp(mp.mpc(0, "1.5"))),
+}
+
+
+def _pack(value_err):
+    value, err = value_err
+    return (value,), err
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_quadrature_error_within_its_bound(ctx, case):
+    fn, point = CASES[case]
+    values, err = fn(point(ctx.mp), ctx)
+    ref_values, ref_err = fn(point(REF.mp), REF)
+    assert ref_err < REF.quad_eps and err < ctx.quad_eps
+    for value, ref in zip(values, ref_values):
+        assert abs(REF.mp.mpc(value) - ref) <= err
+
+
+def test_pv_quadrature_within_its_bound(ctx, monkeypatch):
+    """pv_quadrature(50.3, 1, 0.3) against pv_sum at the reference
+    context, within sqrt(4pt/pi) times the bound of its quadrature."""
+    quadrature = mordell._quadrature
+    results = []
+    monkeypatch.setattr(mordell, "_quadrature",
+                        lambda *args: results.append(quadrature(*args)) or results[-1])
+    value = pv_quadrature("50.3", 1, "0.3", ctx)
+    (res,) = results
+    scale = REF.mp.sqrt(4 * REF.mp.mpf("0.3") / REF.mp.pi)
+    assert abs(REF.mp.mpf(value) - pv_sum("50.3", 1, "0.3", REF)) <= scale * res.err_estimate

@@ -177,6 +177,26 @@ def test_l_vector_check(ctx):
             assert e.abs_residual < mpf(10) ** -20
 
 
+# Integrand evaluations of check_mf5 at the mf5_complex point, measured at
+# 3354 with each Gauss panel's degree chosen from its Bernstein-ellipse
+# bound; the two-degree ladder that preceded it took 15552.
+MF5_NODES_CEILING = 3500
+
+
+def test_mf5_quadrature_node_ceiling(ctx, monkeypatch):
+    nodes = []
+    real = mordell.integrate_ray
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        nodes.append(res.nodes_used)
+        return res
+
+    monkeypatch.setattr(mordell, "integrate_ray", counted)
+    check_mf5(ctx.mp.mpc("2.337666", "0.95249"), ctx)
+    assert len(nodes) == 3 and sum(nodes) <= MF5_NODES_CEILING
+
+
 def test_one_quadrature_per_integral(ctx, monkeypatch):
     # check_mf5: L pair at 5a, vector at a and at pi^2/a (one vector at the
     # fixed point a = pi); check_mf3: W3 at a and W2 at a/2.  Repeating a

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import threading
 from fractions import Fraction
@@ -5,7 +7,6 @@ from fractions import Fraction
 import pytest
 from mpmath import MPContext, mp, mpc, mpf
 from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import to_fixed
 
 from mocklab import (
     DomainError,
@@ -27,12 +28,30 @@ from mocklab.mordell import RayIntegrand, integrate_ray, neville_extrapolate
 def _as_fixed(func, ctx):
     """The RayIntegrand.func of an integrand func on mpmath numbers: the
     node arrives as an mpc of the guard context, 16 bits above the working
-    precision, and each component leaves in the quadrature's fixed point."""
+    precision, and each component leaves in the quadrature's fixed point.
+    Its error bound is 8 roundings of the guard context relative to the
+    components, plus 2^10 units for a displaced node (|f'| < 2^7 on every
+    test integrand's path)."""
     P = ctx.prec_bits + mordell._FIXED_BITS
     guard = mordell._mp_context(ctx.prec_bits + 16)
-    return lambda xr, xi: tuple(
-        mordell._fixed(guard.mpc(v), P)
-        for v in func(guard.mpc(guard.ldexp(xr, -P), guard.ldexp(xi, -P))))
+
+    def fixed(xr, xi):
+        values = tuple(mordell._fixed(guard.mpc(v), P)
+                       for v in func(guard.mpc(guard.ldexp(xr, -P), guard.ldexp(xi, -P))))
+        size = sum(abs(re) + abs(im) for re, im in values)
+        return values, (8 * size >> ctx.prec_bits + 16) + 2 ** 10
+
+    return fixed
+
+
+def _gaussian_bound(gamma):
+    """Test-local `RayIntegrand.bound` of e^{-gamma x^2}, an entire
+    function: its maximum on each box of each ellipse up to the cap."""
+    g = complex(gamma)
+    return lambda mid, half: [
+        (rho, max(mordell._gauss_log_max(g * half * half, mid / half, box)
+                  for box in mordell._ellipse_boxes(rho)))
+        for rho in mordell._radii(math.inf)]
 
 
 def _at(func, z, ctx):
@@ -40,7 +59,7 @@ def _at(func, z, ctx):
     P = ctx.prec_bits + mordell._FIXED_BITS
     guard = mordell._mp_context(ctx.prec_bits + 16)
     return tuple(guard.mpc(guard.ldexp(re, -P), guard.ldexp(im, -P))
-                 for re, im in func(*mordell._fixed(guard.mpc(z), P)))
+                 for re, im in func(*mordell._fixed(guard.mpc(z), P))[0])
 
 
 def _tanh_sinh(f, integrand, angle, ctx):
@@ -86,7 +105,7 @@ def _l_cosh(r, alpha):
 
 def _gaussian(gamma, ctx):
     return RayIntegrand(func=_as_fixed(lambda x: (mp.exp(-gamma * x * x),), ctx),
-                        gauss_coeff=gamma)
+                        gauss_coeff=gamma, bound=_gaussian_bound(gamma))
 
 
 @pytest.mark.parametrize("method", ["tanh_sinh", "gauss_patch"])
@@ -112,7 +131,8 @@ def test_nodes_used_counts_evaluations(ctx):
         return (mp.exp(-x * x),)
 
     with mp.workprec(ctx.prec_bits):
-        integrand = RayIntegrand(func=_as_fixed(f, ctx), gauss_coeff=mpc(1))
+        integrand = RayIntegrand(func=_as_fixed(f, ctx), gauss_coeff=mpc(1),
+                                 bound=_gaussian_bound(1))
         assert len(mordell._geometry(integrand, 0, ctx)[1]) == 2  # one panel
         res = integrate_ray(integrand, 0, ctx)
         assert res.nodes_used == calls[0] > 0
@@ -140,7 +160,8 @@ def test_pole_proximity_guard(ctx):
         pole = mp.exp(1j * mpf("1e-8")) * mpf("0.5")
         integrand = RayIntegrand(
             func=_as_fixed(lambda x: (mp.exp(-x * x) / (x - pole),), ctx),
-            gauss_coeff=mpc(1), poles=(pole,), exclusion=mpf("0.1"))
+            gauss_coeff=mpc(1), bound=_gaussian_bound(1), poles=(pole,),
+            exclusion=mpf("0.1"))
         with pytest.raises(PoleProximityError):
             integrate_ray(integrand, 0, ctx)
 
@@ -164,7 +185,7 @@ def test_gl_nodes_match_mpmath(p):
     hi = MPContext()
     hi.prec = 1000  # exact for every difference below
     tol = hi.ldexp(1, -(p + 8))
-    for degree in range(3, 8):
+    for degree in range(2, 8):
         rule = [(hi.ldexp(x, -(p + mordell._FIXED_BITS)),
                  hi.ldexp(wt, -(p + mordell._FIXED_BITS)))
                 for x, wt in mordell._gl_nodes(degree, p)]
@@ -176,15 +197,15 @@ def test_gl_nodes_match_mpmath(p):
         assert abs(hi.fsum(wt for _, wt in rule) - 2) <= tol
 
 
-def _float_integrand(family, alpha, ctx):
+def _float_integrand(family, alpha, ctx, prec=None):
     """Test-only oracle: the family's integrand evaluated on mpmath numbers
-    of the guard context, two complex exponentials and the products of
-    `_power_plan`."""
+    of the guard context (or of prec bits), two complex exponentials and the
+    products of `_power_plan`."""
     gauss = family.gauss.numerator * alpha / family.gauss.denominator
     scale = family.scale.numerator * alpha / family.scale.denominator
     plan = mordell._power_plan(e for terms in family.numerators
                                + (family.denominator,) for _, e in terms)
-    guard = mordell._mp_context(ctx.prec_bits + 16)
+    guard = mordell._mp_context(prec or ctx.prec_bits + 16)
     neg_gauss, neg_scale = -guard.convert(gauss), -guard.convert(scale)
 
     def poly(powers, terms):
@@ -229,6 +250,33 @@ def test_fixed_point_integrand_matches_float_oracle(ctx, family):
                 for got, want in zip(_at(integrand.func, node, ctx), oracle(node)):
                     assert abs(got - want) <= mp_.ldexp(max(1, abs(want)),
                                                        -ctx.prec_bits)
+
+
+@pytest.mark.parametrize("family", ["l_pair", "w2", "w3"])
+def test_fixed_point_kernel_within_its_error_bound(ctx, family):
+    """On every degree-3 node of the production panels at the lateral floor,
+    off the axes and with endpoint anchoring, each component of the integer
+    kernel is within the error bound it returns (units of 2^-P) of the
+    integrand at the same node computed with 600 bits."""
+    mp_ = ctx.mp
+    family = {"l_pair": mordell._l_family(mordell._L_PAIR),
+              "w2": mordell._W2, "w3": mordell._W3}[family]
+    P = ctx.prec_bits + mordell._FIXED_BITS
+    hi = mordell._mp_context(600)
+    rule = mordell._gl_nodes(3, ctx.prec_bits)
+    for alpha in (10 * mp_.mpf("0.01") * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-3"))),
+                  10 * mp_.mpc(2, 1), mp_.mpc(10 * mp_.pi ** 2 / mp_.mpf("0.004"))):
+        integrand = mordell._ray_integrand(family, alpha, ctx)
+        oracle = _float_integrand(family, alpha, ctx, prec=600)
+        w, points, _tail = mordell._geometry(integrand, -mp_.arg(alpha) / 2, ctx)
+        for a, b in zip(points[:-1], points[1:]):
+            mid, half = (a + b) / 2, (b - a) / 2
+            for x, _ in rule:
+                xr, xi = mordell._fixed(w * (mid + half * mp_.ldexp(x, -P)), P)
+                values, err = integrand.func(xr, xi)
+                want = oracle(hi.mpc(hi.ldexp(xr, -P), hi.ldexp(xi, -P)))
+                for (re, im), v in zip(values, want):
+                    assert abs(hi.mpc(hi.ldexp(re, -P), hi.ldexp(im, -P)) - v) <= hi.ldexp(err, -P)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +343,7 @@ def test_split_child_error_reaches_caller(ctx, cpus):
     frames = [(((2 * a + 1) << P - 1, 0), (1 << P - 1, 0)) for a in range(3)]
     forks = cpus({0, 1, 2})
     with pytest.raises(PoleProximityError, match="^integrand refused a node past 2$"):
-        mordell._gauss_panels(_as_fixed(f, ctx), frames, ctx.prec_bits,
-                              to_fixed(ctx.quad_eps._mpf_, P))
+        mordell._gauss_panels(_as_fixed(f, ctx), frames, [4, 4, 4], ctx.prec_bits)
     assert len(forks) == 2  # the last panel ran in a child
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child has been reaped
@@ -333,12 +380,22 @@ def test_split_runs_in_process_beside_other_threads(ctx, cpus):
 def test_split_map_keeps_order(cpus):
     square = lambda x: x * x
     forks = cpus(range(8))
-    assert mordell._split_map(square, [3, 1, 2]) == [9, 1, 4]
+    assert mordell._split_map(square, [3, 1, 2], [1, 1, 1]) == [9, 1, 4]
     assert len(forks) == 2  # one chunk per item, the first in-process
     forks = cpus({0, 1, 2})
-    assert mordell._split_map(square, range(7)) == [x * x for x in range(7)]
+    assert mordell._split_map(square, range(7), [1] * 7) == [x * x for x in range(7)]
     assert len(forks) == 2
-    assert mordell._split_map(square, []) == []
+    assert mordell._split_map(square, [], []) == []
+
+
+def test_split_map_cuts_at_equal_weights(cpus):
+    """Chunks hold equal total weight: on 2 CPUs the items weighing 3, 1,
+    1, 1 split after the first, which the caller keeps."""
+    forks = cpus({0, 1})
+    parent = os.getpid()
+    pids = mordell._split_map(lambda x: os.getpid(), range(4), [3, 1, 1, 1])
+    assert len(forks) == 1
+    assert pids[0] == parent and pids[1] == pids[2] == pids[3] != parent
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +414,10 @@ def test_l_rotation_invariance(ctx):
             rad = m * mp.pi / (3 * abs(alpha))
             poles += [1j * rad / mp.exp(1j * mp.pi / 4), -1j * rad / mp.exp(1j * mp.pi / 4)]
             m += 2
+        # the production bound of the pair bounds its r = 1/5 component, f
+        bound = mordell._ray_integrand(mordell._l_family(mordell._L_PAIR), alpha, ctx).bound
         integrand = RayIntegrand(_as_fixed(lambda x: (f(x),), ctx), mpf(3) / 2 * alpha,
-                                 tuple(poles), mpf(64))
+                                 bound, tuple(poles), mpf(64))
         v0 = _tanh_sinh(f, integrand, 0, ctx)
         v1 = integrate_ray(integrand, -mp.pi / 8, ctx).value[0]
         direct, _ = l_integral(r, alpha, ctx)
@@ -393,6 +452,97 @@ def test_l_pair_matches_tanh_sinh(ctx, where):
             value, err = l_integral(r, alpha, ctx)
             assert err < ctx.quad_eps
             assert abs(value - _l_reference(r, alpha, ctx)) < ctx.quad_eps
+
+
+REF_400 = PrecisionContext(prec_bits=400, eps="1e-80", quad_eps="1e-60")
+
+
+@pytest.mark.parametrize("where", ["mf5_complex", "lateral_floor"])
+def test_each_panel_takes_the_least_certified_degree(ctx, monkeypatch, where):
+    """On the production panels of the L pair at 10(2.337666+0.95249i) and
+    at the lateral floor |alpha| = 0.3, pi - |theta| = 1e-3: each panel's
+    degree is the least whose Bernstein bound is below eps 2^-4, and its sum
+    is within that bound (and its rounding bound, and the reference's own
+    bound) of the same panel at degree + 2 and 400 bits."""
+    mp_ = ctx.mp
+    alpha = {"mf5_complex": 10 * mp_.mpc("2.337666", "0.95249"),
+             "lateral_floor": 3 * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-3")))}[where]
+    family = mordell._l_family(mordell._L_PAIR)
+    integrand = mordell._ray_integrand(family, alpha, ctx)
+    reference = mordell._ray_integrand(family, REF_400.mp.mpc(alpha), REF_400)
+    panels = mordell._gauss_panels
+    seen = []
+    monkeypatch.setattr(mordell, "_gauss_panels", lambda f, frames, degrees, prec: (
+        seen.append((frames, degrees)) or panels(f, frames, degrees, prec)))
+    integrate_ray(integrand, -mp_.arg(alpha) / 2, ctx)
+    (frames, degrees), = seen
+    P = ctx.prec_bits + mordell._FIXED_BITS
+    shift = REF_400.prec_bits - ctx.prec_bits
+    log_target = float(mp_.log(ctx.eps)) - 4 * math.log(2)
+    hi = mordell._mp_context(500)
+
+    def log_bound(bound, mid, half, degree):
+        n = 3 << (degree - 1)
+        return min(math.log(64 / 15) + math.log(abs(half)) + log_m - 2 * n * math.log(rho)
+                   - math.log1p(-rho ** -2) for rho, log_m in bound(mid, half))
+
+    for frame, degree in zip(frames, degrees):
+        mid, half = (complex(math.ldexp(re, -P), math.ldexp(im, -P)) for re, im in frame)
+        assert log_bound(integrand.bound, mid, half, degree) < log_target
+        assert degree == 2 or log_bound(integrand.bound, mid, half, degree - 1) >= log_target
+        totals, rounding, _ = panels(integrand.func, [frame], [degree], ctx.prec_bits)
+        wide = tuple(tuple(v << shift for v in part) for part in frame)
+        ref_totals, _, _ = panels(reference.func, [wide], [degree + 2], REF_400.prec_bits)
+        slack = (hi.exp(log_bound(integrand.bound, mid, half, degree))
+                 + hi.exp(log_bound(reference.bound, mid, half, degree + 2))
+                 + hi.ldexp(rounding, -P))
+        for (re, im), (ref_re, ref_im) in zip(totals, ref_totals):
+            got = hi.mpc(hi.ldexp(re, -P), hi.ldexp(im, -P))
+            want = hi.mpc(hi.ldexp(ref_re, -P - shift), hi.ldexp(ref_im, -P - shift))
+            assert abs(got - want) <= slack
+
+
+def _brute_force_poles(family, alpha, ctx):
+    """The poles as the quadrature listed them before: every lattice pole
+    with |x| <= 2 cut, on both lines."""
+    mp_ = ctx.mp
+    theta = mp_.arg(alpha)
+    const = 16 * (1 + 1 / mp_.cos(theta / 2))
+    gauss = family.gauss.numerator * alpha / family.gauss.denominator
+    cut = mordell._cut(const, abs(gauss), ctx.quad_eps, mp_)
+    step = family.pole_step.numerator * mp_.pi / (family.pole_step.denominator * abs(alpha))
+    rot = 1j * mp_.exp(-1j * theta)
+    poles = []
+    m = 1
+    while m * step <= 2 * cut:
+        if m % family.skip:
+            poles += [m * step * rot, -m * step * rot]
+        m += 1
+    return tuple(poles)
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("l_pair", 10 ** 4), ("l_pair", 2 + 1j), ("w3", 2 + 1j), ("l_pair", "lateral")])
+def test_pole_list_keeps_the_break_points(ctx, family, alpha):
+    """The computed pole list gives `_geometry` the same rotation, break
+    points and tail as the brute-force list of every pole up to 2 cut."""
+    mp_ = ctx.mp
+    family = {"l_pair": mordell._l_family(mordell._L_PAIR), "w3": mordell._W3}[family]
+    alpha = (3 * mp_.exp(1j * (mp_.pi - mp_.mpf("0.004"))) if alpha == "lateral"
+             else mp_.mpc(alpha))
+    integrand = mordell._ray_integrand(family, alpha, ctx)
+    brute = dataclasses.replace(integrand, poles=_brute_force_poles(family, alpha, ctx))
+    assert len(integrand.poles) < len(brute.poles)
+    angle = -mp_.arg(alpha) / 2
+    assert mordell._geometry(integrand, angle, ctx) == mordell._geometry(brute, angle, ctx)
+
+
+def test_real_alpha_lists_one_pole_per_line(ctx):
+    """For real alpha every pole lies behind the start of the ray, and only
+    the nearest on each lattice line shapes the panels."""
+    integrand = mordell._ray_integrand(mordell._l_family(mordell._L_PAIR),
+                                       ctx.mp.mpc("1e8"), ctx)
+    assert len(integrand.poles) == 2
 
 
 def test_w2_w3_match_tanh_sinh(ctx):
@@ -537,7 +687,7 @@ def test_quadrature_takes_the_pv_on_the_stokes_line(ctx, a):
         k += 1
     integrand = mordell._ray_integrand(mordell._l_family(mordell._L_PAIR),
                                        ctx.mp.mpc(-10 * a), ctx)
-    res = mordell._quadrature(integrand.func, guard.mpc(0, -1),
+    res = mordell._quadrature(integrand.func, integrand.bound, guard.mpc(0, -1),
                               [2 * j * h for j in range(k + 1)], 0, ctx)
     pref = ctx.mp.sqrt(135 * ctx.mp.mpc(-a) / ctx.mp.pi)
     for v, want in zip(res.value, mordell._law_rhs(-a, ctx)[0]):
