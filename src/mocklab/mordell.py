@@ -18,32 +18,31 @@ Contour strategy: every integral is taken along the ray rotated by
 keeps the pole line of the hyperbolic quotient at angular distance
 (pi - |arg alpha|)/2 from the contour.  The semi-infinite ray is cut where a
 certified envelope drops below the quadrature target.  The one quadrature
-scheme is Gauss-Legendre on panels that accumulate dyadically toward the
-projections of nearby poles, and from the start of the ray toward the poles
-behind it (close to the origin when |alpha| is large), so that it converges
-geometrically however close the Stokes line is approached.  The same driver
-takes `pv_quadrature`'s principal value on real panels centred on the poles,
+scheme is Gauss-Legendre on panels cut into thirds until the error bound
+below holds on each, so they grade geometrically toward the poles near the
+path, however close the Stokes line is approached.  The same driver takes
+`pv_quadrature`'s principal value on real panels centred on the poles,
 where the +- pairs of Gauss nodes cancel each pole's odd part.
 
-Error bound: each panel is summed once, at the smallest degree whose proved
-Gauss error bound is below its share eps 2^-4 of the series target.  The
-bound is (64/15) M rho^(-2n) / (1 - rho^-2) times the panel's half-length,
-with M a closed-form bound on |f| over the boundary of the panel's
-Bernstein ellipse E_rho, from float logarithms on 8 boxes covering it, and
-rho kept below the ellipse parameter of the nearest pole that the panel
-does not cancel.  err_estimate adds up these bounds, the rounding bound of
-the fixed-point kernel and the tail.
+Error bound: each panel is summed once, at the smallest degree in 2..6
+whose proved Gauss error bound is below its share eps 2^-4 of the series
+target.  The bound is (64/15) M rho^(-2n) / (1 - rho^-2) times the panel's
+half-length, with M a closed-form bound on |f| over the boundary of the
+panel's Bernstein ellipse E_rho, from float logarithms on 8 boxes covering
+it, and rho kept below the ellipse parameter of the nearest pole that the
+panel does not cancel, and below a cap (`_rho_cap`).  err_estimate adds up
+these bounds, the rounding bound of the fixed-point kernel and the tail.
 
 Fixed point: the quadrature computes on complex numbers given as pairs of
 integers scaled by 2^P, P = prec_bits + 48, from the panel frames and the
 Gauss-Legendre rules through the integrand to the panel totals; only the
 final sums are rounded into the guard context.
 
-Parallelism: every panel's degree is chosen first, in the calling process,
-which then splits the panels over the CPUs available to it, one forked
-child per CPU after the first, in chunks of equal node counts.  The totals
-are exact integer sums, so every value is bit-identical to a run on one
-CPU.  The quadrature runs in-process when other threads are alive.
+Parallelism: every panel and its degree are chosen first, in the calling
+process, which then splits the panels over the CPUs available to it, one
+forked child per CPU after the first, in chunks of equal node counts.  The
+totals are exact integer sums, so every value is bit-identical to a run on
+one CPU.  The quadrature runs in-process when other threads are alive.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class RayIntegrand:
-    """Descriptor of a vector integrand f on a pole-free cone.
+    """Descriptor of a vector integrand f along a ray.
 
     func          integrand in the unrotated variable x, returning the tuple
                   of its components (all integrated on the same nodes) and a
@@ -108,23 +107,19 @@ class RayIntegrand:
                   scaled by 2^P, P = prec_bits + 48, and the error bound is
                   an integer in units of 2^-P, covering a node displaced by
                   up to 8 units
-    gauss_coeff   c with |f_j| <= bound_const * exp(-Re(c x^2)) away from poles
+    gauss_coeff   c with |f_j| <= bound_const * exp(-Re(c x^2)) on the ray
     bound         panel bound: bound(mid, half), the panel x = mid + half t,
                   t in [-1, 1], as complex floats, gives the candidate pairs
                   (rho, log M) with every |f_j| <= M on the boundary of the
                   panel's Bernstein ellipse E_rho, inside which every f_j is
                   analytic, save for a simple pole at the panel's centre
-    poles         pole positions relevant to the contour (finite list)
     bound_const   envelope constant for the cut/tail estimate
-    exclusion     minimal admissible sine of the ray-pole angular separation
     """
 
     func: Callable[[int, int], Tuple[Tuple[Tuple[int, int], ...], int]]
     gauss_coeff: mpc
     bound: Callable[[complex, complex], List[Tuple[float, float]]]
-    poles: Tuple[mpc, ...] = ()
     bound_const: mpf = 16
-    exclusion: mpf = 1e-6
 
 
 @functools.cache
@@ -172,7 +167,7 @@ def _gl_nodes(degree: int, prec: int):
 # ---------------------------------------------------------------------------
 
 _LOG_GAUSS = math.log(64 / 15)
-_RHO_CAP = 1e3  # the largest ellipse tried, on a panel far from every pole
+_RHO_CAP = 1e3  # the least cap on the ellipses of a panel far from every pole
 _RADII = (0.45, 0.8, 0.95)  # candidate log rho / log rho_max
 # added to every float log bound, for the rounding of its evaluation
 _FLOAT_SLACK = 2.0 ** -20
@@ -183,10 +178,43 @@ _OCTANTS = tuple(((math.cos(t0) + math.cos(t1)) / 2, abs(math.cos(t1) - math.cos
                  for t0, t1 in ((k * math.pi / 4, (k + 1) * math.pi / 4) for k in range(8)))
 
 
-def _radii(rho_max: float) -> List[float]:
-    """The candidate parameters rho < rho_max of a panel's ellipses; none
-    when a pole lies on the panel (rho_max = 1)."""
-    top = math.log(min(rho_max, _RHO_CAP))
+def _log_target(ctx: PrecisionContext) -> float:
+    """The log of a panel's share eps 2^-4 of the series target."""
+    return float(ctx.mp.log(ctx.eps)) - 4 * math.log(2)
+
+
+def _rho_cap(ctx: PrecisionContext, log_m: float) -> float:
+    """The cap on the ellipses of a panel far from every pole: _RHO_CAP, or the
+    least at which degree 6 at cap^0.95 meets the panel share on short panels,
+    where M half <= e^log_m; below it they would shrink like the share."""
+    log_cap = (_LOG_GAUSS + log_m - _log_target(ctx)) / (2 * (3 << 5) * _RADII[-1])
+    return max(_RHO_CAP, math.exp(log_cap))
+
+
+def _radii(lines, skip: int, mid: complex, half: complex, rho_cap: float) -> List[float]:
+    """The candidate parameters rho of the ellipses of the panel
+    x = mid + half t: fractions of rho_cap or of the ellipse parameter of
+    the nearest pole m * line, line in lines, m >= 1 not divisible by skip,
+    that the panel does not cancel; none when a pole lies on the panel.  A
+    pole within 2^-30 of the half-width from the centre is cancelled by the
+    +- node pairs (a principal value).  The nearest lies, on each line, next
+    to the point that minimises the sum of the distances to the panel's
+    ends, a convex function along the line."""
+    mu, best = mid / half, rho_cap
+    for line in lines:
+        d = line / half  # the pole m sits at u = m d - mu
+        e = d / abs(d)
+        (ta, pa), (tb, pb) = ((z.real, abs(z.imag))
+                              for z in ((f + mu) * e.conjugate() for f in (1, -1)))
+        t = ta + (tb - ta) * pa / (pa + pb) if pa + pb else (ta + tb) / 2
+        first = max(1, math.floor(t / abs(d)) - 3)
+        for m in range(first, first + 7):
+            u = m * d - mu
+            if m % skip and abs(u) > 2 ** -30:
+                # E_rho has foci +-1 and the sum of distances rho + 1/rho
+                a = (abs(u - 1) + abs(u + 1)) / 2
+                best = min(best, a + math.sqrt((a - 1) * (a + 1)))
+    top = math.log(best)
     return [math.exp(f * top) for f in _RADII] if top > 0 else []
 
 
@@ -229,8 +257,9 @@ def _cos_range(y0: float, y1: float) -> Tuple[float, float]:
 
 
 def _panel_degree(candidates, log_half: float, log_target: float):
-    """The smallest degree d in 2..9 whose Gauss bound on the panel is below
-    the target, and the log of that bound.
+    """The smallest degree d in 2..6 whose Gauss bound on the panel is below
+    the target, and the log of that bound; None when no degree meets it,
+    and the panel must be cut (`_panels`).
 
     If f is analytic inside the Bernstein ellipse E_rho of [-1, 1] and
     |f| <= M there, its Chebyshev coefficients are |a_k| <= 2 M rho^-k.  The
@@ -246,14 +275,14 @@ def _panel_degree(candidates, log_half: float, log_target: float):
     and at most 2M on E_rho, and the fold's integral is twice the principal
     value.  candidates are pairs (rho, log M), and a degree's bound is the
     least over them."""
-    for degree in range(2, 10):
+    for degree in range(2, 7):
         n = 3 << (degree - 1)
         log_err = min((_LOG_GAUSS + log_half + log_m - 2 * n * math.log(rho)
                        - math.log1p(-rho ** -2) for rho, log_m in candidates),
                       default=math.inf)
         if log_err < log_target:
             return degree, log_err
-    raise NonConvergenceError("no Gauss degree up to 9 meets the panel target")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +392,7 @@ def _cut(bound_const, a_eff, quad_eps, mp: MPContext):
 
 
 def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
-    """Rotation, cut point, tail bound and panel break points for the ray."""
+    """Rotation w, cut point and tail bound of the ray x = w s, s in [0, cut]."""
     mp = _mp_context(ctx.prec_bits + 16)
     w = mp.exp(1j * mp.mpf(angle))
     a_eff = (mp.convert(integrand.gauss_coeff) * w * w).real
@@ -371,55 +400,62 @@ def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
         raise DomainError("Gaussian factor does not decay along this ray")
     bound = mp.convert(integrand.bound_const)
     cut = _cut(bound, a_eff, ctx.quad_eps, mp)
-    # pole guard and dyadic break points toward each pole projection; the
-    # poles behind the start of the ray are hugged from 0 at their distance
-    points: List[mpf] = []
-    behind = cut
-    for pole in integrand.poles:
-        sp = mp.convert(pole) / w
-        proj, perp = sp.real, abs(sp.imag)
-        dist = perp if 0 <= proj <= cut else min(abs(sp), abs(sp - cut))
-        if dist / abs(sp) < integrand.exclusion:
-            raise PoleProximityError(
-                "ray passes within the exclusion radius of a pole"
-            )
-        if proj <= 0:
-            behind = min(behind, abs(sp))
-        if proj <= 0 or proj >= cut:
-            continue
-        points.append(proj)
-        d = perp
-        while d < cut:
-            if proj - d > 0:
-                points.append(proj - d)
-            if proj + d < cut:
-                points.append(proj + d)
-            d *= 2
-    while behind < cut:
-        points.append(behind)
-        behind *= 2
-    points = sorted(set([mp.zero] + points + [cut]))
     # the envelope's integral past the cut, and |f| <= bound over the last
     # 2 units of 2^-P, where the rounded path of `_quadrature` ends
     tail = (bound * mp.exp(-a_eff * cut * cut) / (2 * a_eff * cut)
             + mp.ldexp(bound, 1 - ctx.prec_bits - _FIXED_BITS))
-    return w, points, tail
+    return w, cut, tail
+
+
+def _panels(bound, w, points, ctx: PrecisionContext):
+    """The panels along x = w s, s from points[0] to points[-1], as (frames,
+    degrees, log_errs): panel i, the frame (mid, half), is summed at
+    degrees[i] within e^log_errs[i].
+
+    The ends start as the points rounded to even integers of 2^-P, P =
+    prec_bits + 48, so every frame is exact.  A panel that no degree
+    certifies (`_panel_degree`) is cut into thirds whose inner ends are its
+    centre -+ a sixth, rounded to the centre's parity: a centred pole stays
+    centred in the middle third, and a pole at |u| >= 2, u = (x - mid) /
+    half, stays so of each third.  A failing panel whose thirds round onto
+    its ends has a pole on or next to the path: PoleProximityError.  A side
+    that rounds to a point integrates exactly to 0."""
+    mp = _mp_context(ctx.prec_bits + 16)
+    P = ctx.prec_bits + _FIXED_BITS
+    log_target = _log_target(ctx)
+    ends = [tuple(v & ~1 for v in _fixed(w * x, P)) for x in points]
+    todo = list(zip(ends, ends[1:]))[::-1]  # a stack, the next panel on top
+    done = []  # (frame, degree, log_err) per panel
+    while todo:
+        a, b = todo.pop()
+        mid = tuple(p + q >> 1 for p, q in zip(a, b))
+        half = tuple(q - p >> 1 for p, q in zip(a, b))
+        m, h = (complex(_from_fixed(z, P, mp, 53)) for z in (mid, half))
+        chosen = (_panel_degree(bound(m, h), math.log(abs(h)), log_target)
+                  if a != b else (2, -math.inf))
+        if chosen is None:
+            sixth = [(q - p) // 6 for p, q in zip(a, b)]
+            t1, t2 = (tuple(c + sign * (e + (e - c) % 2) for c, e in zip(mid, sixth))
+                      for sign in (-1, 1))
+            if len({a, t1, t2, b}) < 4:
+                raise PoleProximityError("no Gauss degree up to 6 certifies a panel of "
+                                         "a few units: a pole on or next to the path")
+            todo += [(t2, b), (t1, t2), (a, t1)]
+        else:
+            done.append(((mid, half),) + chosen)
+    return tuple(zip(*done))
 
 
 def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> QuadratureResult:
     """Every component of the `RayIntegrand.func` func integrated along
     x = w s, s from points[0] to points[-1], with tail added to the error.
 
-    The path is the polygon through the points w s rounded to even integers
-    scaled by 2^P, P = prec_bits + 48, so that its panels, the frames
-    (mid, half) of each side, are exact.  By Cauchy's theorem its integral is
-    the ray's, save for the last 2 units of 2^-P, which the tail must cover.
-    Each panel's degree is chosen here, before any panel is summed: the
-    smallest whose Bernstein-ellipse bound, from the `RayIntegrand.bound`
-    bound, is below the series share eps 2^-4 (`_panel_degree`).
-    `_gauss_panels` then sums every panel once, with the panels split once
-    over the CPUs.  The totals are exact integer sums, so the result is
-    bit-identical to one CPU's.
+    The path is the polygon of the `_panels` panels, whose ends are rounded
+    to 2^-P, P = prec_bits + 48.  By Cauchy's theorem its integral is the
+    ray's, save for the last 2 units of 2^-P, which the tail must cover.
+    `_gauss_panels` sums every panel once, at its degree, with the panels
+    split once over the CPUs.  The totals are exact integer sums, so the
+    result is bit-identical to one CPU's.
 
     err_estimate is a proved bound: the sum of the panel bounds, the
     rounding bound of `_gauss_panels` and the tail.  Only the final sums
@@ -430,18 +466,7 @@ def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> Quadratu
         raise NonConvergenceError("quadrature tail bound above target")
     mp = _mp_context(ctx.prec_bits + 16)
     P = ctx.prec_bits + _FIXED_BITS
-    ends = [tuple(v & ~1 for v in _fixed(w * x, P)) for x in points]
-    frames = [((ar + br >> 1, ai + bi >> 1), (br - ar >> 1, bi - ai >> 1))
-              for (ar, ai), (br, bi) in zip(ends, ends[1:])]
-    log_target = float(mp.log(ctx.eps)) - 4 * math.log(2)
-    degrees, log_errs = [], []
-    for mid, half in frames:
-        mid, half = (complex(_from_fixed(z, P, mp, 53)) for z in (mid, half))
-        # a side that rounds to a point integrates exactly to 0
-        degree, log_err = (_panel_degree(bound(mid, half), math.log(abs(half)), log_target)
-                           if half else (2, -math.inf))
-        degrees.append(degree)
-        log_errs.append(log_err)
+    frames, degrees, log_errs = _panels(bound, w, points, ctx)
     totals, rounding, nodes_used = _gauss_panels(func, frames, degrees, ctx.prec_bits)
     err = (mp.fsum(mp.exp(x + _FLOAT_SLACK) for x in log_errs)
            + mp.ldexp(rounding, -P) + tail)
@@ -456,9 +481,10 @@ def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> Quadratu
 def integrate_ray(integrand: RayIntegrand, angle,
                   ctx: PrecisionContext) -> QuadratureResult:
     """Integrate every component of integrand.func from 0 to infinity along
-    the ray at the given angle, on the panels of `_geometry`."""
-    w, points, tail = _geometry(integrand, angle, ctx)
-    return _quadrature(integrand.func, integrand.bound, w, points, tail, ctx)
+    the ray at the given angle: the quadrature runs to the cut of
+    `_geometry`, whose tail bound covers the rest."""
+    w, cut, tail = _geometry(integrand, angle, ctx)
+    return _quadrature(integrand.func, integrand.bound, w, [0, cut], tail, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +564,10 @@ def _power_plan(exponents) -> List[Tuple[int, int, int]]:
     return plan
 
 
-def _family_bound(family: _Family, gauss: complex, scale: complex, lines):
+def _family_bound(family: _Family, gauss: complex, scale: complex, lines, rho_cap: float):
     """`RayIntegrand.bound` of the family with the Gaussian e^{-gauss x^2},
     v = e^{-scale x} and the poles m * line, line in lines, m >= 1 not
-    divisible by family.skip (complex floats).
+    divisible by family.skip (complex floats), on ellipses up to rho_cap.
 
     Normalised by v^-c, c half the degree of D, the quotient is
     v^-c N_j(v) / D~ with D~ = v^-c D(v) = 2 cosh(c tau) - 2 cos(phi), tau =
@@ -556,33 +582,13 @@ def _family_bound(family: _Family, gauss: complex, scale: complex, lines):
     - every family has cos(phi) = 0 or constant numerators, and k <= c, so
       the quotient's bound falls as |X| grows: its value at the box's least
       |X| bounds the box.
-    The Gaussian takes its box maximum (`_gauss_log_max`).  rho stays below
-    the ellipse parameter of the nearest lattice pole, found on each line
-    next to the point that minimises the sum of the distances to the
-    panel's ends, a convex function along the line.  A pole within 2^-30 of
-    the half-width from the panel's centre is cancelled by the +- node pairs
-    (a principal value), so the next pole limits rho."""
+    The Gaussian takes its box maximum (`_gauss_log_max`), and rho stays
+    below the ellipse parameter of the nearest lattice pole that the panel
+    does not cancel (`_radii`)."""
     c = max(e for _, e in family.denominator) / 2
     cos_phi = -sum(sign for sign, e in family.denominator if e == c) / 2
     k = max(abs(c - e) for terms in family.numerators for _, e in terms)
     log_terms = math.log(max(map(len, family.numerators)))
-
-    def nearest(mid, half):
-        mu, best = mid / half, math.inf
-        for line in lines:
-            d = line / half  # the pole m sits at u = m d - mu
-            e = d / abs(d)
-            (ta, pa), (tb, pb) = ((z.real, abs(z.imag))
-                                  for z in ((f + mu) * e.conjugate() for f in (1, -1)))
-            t = ta + (tb - ta) * pa / (pa + pb) if pa + pb else (ta + tb) / 2
-            first = max(1, math.floor(t / abs(d)) - 3)
-            for m in range(first, first + 7):
-                u = m * d - mu
-                if m % family.skip and abs(u) > 2 ** -30:
-                    # E_rho has foci +-1 and the sum of distances rho + 1/rho
-                    a = (abs(u - 1) + abs(u + 1)) / 2
-                    best = min(best, a + math.sqrt((a - 1) * (a + 1)))
-        return best
 
     def log_max(mid, half, rho):
         t_mid, t_half = scale * mid, scale * half
@@ -611,19 +617,20 @@ def _family_bound(family: _Family, gauss: complex, scale: complex, lines):
         return worst
 
     return lambda mid, half: [(rho, log_max(mid, half, rho))
-                              for rho in _radii(nearest(mid, half))]
+                              for rho in _radii(lines, family.skip, mid, half, rho_cap)]
 
 
 def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayIntegrand:
-    """The family at alpha with its envelope, pole lattice, guard and panel
-    bound (`_family_bound`).
+    """The family at alpha with its envelope and panel bound
+    (`_family_bound`), which alone knows the pole lattice.
 
     The integrand computes in integers scaled by 2^P, P = prec_bits + 48:
     x, the constants -scale and -gauss, every intermediate and the
     components are fixed-point complex numbers, the two exponentials come
     from mpmath's fixed-point basecases (`exp_fixed` for the modulus,
     `cos_sin_fixed` for the phase), v^e from `_power_plan`'s products, and
-    N_j(v) / D(v) from one integer division by |D|^2.
+    N_j(v) / D(v) from one integer division by |D|^2.  The constants come
+    from alpha at P + 8 bits: near a pole 1/|D| amplifies their rounding.
 
     This is safe on the ray where integrate_ray evaluates it, rotated by
     -arg(alpha)/2: there Re(scale x) >= 0 and Re(gauss x^2) >= 0, so every
@@ -636,23 +643,18 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     their numbers of terms, |N_j'|, |D'| at most |scale| times their
     exponent sums and the Gaussian's derivative at most 2 |gauss| cut.  The
     error returned with each node is the sum of both, twice over, times
-    1 + 1/|D|^2.  The exclusion check of `_geometry` keeps |D| away from 0
-    on every node.
-
-    The pole list is what `_geometry` needs for the ray at -arg(alpha)/2:
-    on each lattice line, the poles in front of its start up to |x| = 2 cut,
-    or else, when the whole line lies behind the start, its nearest pole
-    alone."""
+    1 + 1/|D|^2.  D has no zero on the ray: each pole line lies at the
+    angle (pi - |arg alpha|)/2 from it."""
     mp = ctx.mp
     gauss = family.gauss.numerator * alpha / family.gauss.denominator
     scale = family.scale.numerator * alpha / family.scale.denominator
     plan = _power_plan(e for terms in family.numerators + (family.denominator,)
                        for _, e in terms)
-    guard = _mp_context(ctx.prec_bits + 16)
     P = ctx.prec_bits + _FIXED_BITS
     ln2, half_pi = ln2_fixed(P), pi_fixed(P - 1)
-    gr, gi = _fixed(guard.mpc(-gauss), P)
-    sr, si = _fixed(guard.mpc(-scale), P)
+    exact = _mp_context(P + 8)
+    gr, gi, sr, si = (v for c in (family.gauss, family.scale)
+                      for v in _fixed(-c.numerator * exact.convert(alpha) / c.denominator, P))
     one = 1 << P
 
     theta = mp.arg(alpha)
@@ -696,18 +698,10 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
                 node_err * (1 + (inv >> P)))
 
     step = family.pole_step.numerator * mp.pi / (family.pole_step.denominator * abs(alpha))
-    rot = 1j * mp.exp(-1j * theta)
-    poles = []
-    for sign in (1, -1):
-        ahead = sign * step * mp.sin(theta / 2)  # m = 1 projected on the ray
-        last = 1 if not ahead > 0 else int(mp.floor(min(2 * cut / step, cut / ahead))) + 1
-        for m in range(1, last + 1):
-            if m % family.skip and m * step <= 2 * cut:
-                poles.append(sign * m * step * rot)
-    exclusion = min(mp.mpf("0.1"), (mp.pi - abs(theta)) / 8)
-    bound = _family_bound(family, complex(gauss), complex(scale),
-                          [complex(step * rot), complex(-step * rot)])
-    return RayIntegrand(f, gauss, bound, tuple(poles), const, exclusion)
+    line = complex(step * (1j * mp.exp(-1j * theta)))
+    bound = _family_bound(family, complex(gauss), complex(scale), [line, -line],
+                          _rho_cap(ctx, float(mp.log(const))))
+    return RayIntegrand(f, gauss, bound, const)
 
 
 def _integrate_family(family: _Family, alpha,
@@ -821,8 +815,9 @@ def lateral_l_vector(abs_alpha, theta,
                      ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
     """`l_vector` at alpha = abs_alpha * e^{i theta} near the negative axis.
 
-    Controlled approach window 0 < pi - |theta| <= pi/2; the pole-hugging
-    Gauss panels stay convergent down to the floor pi - |theta| >= 1e-3."""
+    Controlled approach window 0 < pi - |theta| <= pi/2; the Gauss panels
+    grade toward the poles near the path, and the quadrature stays
+    convergent down to the floor pi - |theta| >= 1e-3."""
     mp = ctx.mp
     abs_alpha = mp.mpf(abs_alpha)
     theta = mp.mpf(theta)
@@ -880,9 +875,11 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
     It is one `_quadrature` on the panels [2kh, 2(k+1)h], h = pi/(2p), each
     centred on one pole (2k+1)h: the +- node pairs of every `_gl_nodes` rule
     miss the pole and cancel its odd part pair by pair, so each panel's sum
-    is the principal value.  Each panel's degree comes from the bound on
-    |f| on the boundary of its Bernstein ellipses, rho < 2 + sqrt 3 so that
-    the neighbouring poles at u = +-2 stay outside: |cos(ax)| <= cosh(a y)
+    is the principal value; a panel cut into thirds keeps its pole centred
+    in the middle one.  Each panel's degree comes from the bound on |f| on
+    the boundary of its Bernstein ellipses, rho below the ellipse parameter
+    of the nearest pole not at its centre (`_radii`), 2 + sqrt 3 for the
+    neighbours at u = +-2 of a whole segment: |cos(ax)| <= cosh(a y)
     and |cos(px)|^2 = cos^2(p Re x) + sinh^2(p y), y = Im x, on 8 boxes.
     Each node is computed in the guard context, 16 bits above the working
     precision, and its error bound counts the rounding of p x amplified by
@@ -904,7 +901,9 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
     else:
         raise NonConvergenceError("pv segments did not converge")
     P = ctx.prec_bits + _FIXED_BITS
-    fa, fp, fpt = float(abs(a)), float(p), float(pt)
+    fa, fp, fpt, fh = float(abs(a)), float(p), float(pt), float(h)
+    # |f| half <= 4/p on short panels: |cos(px)| >= 2p/pi times the pole's distance
+    rho_cap = _rho_cap(ctx, math.log(4 / fp))
 
     def f(xr, xi):  # the panels are real: xi is 0
         x = mp.ldexp(xr, -P)
@@ -934,7 +933,7 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
                 worst = max(worst, _gauss_log_max(c2, mu, box) + log_cosh - math.log(den) / 2)
             return worst
 
-        return [(rho, log_max(rho)) for rho in _radii(2 + math.sqrt(3))]
+        return [(rho, log_max(rho)) for rho in _radii((fh, -fh), 2, mid, half, rho_cap)]
 
     # the tail: the envelope, and |f| <= 1 at the end 2 (k + 1) h, where
     # cos(p x) = +-1, over the last 2 units of 2^-P

@@ -18,7 +18,7 @@ CASES = {
     # the lateral floor pi - |theta| = 1e-3 at |alpha| = 0.3
     "lateral_floor": (lambda theta, ctx: lateral_l_vector("0.3", theta, ctx),
                       lambda mp: mp.pi - mp.mpf("1e-3")),
-    # series_edge's three L pairs: long panels, and 12 anchored at the start
+    # series_edge's three L pairs: long panels, and panels graded toward the start
     "l_pair_0.04": (mordell.l_pair, lambda mp: mp.mpf("0.04")),
     "l_pair_0.02": (mordell.l_pair, lambda mp: mp.mpf("0.02")),
     "l_pair_anchored": (mordell.l_pair, lambda mp: mp.mpf("24674.011")),

@@ -178,9 +178,10 @@ def test_l_vector_check(ctx):
 
 
 # Integrand evaluations of check_mf5 at the mf5_complex point, measured at
-# 3354 with each Gauss panel's degree chosen from its Bernstein-ellipse
-# bound; the two-degree ladder that preceded it took 15552.
-MF5_NODES_CEILING = 3500
+# 936 with the panels cut into thirds until a Gauss degree up to 6 meets
+# each panel's Bernstein-ellipse bound, plus 10%; the pole-hugging panels
+# that preceded them took 3354, and the two-degree ladder before 15552.
+MF5_NODES_CEILING = 1030
 
 
 def test_mf5_quadrature_node_ceiling(ctx, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import threading
@@ -10,6 +9,8 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from mocklab import (
     DomainError,
+    MocklabError,
+    NonConvergenceError,
     PoleProximityError,
     PrecisionContext,
     l_integral,
@@ -51,7 +52,7 @@ def _gaussian_bound(gamma):
     return lambda mid, half: [
         (rho, max(mordell._gauss_log_max(g * half * half, mid / half, box)
                   for box in mordell._ellipse_boxes(rho)))
-        for rho in mordell._radii(math.inf)]
+        for rho in mordell._radii((), 1, mid, half, mordell._RHO_CAP)]
 
 
 def _at(func, z, ctx):
@@ -62,31 +63,41 @@ def _at(func, z, ctx):
                  for re, im in func(*mordell._fixed(guard.mpc(z), P))[0])
 
 
+def _frames(integrand, angle, ctx):
+    """The production panels along the ray at the given angle, from
+    `mordell._panels`, as (mid, half) pairs of mpc of the guard context."""
+    P = ctx.prec_bits + mordell._FIXED_BITS
+    guard = mordell._mp_context(ctx.prec_bits + 16)
+    w, cut, _tail = mordell._geometry(integrand, angle, ctx)
+    frames, _, _ = mordell._panels(integrand.bound, w, [0, cut], ctx)
+    return [tuple(guard.mpc(guard.ldexp(re, -P), guard.ldexp(im, -P)) for re, im in frame)
+            for frame in frames]
+
+
 def _tanh_sinh(f, integrand, angle, ctx):
     """Test-only reference: mp.quad tanh-sinh of the scalar f(x) along the
     ray at the given angle, on the panels the production code builds for
     integrand, at the production working precision."""
     with mp.workprec(ctx.prec_bits + 16):
-        w, points, _tail = mordell._geometry(integrand, angle, ctx)
-        return w * mp.quad(lambda s: f(w * s), points, method="tanh-sinh",
-                           maxdegree=10)
+        frames = _frames(integrand, angle, ctx)
+        points = [frames[0][0] - frames[0][1]] + [mid + half for mid, half in frames]
+        return mp.quad(f, points, method="tanh-sinh", maxdegree=10)
 
 
 def _fixed_degree_sweeps(integrand, angle, ctx, degrees):
     """One Gauss total per degree over the production panel set."""
     P = ctx.prec_bits + mordell._FIXED_BITS
     with mp.workprec(ctx.prec_bits + 16):
-        w, points, _tail = mordell._geometry(integrand, angle, ctx)
+        frames = _frames(integrand, angle, ctx)
         out = []
         for degree in degrees:
             total = mpc(0)
-            for a, b in zip(points[:-1], points[1:]):
-                mid, half = (a + b) / 2, (b - a) / 2
+            for mid, half in frames:
                 total += half * mp.fsum(
                     mp.ldexp(wt, -P)
-                    * _at(integrand.func, w * (mid + half * mp.ldexp(x, -P)), ctx)[0]
+                    * _at(integrand.func, mid + half * mp.ldexp(x, -P), ctx)[0]
                     for x, wt in mordell._gl_nodes(degree, ctx.prec_bits))
-            out.append(w * total)
+            out.append(total)
         return out
 
 
@@ -123,17 +134,17 @@ def test_gaussian_half_line(ctx, method):
         assert res.nodes_used > 0 and res.scheme == "gauss_patch"
 
 
-def test_nodes_used_counts_evaluations(ctx):
+def test_nodes_used_counts_evaluations(ctx, cpus):
     calls = [0]
 
     def f(x):
         calls[0] += 1
         return (mp.exp(-x * x),)
 
+    cpus({0})  # every evaluation in this process
     with mp.workprec(ctx.prec_bits):
         integrand = RayIntegrand(func=_as_fixed(f, ctx), gauss_coeff=mpc(1),
                                  bound=_gaussian_bound(1))
-        assert len(mordell._geometry(integrand, 0, ctx)[1]) == 2  # one panel
         res = integrate_ray(integrand, 0, ctx)
         assert res.nodes_used == calls[0] > 0
 
@@ -156,14 +167,58 @@ def test_divergent_ray_rejected(ctx):
 
 
 def test_pole_proximity_guard(ctx):
+    """e^{-x^2} / (x - 1/2) has a pole on the path.  Its bound knows the
+    pole: rho stays below the pole's ellipse parameter, and M is the
+    Gaussian's maximum over the distance to the pole, at least a(u0) - a(u)
+    on E_rho, a(u) = (|u - 1| + |u + 1|) / 2 being 1-Lipschitz.  Every panel
+    that holds the pole fails its bound, and its thirds shrink onto the pole
+    until they round onto their own ends."""
+    gaussian = _gaussian_bound(1)
+
+    def bound(mid, half):
+        u0 = (0.5 - mid) / half
+        a0 = (abs(u0 - 1) + abs(u0 + 1)) / 2
+        rho_max = a0 + math.sqrt((a0 - 1) * (a0 + 1))
+        return [(rho, log_m - math.log(abs(half) * (a0 - (rho + 1 / rho) / 2)))
+                for rho, log_m in gaussian(mid, half) if rho < rho_max]
+
     with mp.workprec(ctx.prec_bits):
-        pole = mp.exp(1j * mpf("1e-8")) * mpf("0.5")
         integrand = RayIntegrand(
-            func=_as_fixed(lambda x: (mp.exp(-x * x) / (x - pole),), ctx),
-            gauss_coeff=mpc(1), bound=_gaussian_bound(1), poles=(pole,),
-            exclusion=mpf("0.1"))
+            func=_as_fixed(lambda x: (mp.exp(-x * x) / (x - mpf("0.5")),), ctx),
+            gauss_coeff=mpc(1), bound=bound)
         with pytest.raises(PoleProximityError):
             integrate_ray(integrand, 0, ctx)
+
+
+def test_panels_meet_eps_past_the_least_cap():
+    """At eps 1e-560 degree 6 on ellipses up to `_RHO_CAP` misses the panel
+    share by about e^-32 even on the shortest panels, which the cuts into
+    thirds would then shrink toward e^-32 of the path.  The cap chosen from
+    eps keeps the W3 ray at alpha = 1 to about 1800 panels of degree <= 6;
+    the bound's calls are counted so that a lost cap fails here instead of
+    cutting on."""
+    ctx = PrecisionContext(prec_bits=1900, eps="1e-560")
+    mp_ = ctx.mp
+    integrand = mordell._ray_integrand(mordell._W3, mp_.mpc(1), ctx)
+    calls = []
+
+    def bound(mid, half):
+        calls.append(None)
+        assert len(calls) < 10_000, "the panels do not meet the share"
+        return integrand.bound(mid, half)
+
+    w, cut, _tail = mordell._geometry(integrand, 0, ctx)
+    frames, degrees, log_errs = mordell._panels(bound, w, [0, cut], ctx)
+    assert len(frames) < 2500 and max(degrees) <= 6
+    assert max(log_errs) < mordell._log_target(ctx) < -1290
+
+
+def test_side_rounding_to_a_point_integrates_to_zero(ctx):
+    """At alpha = 1e300 the cut, about 1e-150, rounds to the start of the
+    ray at 256 + 48 bits: the one side is a point, summed exactly to 0, and
+    the tail bound carries the whole integral."""
+    (l1, l2), err = mordell.l_pair(mpc("1e300"), ctx)
+    assert l1 == 0 and l2 == 0 and 0 < err < 1
 
 
 def test_refinement_table_geometric(ctx):
@@ -200,13 +255,13 @@ def test_gl_nodes_match_mpmath(p):
 def _float_integrand(family, alpha, ctx, prec=None):
     """Test-only oracle: the family's integrand evaluated on mpmath numbers
     of the guard context (or of prec bits), two complex exponentials and the
-    products of `_power_plan`."""
-    gauss = family.gauss.numerator * alpha / family.gauss.denominator
-    scale = family.scale.numerator * alpha / family.scale.denominator
+    products of `_power_plan`; its constants come from alpha at that
+    precision too."""
     plan = mordell._power_plan(e for terms in family.numerators
                                + (family.denominator,) for _, e in terms)
     guard = mordell._mp_context(prec or ctx.prec_bits + 16)
-    neg_gauss, neg_scale = -guard.convert(gauss), -guard.convert(scale)
+    neg_gauss, neg_scale = (-c.numerator * guard.convert(alpha) / c.denominator
+                            for c in (family.gauss, family.scale))
 
     def poly(powers, terms):
         (sign, e), *rest = terms
@@ -228,8 +283,8 @@ def _float_integrand(family, alpha, ctx, prec=None):
 @pytest.mark.parametrize("family", ["l_pair", "w2", "w3"])
 def test_fixed_point_integrand_matches_float_oracle(ctx, family):
     """On every degree-5 node of the production panels, at the lateral
-    floor, near the Stokes line, off the axes, at small real alpha and with
-    endpoint anchoring, the integer kernel is within 2^-prec_bits of the
+    floor, near the Stokes line, off the axes, at small and at large real
+    alpha, the integer kernel is within 2^-prec_bits of the
     floating-point evaluation, relative to max(1, |f|)."""
     mp_ = ctx.mp
     family = {"l_pair": mordell._l_family(mordell._L_PAIR),
@@ -242,11 +297,9 @@ def test_fixed_point_integrand_matches_float_oracle(ctx, family):
                   mp_.mpc(10 * mp_.pi ** 2 / mp_.mpf("0.004"))):
         integrand = mordell._ray_integrand(family, alpha, ctx)
         oracle = _float_integrand(family, alpha, ctx)
-        w, points, _tail = mordell._geometry(integrand, -mp_.arg(alpha) / 2, ctx)
-        for a, b in zip(points[:-1], points[1:]):
-            mid, half = (a + b) / 2, (b - a) / 2
+        for mid, half in _frames(integrand, -mp_.arg(alpha) / 2, ctx):
             for x, _ in rule:
-                node = w * (mid + half * mp_.ldexp(x, -P))
+                node = mid + half * mp_.ldexp(x, -P)
                 for got, want in zip(_at(integrand.func, node, ctx), oracle(node)):
                     assert abs(got - want) <= mp_.ldexp(max(1, abs(want)),
                                                        -ctx.prec_bits)
@@ -255,7 +308,7 @@ def test_fixed_point_integrand_matches_float_oracle(ctx, family):
 @pytest.mark.parametrize("family", ["l_pair", "w2", "w3"])
 def test_fixed_point_kernel_within_its_error_bound(ctx, family):
     """On every degree-3 node of the production panels at the lateral floor,
-    off the axes and with endpoint anchoring, each component of the integer
+    off the axes and at large real alpha, each component of the integer
     kernel is within the error bound it returns (units of 2^-P) of the
     integrand at the same node computed with 600 bits."""
     mp_ = ctx.mp
@@ -268,11 +321,9 @@ def test_fixed_point_kernel_within_its_error_bound(ctx, family):
                   10 * mp_.mpc(2, 1), mp_.mpc(10 * mp_.pi ** 2 / mp_.mpf("0.004"))):
         integrand = mordell._ray_integrand(family, alpha, ctx)
         oracle = _float_integrand(family, alpha, ctx, prec=600)
-        w, points, _tail = mordell._geometry(integrand, -mp_.arg(alpha) / 2, ctx)
-        for a, b in zip(points[:-1], points[1:]):
-            mid, half = (a + b) / 2, (b - a) / 2
+        for mid, half in _frames(integrand, -mp_.arg(alpha) / 2, ctx):
             for x, _ in rule:
-                xr, xi = mordell._fixed(w * (mid + half * mp_.ldexp(x, -P)), P)
+                xr, xi = mordell._fixed(mid + half * mp_.ldexp(x, -P), P)
                 values, err = integrand.func(xr, xi)
                 want = oracle(hi.mpc(hi.ldexp(xr, -P), hi.ldexp(xi, -P)))
                 for (re, im), v in zip(values, want):
@@ -350,11 +401,12 @@ def test_split_child_error_reaches_caller(ctx, cpus):
 
 
 def test_one_split_per_quadrature(ctx, cpus):
-    """Each panel raises its degree in the process that holds it, so one
+    """Every panel and its degree are chosen before the one split, so one
     quadrature over three or more panels on three CPUs forks twice."""
     alpha = ctx.mp.mpc(1, "0.5")
     integrand = mordell._ray_integrand(mordell._W3, alpha, ctx)
-    assert len(mordell._geometry(integrand, -ctx.mp.arg(alpha) / 2, ctx)[1]) > 3
+    w, cut, _tail = mordell._geometry(integrand, -ctx.mp.arg(alpha) / 2, ctx)
+    assert len(mordell._panels(integrand.bound, w, [0, cut], ctx)[0]) >= 3
     forks = cpus({0, 1, 2})
     _family_quadrature(mordell._W3, alpha, ctx)
     assert len(forks) == 2
@@ -408,16 +460,10 @@ def test_l_rotation_invariance(ctx):
         alpha = mp.exp(1j * mp.pi / 4)
         r = Fraction(1, 5)
         f = _l_cosh(r, alpha)
-        poles = []
-        m = 1
-        while m * mp.pi / (3 * abs(alpha)) < 12:
-            rad = m * mp.pi / (3 * abs(alpha))
-            poles += [1j * rad / mp.exp(1j * mp.pi / 4), -1j * rad / mp.exp(1j * mp.pi / 4)]
-            m += 2
         # the production bound of the pair bounds its r = 1/5 component, f
         bound = mordell._ray_integrand(mordell._l_family(mordell._L_PAIR), alpha, ctx).bound
         integrand = RayIntegrand(_as_fixed(lambda x: (f(x),), ctx), mpf(3) / 2 * alpha,
-                                 bound, tuple(poles), mpf(64))
+                                 bound, mpf(64))
         v0 = _tanh_sinh(f, integrand, 0, ctx)
         v1 = integrate_ray(integrand, -mp.pi / 8, ctx).value[0]
         direct, _ = l_integral(r, alpha, ctx)
@@ -502,47 +548,32 @@ def test_each_panel_takes_the_least_certified_degree(ctx, monkeypatch, where):
             assert abs(got - want) <= slack
 
 
-def _brute_force_poles(family, alpha, ctx):
-    """The poles as the quadrature listed them before: every lattice pole
-    with |x| <= 2 cut, on both lines."""
+@pytest.mark.parametrize("where", ["l_vector", "w2"])
+def test_node_count_stays_flat_at_large_alpha(ctx, monkeypatch, where):
+    """The panels come from the bound alone, so the node count does not
+    grow with the number of poles near the path, about sqrt|alpha|."""
+    nodes = []
+    real = mordell.integrate_ray
+
+    def counted(*args):
+        res = real(*args)
+        nodes.append(res.nodes_used)
+        return res
+
+    monkeypatch.setattr(mordell, "integrate_ray", counted)
     mp_ = ctx.mp
-    theta = mp_.arg(alpha)
-    const = 16 * (1 + 1 / mp_.cos(theta / 2))
-    gauss = family.gauss.numerator * alpha / family.gauss.denominator
-    cut = mordell._cut(const, abs(gauss), ctx.quad_eps, mp_)
-    step = family.pole_step.numerator * mp_.pi / (family.pole_step.denominator * abs(alpha))
-    rot = 1j * mp_.exp(-1j * theta)
-    poles = []
-    m = 1
-    while m * step <= 2 * cut:
-        if m % family.skip:
-            poles += [m * step * rot, -m * step * rot]
-        m += 1
-    return tuple(poles)
+    run = {"l_vector": lambda: l_vector(10 ** 4 * mp_.exp(mp_.mpc(0, "0.5")), ctx),
+           "w2": lambda: w2_integral(1000 * mp_.exp(mp_.mpc(0, "1.5")), ctx)}[where]
+    run()
+    assert len(nodes) == 1 and nodes[0] <= 700
 
 
-@pytest.mark.parametrize("family, alpha", [
-    ("l_pair", 10 ** 4), ("l_pair", 2 + 1j), ("w3", 2 + 1j), ("l_pair", "lateral")])
-def test_pole_list_keeps_the_break_points(ctx, family, alpha):
-    """The computed pole list gives `_geometry` the same rotation, break
-    points and tail as the brute-force list of every pole up to 2 cut."""
+def test_l_pair_below_the_floor_raises(ctx):
+    """l_pair called directly 1e-8 from the Stokes line, far below the
+    lateral floor, raises a typed error instead of returning a number."""
     mp_ = ctx.mp
-    family = {"l_pair": mordell._l_family(mordell._L_PAIR), "w3": mordell._W3}[family]
-    alpha = (3 * mp_.exp(1j * (mp_.pi - mp_.mpf("0.004"))) if alpha == "lateral"
-             else mp_.mpc(alpha))
-    integrand = mordell._ray_integrand(family, alpha, ctx)
-    brute = dataclasses.replace(integrand, poles=_brute_force_poles(family, alpha, ctx))
-    assert len(integrand.poles) < len(brute.poles)
-    angle = -mp_.arg(alpha) / 2
-    assert mordell._geometry(integrand, angle, ctx) == mordell._geometry(brute, angle, ctx)
-
-
-def test_real_alpha_lists_one_pole_per_line(ctx):
-    """For real alpha every pole lies behind the start of the ray, and only
-    the nearest on each lattice line shapes the panels."""
-    integrand = mordell._ray_integrand(mordell._l_family(mordell._L_PAIR),
-                                       ctx.mp.mpc("1e8"), ctx)
-    assert len(integrand.poles) == 2
+    with pytest.raises(MocklabError):
+        mordell.l_pair(3 * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-8"))), ctx)
 
 
 def test_w2_w3_match_tanh_sinh(ctx):
@@ -692,6 +723,33 @@ def test_quadrature_takes_the_pv_on_the_stokes_line(ctx, a):
     pref = ctx.mp.sqrt(135 * ctx.mp.mpc(-a) / ctx.mp.pi)
     for v, want in zip(res.value, mordell._law_rhs(-a, ctx)[0]):
         assert abs((pref * v).real - want.real) < mpf("1e-30")
+
+
+def test_cut_pv_panels_keep_their_poles_centred(monkeypatch):
+    """At 400 bits and eps 1e-80 no degree up to 6 certifies every
+    pole-centred panel of pv_quadrature(50.3, 1, 0.3), so `_panels` cuts
+    them into thirds.  Every pole then sits at the centre of its panel,
+    where the +- node pairs cancel it, or at |u| >= 2 of it, u = (x - mid)
+    / half, and the principal value is within its bound of pv_sum."""
+    P = REF_400.prec_bits + mordell._FIXED_BITS
+    panels, quadrature = mordell._panels, mordell._quadrature
+    seen, results = [], []
+    monkeypatch.setattr(mordell, "_panels", lambda bound, w, points, ctx: (
+        seen.append((points, panels(bound, w, points, ctx))) or seen[-1][1]))
+    monkeypatch.setattr(mordell, "_quadrature",
+                        lambda *args: results.append(quadrature(*args)) or results[-1])
+    value = pv_quadrature("50.3", 1, "0.3", REF_400)
+    (points, (frames, _, _)), = seen
+    assert len(frames) > len(points) - 1
+    hi = mordell._mp_context(REF_400.prec_bits + 64)
+    h = hi.pi / 2
+    for (mid, _), (half, _) in frames:
+        mid, half = hi.ldexp(mid, -P), hi.ldexp(half, -P)
+        pole = (2 * hi.floor(mid / (2 * h)) + 1) * h  # the pole of mid's segment
+        u = abs(pole - mid) / half
+        assert u < hi.ldexp(1, -200) or u > 2 - hi.ldexp(1, -200)
+    scale = REF_400.mp.sqrt(4 * REF_400.mp.mpf("0.3") / REF_400.mp.pi)
+    assert abs(value - pv_sum("50.3", 1, "0.3", REF_400)) <= scale * results[0].err_estimate
 
 
 def test_pv_sum_symmetry_and_limit(ctx):
