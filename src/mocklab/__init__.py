@@ -48,7 +48,6 @@ from .qseries import (
     euler_inverse_coeffs,
     eval_mock,
     k_pair,
-    pochhammer,
     series_expand,
     theta,
     unary_x,

@@ -40,7 +40,7 @@ from .matrices import (
 )
 from .modpoint import PrecisionContext, power_from_alpha
 from .mordell import _law_rhs, l_vector, stokes_decompose, w2_integral, w3_integral
-from .qseries import MockThetaId, eval_mock, eta, pochhammer, theta
+from .qseries import MockThetaId, _euler_function, eval_mock, eta, theta
 
 __all__ = [
     "CheckEntry",
@@ -351,7 +351,7 @@ def check_eta_theta(tau, ctx: PrecisionContext) -> List[CheckEntry]:
 
     # product-form lower bound |theta3(1-1/z)| >= c |z|^{1/2} |q1z|^{1/4}
     aq = abs(mp.exp(mp.pi * 1j * z))
-    prod = pochhammer(aq**2, aq**2, mp.inf, ctx).real ** 3
+    prod = _euler_function(aq**2, ctx).real ** 3
     bound = 2 * prod * mp.sqrt(abs(z)) * aq ** mp.mpf("0.25")
     res = max(mp.mpf(0), bound - abs(lhs))
     entries.append(_entry("theta3_lower", tau, res, max(bound, mp.mpf(1)),

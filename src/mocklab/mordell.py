@@ -908,10 +908,11 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
     def f(xr, xi):  # the panels are real: xi is 0
         x = mp.ldexp(xr, -P)
         gauss, cos_px = mp.exp(-pt * x * x), mp.cos(p * x)
-        value = _fixed(mp.mpc(gauss * mp.cos(a * x) / cos_px), P)
+        v = gauss * mp.cos(a * x) / cos_px
+        value = _fixed(mp.mpc(v), P)
         slope = 1 / abs(float(cos_px))
         rounding = int(8 * (1 + fp * float(x) * slope)) + 1
-        slide = 8 * (abs(float(value[0])) * 2.0 ** -P * (2 * fpt * float(x) + fp * slope)
+        slide = 8 * (abs(float(v)) * (2 * fpt * float(x) + fp * slope)
                      + fa * float(gauss) * slope)
         return (value,), (rounding * abs(value[0]) >> ctx.prec_bits + 16) + int(slide) + 2
 

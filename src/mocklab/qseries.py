@@ -1,22 +1,27 @@
-"""q-series evaluation: Pochhammer symbols, the order-3 and order-5 mock theta
-functions, the unary false-theta partners, Dedekind eta, Jacobi thetas, and an
+"""q-series evaluation: the order-3 and order-5 mock theta functions, the
+unary false-theta partners, Dedekind eta, Jacobi thetas, and an
 exact-rational truncated-expansion oracle.
 
 Numeric evaluation and the symbolic oracle are fully independent code paths;
 tests cross-validate one against the other.
 
-Stop rules: the partial thetas (`unary_x` and the theta3/theta4 series)
-share one evaluator, `_partial_theta`, which stops on a certified bound on
-the omitted tail, as does the infinite `pochhammer` product.  `eval_mock`
-still stops on three small terms, a heuristic.
+Every series summed here has terms that fall like q^{n^2}.  chi0 and chi1
+are not summed from their definitions, whose terms fall like q^n, but from
+the Andrews-Garvan forms 2 F0(q) - phi0(-q) and 2 F1(q) - psi1(-q); eta is
+Euler's pentagonal series and theta2 its own partial theta.
+
+Stop rules: the partial thetas (`unary_x`, the theta series and the
+pentagonal series of eta) share one evaluator, `_partial_theta`, which
+stops on a certified bound on the omitted tail.  `eval_mock` still stops on
+three small terms, a heuristic.
 
 Arithmetic: each mock theta series is described once, as data (`_SERIES`):
 its first term and its term ratio t_n / t_{n-1}, a monomial in q times
-factors 1 +- q^{k n + d}.  One evaluator, `_sum_series`, runs all six on
+factors 1 +- q^{k n + d}; `_MOCK_TERMS` writes each mock theta function as
+a sum of such series.  One evaluator, `_sum_series`, runs them all on
 complex integers scaled by 2^(prec_bits + 48), the fixed point of the ray
 quadrature, updating every power of q by one multiplication per term; the
-sum is rounded into the context only at the end.  `pochhammer` multiplies
-its factors directly in mpf, whose exponents are unbounded.
+sum is rounded into the context only at the end.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "MockThetaId",
     "MOCK_THETA_IDS",
     "TruncatedQSeries",
-    "pochhammer",
     "eval_mock",
     "series_expand",
     "k_pair",
@@ -80,53 +84,6 @@ class MockThetaId:
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer symbols
-# ---------------------------------------------------------------------------
-
-def pochhammer(a, b, n, ctx: PrecisionContext) -> mpc:
-    """(a; b)_n = prod_{j=0}^{n-1} (1 - a b^j); n may be mp.inf.
-
-    Both branches multiply the factors directly, updating a b^j by one
-    multiplication per factor.  The infinite product requires |b| < 1; mpf
-    exponents are unbounded, so however long it runs it can neither
-    overflow nor underflow.  It stops once the remaining |a| |b|^j / (1 -
-    |b|) = r < 1 has r / (1 - r) < eps * 2^-8, which bounds the modulus of
-    the log of the omitted factors, and so the relative error of the
-    truncated product.
-    """
-    mp = ctx.mp
-    a = mp.mpc(a)
-    b = mp.mpc(b)
-    prod = mp.mpc(1)
-    term = a  # a * b^j
-    if n != mp.inf:
-        n = int(n)
-        if n < 0:
-            raise DomainError("pochhammer length must be nonnegative")
-        for _ in range(n):
-            prod *= 1 - term
-            term *= b
-        return prod
-    if not abs(b) < 1:
-        raise DomainError("infinite pochhammer needs |b| < 1")
-    if a == 0:
-        return prod
-    tail_target = ctx.eps * mp.mpf(2) ** -8
-    absb = abs(b)
-    for _ in range(MAX_TERMS_DEFAULT):
-        factor = 1 - term
-        if factor == 0:
-            return mp.mpc(0)
-        prod *= factor
-        term *= b
-        # remaining |a||b|^j sum, inflated against log(1-x) curvature
-        rem = abs(term) / (1 - absb)
-        if rem < 1 and rem / (1 - rem) < tail_target:
-            return prod
-    raise NonConvergenceError("infinite pochhammer did not converge")
-
-
-# ---------------------------------------------------------------------------
 # Mock theta functions: numeric evaluation
 # ---------------------------------------------------------------------------
 
@@ -156,12 +113,15 @@ class _Series(NamedTuple):
 
 
 _SERIES = {
-    # sum_n q^n / (q^{n+1}; q)_n
-    "chi0": _Series(_Ratio(0, 0),
-                    _Ratio(0, 1, ((-1, 1, 0),), ((-1, 2, -1), (-1, 2, 0)))),
-    # sum_n q^n / (q^{n+1}; q)_{n+1}
-    "chi1": _Series(_Ratio(0, 0, (), ((-1, 0, 1),)),
-                    _Ratio(0, 1, ((-1, 1, 0),), ((-1, 2, 0), (-1, 2, 1)))),
+    # F0 = sum_n q^{2n^2} / (q; q^2)_n
+    "F0": _Series(_Ratio(0, 0), _Ratio(4, -2, (), ((-1, 2, -1),))),
+    # F1 = sum_n q^{2n(n+1)} / (q; q^2)_{n+1}
+    "F1": _Series(_Ratio(0, 0, (), ((-1, 0, 1),)),
+                  _Ratio(4, 0, (), ((-1, 2, 1),))),
+    # phi0 = sum_n q^{n^2} (-q; q^2)_n
+    "phi0": _Series(_Ratio(0, 0), _Ratio(2, -1, ((1, 2, -1),))),
+    # psi1 = phi1 / q = sum_n q^{n^2 + 2n} (-q; q^2)_n
+    "psi1": _Series(_Ratio(0, 0), _Ratio(2, 1, ((1, 2, -1),))),
     # sum_n q^{2n(n+1)} / (q; q^2)_{n+1}^2
     "omega": _Series(_Ratio(0, 0, (), ((-1, 0, 1),) * 2),
                      _Ratio(4, 0, (), ((-1, 2, 1),) * 2)),
@@ -173,6 +133,20 @@ _SERIES = {
     # 1 + 2 sum_{n>=0} q^{6n(n+1)+1} / ((q; q^6)_{n+1} (q^5; q^6)_{n+1})
     "xi": _Series(_Ratio(0, 1, (), ((-1, 0, 1), (-1, 0, 5))),
                   _Ratio(12, 0, (), ((-1, 6, 1), (-1, 6, 5))), coeff=2, head=1),
+}
+
+# Each mock theta function as sum weight * series(sign * q) over its terms
+# (weight, sign, series).  The definitions of chi0 and chi1 fall like q^n;
+# Andrews and Garvan (Adv. Math. 73, 1989) give chi0(q) = 2 F0(q) - phi0(-q)
+# and chi1(q) = 2 F1(q) + q^{-1} phi1(-q) = 2 F1(q) - psi1(-q), whose terms
+# fall like q^{2n^2}.
+_MOCK_TERMS = {
+    "chi0": ((2, 1, "F0"), (-1, -1, "phi0")),
+    "chi1": ((2, 1, "F1"), (-1, -1, "psi1")),
+    "omega": ((1, 1, "omega"),),
+    "f": ((1, 1, "f"),),
+    "rho": ((1, 1, "rho"),),
+    "xi": ((1, 1, "xi"),),
 }
 
 
@@ -249,29 +223,38 @@ def _sum_series(series: _Series, q, ctx: PrecisionContext) -> mpc:
 def eval_mock(mid: MockThetaId, q, ctx: PrecisionContext) -> mpc:
     """Numeric value of the named mock theta function at q, |q| < 1.
 
-    Reliable tails require |q| <= 0.999; near the unit circle the defining
-    series converge too slowly for certified truncation.
+    Evaluation is refused above |q| = 0.999: the error analysis below
+    spends 10 of its guard bits on 1 / (1 - |q|) <= 1000.
 
-    The series is summed by `_sum_series` in integers scaled by 2^P, P =
-    prec_bits + 48.  The error, with u = 2^-P: q and every product
-    truncate by at most u per part.  A running power q^e, e = k n + d,
+    The function is the sum of weight * series(sign * q) over its terms in
+    `_MOCK_TERMS`: one series for the order-3 functions, two for chi0 and
+    chi1, each falling like q^{n^2}, so even at |q| = 0.999 a series takes
+    at most about 620 terms.  Each series is summed by `_sum_series` in
+    integers scaled by 2^P, P = prec_bits + 48, and rounded into ctx.mp;
+    adding the weighted values rounds once more.
+
+    The error of a series, with u = 2^-P: q and every product truncate by
+    at most u per part.  A running power q^e, e = k n + d,
     damps the error it carries by |q^k| < 1 per step, so it is off by at
     most a few u / (1 - |q|), and by a few e u while e < 1 / (1 - |q|).
     As |1 +- q^e| >= 1 - |q|^e, each factor of a ratio, the division by the
     denominator included, then has a relative error of a few u / (1 - |q|):
     with 1 - |q| >= 0.001, about 10 of the 48 guard bits, a few more for
     the factor count.  A term, a product of n ratios, adds log2 n bits
-    (under 18 at the term cap), which leaves the sum within about
-    2^-(prec_bits + 10) of sum |t_n|, the order of the rounding error of a
+    (under 10 at a few hundred terms), which leaves the sum within about
+    2^-(prec_bits + 18) of sum |t_n|, the order of the rounding error of a
     floating-point sum of the same terms.  For real q every imaginary part
-    stays 0, and the arithmetic is real.
+    stays 0, and the arithmetic is real.  At q > 0 sum |t_n| is the value
+    itself for F0 and F1, and at most 4/3 for phi0(-q) and psi1(-q), whose
+    terms alternate with ratios of modulus at most 1/4.
     """
     q = ctx.mp.mpc(q)
     if not abs(q) < 1:
         raise DomainError("mock theta series require |q| < 1")
     if abs(q) > ctx.mp.mpf("0.999"):
         raise DomainError("evaluation guard: |q| <= 0.999")
-    return _sum_series(_SERIES[mid.name], q, ctx)
+    return sum(weight * _sum_series(_SERIES[name], sign * q, ctx)
+               for weight, sign, name in _MOCK_TERMS[mid.name])
 
 
 def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:
@@ -283,7 +266,8 @@ def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:
 
 
 # ---------------------------------------------------------------------------
-# Partial theta series: the unary false thetas and the theta constants
+# Partial theta series: the unary false thetas, the theta constants and
+# Euler's function
 # ---------------------------------------------------------------------------
 
 def _partial_theta(psi, period: int, N: int, c: int, u, ctx: PrecisionContext,
@@ -344,29 +328,38 @@ def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
     return _partial_theta(psi, 60, 120, c, u, ctx)
 
 
+def _euler_function(x, ctx: PrecisionContext) -> mpc:
+    """(x; x)_infinity for |x| < 1, by Euler's pentagonal theorem:
+    sum_{n in Z} (-1)^n x^{n(3n-1)/2} = sum_{m>=1} chi12(m) x^{(m^2 - 1)/24},
+    chi12(m) = 1 at m = +-1 and -1 at m = +-5 mod 12, summed by
+    `_partial_theta` to its certified tail bound."""
+    return _partial_theta({1: 1, 11: 1, 5: -1, 7: -1}, 12, 24, 1, x, ctx)
+
+
 # ---------------------------------------------------------------------------
 # Dedekind eta and Jacobi theta functions
 # ---------------------------------------------------------------------------
 
 def eta(tau, ctx: PrecisionContext) -> mpc:
-    """Dedekind eta: Q^{1/24} (Q; Q)_infinity with Q = exp(2*pi*i*tau)."""
+    """Dedekind eta: Q^{1/24} (Q; Q)_infinity with Q = exp(2*pi*i*tau), the
+    product summed by `_euler_function` as the pentagonal series
+    sum_{n in Z} (-1)^n Q^{n(3n-1)/2}."""
     mp = ctx.mp
     tau = mp.mpc(tau)
     if not tau.imag > 0:
         raise DomainError("eta requires Im tau > 0")
     alpha = -mp.pi * 1j * tau
-    Q = mp.exp(-2 * alpha)
     pref = power_from_alpha(alpha, "Q", Fraction(1, 24), ctx)
-    return pref * pochhammer(Q, Q, mp.inf, ctx)
+    return pref * _euler_function(mp.exp(-2 * alpha), ctx)
 
 
 def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     """Jacobi theta constants theta_2/3/4 at nome q = exp(pi*i*tau).
 
-    theta3 = 1 + 2 sum_{n>=1} q^{n^2} and theta4 = 1 + 2 sum_{n>=1} (-1)^n
-    q^{n^2}, each sum a partial theta of `_partial_theta` and truncated on its
-    certified tail bound; theta2 is returned in the triple product form
-    2 q^{1/4} prod (1-Q^n)(1+Q^n)^2, the form used in the theta-chain check.
+    theta2 = 2 q^{1/4} sum_{n>=1 odd} q^{(n^2 - 1)/4}, theta3 = 1 + 2
+    sum_{n>=1} q^{n^2} and theta4 = 1 + 2 sum_{n>=1} (-1)^n q^{n^2}; each sum
+    is a partial theta of `_partial_theta`, truncated on its certified tail
+    bound (|q^{1/4}| < 1, so the factor 2 bounds every prefactor).
     """
     mp = ctx.mp
     tau = mp.mpc(tau)
@@ -375,9 +368,8 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     alpha = -mp.pi * 1j * tau
     q = mp.exp(-alpha)
     if which == 2:
-        Q = q * q
         pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
-        return pref * pochhammer(Q, Q, mp.inf, ctx) * pochhammer(-Q, Q, mp.inf, ctx) ** 2
+        return pref * _partial_theta({1: 1}, 2, 4, 1, q, ctx, scale=2)
     if which not in (3, 4):
         raise DomainError("theta index must be 2, 3 or 4")
     psi = {0: 1, 1: 1} if which == 3 else {0: 1, 1: -1}

@@ -752,6 +752,13 @@ def test_cut_pv_panels_keep_their_poles_centred(monkeypatch):
     assert abs(value - pv_sum("50.3", 1, "0.3", REF_400)) <= scale * results[0].err_estimate
 
 
+def test_pv_quadrature_past_float_range_of_the_fixed_point():
+    """At 1200 bits P = 1248, and a node's value scaled by 2^P is an integer
+    no float holds: the node's error bound takes |f| from the mp value."""
+    c = PrecisionContext(prec_bits=1200, eps="1e-60")
+    assert abs(pv_quadrature("2.5", 1, "0.3", c) - pv_sum("2.5", 1, "0.3", c)) < c.eps
+
+
 def test_pv_sum_symmetry_and_limit(ctx):
     with mp.workprec(ctx.prec_bits):
         # a = 0: both exponentials coincide

@@ -12,68 +12,72 @@ from mocklab import (
     euler_inverse_coeffs,
     eval_mock,
     k_pair,
-    pochhammer,
     series_expand,
     theta,
     unary_x,
 )
 from mocklab.errors import NonConvergenceError
+from mocklab.identities import _tau_grid
 from mocklab.modpoint import power_from_alpha
-from mocklab.qseries import MAX_TERMS_DEFAULT, _UNARY_PSI, _partial_theta
+from mocklab.qseries import (MAX_TERMS_DEFAULT, _MOCK_TERMS, _SERIES, _UNARY_PSI,
+                              _euler_function, _partial_theta)
 
 ALL_IDS = [MockThetaId.from_name(n) for n in ("chi0", "chi1", "omega", "f", "rho", "xi")]
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer
+# Euler's function (x; x)_inf by the pentagonal theorem
 # ---------------------------------------------------------------------------
 
-def test_pochhammer_finite(ctx):
-    with mp.workprec(ctx.prec_bits):
-        assert pochhammer(mpf("0.7"), mpf("0.3"), 0, ctx) == 1
-        a, b = mpc("0.5", "0.1"), mpc("0.2", "-0.3")
-        want = (1 - a) * (1 - a * b) * (1 - a * b**2)
-        assert abs(pochhammer(a, b, 3, ctx) - want) < ctx.eps
+def _pochhammer(a, b, ctx):
+    """(a; b)_inf = prod_{j>=0} (1 - a b^j), |b| < 1, as the product of its
+    factors: the oracle of the pentagonal series `_euler_function`.
+
+    Stops once the remaining |a| |b|^j / (1 - |b|) = r < 1 has r / (1 - r) <
+    eps * 2^-8, which bounds the modulus of the log of the omitted factors,
+    and so the relative error of the truncated product.
+    """
+    mp_ = ctx.mp
+    a, b = mp_.mpc(a), mp_.mpc(b)
+    prod, term = mp_.mpc(1), a  # a * b^j
+    tail_target = ctx.eps * mp_.mpf(2) ** -8
+    while True:
+        prod *= 1 - term
+        term *= b
+        rem = abs(term) / (1 - abs(b))
+        if rem < 1 and rem / (1 - rem) < tail_target:
+            return prod
 
 
 def test_pochhammer_infinite(ctx):
     with mp.workprec(ctx.prec_bits):
-        assert abs(pochhammer(0, mpf("0.5"), mp.inf, ctx) - 1) < ctx.eps
+        assert _euler_function(mpf(0), ctx) == 1
         # against an explicit long product
-        a = b = mpf("0.5")
+        x = mpf("0.5")
         direct = mpf(1)
-        for j in range(600):
-            direct *= 1 - a * b**j
-        assert abs(pochhammer(a, b, mp.inf, ctx) - direct) < 10 * ctx.eps
+        for j in range(1, 600):
+            direct *= 1 - x**j
+        assert abs(_euler_function(x, ctx) - direct) < 10 * ctx.eps
     with pytest.raises(DomainError):
-        pochhammer(mpf("0.5"), mpf(1), mp.inf, ctx)
-
-
-def test_pochhammer_finite_against_powers(ctx):
-    # the finite branch against the product with b^j taken by pow
-    mp_ = ctx.mp
-    for a, b, n in ((mp_.mpc("0.5", "0.1"), mp_.mpc("0.2", "-0.3"), 12),
-                    (mp_.mpf("0.9"), mp_.mpf("0.95"), 200)):
-        want = mp_.mpc(1)
-        for j in range(n):
-            want *= 1 - a * b**j
-        assert abs(pochhammer(a, b, n, ctx) - want) < ctx.eps * abs(want)
+        _euler_function(mpf(1), ctx)
 
 
 def test_pochhammer_infinite_stress(ctx):
-    # against 400 bits and eps 1e-80; at b = 0.99 the product is about e^-160
-    # and takes about 11 000 factors
+    # against the product at 400 bits and eps 1e-80; at x = 0.99 the product
+    # is about e^-160 and takes about 11 000 factors, the pentagonal series
+    # about 160 terms of modulus up to 1
     mp_ = ctx.mp
-    for b in (mp_.mpf("0.91") * mp_.expj("0.3"), mp_.mpf("0.99")):
-        want = pochhammer(b, b, mp_.inf, STRESS)
-        assert abs(pochhammer(b, b, mp_.inf, ctx) - want) < ctx.eps * abs(want)
+    for x in (mp_.mpf("0.91") * mp_.expj("0.3"), mp_.mpf("0.99"),
+              mp_.mpf("0.99") * mp_.expj("2.5")):
+        want = _pochhammer(x, x, STRESS)
+        assert abs(_euler_function(x, ctx) - want) < ctx.eps, x
 
 
 def test_pochhammer_two_truncation_orders(ctx):
     loose = type(ctx)(prec_bits=256, eps="1e-20")
     with mp.workprec(ctx.prec_bits):
-        v1 = pochhammer(mpf("0.5"), mpf("0.5"), mp.inf, loose)
-        v2 = pochhammer(mpf("0.5"), mpf("0.5"), mp.inf, ctx)
+        v1 = _euler_function(mpf("0.5"), loose)
+        v2 = _euler_function(mpf("0.5"), ctx)
         assert abs(v1 - v2) < loose.eps
 
 
@@ -127,29 +131,36 @@ def test_eval_matches_oracle_on_disc(ctx, name):
             assert abs(num - poly) < ctx.eps + s.tail_bound
 
 
-# The series as mpf term generators summed by the three-small-terms rule: the
-# floating-point form of `eval_mock`, kept as its oracle.
+# The defining series as mpf term generators, summed by the three-small-terms
+# rule.  For the order-3 functions this is the floating-point form of
+# `eval_mock`, kept as its oracle.  `eval_mock` sums chi0 and chi1 from the
+# Andrews-Garvan forms, whose terms fall like q^{2n^2}; their definitions,
+# whose terms fall like q^n, give their reference instead.
 
 def _chi0_terms(q):
-    # sum_n q^n / (q^{n+1}; q)_n
-    yield 1
-    denom = 1
-    qn = 1
+    # sum_n q^n / (q^{n+1}; q)_n, with the ratio
+    # t_n / t_{n-1} = q (1 - q^n) / ((1 - q^{2n-1}) (1 - q^{2n}))
+    t = qn = 1
+    q2, q2n1 = q * q, q  # q^{2n-1} at n = 1
+    yield t
     for n in range(1, MAX_TERMS_DEFAULT):
-        denom *= (1 - q ** (2 * n - 1)) * (1 - q ** (2 * n)) / (1 - q**n)
         qn *= q
-        yield qn / denom
+        t *= q * (1 - qn) / ((1 - q2n1) * (1 - q2n1 * q))
+        q2n1 *= q2
+        yield t
 
 
 def _chi1_terms(q):
-    # sum_n q^n / (q^{n+1}; q)_{n+1}
-    denom = 1 - q
-    yield 1 / denom
-    qn = 1
+    # sum_n q^n / (q^{n+1}; q)_{n+1}, with the ratio
+    # t_n / t_{n-1} = q (1 - q^n) / ((1 - q^{2n}) (1 - q^{2n+1}))
+    t, qn = 1 / (1 - q), 1
+    q2 = q2n = q * q  # q^{2n} at n = 1
+    yield t
     for n in range(1, MAX_TERMS_DEFAULT):
-        denom *= (1 - q ** (2 * n)) * (1 - q ** (2 * n + 1)) / (1 - q**n)
         qn *= q
-        yield qn / denom
+        t *= q * (1 - qn) / ((1 - q2n) * (1 - q2n * q))
+        q2n *= q2
+        yield t
 
 
 def _omega_terms(q):
@@ -228,16 +239,97 @@ def _oracle_point(p, mp_):
     return mp_.mpc(*p)
 
 
+@lru_cache(maxsize=None)
+def _chi_reference(name, q, prec_bits, eps):
+    """chi0 or chi1 at q from its defining series at prec_bits and eps,
+    summed by the three-small-terms rule; q is taken exactly.  At eps 2^-40
+    below the tested eps the stop drops a tail of about eps 2^-48 / (1 - |q|),
+    far below eps / 16 at |q| <= 0.998."""
+    ref = PrecisionContext(prec_bits=prec_bits, eps=eps)
+    return _sum_with_stop_rule(TERM_GENERATORS[name](ref.mp.convert(q)), ref)
+
+
 @pytest.mark.parametrize("c", [pytest.param(None, id="256"), pytest.param(LOW, id="64")])
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_eval_matches_float_oracle(ctx, c, name):
     c = c or ctx
     mid = MockThetaId.from_name(name)
-    tol = c.mp.mpf(2) ** -(c.prec_bits - 16)
+    rel = c.mp.mpf(2) ** -(c.prec_bits - 16)
     for p in ORACLE_POINTS:
         q = _oracle_point(p, c.mp)
-        want = _sum_with_stop_rule(TERM_GENERATORS[name](q), c)
-        assert abs(eval_mock(mid, q, c) - want) < tol * max(1, abs(want)), p
+        got = eval_mock(mid, q, c)
+        if name in ("chi0", "chi1"):
+            # the same q, 64 bits finer: chi0 grows like e^{pi^2/(30(1-|q|))},
+            # so its value moves by far more than eps when q is rounded anew
+            want = _chi_reference(name, q, c.prec_bits + 64, c.eps * mpf(2) ** -40)
+            assert abs(got - want) < c.eps / 16 + rel * abs(want), p
+        else:
+            want = _sum_with_stop_rule(TERM_GENERATORS[name](q), c)
+            assert abs(got - want) < rel * max(1, abs(want)), p
+
+
+def test_chi_matches_a_600_bit_reference(ctx):
+    # |q| = 0.998 and 0.9957: the defining series take about 60 000 and
+    # 30 000 terms, the Andrews-Garvan forms a few hundred
+    rel = ctx.mp.mpf(2) ** -(ctx.prec_bits - 16)
+    for p in ("0.998", ("0.55", "0.83")):
+        q = _oracle_point(p, ctx.mp)
+        for name in ("chi0", "chi1"):
+            want = _chi_reference(name, q, 600, ctx.eps * mpf(2) ** -40)
+            got = eval_mock(MockThetaId.from_name(name), q, ctx)
+            assert abs(got - want) < ctx.eps / 16 + rel * abs(want), (p, name)
+
+
+def _expand_descriptor(series, sign, N):
+    """The `_SERIES` descriptor at sign * q as integer coefficients c_0..c_N,
+    built term by term from its first term and its term ratio."""
+
+    def shift(c, e):  # c * (sign q)^e
+        if e > N:
+            return [0] * (N + 1)
+        return [0] * e + [sign**e * x for x in c[:N + 1 - e]]
+
+    def times(c, e, s):  # c * (1 + s (sign q)^e), in place
+        s *= sign**e
+        for i in range(N, e - 1, -1):
+            c[i] += s * c[i - e]
+
+    def over(c, e, s):  # c / (1 + s (sign q)^e), in place
+        assert e > 0
+        s *= sign**e
+        for i in range(e, N + 1):
+            c[i] -= s * c[i - e]
+
+    def apply(c, r, n):
+        c = shift(c, r.a * n + r.b)
+        for s, k, d in r.num:
+            times(c, k * n + d, s)
+        for s, k, d in r.den:
+            over(c, k * n + d, s)
+        return c
+
+    t = apply([series.coeff] + [0] * N, series.first, 0)
+    total = [series.head] + [0] * N
+    low, n = series.first.b, 0  # t_n is q^low times a unit
+    while low <= N:
+        total = [x + y for x, y in zip(total, t)]
+        n += 1
+        low += series.ratio.a * n + series.ratio.b
+        t = apply(t, series.ratio, n)
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_mock_terms_expand_to_the_definitions(name):
+    # chi0 = 2 F0(q) - phi0(-q) and chi1 = 2 F1(q) - psi1(-q) exactly, to
+    # q^300, against the expansion of the definitions; each order-3 id is
+    # its own descriptor
+    N = 300
+    acc = [0] * (N + 1)
+    for weight, sign, series in _MOCK_TERMS[name]:
+        for i, c in enumerate(_expand_descriptor(_SERIES[series], sign, N)):
+            acc[i] += weight * c
+    assert acc == list(series_expand(MockThetaId.from_name(name), N).coeffs)
 
 
 def test_eval_domain_guards(ctx):
@@ -371,16 +463,6 @@ def test_unary_partial_sum_decay(ctx):
             assert abs(partial[kmax + 1] - partial[kmax]) <= omitted + ctx.eps
 
 
-def _theta2_sum_form(tau, ctx):
-    """theta2 as the series 2 q^{1/4} sum_{n odd} q^{(n^2-1)/4}, summed by
-    `_partial_theta`: a cross-check of the product form theta(2)."""
-    mp_ = ctx.mp
-    alpha = -mp_.pi * 1j * mp_.mpc(tau)
-    pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
-    return pref * _partial_theta({1: 1}, 2, 4, 1, mp_.exp(-alpha), ctx,
-                                 scale=abs(pref))
-
-
 STRESS = PrecisionContext(prec_bits=400, eps="1e-80")
 
 
@@ -392,9 +474,8 @@ def test_partial_theta_stress_edge(ctx):
         assert abs(unary_x(which, u, ctx) - unary_x(which, u, STRESS)) < ctx.eps
     tau = mp_.mpc("0.3", -mp_.log(mp_.mpf("0.999")) / mp_.pi)
     assert abs(abs(mp_.exp(mp_.pi * 1j * tau)) - mp_.mpf("0.999")) < ctx.eps
-    for f in (lambda c: theta(3, tau, c), lambda c: theta(4, tau, c),
-              lambda c: _theta2_sum_form(tau, c)):
-        assert abs(f(ctx) - f(STRESS)) < ctx.eps
+    for which in (2, 3, 4):
+        assert abs(theta(which, tau, ctx) - theta(which, tau, STRESS)) < ctx.eps
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +501,37 @@ def test_theta_transformations(ctx):
         assert abs(theta(3, -1 / tau, ctx) - want) < 10 * ctx.eps
 
 
+def _theta2_product_form(tau, ctx):
+    """theta2 in the triple product form 2 q^{1/4} (Q; Q)_inf (-Q; Q)_inf^2,
+    Q = q^2, from the product oracle: a cross-check of the series theta(2)."""
+    mp_ = ctx.mp
+    alpha = -mp_.pi * 1j * mp_.mpc(tau)
+    Q = mp_.exp(-2 * alpha)
+    pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
+    return pref * _pochhammer(Q, Q, ctx) * _pochhammer(-Q, Q, ctx) ** 2
+
+
 def test_theta2_sum_vs_product(ctx):
     with mp.workprec(ctx.prec_bits):
-        tau = mpc(0, "1.5")
-        assert abs(theta(2, tau, ctx) - _theta2_sum_form(tau, ctx)) < 10 * ctx.eps
+        for tau in (mpc(0, "1.5"), mpc("0.3", "0.2")):
+            assert abs(theta(2, tau, ctx) - _theta2_product_form(tau, ctx)) < 10 * ctx.eps
+
+
+# the two tau of the series_edge benchmark, |q| about 0.956 and 0.952
+SERIES_EDGE_TAUS = (("-0.233902", "0.014133"), ("0.273299", "0.015589"))
+
+
+def test_theta_product_is_twice_eta_cubed(ctx):
+    # theta2 theta3 theta4 = 2 eta^3: the partial thetas against the
+    # pentagonal series, two independent formulas
+    mp_ = ctx.mp
+    for tau in [mp_.mpc(*t) for t in SERIES_EDGE_TAUS] + _tau_grid(mp_):
+        t2, t3, t4 = (theta(k, tau, ctx) for k in (2, 3, 4))
+        e = eta(tau, ctx)
+        # each tail bound is eps 2^-8; the factor 2 covers the rounding
+        tol = ctx.eps * 2**-7 * (abs(t2 * t3) + abs(t2 * t4) + abs(t3 * t4)
+                                 + 6 * abs(e) ** 2)
+        assert abs(t2 * t3 * t4 - 2 * e**3) < tol, tau
 
 
 def test_eta_theta3_nonvanishing_grid(ctx):
