@@ -12,8 +12,9 @@ Euler's pentagonal series and theta2 its own partial theta.
 
 Stop rules: the partial thetas (`unary_x`, the theta series and the
 pentagonal series of eta) share one evaluator, `_partial_theta`, which
-stops on a certified bound on the omitted tail.  `eval_mock` still stops on
-three small terms, a heuristic.
+stops on a certified bound on the omitted tail; eta and theta2 are summed to
+relative error, widened by a proved lower bound on their modulus.
+`eval_mock` still stops on three small terms, a heuristic.
 
 Arithmetic: each mock theta series is described once, as data (`_SERIES`):
 its first term and its term ratio t_n / t_{n-1}, a monomial in q times
@@ -36,7 +37,7 @@ from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergenceError
 from .modpoint import (_FIXED_BITS, PrecisionContext, _fixed, _from_fixed,
-                       power_from_alpha)
+                       _mp_context, power_from_alpha)
 
 __all__ = [
     "MockThetaId",
@@ -271,37 +272,72 @@ def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:
 # ---------------------------------------------------------------------------
 
 def _partial_theta(psi, period: int, N: int, c: int, u, ctx: PrecisionContext,
-                   scale=1) -> mpc:
+                   scale=1, floor=0.0) -> mpc:
     """sum_{n>=1} psi(n mod period) u^{(n^2 - c)/N} for |u| < 1; psi maps
-    residues to coefficients, and every exponent on its support is asserted
-    to be a nonnegative integer.
+    residues to coefficients, every exponent on its support is asserted to
+    be a nonnegative integer, and period^2 >= N.
 
     Stops once scale (the modulus of the caller's prefactor) times the bound
     max|psi| |u|^{(n0^2 - c)/N} / (1 - |u|^{(2 n0 + 1)/N}) on the terms
     n >= n0 is below eps * 2^-8; the bound holds as n^2 >= n0^2 +
     (n - n0)(2 n0 + 1).  It is taken in double-precision logarithms, whose
-    rounding is far below the 2^-8 slack.
+    rounding is far below the 2^-8 slack.  A sum that cannot stop within
+    MAX_TERMS_DEFAULT terms, even at |u|^{(n0^2 - c)/N} alone, raises before
+    it starts.
+
+    Powers: each residue class n = n1 + j period carries u^{e(n)} by two
+    multiplications per term, one by the step u^{e(n + period) - e(n)} and
+    one of the step by u^{2 period^2 / N}.  After j steps the power is off by
+    at most 4 (j + 1)^2 ulp, and |u|^{e(n)} <= |u|^{j^2} as period^2 >= N,
+    so the whole sum is off by less than 2^8 (1 - |u|)^{-3/2} ulp of max|psi|
+    (at most 8 classes).  The sum is therefore taken at prec_bits + g bits,
+    g = f + 1.5 log2(1 / (1 - |u|)) rounded up to a multiple of 32 (one
+    mpmath context per 32 bits), which with the 16 guard bits of every
+    context keeps the rounding below the tail bound, and is rounded back
+    into ctx.mp.
+
+    Without a floor, f = 0 and the error is absolute: the terms reach
+    modulus max|psi| while the sum may be far smaller.  A caller that has
+    proved |sum| >= e^floor, floor < 0, gets it relative: f = -floor / ln 2,
+    and the tail bound is held below eps 2^-f 2^-8 too.
     """
     mp = ctx.mp
     u = mp.mpc(u)
     if not abs(u) < 1:
         raise DomainError("partial theta series require |u| < 1")
+    if period * period < N:
+        raise AssertionError("partial theta needs period^2 >= N")
+    f = -floor / math.log(2) if floor < 0 else 0.0
     log_u = float(mp.log(abs(u)))  # -inf at u = 0
     log_room = float(mp.log(ctx.eps * mp.mpf(2) ** -8
                             / (max(map(abs, psi.values())) * scale)))
-    total = mp.mpc(0)
+    log_room -= f * math.log(2)
+    if log_u * (MAX_TERMS_DEFAULT ** 2 - c) / N >= log_room:
+        raise NonConvergenceError(
+            "partial theta series cannot stop within %d terms" % MAX_TERMS_DEFAULT)
+    g = 32 * math.ceil((f - 1.5 * math.log2(float(1 - abs(u)))) / 32)
+    wmp = _mp_context(ctx.prec_bits + g)
+    u = wmp.mpc(u)
+    grow = u ** (2 * period * period // N)
+    runs = {}  # residue -> (u^{e(n)}, its step) at the next n of the class
+    total = wmp.mpc(0)
     for n in range(1, MAX_TERMS_DEFAULT):
-        coeff = psi.get(n % period)
+        r = n % period
+        coeff = psi.get(r)
         if not coeff:
             continue
         e, rem = divmod(n * n - c, N)
         if rem or e < 0:
             raise AssertionError("partial theta exponent not a nonneg integer")
-        total += coeff * u**e
+        if r not in runs:
+            runs[r] = u**e, u ** ((2 * n * period + period * period) // N)
+        power, step = runs[r]
+        total += coeff * power
+        runs[r] = power * step, step * grow
         n0 = n + 1
         if (log_u * (n0 * n0 - c) / N
                 - math.log(-math.expm1(log_u * (2 * n0 + 1) / N)) < log_room):
-            return total
+            return mp.mpc(total)
     raise NonConvergenceError("partial theta series did not converge")
 
 
@@ -328,12 +364,27 @@ def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
     return _partial_theta(psi, 60, 120, c, u, ctx)
 
 
+def _log_euler_floor(r) -> float:
+    """A lower bound on log (r; r)_infinity, r an mpf in [0, 1), and so on
+    log |(x; x)_infinity| at |x| = r, as |1 - x^m| >= 1 - r^m: -log (r; r)_inf
+    = sum_m r^m / (m (1 - r^m)) <= pi^2 r / (6 (1 - r)), since 1 - r^m >=
+    m r^(m-1) (1 - r).  -inf where the bound is infinite or overflows a
+    double, which `_partial_theta` refuses."""
+    if not r < 1:
+        return -math.inf
+    return -math.pi ** 2 / 6 * float(r / (1 - r))
+
+
 def _euler_function(x, ctx: PrecisionContext) -> mpc:
     """(x; x)_infinity for |x| < 1, by Euler's pentagonal theorem:
     sum_{n in Z} (-1)^n x^{n(3n-1)/2} = sum_{m>=1} chi12(m) x^{(m^2 - 1)/24},
     chi12(m) = 1 at m = +-1 and -1 at m = +-5 mod 12, summed by
-    `_partial_theta` to its certified tail bound."""
-    return _partial_theta({1: 1, 11: 1, 5: -1, 7: -1}, 12, 24, 1, x, ctx)
+    `_partial_theta` to its certified tail bound, relative to the floor
+    `_log_euler_floor`: near |x| = 1 the terms reach modulus 1 and cancel
+    down to about e^{-pi^2 / (6 (1 - |x|))}."""
+    x = ctx.mp.mpc(x)
+    return _partial_theta({1: 1, 11: 1, 5: -1, 7: -1}, 12, 24, 1, x, ctx,
+                          floor=_log_euler_floor(abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +394,7 @@ def _euler_function(x, ctx: PrecisionContext) -> mpc:
 def eta(tau, ctx: PrecisionContext) -> mpc:
     """Dedekind eta: Q^{1/24} (Q; Q)_infinity with Q = exp(2*pi*i*tau), the
     product summed by `_euler_function` as the pentagonal series
-    sum_{n in Z} (-1)^n Q^{n(3n-1)/2}."""
+    sum_{n in Z} (-1)^n Q^{n(3n-1)/2}, to relative error about eps."""
     mp = ctx.mp
     tau = mp.mpc(tau)
     if not tau.imag > 0:
@@ -359,7 +410,11 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     theta2 = 2 q^{1/4} sum_{n>=1 odd} q^{(n^2 - 1)/4}, theta3 = 1 + 2
     sum_{n>=1} q^{n^2} and theta4 = 1 + 2 sum_{n>=1} (-1)^n q^{n^2}; each sum
     is a partial theta of `_partial_theta`, truncated on its certified tail
-    bound (|q^{1/4}| < 1, so the factor 2 bounds every prefactor).
+    bound.  theta3 and theta4 are within about eps of their values (the
+    factor 2 scales the tail bound).  The theta2 sum is the triple product
+    (Q; Q)_inf (-Q; Q)_inf^2, Q = q^2, of modulus at least (|Q|; |Q|)_inf^3,
+    so it is summed relative to three times `_log_euler_floor(|Q|)`, and
+    theta2 is within about eps of its value relatively.
     """
     mp = ctx.mp
     tau = mp.mpc(tau)
@@ -369,7 +424,8 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     q = mp.exp(-alpha)
     if which == 2:
         pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
-        return pref * _partial_theta({1: 1}, 2, 4, 1, q, ctx, scale=2)
+        floor = 3 * _log_euler_floor(abs(q) ** 2)
+        return pref * _partial_theta({1: 1}, 2, 4, 1, q, ctx, floor=floor)
     if which not in (3, 4):
         raise DomainError("theta index must be 2, 3 or 4")
     psi = {0: 1, 1: 1} if which == 3 else {0: 1, 1: -1}
