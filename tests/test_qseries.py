@@ -548,6 +548,10 @@ def test_theta_domain(ctx):
         theta(3, mpc(1, 0), ctx)
     with pytest.raises(DomainError):
         theta(5, mpc(0, 1), ctx)
+    # relative to its floor, eta here would need about 4e8 more bits; the
+    # sum refuses before it starts
+    with pytest.raises(NonConvergenceError):
+        eta(mpc(0, "1e-9"), ctx)
 
 
 # ---------------------------------------------------------------------------
