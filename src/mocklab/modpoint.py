@@ -41,8 +41,10 @@ __all__ = [
 
 _FRAC_BASES = ("q", "Q", "q1", "Q1")
 
-# The fixed point of the hot loops (ray quadrature, q-series): integers
-# scaled by 2^(prec_bits + 48), so 48 guard bits below the working precision.
+# The guard bits of the fixed points of the hot loops: the q-series compute
+# on integers scaled by 2^(prec_bits + 48), 48 bits below the working
+# precision, and the ray quadrature on integers scaled by 2^(b + 48), b the
+# bits its error target needs (`mordell._kernel_bits`).
 _FIXED_BITS = 48
 
 # Exponent multiplier per base: q^r = exp(-r*alpha), Q^r = exp(-2r*alpha), ...

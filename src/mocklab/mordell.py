@@ -34,9 +34,12 @@ panel does not cancel, and below a cap (`_rho_cap`).  err_estimate adds up
 these bounds, the rounding bound of the fixed-point kernel and the tail.
 
 Fixed point: the quadrature computes on complex numbers given as pairs of
-integers scaled by 2^P, P = prec_bits + 48, from the panel frames and the
-Gauss-Legendre rules through the integrand to the panel totals; only the
-final sums are rounded into the guard context.
+integers scaled by 2^P, from the panel frames and the Gauss-Legendre rules
+through the integrand to the panel totals; only the final sums are rounded
+into the guard context.  P = b + 48 follows the error target, not the
+working precision: b is prec_bits, or the bits of eps plus 20 if fewer
+(`_kernel_bits`), since no bound that a quadrature reports goes below a
+panel's share eps 2^-4.
 
 Parallelism: every panel and its degree are chosen first, in the calling
 process, which then splits the panels over the CPUs available to it, one
@@ -104,7 +107,7 @@ class RayIntegrand:
                   of its components (all integrated on the same nodes) and a
                   bound on the error of each; x and every component are
                   fixed-point complex numbers, pairs (re, im) of integers
-                  scaled by 2^P, P = prec_bits + 48, and the error bound is
+                  scaled by 2^P, P = `_kernel_bits` + 48, and the error bound is
                   an integer in units of 2^-P, covering a node displaced by
                   up to 8 units
     gauss_coeff   c with |f_j| <= bound_const * exp(-Re(c x^2)) on the ray
@@ -122,21 +125,37 @@ class RayIntegrand:
     bound_const: mpf = 16
 
 
+def _kernel_bits(ctx: PrecisionContext) -> int:
+    """The bits b of the quadrature's fixed point P = b + 48 (`_FIXED_BITS`
+    guard bits, for the node errors and the factor 1 + 1/|D|^2 of
+    `_ray_integrand`): prec_bits, or the bits of eps, ceil(log2(1/eps)) and
+    none for eps >= 1, plus 20 if fewer: the 16-bit guard that
+    PrecisionContext keeps below eps and the 4 bits of a panel's share
+    eps 2^-4.  No reported bound goes below that share, so bits past it
+    would never reach a result."""
+    man, exp = ctx.eps.man_exp  # eps = man 2^exp, man odd
+    log2_inv_eps = 1 - exp - man.bit_length()  # ceil(log2(1/eps))
+    return min(ctx.prec_bits, max(log2_inv_eps, 0) + 20)
+
+
 @functools.cache
 def _gl_nodes(degree: int, prec: int):
     """The Gauss-Legendre rule of n = 3 * 2^(degree-1) nodes on [-1, 1], as
     (node, weight) pairs of integers scaled by 2^(prec + 48), the fixed
-    point of integrate_ray, for degree >= 2.
+    point of integrate_ray for prec = `_kernel_bits`, for degree >= 2.
 
     This is the Newton iteration of mpmath's `GaussLegendre.calc_nodes(degree,
     prec + 10)`, done on integers scaled by 2^wp with its 1.5x working bits
     wp: each root starts from the asymptotic formula cos(pi (j - 1/4) /
-    (n + 1/2)), the Legendre polynomial and its derivative come from the
-    three-term recurrence, and the iteration stops once a Newton step is
-    below 2^-(prec+18).  The pairs come in calc_nodes' order, (x_j, w_j)
-    then (-x_j, w_j); the principal values rely on n even and on these +-
-    pairs of equal weight: no node is a panel's centre, and a pole there
-    cancels."""
+    (n + 1/2)), refined by Newton steps in floats to about 2^-50, the
+    Legendre polynomial and its derivative come from the three-term
+    recurrence, and the iteration stops once a Newton step a is below
+    2^-(prec+18).  The weight takes P_n' at the root, first-order corrected
+    for the last step: P_n'' = (2 r P_n' - n (n + 1) P_n) / (1 - r^2), so
+    nodes and weights are within about a unit of 2^-(prec+48).  The pairs
+    come in calc_nodes' order, (x_j, w_j) then (-x_j, w_j); the principal
+    values rely on n even and on these +- pairs of equal weight: no node is
+    a panel's centre, and a pole there cancels."""
     n = 3 << (degree - 1)
     wp = int((prec + 10) * 1.5)
     one = 1 << wp
@@ -144,7 +163,16 @@ def _gl_nodes(degree: int, prec: int):
     P = prec + _FIXED_BITS
     rule = []
     for j in range(1, n // 2 + 1):
-        r = to_fixed(from_float(math.cos(math.pi * (j - 0.25) / (n + 0.5))), wp)
+        x = math.cos(math.pi * (j - 0.25) / (n + 0.5))
+        while True:
+            p1, p2 = 1.0, 0.0  # P_k(x) and P_{k-1}(x)
+            for k in range(1, n + 1):
+                p1, p2 = ((2 * k - 1) * x * p1 - (k - 1) * p2) / k, p1
+            step = p1 * (x * x - 1) / (n * (x * p1 - p2))
+            x -= step
+            if abs(step) < 1e-12:
+                break
+        r = to_fixed(from_float(x), wp)
         while True:
             t1, t2 = one, 0  # P_k(r) and P_{k-1}(r)
             for k in range(1, n + 1):
@@ -155,6 +183,7 @@ def _gl_nodes(degree: int, prec: int):
             r -= a
             if abs(a) < step_floor:
                 break
+        dp -= a * ((2 * r * dp >> wp) - n * (n + 1) * t1) // (one - (r * r >> wp))
         w = (2 << 3 * wp) // ((one - (r * r >> wp)) * (dp * dp >> wp))
         node, weight = (r << P) >> wp, (w << P) >> wp
         rule += [(node, weight), (-node, weight)]
@@ -351,7 +380,7 @@ def _split_map(fn, items: Sequence, weights: Sequence[int]) -> list:
 
 def _gauss_panels(f, frames, degrees, prec: int):
     """Gauss-Legendre integrals of every component of f over the panels, in
-    integers scaled by 2^P, P = prec + 48.
+    integers scaled by 2^P, P = prec + 48, prec = `_kernel_bits`.
 
     A panel's frame ((mr, mi), (hr, hi)) maps t in [-1, 1] to the node
     m + h t, and f(re, im) returns the node's components as (re, im) pairs
@@ -403,7 +432,7 @@ def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
     # the envelope's integral past the cut, and |f| <= bound over the last
     # 2 units of 2^-P, where the rounded path of `_quadrature` ends
     tail = (bound * mp.exp(-a_eff * cut * cut) / (2 * a_eff * cut)
-            + mp.ldexp(bound, 1 - ctx.prec_bits - _FIXED_BITS))
+            + mp.ldexp(bound, 1 - _kernel_bits(ctx) - _FIXED_BITS))
     return w, cut, tail
 
 
@@ -413,7 +442,7 @@ def _panels(bound, w, points, ctx: PrecisionContext):
     degrees[i] within e^log_errs[i].
 
     The ends start as the points rounded to even integers of 2^-P, P =
-    prec_bits + 48, so every frame is exact.  A panel that no degree
+    `_kernel_bits` + 48, so every frame is exact.  A panel that no degree
     certifies (`_panel_degree`) is cut into thirds whose inner ends are its
     centre -+ a sixth, rounded to the centre's parity: a centred pole stays
     centred in the middle third, and a pole at |u| >= 2, u = (x - mid) /
@@ -421,7 +450,7 @@ def _panels(bound, w, points, ctx: PrecisionContext):
     its ends has a pole on or next to the path: PoleProximityError.  A side
     that rounds to a point integrates exactly to 0."""
     mp = _mp_context(ctx.prec_bits + 16)
-    P = ctx.prec_bits + _FIXED_BITS
+    P = _kernel_bits(ctx) + _FIXED_BITS
     log_target = _log_target(ctx)
     ends = [tuple(v & ~1 for v in _fixed(w * x, P)) for x in points]
     todo = list(zip(ends, ends[1:]))[::-1]  # a stack, the next panel on top
@@ -451,7 +480,7 @@ def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> Quadratu
     x = w s, s from points[0] to points[-1], with tail added to the error.
 
     The path is the polygon of the `_panels` panels, whose ends are rounded
-    to 2^-P, P = prec_bits + 48.  By Cauchy's theorem its integral is the
+    to 2^-P, P = `_kernel_bits` + 48.  By Cauchy's theorem its integral is the
     ray's, save for the last 2 units of 2^-P, which the tail must cover.
     `_gauss_panels` sums every panel once, at its degree, with the panels
     split once over the CPUs.  The totals are exact integer sums, so the
@@ -465,9 +494,10 @@ def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> Quadratu
     if not tail < ctx.quad_eps:
         raise NonConvergenceError("quadrature tail bound above target")
     mp = _mp_context(ctx.prec_bits + 16)
-    P = ctx.prec_bits + _FIXED_BITS
+    b = _kernel_bits(ctx)
+    P = b + _FIXED_BITS
     frames, degrees, log_errs = _panels(bound, w, points, ctx)
-    totals, rounding, nodes_used = _gauss_panels(func, frames, degrees, ctx.prec_bits)
+    totals, rounding, nodes_used = _gauss_panels(func, frames, degrees, b)
     err = (mp.fsum(mp.exp(x + _FLOAT_SLACK) for x in log_errs)
            + mp.ldexp(rounding, -P) + tail)
     if not err < ctx.quad_eps:
@@ -624,7 +654,7 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     """The family at alpha with its envelope and panel bound
     (`_family_bound`), which alone knows the pole lattice.
 
-    The integrand computes in integers scaled by 2^P, P = prec_bits + 48:
+    The integrand computes in integers scaled by 2^P, P = `_kernel_bits` + 48:
     x, the constants -scale and -gauss, every intermediate and the
     components are fixed-point complex numbers, the two exponentials come
     from mpmath's fixed-point basecases (`exp_fixed` for the modulus,
@@ -650,7 +680,7 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     scale = family.scale.numerator * alpha / family.scale.denominator
     plan = _power_plan(e for terms in family.numerators + (family.denominator,)
                        for _, e in terms)
-    P = ctx.prec_bits + _FIXED_BITS
+    P = _kernel_bits(ctx) + _FIXED_BITS
     ln2, half_pi = ln2_fixed(P), pi_fixed(P - 1)
     exact = _mp_context(P + 8)
     gr, gi, sr, si = (v for c in (family.gauss, family.scale)
@@ -881,9 +911,10 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
     of the nearest pole not at its centre (`_radii`), 2 + sqrt 3 for the
     neighbours at u = +-2 of a whole segment: |cos(ax)| <= cosh(a y)
     and |cos(px)|^2 = cos^2(p Re x) + sinh^2(p y), y = Im x, on 8 boxes.
-    Each node is computed in the guard context, 16 bits above the working
-    precision, and its error bound counts the rounding of p x amplified by
-    1/|cos(px)| near the pole, and a node displaced by 8 units of 2^-P.  The
+    Each node is computed 16 bits above the quadrature's `_kernel_bits` b,
+    and its error bound counts the roundings of p t x^2, of p x and of a x,
+    1/|cos(px)| amplifying the last two near the pole, and a node displaced
+    by 8 units of 2^-P, P = b + 48.  The
     panels stop at the first k >= 2 whose Gaussian envelope, the tail, is
     below eps * 2^-8."""
     mp = _mp_context(ctx.prec_bits + 16)
@@ -900,21 +931,24 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
             break
     else:
         raise NonConvergenceError("pv segments did not converge")
-    P = ctx.prec_bits + _FIXED_BITS
+    b = _kernel_bits(ctx)
+    P = b + _FIXED_BITS
+    node = _mp_context(b + 16)
     fa, fp, fpt, fh = float(abs(a)), float(p), float(pt), float(h)
     # |f| half <= 4/p on short panels: |cos(px)| >= 2p/pi times the pole's distance
     rho_cap = _rho_cap(ctx, math.log(4 / fp))
 
     def f(xr, xi):  # the panels are real: xi is 0
-        x = mp.ldexp(xr, -P)
-        gauss, cos_px = mp.exp(-pt * x * x), mp.cos(p * x)
-        v = gauss * mp.cos(a * x) / cos_px
-        value = _fixed(mp.mpc(v), P)
-        slope = 1 / abs(float(cos_px))
-        rounding = int(8 * (1 + fp * float(x) * slope)) + 1
-        slide = 8 * (abs(float(v)) * (2 * fpt * float(x) + fp * slope)
-                     + fa * float(gauss) * slope)
-        return (value,), (rounding * abs(value[0]) >> ctx.prec_bits + 16) + int(slide) + 2
+        x = node.ldexp(xr, -P)
+        gauss, cos_px = node.exp(-x * x * pt), node.cos(x * p)
+        v = gauss * node.cos(x * a) / cos_px
+        value = _fixed(node.mpc(v), P)
+        fx, fv, fg, slope = float(x), abs(float(v)), float(gauss), 1 / abs(float(cos_px))
+        # in units of 2^-(b+16): the roundings of the node's operations, of
+        # p t x^2, and of p x and a x, which 1/|cos(px)| amplifies
+        rounding = 8 * (fv * (1 + fpt * fx * fx + fp * fx * slope) + fa * fx * fg * slope)
+        slide = 8 * (fv * (2 * fpt * fx + fp * slope) + fa * fg * slope)
+        return (value,), int(math.ldexp(rounding, P - b - 16) + slide) + 2
 
     def bound(mid, half):
         mid, half = mid.real, half.real

@@ -20,9 +20,9 @@ Arithmetic: each mock theta series is described once, as data (`_SERIES`):
 its first term and its term ratio t_n / t_{n-1}, a monomial in q times
 factors 1 +- q^{k n + d}; `_MOCK_TERMS` writes each mock theta function as
 a sum of such series.  One evaluator, `_sum_series`, runs them all on
-complex integers scaled by 2^(prec_bits + 48), the fixed point of the ray
-quadrature, updating every power of q by one multiplication per term; the
-sum is rounded into the context only at the end.
+complex integers scaled by 2^(prec_bits + 48), updating every power of q by
+one multiplication per term; the sum is rounded into the context only at
+the end.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from mpmath import mp, mpc, mpf
 from mocklab import (
     DomainError,
     NonConvergenceError,
+    PrecisionContext,
     check_eta_theta,
     check_growth_omega,
     check_mf3,
@@ -360,6 +361,23 @@ def test_run_suite_custom_grid(ctx):
         if r.identity_name.startswith("mf3_") and r.identity_name != "mf3_growth":
             assert len(r.entries) == 1
     assert rep.all_pass
+
+
+def test_suites_pass_at_512_bits():
+    """The precision gate: at 512 bits and eps 1e-140 every entry of mf5 at
+    alpha = 1+0.5i, theta_eta at tau = 0.3+0.8i, mf3, wronskian and algebra
+    passes, with residuals below 1e-130.  A quadrature that kept the fixed
+    point of eps 1e-40, 2^-201, would refuse the mf5 point: its error bound
+    cannot fall below that unit."""
+    c = PrecisionContext(prec_bits=512, eps="1e-140")
+    reports = [run_suite("mf5", [c.mp.mpc(1, "0.5")], c),
+               run_suite("theta_eta", [c.mp.mpc("0.3", "0.8")], c)]
+    reports += [run_suite(suite, None, c) for suite in ("mf3", "wronskian", "algebra")]
+    for rep in reports:
+        for r in rep.identities:
+            for e in r.entries:
+                assert e.passed and e.abs_residual < c.mp.mpf("1e-130"), (
+                    rep.suite, r.identity_name, e.abs_residual)
 
 
 def test_run_suite_records_check_error(ctx, monkeypatch, tmp_path, capsys):

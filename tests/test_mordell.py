@@ -26,6 +26,11 @@ from mocklab import mordell
 from mocklab.mordell import RayIntegrand, integrate_ray, neville_extrapolate
 
 
+def _scale(ctx):
+    """P of the quadrature's fixed point: integers scaled by 2^P."""
+    return mordell._kernel_bits(ctx) + mordell._FIXED_BITS
+
+
 def _as_fixed(func, ctx):
     """The RayIntegrand.func of an integrand func on mpmath numbers: the
     node arrives as an mpc of the guard context, 16 bits above the working
@@ -33,7 +38,7 @@ def _as_fixed(func, ctx):
     Its error bound is 8 roundings of the guard context relative to the
     components, plus 2^10 units for a displaced node (|f'| < 2^7 on every
     test integrand's path)."""
-    P = ctx.prec_bits + mordell._FIXED_BITS
+    P = _scale(ctx)
     guard = mordell._mp_context(ctx.prec_bits + 16)
 
     def fixed(xr, xi):
@@ -57,7 +62,7 @@ def _gaussian_bound(gamma):
 
 def _at(func, z, ctx):
     """The components of a RayIntegrand.func at the number z, as mpc."""
-    P = ctx.prec_bits + mordell._FIXED_BITS
+    P = _scale(ctx)
     guard = mordell._mp_context(ctx.prec_bits + 16)
     return tuple(guard.mpc(guard.ldexp(re, -P), guard.ldexp(im, -P))
                  for re, im in func(*mordell._fixed(guard.mpc(z), P))[0])
@@ -66,7 +71,7 @@ def _at(func, z, ctx):
 def _frames(integrand, angle, ctx):
     """The production panels along the ray at the given angle, from
     `mordell._panels`, as (mid, half) pairs of mpc of the guard context."""
-    P = ctx.prec_bits + mordell._FIXED_BITS
+    P = _scale(ctx)
     guard = mordell._mp_context(ctx.prec_bits + 16)
     w, cut, _tail = mordell._geometry(integrand, angle, ctx)
     frames, _, _ = mordell._panels(integrand.bound, w, [0, cut], ctx)
@@ -86,7 +91,7 @@ def _tanh_sinh(f, integrand, angle, ctx):
 
 def _fixed_degree_sweeps(integrand, angle, ctx, degrees):
     """One Gauss total per degree over the production panel set."""
-    P = ctx.prec_bits + mordell._FIXED_BITS
+    P = _scale(ctx)
     with mp.workprec(ctx.prec_bits + 16):
         frames = _frames(integrand, angle, ctx)
         out = []
@@ -96,7 +101,7 @@ def _fixed_degree_sweeps(integrand, angle, ctx, degrees):
                 total += half * mp.fsum(
                     mp.ldexp(wt, -P)
                     * _at(integrand.func, mid + half * mp.ldexp(x, -P), ctx)[0]
-                    for x, wt in mordell._gl_nodes(degree, ctx.prec_bits))
+                    for x, wt in mordell._gl_nodes(degree, mordell._kernel_bits(ctx)))
             out.append(total)
         return out
 
@@ -214,9 +219,11 @@ def test_panels_meet_eps_past_the_least_cap():
 
 
 def test_side_rounding_to_a_point_integrates_to_zero(ctx):
-    """At alpha = 1e300 the cut, about 1e-150, rounds to the start of the
-    ray at 256 + 48 bits: the one side is a point, summed exactly to 0, and
-    the tail bound carries the whole integral."""
+    """At alpha = 1e300 the cut, about 1e-150 or 2^-498, rounds to the start
+    of the ray in the fixed point of 2^-P, P = 152 here (201 at the reference
+    context): the one side is a point, summed exactly to 0, and the tail
+    bound carries the whole integral."""
+    assert _scale(ctx) < 498
     (l1, l2), err = mordell.l_pair(mpc("1e300"), ctx)
     assert l1 == 0 and l2 == 0 and 0 < err < 1
 
@@ -284,13 +291,15 @@ def _float_integrand(family, alpha, ctx, prec=None):
 def test_fixed_point_integrand_matches_float_oracle(ctx, family):
     """On every degree-5 node of the production panels, at the lateral
     floor, near the Stokes line, off the axes, at small and at large real
-    alpha, the integer kernel is within 2^-prec_bits of the
-    floating-point evaluation, relative to max(1, |f|)."""
+    alpha, the integer kernel is within 2^-b of the floating-point
+    evaluation, relative to max(1, |f|), b = `_kernel_bits`: 48 bits above
+    its fixed point 2^-P."""
     mp_ = ctx.mp
     family = {"l_pair": mordell._l_family(mordell._L_PAIR),
               "w2": mordell._W2, "w3": mordell._W3}[family]
-    P = ctx.prec_bits + mordell._FIXED_BITS
-    rule = mordell._gl_nodes(5, ctx.prec_bits)
+    b = mordell._kernel_bits(ctx)
+    P = b + mordell._FIXED_BITS
+    rule = mordell._gl_nodes(5, b)
     for alpha in (10 * mp_.mpf("0.01") * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-3"))),
                   10 * mp_.mpf("0.307141") * mp_.exp(1j * (mp_.pi - mp_.mpf("0.002"))),
                   10 * mp_.mpc(2, 1), mp_.mpc("0.03929"),
@@ -301,8 +310,7 @@ def test_fixed_point_integrand_matches_float_oracle(ctx, family):
             for x, _ in rule:
                 node = mid + half * mp_.ldexp(x, -P)
                 for got, want in zip(_at(integrand.func, node, ctx), oracle(node)):
-                    assert abs(got - want) <= mp_.ldexp(max(1, abs(want)),
-                                                       -ctx.prec_bits)
+                    assert abs(got - want) <= mp_.ldexp(max(1, abs(want)), -b)
 
 
 @pytest.mark.parametrize("family", ["l_pair", "w2", "w3"])
@@ -314,9 +322,9 @@ def test_fixed_point_kernel_within_its_error_bound(ctx, family):
     mp_ = ctx.mp
     family = {"l_pair": mordell._l_family(mordell._L_PAIR),
               "w2": mordell._W2, "w3": mordell._W3}[family]
-    P = ctx.prec_bits + mordell._FIXED_BITS
+    P = _scale(ctx)
     hi = mordell._mp_context(600)
-    rule = mordell._gl_nodes(3, ctx.prec_bits)
+    rule = mordell._gl_nodes(3, mordell._kernel_bits(ctx))
     for alpha in (10 * mp_.mpf("0.01") * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-3"))),
                   10 * mp_.mpc(2, 1), mp_.mpc(10 * mp_.pi ** 2 / mp_.mpf("0.004"))):
         integrand = mordell._ray_integrand(family, alpha, ctx)
@@ -329,6 +337,83 @@ def test_fixed_point_kernel_within_its_error_bound(ctx, family):
                 for (re, im), v in zip(values, want):
                     assert abs(hi.mpc(hi.ldexp(re, -P), hi.ldexp(im, -P)) - v) <= hi.ldexp(err, -P)
 
+
+def _floor_alpha(mp_):
+    """10 alpha at the lateral floor: |A| = 3, pi - |theta| = 1e-3."""
+    return 3 * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-3")))
+
+
+def test_kernel_scale_follows_eps_not_prec_bits():
+    """At eps 1e-40 the fixed point is 2^-201 at 256 and at 512 bits: the
+    L pair at the lateral floor takes the same nodes at both, and the two
+    values agree within 2^-(P - 16)."""
+    lo, hi = (PrecisionContext(bits, eps="1e-40") for bits in (256, 512))
+    alpha = _floor_alpha(lo.mp)
+    family = mordell._l_family(mordell._L_PAIR)
+    assert _scale(lo) == _scale(hi) == 201
+    lo_res, hi_res = (_family_quadrature(family, alpha, c) for c in (lo, hi))
+    assert lo_res.nodes_used == hi_res.nodes_used
+    for u, v in zip(lo_res.value, hi_res.value):
+        assert abs(hi.mp.mpc(u) - v) <= hi.mp.ldexp(1, 16 - _scale(lo))
+
+
+def test_kernel_scale_rises_with_eps():
+    """At 512 bits and eps 1e-140 the fixed point rises to 2^-534, and the
+    L pair at the lateral floor is within its err_estimate (and the
+    oracle's) of the same pair at 600 bits."""
+    c, ref = PrecisionContext(512, eps="1e-140"), PrecisionContext(600, eps="1e-150")
+    assert _scale(c) == 534
+    alpha = _floor_alpha(ref.mp)
+    values, err = mordell.l_pair(alpha, c)
+    ref_values, ref_err = mordell.l_pair(alpha, ref)
+    for v, want in zip(values, ref_values):
+        assert abs(ref.mp.mpc(v) - want) <= err + ref_err
+
+
+def test_kernel_scale_at_eps_above_one():
+    """eps >= 1 has no bits: b is the 20 guard bits, and the quadrature runs
+    and meets its target (the rules of b bits need b >= 6)."""
+    c = PrecisionContext(64, eps="1e5")
+    assert mordell._kernel_bits(c) == 20
+    want = pv_sum("0.3", 1, "0.8", PrecisionContext(64, eps="1e-12"))
+    assert abs(pv_quadrature("0.3", 1, "0.8", c) - want) < c.eps
+
+
+@pytest.mark.parametrize("b", [104, 153])
+def test_gl_nodes_within_two_units(b):
+    """Every node and weight is within 2 units of 2^-P, P = b + 48, of a
+    600-bit rule, as the rounding bound of `_gauss_panels` counts them."""
+    hi = MPContext()
+    hi.prec = 700
+    unit = hi.ldexp(1, -(b + mordell._FIXED_BITS))
+    for degree in range(2, 7):
+        ref = GaussLegendre(hi).calc_nodes(degree, 600)
+        for (x, wt), (x_ref, wt_ref) in zip(mordell._gl_nodes(degree, b), ref):
+            assert abs(x * unit - x_ref) <= 2 * unit
+            assert abs(wt * unit - wt_ref) <= 2 * unit
+
+
+@pytest.mark.parametrize("a, p, t", [("50.3", 1, "0.3"), ("0.7", "1.5", "2")])
+def test_pv_integrand_within_its_error_bound(ctx, monkeypatch, a, p, t):
+    """On 400 points of pv_quadrature's path, its integrand is within the
+    error bound it returns (units of 2^-P) of the same integrand, with the
+    same a, p and t, at 600 bits: the bound counts the roundings of
+    p t x^2, of p x and of a x, 1/|cos(px)| amplifying the last two."""
+    seen = []
+    quadrature = mordell._quadrature
+    monkeypatch.setattr(mordell, "_quadrature", lambda func, bound, w, points, tail, c: (
+        seen.append((func, points)) or quadrature(func, bound, w, points, tail, c)))
+    pv_quadrature(a, p, t, ctx)
+    (func, points), = seen
+    P = _scale(ctx)
+    hi = mordell._mp_context(600)
+    a, p, t = (hi.convert(ctx.mp.mpf(v)) for v in (a, p, t))
+    for i in range(400):
+        xr = int(hi.ldexp(hi.convert(points[-1]) * (2 * i + 1) / 800, P))
+        ((re, im),), err = func(xr, 0)
+        x = hi.ldexp(xr, -P)
+        want = hi.exp(-p * t * x * x) * hi.cos(a * x) / hi.cos(p * x)
+        assert abs(hi.mpc(hi.ldexp(re, -P), hi.ldexp(im, -P)) - want) <= hi.ldexp(err, -P)
 
 # ---------------------------------------------------------------------------
 # Gauss panels split over the CPUs
@@ -383,7 +468,7 @@ def test_split_panels_are_bit_identical(ctx, cpus, where):
 
 def test_split_child_error_reaches_caller(ctx, cpus):
     mp_ = ctx.mp
-    P = ctx.prec_bits + mordell._FIXED_BITS
+    P = _scale(ctx)
 
     def f(x):
         if x.real > 2:
@@ -394,7 +479,8 @@ def test_split_child_error_reaches_caller(ctx, cpus):
     frames = [(((2 * a + 1) << P - 1, 0), (1 << P - 1, 0)) for a in range(3)]
     forks = cpus({0, 1, 2})
     with pytest.raises(PoleProximityError, match="^integrand refused a node past 2$"):
-        mordell._gauss_panels(_as_fixed(f, ctx), frames, [4, 4, 4], ctx.prec_bits)
+        mordell._gauss_panels(_as_fixed(f, ctx), frames, [4, 4, 4],
+                              mordell._kernel_bits(ctx))
     assert len(forks) == 2  # the last panel ran in a child
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child has been reaped
@@ -522,8 +608,9 @@ def test_each_panel_takes_the_least_certified_degree(ctx, monkeypatch, where):
         seen.append((frames, degrees)) or panels(f, frames, degrees, prec)))
     integrate_ray(integrand, -mp_.arg(alpha) / 2, ctx)
     (frames, degrees), = seen
-    P = ctx.prec_bits + mordell._FIXED_BITS
-    shift = REF_400.prec_bits - ctx.prec_bits
+    b, b_ref = mordell._kernel_bits(ctx), mordell._kernel_bits(REF_400)
+    P = b + mordell._FIXED_BITS
+    shift = b_ref - b
     log_target = float(mp_.log(ctx.eps)) - 4 * math.log(2)
     hi = mordell._mp_context(500)
 
@@ -536,9 +623,9 @@ def test_each_panel_takes_the_least_certified_degree(ctx, monkeypatch, where):
         mid, half = (complex(math.ldexp(re, -P), math.ldexp(im, -P)) for re, im in frame)
         assert log_bound(integrand.bound, mid, half, degree) < log_target
         assert degree == 2 or log_bound(integrand.bound, mid, half, degree - 1) >= log_target
-        totals, rounding, _ = panels(integrand.func, [frame], [degree], ctx.prec_bits)
+        totals, rounding, _ = panels(integrand.func, [frame], [degree], b)
         wide = tuple(tuple(v << shift for v in part) for part in frame)
-        ref_totals, _, _ = panels(reference.func, [wide], [degree + 2], REF_400.prec_bits)
+        ref_totals, _, _ = panels(reference.func, [wide], [degree + 2], b_ref)
         slack = (hi.exp(log_bound(integrand.bound, mid, half, degree))
                  + hi.exp(log_bound(reference.bound, mid, half, degree + 2))
                  + hi.ldexp(rounding, -P))
@@ -731,7 +818,7 @@ def test_cut_pv_panels_keep_their_poles_centred(monkeypatch):
     them into thirds.  Every pole then sits at the centre of its panel,
     where the +- node pairs cancel it, or at |u| >= 2 of it, u = (x - mid)
     / half, and the principal value is within its bound of pv_sum."""
-    P = REF_400.prec_bits + mordell._FIXED_BITS
+    P = _scale(REF_400)
     panels, quadrature = mordell._panels, mordell._quadrature
     seen, results = [], []
     monkeypatch.setattr(mordell, "_panels", lambda bound, w, points, ctx: (
@@ -752,11 +839,31 @@ def test_cut_pv_panels_keep_their_poles_centred(monkeypatch):
     assert abs(value - pv_sum("50.3", 1, "0.3", REF_400)) <= scale * results[0].err_estimate
 
 
-def test_pv_quadrature_past_float_range_of_the_fixed_point():
-    """At 1200 bits P = 1248, and a node's value scaled by 2^P is an integer
-    no float holds: the node's error bound takes |f| from the mp value."""
+def test_pv_quadrature_past_float_range_of_the_fixed_point(monkeypatch):
+    """At 1200 bits and eps 1e-300 P = 1065, and a node's value scaled by
+    2^P is an integer no float holds: the node's error bound takes |f| from
+    the mp value.  The whole quadrature there takes about 10 s, so only its
+    integrand is checked, at one node against 1300 bits; at eps 1e-60 the
+    quadrature runs at 1200 bits end to end."""
     c = PrecisionContext(prec_bits=1200, eps="1e-60")
     assert abs(pv_quadrature("2.5", 1, "0.3", c) - pv_sum("2.5", 1, "0.3", c)) < c.eps
+    c = PrecisionContext(prec_bits=1200, eps="1e-300")
+    P = _scale(c)
+    assert P == 1065
+    seen = []
+
+    def capture(func, *args):
+        seen.append(func)
+        raise StopIteration
+
+    monkeypatch.setattr(mordell, "_quadrature", capture)
+    with pytest.raises(StopIteration):
+        pv_quadrature("2.5", 1, "0.3", c)
+    hi = mordell._mp_context(1300)
+    x = hi.mpf("0.5")
+    ((re, im),), err = seen[0](int(hi.ldexp(x, P)), 0)
+    want = hi.exp(-hi.mpf("0.3") * x * x) * hi.cos(hi.mpf("2.5") * x) / hi.cos(x)
+    assert abs(re) > 2 ** 1024 and abs(hi.ldexp(re, -P) - want) <= hi.ldexp(err, -P)
 
 
 def test_pv_sum_symmetry_and_limit(ctx):
