@@ -13,14 +13,22 @@ power of v).  So a node costs two complex exponentials and a few products,
 and the components of one family, such as L(1/5) and L(2/5), share their
 nodes: one quadrature yields the pair (`l_pair`).
 
-Contour strategy: every integral is taken along the ray rotated by
+Contour strategy: every integral is taken along a ray from 0.  For
+|arg alpha| <= 3 pi/4 it is the steepest-descent ray, rotated by
 -arg(alpha)/2, which makes the Gaussian factor exactly real-decaying and
-keeps the pole line of the hyperbolic quotient at angular distance
-(pi - |arg alpha|)/2 from the contour.  The semi-infinite ray is cut where a
-certified envelope drops below the quadrature target.  The one quadrature
-scheme is Gauss-Legendre on panels cut into thirds until the error bound
-below holds on each, so they grade geometrically toward the poles near the
-path, however close the Stokes line is approached.  The same driver takes
+keeps the pole lines of the hyperbolic quotient at the angle
+(pi - |arg alpha|)/2 from the contour.  Closer to the Stokes line that angle
+would shrink with pi - |arg alpha|, and the panels would grade down toward
+every pole; there the ray turns on, by delta = pi/8 - (pi - |arg alpha|)/2
+away from the nearest pole line, so that alpha x keeps the argument
++-3 pi/8: the pole line stays pi/8 away, and the Gaussian still decays at
+the rate |gauss alpha| cos(2 delta) >= |gauss alpha| / sqrt 2.  pi/8
+balances the two angles.  `_ray_integrand` picks the ray and records it
+with the envelope that holds on it.  The semi-infinite ray is cut where
+that certified envelope drops below the quadrature target.  The one
+quadrature scheme is Gauss-Legendre on panels cut into thirds until the
+error bound below holds on each, so they grade geometrically toward the
+poles near the path, and toward the start of the ray.  The same driver takes
 `pv_quadrature`'s principal value on real panels centred on the poles,
 where the +- pairs of Gauss nodes cancel each pole's odd part.
 
@@ -116,13 +124,32 @@ class RayIntegrand:
                   (rho, log M) with every |f_j| <= M on the boundary of the
                   panel's Bernstein ellipse E_rho, inside which every f_j is
                   analytic, save for a simple pole at the panel's centre
-    bound_const   envelope constant for the cut/tail estimate
+    bound_const   envelope constant for the cut/tail estimate, valid on this
+                  ray only.  `_ray_integrand` takes 16 (1 + 1/sin beta), beta
+                  the angle between the ray and the nearest pole line: each
+                  N_j / D of a `_Family` is a sum of at most two terms
+                  cosh(k z) / cosh(z) or sinh(k z) / sinh(z), |k| <= 1, with
+                  z = u + iv = c alpha x, c > 0, on a ray at the angle beta
+                  from the imaginary axis, the poles' line; say u >= 0.  For
+                  u >= 1 a term is at most cosh(u) / sinh(u) <= 1/tanh 1.
+                  For u < 1 its numerator is at most cosh 1, and every pole
+                  lies at least (pi/2) sin beta from z, so with d the
+                  distance from v to the height of the nearest, |cosh z|^2
+                  and |sinh z|^2 are at least u^2 + (2 d / pi)^2 >=
+                  sin^2 beta.  The one exception is sinh's removable zero at
+                  z = 0 as the nearest: there |z|^2 < 1 + pi^2/4, and
+                  sinh(z) / z >= prod (1 - |z|^2 / (pi m)^2) > 0.51 makes the
+                  term at most 3.3.  So a term is at most 3.3 + 1.55/sin
+                  beta, and a sum of two at most 16 (1 + 1/sin beta), with a
+                  factor 2 to spare
+    angle         the ray x = s e^{i angle}, s >= 0, that integrate_ray takes
     """
 
     func: Callable[[int, int], Tuple[Tuple[Tuple[int, int], ...], int]]
     gauss_coeff: mpc
     bound: Callable[[complex, complex], List[Tuple[float, float]]]
     bound_const: mpf = 16
+    angle: mpf = 0
 
 
 def _kernel_bits(ctx: PrecisionContext) -> int:
@@ -416,14 +443,17 @@ def _gauss_panels(f, frames, degrees, prec: int):
 
 
 def _cut(bound_const, a_eff, quad_eps, mp: MPContext):
-    """Where bound_const * exp(-a_eff x^2) falls to the tail target, in mp."""
-    return mp.sqrt(mp.log(bound_const / mp.ldexp(quad_eps, -10)) / a_eff)
+    """Where bound_const * exp(-a_eff x^2) falls to the tail target, in mp;
+    1/sqrt(a_eff) if it falls there before e^-1 (a loose quad_eps), where
+    the tail bound of `_geometry` is at most the target / (2 sqrt(a_eff))."""
+    return mp.sqrt(max(mp.log(bound_const / mp.ldexp(quad_eps, -10)), 1) / a_eff)
 
 
-def _geometry(integrand: RayIntegrand, angle, ctx: PrecisionContext):
-    """Rotation w, cut point and tail bound of the ray x = w s, s in [0, cut]."""
+def _geometry(integrand: RayIntegrand, ctx: PrecisionContext):
+    """Rotation w, cut point and tail bound of the integrand's ray x = w s,
+    s in [0, cut]."""
     mp = _mp_context(ctx.prec_bits + 16)
-    w = mp.exp(1j * mp.mpf(angle))
+    w = mp.exp(1j * mp.mpf(integrand.angle))
     a_eff = (mp.convert(integrand.gauss_coeff) * w * w).real
     if not a_eff > 0:
         raise DomainError("Gaussian factor does not decay along this ray")
@@ -508,12 +538,11 @@ def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> Quadratu
     return QuadratureResult(value, ctx.mp.convert(err), nodes_used, "gauss_patch")
 
 
-def integrate_ray(integrand: RayIntegrand, angle,
-                  ctx: PrecisionContext) -> QuadratureResult:
+def integrate_ray(integrand: RayIntegrand, ctx: PrecisionContext) -> QuadratureResult:
     """Integrate every component of integrand.func from 0 to infinity along
-    the ray at the given angle: the quadrature runs to the cut of
-    `_geometry`, whose tail bound covers the rest."""
-    w, cut, tail = _geometry(integrand, angle, ctx)
+    the integrand's ray: the quadrature runs to the cut of `_geometry`,
+    whose tail bound covers the rest."""
+    w, cut, tail = _geometry(integrand, ctx)
     return _quadrature(integrand.func, integrand.bound, w, [0, cut], tail, ctx)
 
 
@@ -662,11 +691,20 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     N_j(v) / D(v) from one integer division by |D|^2.  The constants come
     from alpha at P + 8 bits: near a pole 1/|D| amplifies their rounding.
 
-    This is safe on the ray where integrate_ray evaluates it, rotated by
-    -arg(alpha)/2: there Re(scale x) >= 0 and Re(gauss x^2) >= 0, so every
-    |v^e| <= 1 and the Gaussian is at most 1, and no intermediate outgrows a
-    few bits above 2^P.  Each product and each basecase is off by a few
-    units of 2^-P, v^e by about 4 (e + 1) units, so D and N_j are off by
+    The ray, recorded as the integrand's angle, is the steepest-descent
+    ray -theta/2, theta = arg alpha, turned on by delta = max(0, pi/8 -
+    (pi - |theta|)/2) away from the nearest pole line: |arg(alpha x)| =
+    |theta|/2 - delta < pi/2, at beta = (pi - |theta|)/2 + delta >= pi/8
+    from the pole lines on the imaginary axis, and gauss x^2 has the
+    argument -+2 delta, 2 delta < pi/4, so the Gaussian decays at the rate
+    |gauss| cos(2 delta).  bound_const is 16 (1 + 1/sin beta)
+    (`RayIntegrand`), and the cut and the slope below take that rate; at
+    delta = 0 every constant is computed as on the steepest-descent ray.
+
+    This is safe on that ray: there Re(scale x) >= 0 and Re(gauss x^2) >= 0,
+    so every |v^e| <= 1 and the Gaussian is at most 1, and no intermediate
+    outgrows a few bits above 2^P.  Each product and each basecase is off by
+    a few units of 2^-P, v^e by about 4 (e + 1) units, so D and N_j are off by
     dD and dN units, and each component by about (3 dD T + dN) / |D|^2
     units, T the numerator's number of terms.  A node displaced by 8 units
     moves a component by 8 |f'| <= 8 slope / |D|^2, with |N_j|, |D| at most
@@ -674,7 +712,7 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     exponent sums and the Gaussian's derivative at most 2 |gauss| cut.  The
     error returned with each node is the sum of both, twice over, times
     1 + 1/|D|^2.  D has no zero on the ray: each pole line lies at the
-    angle (pi - |arg alpha|)/2 from it."""
+    angle beta from it."""
     mp = ctx.mp
     gauss = family.gauss.numerator * alpha / family.gauss.denominator
     scale = family.scale.numerator * alpha / family.scale.denominator
@@ -688,8 +726,15 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     one = 1 << P
 
     theta = mp.arg(alpha)
-    const = 16 * (1 + 1 / mp.cos(theta / 2))
-    cut = _cut(const, abs(gauss), ctx.quad_eps, mp)
+    delta = mp.pi / 8 - (mp.pi - abs(theta)) / 2
+    if delta > 0:  # alpha x at the argument +-3 pi/8, beta = pi/8
+        angle = mp.sign(theta) * 3 * mp.pi / 8 - theta
+        const = 16 * (1 + 1 / mp.sin(mp.pi / 8))
+        decay = abs(gauss) * mp.cos(2 * delta)
+    else:  # the steepest-descent ray, sin beta = cos(theta/2)
+        angle, decay = -theta / 2, abs(gauss)
+        const = 16 * (1 + 1 / mp.cos(theta / 2))
+    cut = _cut(const, decay, ctx.quad_eps, mp)
     d_err = 4 * sum(e + 1 for _, e in family.denominator)
     n_err = 4 * max(sum(e + 1 for _, e in terms) for terms in family.numerators)
     n_terms, d_terms = max(map(len, family.numerators)), len(family.denominator)
@@ -731,7 +776,7 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
     line = complex(step * (1j * mp.exp(-1j * theta)))
     bound = _family_bound(family, complex(gauss), complex(scale), [line, -line],
                           _rho_cap(ctx, float(mp.log(const))))
-    return RayIntegrand(f, gauss, bound, const)
+    return RayIntegrand(f, gauss, bound, const, angle)
 
 
 def _integrate_family(family: _Family, alpha,
@@ -744,7 +789,7 @@ def _integrate_family(family: _Family, alpha,
     theta = mp.arg(alpha)
     if not abs(theta) < mp.pi:
         raise DomainError("the integrals need |arg alpha| < pi")
-    res = integrate_ray(_ray_integrand(family, alpha, ctx), -theta / 2, ctx)
+    res = integrate_ray(_ray_integrand(family, alpha, ctx), ctx)
     return res.value, res.err_estimate
 
 
@@ -758,9 +803,9 @@ def l_integral(r, alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
     """integral_0^inf e^{-(3/2) a x^2} [cosh((3r-2)ax) + cosh((3r-1)ax)]
     / cosh((3/2) a x) dx for a = alpha, |arg alpha| < pi, 1/6 <= r <= 5/6.
 
-    Returns (value, err_estimate).  The contour is the ray at -arg(alpha)/2;
-    the quotient's poles sit at i*pi*(2k+1)/(3 alpha) and stay separated from
-    the contour by the angle (pi - |arg alpha|)/2.  r = 1/5 and r = 2/5 are
+    Returns (value, err_estimate).  The contour is the ray of
+    `_ray_integrand`; the quotient's poles sit at i*pi*(2k+1)/(3 alpha) and
+    stay at least the angle pi/8 from it.  r = 1/5 and r = 2/5 are
     components of `l_pair`, so asking for both costs two quadratures; call
     `l_pair` once instead.
     """
@@ -845,9 +890,11 @@ def lateral_l_vector(abs_alpha, theta,
                      ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
     """`l_vector` at alpha = abs_alpha * e^{i theta} near the negative axis.
 
-    Controlled approach window 0 < pi - |theta| <= pi/2; the Gauss panels
-    grade toward the poles near the path, and the quadrature stays
-    convergent down to the floor pi - |theta| >= 1e-3."""
+    Controlled approach window 0 < pi - |theta| <= pi/2, down to the floor
+    pi - |theta| >= 1e-3.  Once pi - |theta| < pi/4 the ray turns away from
+    the poles (`_ray_integrand`), which then stay pi/8 from it, so a lateral
+    costs about what a generic alpha costs, however close to the Stokes
+    line: 1 116 evaluations at |alpha| = 1e4 and the floor."""
     mp = ctx.mp
     abs_alpha = mp.mpf(abs_alpha)
     theta = mp.mpf(theta)

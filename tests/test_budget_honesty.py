@@ -29,6 +29,16 @@ CASES = {
                    lambda mp: mp.mpc(1, "0.4")),
     # a dense pole lattice near arg alpha = pi/2
     "dense_lattice": (l_vector, lambda mp: 3 * mp.exp(mp.mpc(0, "1.5"))),
+    # the ray turned away from the pole line near the Stokes line, below the
+    # lateral floor, on both sides, at large and at small |alpha|
+    "stokes_edge_upper": (mordell.l_pair,
+                          lambda mp: 3 * mp.exp(1j * (mp.pi - mp.mpf("1e-8")))),
+    "stokes_edge_lower": (mordell.l_pair,
+                          lambda mp: 30 * mp.exp(-1j * (mp.pi - mp.mpf("1e-5")))),
+    "stokes_edge_small": (mordell.l_pair,
+                          lambda mp: mp.mpf("0.03") * mp.exp(1j * (mp.pi - mp.mpf("1e-6")))),
+    "stokes_edge_w3": (lambda alpha, ctx: _pack(w3_integral(alpha, ctx)),
+                       lambda mp: 2 * mp.exp(1j * (mp.pi - mp.mpf("1e-6")))),
 }
 
 

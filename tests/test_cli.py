@@ -171,6 +171,24 @@ def test_eval_bad_eps_exit_2(capsys, eps, message):
     assert capsys.readouterr().err == "domain error: %s\n" % message
 
 
+@pytest.mark.parametrize("eps", ["1e-5", "1e5"])
+def test_eval_lvec_at_a_loose_eps(capsys, eps):
+    """quad_eps = eps 1e10 is above 2^10 times the envelope constant, so the
+    envelope starts below the tail target: the cut is 1/sqrt(decay), and the
+    vector is within its err_estimate of the one at the default eps."""
+    assert main(["eval", "--fn", "lvec", "--alpha", "2+i", "--eps", eps,
+                 "--format", "json"]) == 0
+    loose = json.loads(capsys.readouterr().out)
+    assert main(["eval", "--fn", "lvec", "--alpha", "2+i", "--format", "json"]) == 0
+    tight = json.loads(capsys.readouterr().out)
+    with mp.workprec(256):
+        err = mpf(loose["err_estimate"])
+        assert err < mpf(eps) * 10 ** 10
+        for k in ("l1", "l2"):
+            d = mpc(loose[k]["re"], loose[k]["im"]) - mpc(tight[k]["re"], tight[k]["im"])
+            assert abs(d) <= err
+
+
 def test_malformed_env_prec_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("MOCKLAB_PREC", "abc")
     assert main(["eval", "--fn", "chi0", "--q", "0.1"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import threading
@@ -9,7 +10,6 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from mocklab import (
     DomainError,
-    MocklabError,
     NonConvergenceError,
     PoleProximityError,
     PrecisionContext,
@@ -68,32 +68,32 @@ def _at(func, z, ctx):
                  for re, im in func(*mordell._fixed(guard.mpc(z), P))[0])
 
 
-def _frames(integrand, angle, ctx):
-    """The production panels along the ray at the given angle, from
+def _frames(integrand, ctx):
+    """The production panels along the integrand's ray, from
     `mordell._panels`, as (mid, half) pairs of mpc of the guard context."""
     P = _scale(ctx)
     guard = mordell._mp_context(ctx.prec_bits + 16)
-    w, cut, _tail = mordell._geometry(integrand, angle, ctx)
+    w, cut, _tail = mordell._geometry(integrand, ctx)
     frames, _, _ = mordell._panels(integrand.bound, w, [0, cut], ctx)
     return [tuple(guard.mpc(guard.ldexp(re, -P), guard.ldexp(im, -P)) for re, im in frame)
             for frame in frames]
 
 
-def _tanh_sinh(f, integrand, angle, ctx):
+def _tanh_sinh(f, integrand, ctx):
     """Test-only reference: mp.quad tanh-sinh of the scalar f(x) along the
-    ray at the given angle, on the panels the production code builds for
-    integrand, at the production working precision."""
+    integrand's ray, on the panels the production code builds for it, at
+    the production working precision."""
     with mp.workprec(ctx.prec_bits + 16):
-        frames = _frames(integrand, angle, ctx)
+        frames = _frames(integrand, ctx)
         points = [frames[0][0] - frames[0][1]] + [mid + half for mid, half in frames]
         return mp.quad(f, points, method="tanh-sinh", maxdegree=10)
 
 
-def _fixed_degree_sweeps(integrand, angle, ctx, degrees):
+def _fixed_degree_sweeps(integrand, ctx, degrees):
     """One Gauss total per degree over the production panel set."""
     P = _scale(ctx)
     with mp.workprec(ctx.prec_bits + 16):
-        frames = _frames(integrand, angle, ctx)
+        frames = _frames(integrand, ctx)
         out = []
         for degree in degrees:
             total = mpc(0)
@@ -130,8 +130,8 @@ def test_gaussian_half_line(ctx, method):
     reference reproduce sqrt(pi)/2 and agree with each other."""
     with mp.workprec(ctx.prec_bits):
         integrand = _gaussian(mpc(1), ctx)
-        res = integrate_ray(integrand, 0, ctx)
-        ref = _tanh_sinh(lambda x: mp.exp(-x * x), integrand, 0, ctx)
+        res = integrate_ray(integrand, ctx)
+        ref = _tanh_sinh(lambda x: mp.exp(-x * x), integrand, ctx)
         value = res.value[0] if method == "gauss_patch" else ref
         assert abs(value - mp.sqrt(mp.pi) / 2) < ctx.quad_eps
         assert abs(res.value[0] - ref) < ctx.quad_eps
@@ -150,7 +150,7 @@ def test_nodes_used_counts_evaluations(ctx, cpus):
     with mp.workprec(ctx.prec_bits):
         integrand = RayIntegrand(func=_as_fixed(f, ctx), gauss_coeff=mpc(1),
                                  bound=_gaussian_bound(1))
-        res = integrate_ray(integrand, 0, ctx)
+        res = integrate_ray(integrand, ctx)
         assert res.nodes_used == calls[0] > 0
 
 
@@ -158,8 +158,8 @@ def test_rotated_gaussian_cauchy_invariance(ctx):
     with mp.workprec(ctx.prec_bits):
         gamma = mp.exp(-1j * mp.pi / 4)
         integrand = _gaussian(gamma, ctx)
-        v0 = _tanh_sinh(lambda x: mp.exp(-gamma * x * x), integrand, 0, ctx)
-        v1 = integrate_ray(integrand, mp.pi / 8, ctx).value[0]
+        v0 = _tanh_sinh(lambda x: mp.exp(-gamma * x * x), integrand, ctx)
+        v1 = integrate_ray(dataclasses.replace(integrand, angle=mp.pi / 8), ctx).value[0]
         assert abs(v0 - v1) < 10 * ctx.quad_eps
         assert abs(v0 - mp.sqrt(mp.pi / gamma) / 2) < 10 * ctx.quad_eps
 
@@ -168,7 +168,7 @@ def test_divergent_ray_rejected(ctx):
     with mp.workprec(ctx.prec_bits):
         integrand = _gaussian(mp.exp(-1j * mp.pi / 4), ctx)
         with pytest.raises(DomainError):
-            integrate_ray(integrand, mp.pi / 2, ctx)
+            integrate_ray(dataclasses.replace(integrand, angle=mp.pi / 2), ctx)
 
 
 def test_pole_proximity_guard(ctx):
@@ -192,7 +192,7 @@ def test_pole_proximity_guard(ctx):
             func=_as_fixed(lambda x: (mp.exp(-x * x) / (x - mpf("0.5")),), ctx),
             gauss_coeff=mpc(1), bound=bound)
         with pytest.raises(PoleProximityError):
-            integrate_ray(integrand, 0, ctx)
+            integrate_ray(integrand, ctx)
 
 
 def test_panels_meet_eps_past_the_least_cap():
@@ -212,7 +212,7 @@ def test_panels_meet_eps_past_the_least_cap():
         assert len(calls) < 10_000, "the panels do not meet the share"
         return integrand.bound(mid, half)
 
-    w, cut, _tail = mordell._geometry(integrand, 0, ctx)
+    w, cut, _tail = mordell._geometry(integrand, ctx)
     frames, degrees, log_errs = mordell._panels(bound, w, [0, cut], ctx)
     assert len(frames) < 2500 and max(degrees) <= 6
     assert max(log_errs) < mordell._log_target(ctx) < -1290
@@ -232,7 +232,7 @@ def test_refinement_table_geometric(ctx):
     # node doubling converges at least geometrically for the W3 integrand
     with mp.workprec(ctx.prec_bits):
         integrand = mordell._ray_integrand(mordell._W3, mpc(1), ctx)
-        table = _fixed_degree_sweeps(integrand, 0, ctx, degrees=(3, 4, 5, 6, 7))
+        table = _fixed_degree_sweeps(integrand, ctx, degrees=(3, 4, 5, 6, 7))
         diffs = [abs(b - a) for a, b in zip(table, table[1:])]
         for d1, d2 in zip(diffs, diffs[1:]):
             if d1 < mpf(10) ** -55:  # numerical floor reached
@@ -306,7 +306,7 @@ def test_fixed_point_integrand_matches_float_oracle(ctx, family):
                   mp_.mpc(10 * mp_.pi ** 2 / mp_.mpf("0.004"))):
         integrand = mordell._ray_integrand(family, alpha, ctx)
         oracle = _float_integrand(family, alpha, ctx)
-        for mid, half in _frames(integrand, -mp_.arg(alpha) / 2, ctx):
+        for mid, half in _frames(integrand, ctx):
             for x, _ in rule:
                 node = mid + half * mp_.ldexp(x, -P)
                 for got, want in zip(_at(integrand.func, node, ctx), oracle(node)):
@@ -329,7 +329,7 @@ def test_fixed_point_kernel_within_its_error_bound(ctx, family):
                   10 * mp_.mpc(2, 1), mp_.mpc(10 * mp_.pi ** 2 / mp_.mpf("0.004"))):
         integrand = mordell._ray_integrand(family, alpha, ctx)
         oracle = _float_integrand(family, alpha, ctx, prec=600)
-        for mid, half in _frames(integrand, -mp_.arg(alpha) / 2, ctx):
+        for mid, half in _frames(integrand, ctx):
             for x, _ in rule:
                 xr, xi = mordell._fixed(mid + half * mp_.ldexp(x, -P), P)
                 values, err = integrand.func(xr, xi)
@@ -441,8 +441,7 @@ def cpus(monkeypatch):
 
 
 def _family_quadrature(family, alpha, ctx):
-    return integrate_ray(mordell._ray_integrand(family, alpha, ctx),
-                         -ctx.mp.arg(alpha) / 2, ctx)
+    return integrate_ray(mordell._ray_integrand(family, alpha, ctx), ctx)
 
 
 @pytest.mark.parametrize("where", ["l_pair", "w3", "lateral", "pv"])
@@ -491,7 +490,7 @@ def test_one_split_per_quadrature(ctx, cpus):
     quadrature over three or more panels on three CPUs forks twice."""
     alpha = ctx.mp.mpc(1, "0.5")
     integrand = mordell._ray_integrand(mordell._W3, alpha, ctx)
-    w, cut, _tail = mordell._geometry(integrand, -ctx.mp.arg(alpha) / 2, ctx)
+    w, cut, _tail = mordell._geometry(integrand, ctx)
     assert len(mordell._panels(integrand.bound, w, [0, cut], ctx)[0]) >= 3
     forks = cpus({0, 1, 2})
     _family_quadrature(mordell._W3, alpha, ctx)
@@ -541,7 +540,7 @@ def test_split_map_cuts_at_equal_weights(cpus):
 # ---------------------------------------------------------------------------
 
 def test_l_rotation_invariance(ctx):
-    # ray angle 0 and the canonical -arg(alpha)/2 agree inside the pole-free cone
+    # ray angles 0 and -arg(alpha)/2 agree inside the pole-free cone
     with mp.workprec(ctx.prec_bits):
         alpha = mp.exp(1j * mp.pi / 4)
         r = Fraction(1, 5)
@@ -550,8 +549,8 @@ def test_l_rotation_invariance(ctx):
         bound = mordell._ray_integrand(mordell._l_family(mordell._L_PAIR), alpha, ctx).bound
         integrand = RayIntegrand(_as_fixed(lambda x: (f(x),), ctx), mpf(3) / 2 * alpha,
                                  bound, mpf(64))
-        v0 = _tanh_sinh(f, integrand, 0, ctx)
-        v1 = integrate_ray(integrand, -mp.pi / 8, ctx).value[0]
+        v0 = _tanh_sinh(f, integrand, ctx)
+        v1 = integrate_ray(dataclasses.replace(integrand, angle=-mp.pi / 8), ctx).value[0]
         direct, _ = l_integral(r, alpha, ctx)
         assert abs(v0 - v1) < 10 * ctx.quad_eps
         assert abs(v0 - direct) < 10 * ctx.quad_eps
@@ -560,8 +559,7 @@ def test_l_rotation_invariance(ctx):
 def _l_reference(r, alpha, ctx):
     alpha = mpc(alpha)
     family = mordell._l_family(mordell._L_PAIR)
-    return _tanh_sinh(_l_cosh(r, alpha), mordell._ray_integrand(family, alpha, ctx),
-                      -mp.arg(alpha) / 2, ctx)
+    return _tanh_sinh(_l_cosh(r, alpha), mordell._ray_integrand(family, alpha, ctx), ctx)
 
 
 def test_l_two_schemes_agree(ctx):
@@ -606,7 +604,7 @@ def test_each_panel_takes_the_least_certified_degree(ctx, monkeypatch, where):
     seen = []
     monkeypatch.setattr(mordell, "_gauss_panels", lambda f, frames, degrees, prec: (
         seen.append((frames, degrees)) or panels(f, frames, degrees, prec)))
-    integrate_ray(integrand, -mp_.arg(alpha) / 2, ctx)
+    integrate_ray(integrand, ctx)
     (frames, degrees), = seen
     b, b_ref = mordell._kernel_bits(ctx), mordell._kernel_bits(REF_400)
     P = b + mordell._FIXED_BITS
@@ -655,12 +653,70 @@ def test_node_count_stays_flat_at_large_alpha(ctx, monkeypatch, where):
     assert len(nodes) == 1 and nodes[0] <= 700
 
 
-def test_l_pair_below_the_floor_raises(ctx):
-    """l_pair called directly 1e-8 from the Stokes line, far below the
-    lateral floor, raises a typed error instead of returning a number."""
+@pytest.mark.parametrize("where, ceiling", [("stokes_lateral", 2500), ("lateral_1e4", 1500)])
+def test_lateral_node_count(ctx, monkeypatch, where, ceiling):
+    """The turned ray keeps the pole line pi/8 away, so a lateral costs what
+    a generic alpha costs: the four laterals of `stokes_decompose(0.307141,
+    [0.016, 0.008, 0.004])` took 10 332 evaluations on the steepest-descent
+    ray and take 2 112, and `lateral_l_vector(1e4, pi - 1e-3)` took 141 432
+    and takes 1 116."""
+    nodes = []
+    real = mordell.integrate_ray
+
+    def counted(*args):
+        res = real(*args)
+        nodes.append(res.nodes_used)
+        return res
+
+    monkeypatch.setattr(mordell, "integrate_ray", counted)
     mp_ = ctx.mp
-    with pytest.raises(MocklabError):
-        mordell.l_pair(3 * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-8"))), ctx)
+    if where == "stokes_lateral":
+        mordell.stokes_decompose(mp_.mpf("0.307141"),
+                                 [mp_.mpf(e) for e in ("0.016", "0.008", "0.004")], ctx)
+        assert len(nodes) == 4
+    else:
+        lateral_l_vector(10 ** 4, mp_.pi - mp_.mpf("1e-3"), ctx)
+        assert len(nodes) == 1
+    assert sum(nodes) <= ceiling
+
+
+def test_ray_turns_only_near_the_stokes_line(ctx):
+    """For (pi - |theta|)/2 >= pi/8, theta = arg alpha, the ray is the
+    steepest-descent ray -theta/2, exactly, with the envelope constant
+    16 (1 + 1/cos(theta/2)).  Closer to the Stokes line it turns away from
+    the nearest pole line until alpha x has the argument +-3 pi/8, pi/8
+    from the pole line, the constant is 16 (1 + 1/sin(pi/8)), and the
+    Gaussian still decays at |gauss| cos(2 delta) >= |gauss| / sqrt 2."""
+    mp_ = ctx.mp
+    family = mordell._l_family(mordell._L_PAIR)
+    for theta in ("0", "1", "-2.35", "2.35"):
+        alpha = 3 * mp_.exp(1j * mp_.mpf(theta))
+        integrand = mordell._ray_integrand(family, alpha, ctx)
+        assert integrand.angle == -mp_.arg(alpha) / 2
+        assert integrand.bound_const == 16 * (1 + 1 / mp_.cos(mp_.arg(alpha) / 2))
+    for theta in ("2.4", "-2.4", "3.14159", "-3.1415926"):
+        alpha = 3 * mp_.exp(1j * mp_.mpf(theta))
+        integrand = mordell._ray_integrand(family, alpha, ctx)
+        turned = alpha * mp_.exp(1j * integrand.angle)
+        assert abs(abs(mp_.arg(turned)) - 3 * mp_.pi / 8) < mp_.ldexp(1, -200)
+        assert integrand.bound_const == 16 * (1 + 1 / mp_.sin(mp_.pi / 8))
+        decay = (integrand.gauss_coeff * mp_.exp(2j * integrand.angle)).real
+        assert decay >= abs(integrand.gauss_coeff) / mp_.sqrt(2)
+
+
+def test_l_pair_past_the_lateral_floor(ctx):
+    """l_pair called directly 1e-8 from the Stokes line, far below the
+    lateral floor of `lateral_l_vector`, is within its err_estimate of the
+    same pair at 400 bits: the turned ray keeps every pole pi/8 away.  On
+    the Stokes line itself it raises DomainError."""
+    values, err = mordell.l_pair(3 * ctx.mp.exp(1j * (ctx.mp.pi - ctx.mp.mpf("1e-8"))), ctx)
+    ref = REF_400.mp
+    ref_values, ref_err = mordell.l_pair(3 * ref.exp(1j * (ref.pi - ref.mpf("1e-8"))), REF_400)
+    assert err < ctx.quad_eps and ref_err < REF_400.quad_eps
+    for value, want in zip(values, ref_values):
+        assert abs(ref.mpc(value) - want) <= err
+    with pytest.raises(DomainError):
+        mordell.l_pair(ctx.mp.mpc(-3), ctx)
 
 
 def test_w2_w3_match_tanh_sinh(ctx):
@@ -672,8 +728,7 @@ def test_w2_w3_match_tanh_sinh(ctx):
                         * mp.sinh(alpha * x) / mp.sinh(3 * alpha * x))
         for fn, family, f in ((w2_integral, mordell._W2, w2),
                               (w3_integral, mordell._W3, w3)):
-            ref = _tanh_sinh(f, mordell._ray_integrand(family, alpha, ctx),
-                             -mp.arg(alpha) / 2, ctx)
+            ref = _tanh_sinh(f, mordell._ray_integrand(family, alpha, ctx), ctx)
             assert abs(fn(alpha, ctx)[0] - ref) < ctx.quad_eps
 
 
