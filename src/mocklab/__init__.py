@@ -15,6 +15,7 @@ from .errors import (
 from .identities import (
     CheckEntry,
     IdentityReport,
+    StokesDecomposition,
     SuiteReport,
     SUITES,
     check_eta_theta,
@@ -25,19 +26,18 @@ from .identities import (
     check_wronskian_suite,
     group_relations,
     run_suite,
+    stokes_decompose,
     suite_report_to_json,
 )
 from .matrices import mixing_matrix, phase_matrix
 from .modpoint import PrecisionContext, power_from_alpha, reference_context
 from .mordell import (
-    StokesDecomposition,
     l_integral,
     l_pair,
     l_vector,
     lateral_l_vector,
     pv_quadrature,
     pv_sum,
-    stokes_decompose,
     w2_integral,
     w3_integral,
 )

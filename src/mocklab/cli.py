@@ -34,10 +34,11 @@ from .identities import (
     _fmt,
     _fmt_c,
     run_suite,
+    stokes_decompose,
     suite_report_to_json,
 )
 from .modpoint import PrecisionContext
-from .mordell import l_integral, l_vector, stokes_decompose, w2_integral, w3_integral
+from .mordell import l_integral, l_vector, w2_integral, w3_integral
 from .qseries import (
     MOCK_THETA_IDS,
     MockThetaId,

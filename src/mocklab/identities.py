@@ -1,6 +1,7 @@
 """The verification engine: every transformation law and structural relation
 as a residual-producing check, plus the mixing/phase matrix algebra, the
-Wronskian machinery, and suite aggregation into serializable reports.
+Wronskian machinery, the Stokes-line decomposition, and suite aggregation
+into serializable reports.
 
 Each check covers one grid point (or one fixed configuration) and computes
 every integral it needs exactly once; nothing is cached between checks.  It
@@ -11,22 +12,24 @@ prefactors they pass through).  An entry passes while its residual stays
 within 100x its budget; the acceptance thresholds are enforced on top of
 that by the test suite.
 
-The order-5 laws are one law, the integral vector against the series side of
-`mordell._law_rhs`, read at alpha and at alpha/2, so they hold on both sides
-of the natural boundary |q| = 1.
+Every order-3/5 law is one row of `_LAWS`, an integral against a q-side and
+a q1-side series, and one evaluator (`_law`) gives every row's residual and
+budget.  `check_mf5`, `check_mf3` and the predictions of `stokes_decompose`
+read the table through it.  The order-5 row continues past |q| = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from mpmath import mpc, mpf
+from mpmath import MPContext, mpc, mpf
 
-from .errors import DomainError
+from .errors import DomainError, ExtrapolationInstability
 from .matrices import (
     identity2,
     mat_mul,
@@ -39,8 +42,9 @@ from .matrices import (
     phase_matrix,
 )
 from .modpoint import PrecisionContext, power_from_alpha
-from .mordell import _law_rhs, l_vector, stokes_decompose, w2_integral, w3_integral
-from .qseries import MockThetaId, _euler_function, eval_mock, eta, theta
+from .mordell import (_L_VECTOR, _W2, _W3, _check_lateral_floor, _Family,
+                      _scaled_integral, lateral_l_vector)
+from .qseries import MockThetaId, _euler_function, eval_mock, eta, k_pair, theta, unary_x
 
 __all__ = [
     "CheckEntry",
@@ -58,6 +62,9 @@ __all__ = [
     "suite_report_to_json",
     "mixing_matrix",
     "phase_matrix",
+    "StokesDecomposition",
+    "stokes_decompose",
+    "neville_extrapolate",
 ]
 
 WRONSKIAN_SEED = 20260808
@@ -112,39 +119,136 @@ def _round_slop(ctx, scale):
 
 
 # ---------------------------------------------------------------------------
+# The law table
+# ---------------------------------------------------------------------------
+
+class _Law(NamedTuple):
+    """A row of `_LAWS`: sign sqrt(|c| alpha/pi) F(k alpha) = S(alpha) +
+    sqrt(pi/alpha) A T(pi^2/alpha), F a `mordell` family and c signed.  S and
+    T map (alpha, ctx) to their components and the modulus by which an eps
+    error of their series reaches them; A maps ctx to the matrix that mixes
+    T, one row per component.  T None is S, A None the identity."""
+
+    family: _Family
+    k: float
+    c: int
+    S: Callable
+    T: Optional[Callable]
+    A: Optional[Callable]
+
+
+def _k_side(alpha, ctx: PrecisionContext):
+    """(Q^{-1/120} K0(Q), Q^{-49/120} K1(Q)) at Q = e^{-2 alpha}.
+
+    K = (2 - chi0(Q), -Q chi1(Q)) for |Q| < 1; past the natural boundary
+    |Q| > 1 it continues as (3/2) (X0(1/Q), X1(1/Q))."""
+    Q = power_from_alpha(alpha, "Q", 1, ctx)
+    p0 = power_from_alpha(alpha, "Q", Fraction(-1, 120), ctx)
+    p1 = power_from_alpha(alpha, "Q", Fraction(-49, 120), ctx)
+    if abs(Q) < 1:
+        k0, k1 = k_pair(Q, ctx)
+        return (p0 * k0, p1 * k1), abs(p0) + abs(p1) * abs(Q)
+    u = power_from_alpha(alpha, "Q", -1, ctx)
+    k0, k1 = (3 * unary_x(which, u, ctx) / 2 for which in ("X0", "X1"))
+    return (p0 * k0, p1 * k1), 3 * (abs(p0) + abs(p1)) / 2
+
+
+def _order3_side(*terms):
+    """The side sum_j c_j q^{r_j} f_j(s_j q^{e_j}), q = e^{-alpha}, of the
+    terms (c, r, f, s, e).  Every power goes through alpha, so xi is taken
+    at -e^{-alpha/3}, never at a complex cube root."""
+    def side(alpha, ctx: PrecisionContext):
+        value = weight = 0
+        for c, r, name, s, e in terms:
+            p = c * power_from_alpha(alpha, "q", r, ctx)
+            nome = s * power_from_alpha(alpha, "q", e, ctx)
+            value += p * eval_mock(MockThetaId(3, name), nome, ctx)
+            weight += abs(p)
+        return (value,), weight
+    return side
+
+
+_LAWS = {
+    # sqrt(135a/pi) (L(1/5, 10a), L(2/5, 10a)) = K(Q) + sqrt(pi/a) M K(Q1);
+    # the scalar laws are this row at a/2, where Q = q and Q1 = q1^4
+    "mf5": _Law(*_L_VECTOR, _k_side, None, mixing_matrix),
+    # sqrt(12a/pi) W3(a) = q^{2/3} w(-q) + sqrt(pi/a) q1^{2/3} w(-q1)
+    "mf3_omega": _Law(_W3, 1, 12, _order3_side((1, Fraction(2, 3), "omega", -1, 1)),
+                      None, None),
+    # -sqrt(3a/pi) W2(a/2) = q^{2/3} w(q) - (1/2) sqrt(pi/a) q1^{-1/12} f(Q1)
+    "mf3_omega_f": _Law(_W2, 0.5, -3, _order3_side((1, Fraction(2, 3), "omega", 1, 1)),
+                        _order3_side((-0.5, Fraction(-1, 12), "f", 1, 2)), None),
+    # sqrt(12a/pi) W3(a) = B(q) + sqrt(pi/a) B(q1),
+    # B(q) = -q^{2/3} rho(-q) + (1/2) xi(-q^{1/3})
+    "mf3_alternative": _Law(_W3, 1, 12, _order3_side((-1, Fraction(2, 3), "rho", -1, 1),
+                                                     (0.5, 0, "xi", -1, Fraction(1, 3))),
+                            None, None),
+}
+
+
+def _series_side(law: _Law, alpha, ctx: PrecisionContext):
+    """(S(alpha) + sqrt(pi/alpha) A T(pi^2/alpha), the modulus of its largest
+    term, eps (weight_S + |sqrt(pi/alpha)| ||A|| weight_T)), ||A|| the
+    largest row sum of |A|."""
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    s, weight_s = law.S(alpha, ctx)
+    t, weight_t = (law.T or law.S)(mp.pi**2 / alpha, ctx)
+    root = mp.sqrt(mp.pi / alpha)
+    A = law.A(ctx) if law.A else ((1,),)
+    q1_terms = tuple(root * sum(a * v for a, v in zip(row, t)) for row in A)
+    norm = max(sum(abs(a) for a in row) for row in A)
+    size = max(abs(x) for x in s + q1_terms)
+    side = tuple(x + y for x, y in zip(s, q1_terms))
+    return side, size, ctx.eps * (weight_s + abs(root) * norm * weight_t)
+
+
+def _law(name: str, alpha, ctx: PrecisionContext, integral: Callable):
+    """The row `name` of `_LAWS` at alpha: (the residual of each component,
+    the scale, the budget).  integral is `mordell._scaled_integral` cached
+    for one check, so that each integral is computed once.  The scale is the
+    largest term on either side; the budget adds the series' and the
+    integral's errors and the rounding of the scale."""
+    mp = ctx.mp
+    law = _LAWS[name]
+    lhs, err = integral(law.family, law.k, law.c, alpha)
+    side, size, series_err = _series_side(law, alpha, ctx)
+    scale = max(size, mp.mpf(1), *(abs(v) for v in lhs))
+    res = tuple(abs(v - w) for v, w in zip(lhs, side))
+    return res, scale, series_err + err + _round_slop(ctx, scale)
+
+
+# ---------------------------------------------------------------------------
 # Order-5 checks
 # ---------------------------------------------------------------------------
 
 def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     """Every order-5 law at one point, each integral computed once.
 
-    - mf5_matrix: the compact matrix form, the integral vector at alpha
-      against the series side K(Q) + sqrt(pi/alpha) M K(Q1) of
-      `mordell._law_rhs`;
-    - mf5_scalar_0/1: the two scalar laws relating the order-5 pair at q to
-      its values at q1^4 plus the L integrals at 5 alpha, which are the two
-      components of the matrix law at alpha/2 (there Q = q and Q1 = q1^4);
+    - mf5_matrix: the "mf5" row of `_LAWS` at alpha;
+    - mf5_scalar_0/1: the two components of that row at alpha/2;
     - l_vector_consistency: the modular consistency of the integral vector
       under alpha -> pi^2/alpha;
-    - l_vector_fixed_point: at alpha = pi also the (1 - M) annihilation.
-
-    `_law_rhs` continues K across |B| = 1, so every law holds with
-    Re alpha < 0 too.
+    - l_vector_fixed_point: where alpha maps to itself, also the (1 - M)
+      annihilation.
     """
     mp = ctx.mp
     alpha = mp.mpc(alpha)
-    _, _, res, scale, budget = _matrix_law(alpha / 2, ctx)
+    integral = functools.cache(functools.partial(_scaled_integral, ctx=ctx))
+    res, scale, budget = _law("mf5", alpha / 2, ctx, integral)
     out = [_entry("mf5_scalar_%d" % j, alpha, res[j], scale, budget, ctx)
            for j in range(2)]
-    ((l1, l2), err), root, res, scale, budget = _matrix_law(alpha, ctx)
+    res, scale, budget = _law("mf5", alpha, ctx, integral)
     out.append(_entry("mf5_matrix", alpha, max(res), scale, budget, ctx))
 
-    # modular consistency of the integral vector (same scale)
-    alpha_s = mp.pi**2 / alpha
-    # alpha = pi is mapped to itself exactly: one quadrature serves both
-    vs, err_s = ((l1, l2), err) if alpha_s == alpha else l_vector(alpha_s, ctx)
+    # modular consistency of the integral vector; at the fixed point the
+    # vector at pi^2/alpha is the one at alpha
+    (l1, l2), err = integral(*_L_VECTOR, alpha)
+    vs, err_s = integral(*_L_VECTOR, mp.pi**2 / alpha)
+    root = mp.sqrt(mp.pi / alpha)
     mixed = mat_vec(mixing_matrix(ctx), vs)
     res = max(abs(l1 - root * mixed[0]), abs(l2 - root * mixed[1]))
+    scale = max(abs(l1), abs(l2), mp.mpf(1))
     budget = err + abs(root) * err_s + _round_slop(ctx, scale)
     out.append(_entry("l_vector_consistency", alpha, res, scale, budget, ctx))
     res_fp = _fixed_point_residual(alpha, (l1, l2), ctx)
@@ -155,28 +259,156 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     return out
 
 
-def _matrix_law(alpha, ctx: PrecisionContext):
-    """The order-5 matrix law at alpha, l_vector(alpha) against
-    `_law_rhs(alpha)`: (l_vector(alpha), sqrt(pi/alpha), the residual of
-    each component, the scale and the budget)."""
-    mp = ctx.mp
-    lv = l_vector(alpha, ctx)
-    (l1, l2), err = lv
-    rhs, root, s1, s2 = _law_rhs(alpha, ctx)
-    res = (abs(l1 - rhs[0]), abs(l2 - rhs[1]))
-    scale = max(abs(l1), abs(l2), mp.mpf(1))
-    budget = ctx.eps * (s1 + 2 * abs(root) * s2) + err + _round_slop(ctx, scale)
-    return lv, root, res, scale, budget
-
-
 def _fixed_point_residual(alpha, v, ctx: PrecisionContext) -> Optional[mpf]:
     """max_j |((1 - M) v)_j| for the integral vector v at alpha, which
-    vanishes at the fixed point alpha = pi; None away from it."""
+    vanishes at the fixed point of alpha -> pi^2/alpha; None unless alpha
+    maps to itself to within the rounding of pi^2/alpha, a few ulps (pi^2/pi
+    rounds one ulp off pi at some precisions, 200 bits among them)."""
     mp = ctx.mp
-    if not abs(alpha - mp.pi) < mp.mpf(2) ** -20:
+    alpha = mp.mpc(alpha)
+    if abs(mp.pi**2 / alpha - alpha) > 4 * mp.eps * abs(alpha):
         return None
     v = mat_vec(mat_sub(identity2(), mixing_matrix(ctx)), v)
     return max(abs(v[0]), abs(v[1]))
+
+
+# ---------------------------------------------------------------------------
+# Stokes-line decomposition
+# ---------------------------------------------------------------------------
+
+def neville_extrapolate(xs: Sequence[mpf], ys: Sequence, x0=0):
+    """Polynomial extrapolation of (xs, ys) to x0 (full Neville table)."""
+    n = len(xs)
+    t = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            t[i] = ((x0 - xs[i - j]) * t[i] - (x0 - xs[i]) * t[i - 1]) / (
+                xs[i] - xs[i - j]
+            )
+    return t[-1]
+
+
+@dataclass(frozen=True)
+class StokesDecomposition:
+    """Lateral values of the integral vector near the Stokes line, and the
+    predictions of their limit: the matrix law's series side at
+    alpha = -|alpha|, split into pred_real and pred_imag.
+
+    matched_sign s records which lateral carries which jump: the upper
+    lateral (theta = +(pi - eps)) satisfies Im V -> s * (imag prediction).
+    """
+
+    abs_alpha: mpf
+    eps_seq: Tuple[mpf, ...]
+    extended_eps: Tuple[mpf, ...]
+    lateral_values: Tuple[Tuple[mpc, mpc], ...]
+    re_residuals: Tuple[mpf, ...]
+    im_residuals: Tuple[mpf, ...]
+    extrapolated: Tuple[mpc, mpc]
+    extrap_err_estimate: mpf
+    pred_real: Tuple[mpf, mpf]
+    pred_imag: Tuple[mpf, mpf]
+    extrap_residual_real: mpf
+    extrap_residual_imag: mpf
+    matched_sign: int
+    quad_budget: mpf
+
+
+def _extend_eps(eps_seq: Sequence[mpf], mp: MPContext):
+    ext = list(eps_seq)
+    while ext[-1] / 2 >= mp.mpf("0.002"):
+        ext.append(ext[-1] / 2)
+    return ext
+
+
+def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecomposition:
+    """Lateral limits at theta = pi - eps, extrapolated to the Stokes line.
+
+    eps_seq must be strictly decreasing with min >= 1e-3.  Residuals are
+    reported at the requested eps values, and they must decrease along it
+    (ExtrapolationInstability otherwise); the extrapolation itself continues
+    the sequence geometrically down to ~2e-3 and runs a full Richardson
+    (Neville) table, which is what pushes the extrapolated residual far below
+    the lateral ones.
+
+    The predictions are the real and imaginary parts of the series side of
+    the "mf5" row of `_LAWS` at alpha = -|alpha|, where K continues as
+    (3/2) X(1/B)."""
+    mp = ctx.mp
+    a = mp.mpf(abs_alpha)
+    if a <= 0:
+        raise DomainError("abs_alpha must be positive")
+    eps_list = [mp.mpf(e) for e in eps_seq]
+    if not eps_list:
+        raise DomainError("eps_seq must be nonempty")
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise DomainError("eps_seq must be strictly decreasing")
+    _check_lateral_floor(eps_list[-1], "smallest eps", mp)
+    extended = _extend_eps(eps_list, mp)
+
+    laterals = []
+    budget = mp.zero
+    for e in extended:
+        vec, err = lateral_l_vector(a, mp.pi - e, ctx)
+        laterals.append(vec)
+        budget = max(budget, err)
+
+    # at alpha = -a, K is real and sqrt(pi/alpha) = +i sqrt(pi/a)
+    side = _series_side(_LAWS["mf5"], -a, ctx)[0]
+    pred_real = tuple(v.real for v in side)
+    pred_imag = tuple(v.imag for v in side)
+
+    nreq = len(eps_list)
+    re_res = tuple(
+        max(abs(laterals[i][j].real - pred_real[j]) for j in range(2))
+        for i in range(nreq)
+    )
+    im_res = tuple(
+        min(
+            max(abs(laterals[i][j].imag - s * pred_imag[j]) for j in range(2))
+            for s in (1, -1)
+        )
+        for i in range(nreq)
+    )
+    for seq in (re_res, im_res):
+        if any(r2 >= r1 for r1, r2 in zip(seq, seq[1:])):
+            raise ExtrapolationInstability(
+                "lateral residuals fail to decrease along eps_seq"
+            )
+
+    extrap = tuple(
+        neville_extrapolate(extended, [v[j] for v in laterals])
+        for j in range(2)
+    )
+    if len(extended) >= 3:
+        drop_one = tuple(
+            neville_extrapolate(extended[1:], [v[j] for v in laterals[1:]])
+            for j in range(2)
+        )
+        extrap_err = max(abs(extrap[j] - drop_one[j]) for j in range(2))
+    else:
+        extrap_err = mp.inf
+    res_plus = max(abs(extrap[j].imag - pred_imag[j]) for j in range(2))
+    res_minus = max(abs(extrap[j].imag + pred_imag[j]) for j in range(2))
+    sign = 1 if res_plus <= res_minus else -1
+    return StokesDecomposition(
+        abs_alpha=a,
+        eps_seq=tuple(eps_list),
+        extended_eps=tuple(extended),
+        lateral_values=tuple(laterals),
+        re_residuals=re_res,
+        im_residuals=im_res,
+        extrapolated=extrap,
+        extrap_err_estimate=extrap_err,
+        pred_real=pred_real,
+        pred_imag=pred_imag,
+        extrap_residual_real=max(
+            abs(extrap[j].real - pred_real[j]) for j in range(2)
+        ),
+        extrap_residual_imag=min(res_plus, res_minus),
+        matched_sign=sign,
+        quad_budget=budget,
+    )
 
 
 def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
@@ -210,65 +442,15 @@ def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
 # ---------------------------------------------------------------------------
 
 def check_mf3(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """Every order-3 law at one point, each integral computed once.
-
-    - mf3_omega: q^{2/3} w(-q) + sqrt(pi/a) q1^{2/3} w(-q1) - sqrt(12a/pi) W3(a);
-    - mf3_omega_f: q^{2/3} w(q) - sqrt(pi/4a) q1^{-1/12} f(q1^2)
-      + sqrt(3a/pi) W2(a/2);
-    - mf3_alternative: the variant decomposition of sqrt(12a/pi) W3 through
-      rho and xi.  All fractional powers go through alpha, so xi is
-      evaluated at -exp(-alpha/3), never at a complex cube root.
-    """
-    mp = ctx.mp
-    alpha = mp.mpc(alpha)
-    w3, e3 = w3_integral(alpha, ctx)
-    w2, e2 = w2_integral(alpha / 2, ctx)
-    q = mp.exp(-alpha)
-    q_two_thirds = power_from_alpha(alpha, "q", Fraction(2, 3), ctx)
-    root = mp.sqrt(mp.pi / alpha)
-    om = MockThetaId(3, "omega")
+    """Every order-3 row of `_LAWS` at one point, each integral computed once
+    (W3 at alpha serves mf3_omega and mf3_alternative)."""
+    alpha = ctx.mp.mpc(alpha)
+    integral = functools.cache(functools.partial(_scaled_integral, ctx=ctx))
     out = []
-
-    # omega at -q and -q1 against W3
-    q1 = mp.exp(-mp.pi**2 / alpha)
-    t1 = q_two_thirds * eval_mock(om, -q, ctx)
-    t2 = root * power_from_alpha(alpha, "q1", Fraction(2, 3), ctx) * eval_mock(om, -q1, ctx)
-    c = mp.sqrt(12 * alpha / mp.pi)
-    res = abs(t1 + t2 - c * w3)
-    scale = max(abs(t1), abs(t2), abs(c * w3), mp.mpf(1))
-    budget = ctx.eps * (1 + abs(root)) + abs(c) * e3 + _round_slop(ctx, scale)
-    out.append(_entry("mf3_omega", alpha, res, scale, budget, ctx))
-
-    # omega at q and f at Q1 against W2
-    Q1 = power_from_alpha(alpha, "Q1", 1, ctx)
-    t1 = q_two_thirds * eval_mock(om, q, ctx)
-    p = power_from_alpha(alpha, "q1", Fraction(-1, 12), ctx)
-    t2 = mp.sqrt(mp.pi / (4 * alpha)) * p * eval_mock(MockThetaId(3, "f"), Q1, ctx)
-    c2 = mp.sqrt(3 * alpha / mp.pi)
-    res = abs(t1 - t2 + c2 * w2)
-    scale = max(abs(t1), abs(t2), abs(c2 * w2), mp.mpf(1))
-    budget = (ctx.eps * (1 + abs(mp.sqrt(mp.pi / (4 * alpha))) * abs(p))
-              + abs(c2) * e2 + _round_slop(ctx, scale))
-    out.append(_entry("mf3_omega_f", alpha, res, scale, budget, ctx))
-
-    # rho and xi against W3
-    rho = MockThetaId(3, "rho")
-    xi = MockThetaId(3, "xi")
-
-    def bracket(expo_alpha):
-        # q^{2/3} [-rho(-q) + (1/2) q^{-2/3} xi(-q^{1/3})] at q = exp(-expo)
-        q = mp.exp(-expo_alpha)
-        q13 = mp.exp(-expo_alpha / 3)
-        q23 = mp.exp(-2 * expo_alpha / 3)
-        return q23 * (-eval_mock(rho, -q, ctx)) + eval_mock(xi, -q13, ctx) / 2
-
-    b_q = bracket(alpha)
-    b_q1 = bracket(mp.pi**2 / alpha)
-    res = abs(c * w3 - b_q - root * b_q1)
-    scale = max(abs(c * w3), abs(b_q), abs(root * b_q1), mp.mpf(1))
-    budget = (ctx.eps * 3 * (1 + abs(root)) + abs(c) * e3
-              + _round_slop(ctx, scale))
-    out.append(_entry("mf3_alternative", alpha, res, scale, budget, ctx))
+    for name in _LAWS:
+        if name.startswith("mf3_"):
+            res, scale, budget = _law(name, alpha, ctx, integral)
+            out.append(_entry(name, alpha, max(res), scale, budget, ctx))
     return out
 
 

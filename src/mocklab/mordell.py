@@ -1,7 +1,9 @@
 """Numerical evaluation of the Gaussian-weighted hyperbolic-quotient
 integrals L(r, alpha), W2(alpha), W3(alpha) for complex alpha, including
 lateral limits at the negative-axis Stokes line, the principal-value
-summation identity, and the two-component integral vector.
+summation identity, and the two-component integral vector.  This module
+holds the integral side only: the series sides of the laws, and the
+Stokes-line decomposition that predicts from them, are in `identities`.
 
 Integrand family: every integrand is
 
@@ -71,16 +73,8 @@ from mpmath import MPContext, mpc, mpf
 from mpmath.libmp import from_float, ln2_fixed, pi_fixed, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from .errors import (
-    DomainError,
-    ExtrapolationInstability,
-    NonConvergenceError,
-    PoleProximityError,
-)
-from .matrices import mat_vec, mixing_matrix
-from .modpoint import (_FIXED_BITS, PrecisionContext, _fixed, _from_fixed,
-                       _mp_context, power_from_alpha)
-from .qseries import k_pair, unary_x
+from .errors import DomainError, NonConvergenceError, PoleProximityError
+from .modpoint import _FIXED_BITS, PrecisionContext, _fixed, _from_fixed, _mp_context
 
 __all__ = [
     "l_pair",
@@ -91,9 +85,6 @@ __all__ = [
     "pv_sum",
     "pv_quadrature",
     "lateral_l_vector",
-    "StokesDecomposition",
-    "stokes_decompose",
-    "neville_extrapolate",
 ]
 
 LATERAL_FLOOR = "1e-3"  # smallest admissible pi - |theta|
@@ -833,45 +824,27 @@ def w2_integral(alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
 # The two-component integral vector
 # ---------------------------------------------------------------------------
 
+def _scaled_integral(family: _Family, k, c: int, alpha,
+                     ctx: PrecisionContext) -> Tuple[Tuple[mpc, ...], mpf]:
+    """(sign sqrt(|c| alpha/pi) times each component of the family at
+    k alpha, err_estimate), sign that of c.  The quadrature's bound holds
+    for each component, and err_estimate counts it once per component."""
+    mp = ctx.mp
+    alpha = mp.mpc(alpha)
+    pref = mp.sqrt(abs(c) * alpha / mp.pi)
+    pref = pref if c > 0 else -pref
+    values, err = _integrate_family(family, alpha * k, ctx)
+    return tuple(pref * v for v in values), abs(pref) * (len(values) * err)
+
+
+# the family, alpha scale and c of the integral vector
+_L_VECTOR = (_l_family(_L_PAIR), 10, 135)
+
+
 def l_vector(alpha, ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
     """(sqrt(135 alpha/pi) * (L(1/5, 10 alpha), L(2/5, 10 alpha)),
-    err_estimate) from one `l_pair` quadrature."""
-    mp = ctx.mp
-    alpha = mp.mpc(alpha)
-    pref = mp.sqrt(135 * alpha / mp.pi)
-    (v1, v2), err = l_pair(10 * alpha, ctx)
-    # err bounds each component; the budget counts it once per component
-    return (pref * v1, pref * v2), abs(pref) * (err + err)
-
-
-def _k_vector(alpha, base: str, ctx: PrecisionContext):
-    """(B^{-1/120} K0(B), B^{-49/120} K1(B)) for B = Q or Q1 at alpha, and
-    the modulus by which an eps error of the series scales into it.
-
-    K = (2 - chi0(B), -B chi1(B)) for |B| < 1; past the natural boundary
-    |B| > 1 it continues as (3/2) (X0(1/B), X1(1/B))."""
-    B = power_from_alpha(alpha, base, 1, ctx)
-    p0 = power_from_alpha(alpha, base, Fraction(-1, 120), ctx)
-    p1 = power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
-    if abs(B) < 1:
-        k0, k1 = k_pair(B, ctx)
-        return (p0 * k0, p1 * k1), abs(p0) + abs(p1) * abs(B)
-    u = power_from_alpha(alpha, base, -1, ctx)
-    k0, k1 = (3 * unary_x(which, u, ctx) / 2 for which in ("X0", "X1"))
-    return (p0 * k0, p1 * k1), 3 * (abs(p0) + abs(p1)) / 2
-
-
-def _law_rhs(alpha, ctx: PrecisionContext):
-    """(K(Q) + sqrt(pi/alpha) M K(Q1), sqrt(pi/alpha), scale of K(Q), scale
-    of K(Q1)): the series side of the order-5 matrix law, whose integral
-    side is l_vector(alpha), with K the pair of `_k_vector`."""
-    mp = ctx.mp
-    alpha = mp.mpc(alpha)
-    kq, s1 = _k_vector(alpha, "Q", ctx)
-    kq1, s2 = _k_vector(alpha, "Q1", ctx)
-    root = mp.sqrt(mp.pi / alpha)
-    mixed = mat_vec(mixing_matrix(ctx), kq1)
-    return (kq[0] + root * mixed[0], kq[1] + root * mixed[1]), root, s1, s2
+    err_estimate) from one quadrature."""
+    return _scaled_integral(*_L_VECTOR, alpha, ctx)
 
 
 def _check_lateral_floor(gap, what: str, mp: MPContext):
@@ -1022,141 +995,3 @@ def pv_quadrature(a, p, t, ctx: PrecisionContext):
     res = _quadrature(f, bound, mp.mpc(1), [2 * j * h for j in range(k + 2)],
                       envelope + mp.ldexp(1, 2 - P), ctx)
     return ctx.mp.sqrt(4 * pt / mp.pi) * res.value[0].real
-
-
-# ---------------------------------------------------------------------------
-# Stokes-line decomposition
-# ---------------------------------------------------------------------------
-
-def neville_extrapolate(xs: Sequence[mpf], ys: Sequence, x0=0):
-    """Polynomial extrapolation of (xs, ys) to x0 (full Neville table)."""
-    n = len(xs)
-    t = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            t[i] = ((x0 - xs[i - j]) * t[i] - (x0 - xs[i]) * t[i - 1]) / (
-                xs[i] - xs[i - j]
-            )
-    return t[-1]
-
-
-@dataclass(frozen=True)
-class StokesDecomposition:
-    """Lateral values of the integral vector near the Stokes line, and the
-    predictions of their limit: the matrix law's series side at
-    alpha = -|alpha|, split into pred_real and pred_imag.
-
-    matched_sign s records which lateral carries which jump: the upper
-    lateral (theta = +(pi - eps)) satisfies Im V -> s * (imag prediction).
-    """
-
-    abs_alpha: mpf
-    eps_seq: Tuple[mpf, ...]
-    extended_eps: Tuple[mpf, ...]
-    lateral_values: Tuple[Tuple[mpc, mpc], ...]
-    re_residuals: Tuple[mpf, ...]
-    im_residuals: Tuple[mpf, ...]
-    extrapolated: Tuple[mpc, mpc]
-    extrap_err_estimate: mpf
-    pred_real: Tuple[mpf, mpf]
-    pred_imag: Tuple[mpf, mpf]
-    extrap_residual_real: mpf
-    extrap_residual_imag: mpf
-    matched_sign: int
-    quad_budget: mpf
-
-
-def _extend_eps(eps_seq: Sequence[mpf], mp: MPContext):
-    ext = list(eps_seq)
-    while ext[-1] / 2 >= mp.mpf("0.002"):
-        ext.append(ext[-1] / 2)
-    return ext
-
-
-def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecomposition:
-    """Lateral limits at theta = pi - eps, extrapolated to the Stokes line.
-
-    eps_seq must be strictly decreasing with min >= 1e-3.  Residuals are
-    reported at the requested eps values, and they must decrease along it
-    (ExtrapolationInstability otherwise); the extrapolation itself continues
-    the sequence geometrically down to ~2e-3 and runs a full Richardson
-    (Neville) table, which is what pushes the extrapolated residual far below
-    the lateral ones.
-
-    The predictions are the real and imaginary parts of `_law_rhs` at
-    alpha = -|alpha|, where K continues as (3/2) X(1/B)."""
-    mp = ctx.mp
-    a = mp.mpf(abs_alpha)
-    if a <= 0:
-        raise DomainError("abs_alpha must be positive")
-    eps_list = [mp.mpf(e) for e in eps_seq]
-    if not eps_list:
-        raise DomainError("eps_seq must be nonempty")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise DomainError("eps_seq must be strictly decreasing")
-    _check_lateral_floor(eps_list[-1], "smallest eps", mp)
-    extended = _extend_eps(eps_list, mp)
-
-    laterals = []
-    budget = mp.zero
-    for e in extended:
-        vec, err = lateral_l_vector(a, mp.pi - e, ctx)
-        laterals.append(vec)
-        budget = max(budget, err)
-
-    # at alpha = -a, K is real and sqrt(pi/alpha) = +i sqrt(pi/a)
-    side = _law_rhs(-a, ctx)[0]
-    pred_real = tuple(v.real for v in side)
-    pred_imag = tuple(v.imag for v in side)
-
-    nreq = len(eps_list)
-    re_res = tuple(
-        max(abs(laterals[i][j].real - pred_real[j]) for j in range(2))
-        for i in range(nreq)
-    )
-    im_res = tuple(
-        min(
-            max(abs(laterals[i][j].imag - s * pred_imag[j]) for j in range(2))
-            for s in (1, -1)
-        )
-        for i in range(nreq)
-    )
-    for seq in (re_res, im_res):
-        if any(r2 >= r1 for r1, r2 in zip(seq, seq[1:])):
-            raise ExtrapolationInstability(
-                "lateral residuals fail to decrease along eps_seq"
-            )
-
-    extrap = tuple(
-        neville_extrapolate(extended, [v[j] for v in laterals])
-        for j in range(2)
-    )
-    if len(extended) >= 3:
-        drop_one = tuple(
-            neville_extrapolate(extended[1:], [v[j] for v in laterals[1:]])
-            for j in range(2)
-        )
-        extrap_err = max(abs(extrap[j] - drop_one[j]) for j in range(2))
-    else:
-        extrap_err = mp.inf
-    res_plus = max(abs(extrap[j].imag - pred_imag[j]) for j in range(2))
-    res_minus = max(abs(extrap[j].imag + pred_imag[j]) for j in range(2))
-    sign = 1 if res_plus <= res_minus else -1
-    return StokesDecomposition(
-        abs_alpha=a,
-        eps_seq=tuple(eps_list),
-        extended_eps=tuple(extended),
-        lateral_values=tuple(laterals),
-        re_residuals=re_res,
-        im_residuals=im_res,
-        extrapolated=extrap,
-        extrap_err_estimate=extrap_err,
-        pred_real=pred_real,
-        pred_imag=pred_imag,
-        extrap_residual_real=max(
-            abs(extrap[j].real - pred_real[j]) for j in range(2)
-        ),
-        extrap_residual_imag=min(res_plus, res_minus),
-        matched_sign=sign,
-        quad_budget=budget,
-    )

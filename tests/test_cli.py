@@ -52,6 +52,21 @@ def test_eval_lvec_at_pi(capsys):
     assert abs(mpf(doc["l1"]["im"])) < mpf(10) ** -30
 
 
+def test_fixed_point_field_only_at_the_fixed_point(tmp_path, capsys):
+    # 3.1415927 is 4.6e-8 from pi: (1 - M) v is 4.5e-9 there, not a
+    # residual, so neither eval nor verify reports the fixed-point law
+    assert main(["eval", "--fn", "lvec", "--alpha", "3.1415927", "--format", "json"]) == 0
+    assert "fixed_point_residual" not in json.loads(capsys.readouterr().out)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"re": 3.1415927, "im": 0, "as": "alpha"}]))
+    assert main(["verify", "--suite", "mf5", "--grid", str(grid)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "l_vector_fixed_point" not in [r["identity"] for r in doc["identities"]]
+    # at 200 bits pi^2/pi rounds one ulp off pi: pi is still the fixed point
+    assert main(["eval", "--fn", "lvec", "--alpha", "pi", "--prec", "200", "--format", "json"]) == 0
+    assert mpf(json.loads(capsys.readouterr().out)["fixed_point_residual"]) < mpf(10) ** -20
+
+
 def test_eval_w3_scaling(capsys):
     assert main(["eval", "--fn", "W3", "--alpha", "1e-4", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

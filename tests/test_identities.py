@@ -20,9 +20,9 @@ from mocklab import (
     run_suite,
     suite_report_to_json,
 )
-from mocklab import mordell
+from mocklab import identities, mordell, qseries
 from mocklab.cli import main, parse_number
-from mocklab.identities import _pair_laws, _q_basis, _v_vector
+from mocklab.identities import _LAWS, _pair_laws, _q_basis, _series_side, _v_vector
 from mocklab.matrices import identity2, mat_mul, mat_norm, mat_sub
 from mocklab.modpoint import power_from_alpha
 from mocklab.qseries import MockThetaId, eval_mock
@@ -106,7 +106,7 @@ def test_mf5_matrix_law_past_the_natural_boundary(ctx, modulus, arg):
     for base in ("Q", "Q1"):
         assert abs(power_from_alpha(alpha, base, 1, ctx)) > 1
     lv, _ = mordell.l_vector(alpha, ctx)
-    side = mordell._law_rhs(alpha, ctx)[0]
+    side = _series_side(_LAWS["mf5"], alpha, ctx)[0]
     assert max(abs(v - w) for v, w in zip(lv, side)) < m.mpf(10) ** -30
 
 
@@ -134,11 +134,12 @@ def _scalar_series_sides(alpha, ctx):
 @pytest.mark.parametrize("alpha", ["2", "1+0.5i", "0.004"])
 def test_scalar_laws_are_the_matrix_law_at_half_alpha(ctx, alpha):
     # check_mf5 reads the scalar laws at alpha from the matrix law at
-    # alpha/2, where Q = q and Q1 = q1^4, so _law_rhs(alpha/2) = c_int L_j is
-    # minus their series sides; at 0.004 the terms are about e^82
+    # alpha/2, where Q = q and Q1 = q1^4, so the mf5 row's series side at
+    # alpha/2, c_int L_j, is minus their series sides; at 0.004 the terms
+    # are about e^82
     m = ctx.mp
     alpha = parse_number(alpha, m)
-    side = mordell._law_rhs(alpha / 2, ctx)[0]
+    side = _series_side(_LAWS["mf5"], alpha / 2, ctx)[0]
     oracle, size = _scalar_series_sides(alpha, ctx)
     for v, w in zip(side, oracle):
         assert abs(v + w) <= m.mpf(10) ** -70 * size
@@ -147,7 +148,7 @@ def test_scalar_laws_are_the_matrix_law_at_half_alpha(ctx, alpha):
 @pytest.mark.parametrize("modulus, arg", [("0.8", "-1.9"), ("1.5", "2.2")],
                          ids=["0.8e^{-1.9i}", "1.5e^{2.2i}"])
 def test_check_mf5_past_the_natural_boundary(ctx, modulus, arg):
-    # |q| > 1 at alpha and at alpha/2: every law continues through _law_rhs
+    # |q| > 1 at alpha and at alpha/2: every law continues through the mf5 row
     m = ctx.mp
     alpha = m.mpf(modulus) * m.exp(1j * m.mpf(arg))
     assert abs(m.exp(-alpha)) > 1
@@ -176,6 +177,17 @@ def test_l_vector_check(ctx):
         assert names == ["l_vector_consistency", "l_vector_fixed_point"]
         for e in entries:
             assert e.abs_residual < mpf(10) ** -20
+
+
+@pytest.mark.parametrize("offset", ["1e-7", "1e-12"])
+def test_no_fixed_point_entry_off_the_fixed_point(ctx, offset):
+    # (1 - M) v vanishes only where alpha maps to itself: at pi + 1e-7 it is
+    # about 1e-8, far above the quadrature budget of the fixed-point law
+    m = ctx.mp
+    entries = check_mf5(m.pi + m.mpf(offset), ctx)
+    assert [e.identity for e in entries] == [
+        "mf5_scalar_0", "mf5_scalar_1", "mf5_matrix", "l_vector_consistency"]
+    assert all(e.passed for e in entries)
 
 
 # Integrand evaluations of check_mf5 at the mf5_complex point, measured at
@@ -220,6 +232,62 @@ def test_one_quadrature_per_integral(ctx, monkeypatch):
         assert len(calls) == 8
         check_mf5(ctx.mp.pi, ctx)
         assert len(calls) == 10
+
+
+def test_each_series_once_per_check(ctx, monkeypatch):
+    # check_mf5(2): chi0 and chi1 at q, q1^4, Q and Q1; check_mf3(1): omega
+    # at -q, -q1 and q, f at Q1, rho at -q and -q1, xi at -q^{1/3} and
+    # -q1^{1/3}
+    calls = []
+    real = qseries.eval_mock
+
+    def counted(mid, q, c):
+        calls.append(mid.name)
+        return real(mid, q, c)
+
+    for module in (qseries, identities):
+        monkeypatch.setattr(module, "eval_mock", counted)
+    check_mf5(mpf(2), ctx)
+    assert sorted(calls) == ["chi0"] * 4 + ["chi1"] * 4
+    calls.clear()
+    check_mf3(mpf(1), ctx)
+    assert sorted(calls) == ["f"] + ["omega"] * 3 + ["rho"] * 2 + ["xi"] * 2
+
+
+def _order3_series_sides(alpha, ctx):
+    """Test-local oracle, the order-3 laws written out: the series sides
+    of mf3_omega, mf3_omega_f and mf3_alternative at alpha, and the largest
+    of their terms."""
+    m = ctx.mp
+    om = MockThetaId(3, "omega")
+    q, q1 = m.exp(-alpha), m.exp(-m.pi**2 / alpha)
+    root = m.sqrt(m.pi / alpha)
+    q23 = power_from_alpha(alpha, "q", Fraction(2, 3), ctx)
+    t1 = q23 * eval_mock(om, -q, ctx)
+    t2 = root * power_from_alpha(alpha, "q1", Fraction(2, 3), ctx) * eval_mock(om, -q1, ctx)
+    t3 = q23 * eval_mock(om, q, ctx)
+    t4 = (m.sqrt(m.pi / (4 * alpha)) * power_from_alpha(alpha, "q1", Fraction(-1, 12), ctx)
+          * eval_mock(MockThetaId(3, "f"), power_from_alpha(alpha, "Q1", 1, ctx), ctx))
+
+    def bracket(a):
+        # q^{2/3} [-rho(-q) + (1/2) q^{-2/3} xi(-q^{1/3})] at q = exp(-a)
+        return (m.exp(-2 * a / 3) * -eval_mock(MockThetaId(3, "rho"), -m.exp(-a), ctx)
+                + eval_mock(MockThetaId(3, "xi"), -m.exp(-a / 3), ctx) / 2)
+
+    t5, t6 = bracket(alpha), root * bracket(m.pi**2 / alpha)
+    sides = {"mf3_omega": t1 + t2, "mf3_omega_f": t3 - t4, "mf3_alternative": t5 + t6}
+    return sides, max(abs(t) for t in (t1, t2, t3, t4, t5, t6))
+
+
+@pytest.mark.parametrize("alpha", ["1", "1+0.4i", "2+i"])
+def test_order3_rows_match_the_written_laws(ctx, alpha):
+    m = ctx.mp
+    alpha = parse_number(alpha, m)
+    oracle, size = _order3_series_sides(alpha, ctx)
+    assert sorted(oracle) == sorted(n for n in _LAWS if n.startswith("mf3_"))
+    for name, want in oracle.items():
+        (side,), _, _ = _series_side(_LAWS[name], alpha, ctx)
+        assert abs(side - want) <= m.mpf(10) ** -70 * size
 
 
 def test_mf3_checks(ctx):

@@ -19,11 +19,13 @@ from mocklab import (
     mixing_matrix,
     pv_quadrature,
     pv_sum,
+    stokes_decompose,
     w2_integral,
     w3_integral,
 )
 from mocklab import mordell
-from mocklab.mordell import RayIntegrand, integrate_ray, neville_extrapolate
+from mocklab.identities import _LAWS, _series_side, neville_extrapolate
+from mocklab.mordell import RayIntegrand, integrate_ray
 
 
 def _scale(ctx):
@@ -671,8 +673,8 @@ def test_lateral_node_count(ctx, monkeypatch, where, ceiling):
     monkeypatch.setattr(mordell, "integrate_ray", counted)
     mp_ = ctx.mp
     if where == "stokes_lateral":
-        mordell.stokes_decompose(mp_.mpf("0.307141"),
-                                 [mp_.mpf(e) for e in ("0.016", "0.008", "0.004")], ctx)
+        stokes_decompose(mp_.mpf("0.307141"),
+                         [mp_.mpf(e) for e in ("0.016", "0.008", "0.004")], ctx)
         assert len(nodes) == 4
     else:
         lateral_l_vector(10 ** 4, mp_.pi - mp_.mpf("1e-3"), ctx)
@@ -863,7 +865,7 @@ def test_quadrature_takes_the_pv_on_the_stokes_line(ctx, a):
     res = mordell._quadrature(integrand.func, integrand.bound, guard.mpc(0, -1),
                               [2 * j * h for j in range(k + 1)], 0, ctx)
     pref = ctx.mp.sqrt(135 * ctx.mp.mpc(-a) / ctx.mp.pi)
-    for v, want in zip(res.value, mordell._law_rhs(-a, ctx)[0]):
+    for v, want in zip(res.value, _series_side(_LAWS["mf5"], -a, ctx)[0]):
         assert abs((pref * v).real - want.real) < mpf("1e-30")
 
 

@@ -13,9 +13,9 @@ from mocklab import (
     stokes_decompose,
     unary_x,
 )
+from mocklab.identities import _LAWS, _series_side
 from mocklab.matrices import mat_vec
 from mocklab.modpoint import power_from_alpha
-from mocklab.mordell import _law_rhs
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_predictions_are_the_law_at_minus_a(ctx, a):
     mixed = mat_vec(mixing_matrix(ctx), unary("Q1"))
     want_real = [3 * v.real / 2 for v in unary("Q")]
     want_imag = [3 * m.sqrt(m.pi / a) * v.real / 2 for v in mixed]
-    side = _law_rhs(-a, ctx)[0]
+    side = _series_side(_LAWS["mf5"], -a, ctx)[0]
     for j in range(2):
         assert abs(side[j].real - want_real[j]) < m.mpf(10) ** -70
         assert abs(side[j].imag - want_imag[j]) < m.mpf(10) ** -70
@@ -119,13 +119,13 @@ def test_lateral_floor_admitted(prec_bits):
 
 def test_monotonicity_enforcement(ctx, monkeypatch):
     # constant lateral values cannot show decreasing residuals
-    import mocklab.mordell as mordell
+    import mocklab.identities as identities
 
     def fake_lateral(abs_alpha, theta, c):
         from mpmath import mpc
         return (mpc(1), mpc(1)), mpf("1e-40")
 
-    monkeypatch.setattr(mordell, "lateral_l_vector", fake_lateral)
+    monkeypatch.setattr(identities, "lateral_l_vector", fake_lateral)
     with mp.workprec(ctx.prec_bits):
         with pytest.raises(ExtrapolationInstability):
             stokes_decompose(mpf(1), [mpf("0.2"), mpf("0.1")], ctx)
