@@ -55,7 +55,7 @@ EVAL_FNS = MOCK_FNS + ("x0", "x1", "eta", "theta2", "theta3", "theta4",
                        "L", "W2", "W3", "lvec")
 
 _REAL_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?"
+    r"^(?P<sign>[+-]?)(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)?"
     r"(?P<pi>\*?pi)?(?:/(?P<den>\d+(?:\.\d*)?))?$"
 )
 

@@ -56,7 +56,8 @@ def _mp_context(prec: int) -> MPContext:
     """The mpmath context computing at prec bits; never mutated after this."""
     context = MPContext()
     context.prec = prec
-    # its numbers pickle as global mpmath numbers of the same exact value
+    # __reduce__ rebuilds its numbers as global mpmath numbers of the same
+    # exact value
     context.mpf.__reduce__ = lambda x: (mpf, (), x.__getstate__())
     context.mpc.__reduce__ = lambda z: (mpc, (), z.__getstate__())
     return context

@@ -50,24 +50,16 @@ into the guard context.  P = b + 48 follows the error target, not the
 working precision: b is prec_bits, or the bits of eps plus 20 if fewer
 (`_kernel_bits`), since no bound that a quadrature reports goes below a
 panel's share eps 2^-4.
-
-Parallelism: every panel and its degree are chosen first, in the calling
-process, which then splits the panels over the CPUs available to it, one
-forked child per CPU after the first, in chunks of equal node counts.  The
-totals are exact integer sums, so every value is bit-identical to a run on
-one CPU.  The quadrature runs in-process when other threads are alive.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 from mpmath import MPContext, mpc, mpf
 from mpmath.libmp import from_float, ln2_fixed, pi_fixed, to_fixed
@@ -336,66 +328,6 @@ def _panel_degree(candidates, log_half: float, log_target: float):
 # The quadrature driver
 # ---------------------------------------------------------------------------
 
-def _split_map(fn, items: Sequence, weights: Sequence[int]) -> list:
-    """[fn(x) for x in items], with the items cut into one contiguous chunk
-    per CPU available to the process, the chunks of equal total weight.
-
-    The caller runs the first chunk; each other chunk runs in a forked child,
-    which sends back its results, or its exception, pickled through a pipe.
-    Every child is killed and reaped however this returns.  Runs in-process
-    when there is one chunk, when other threads are alive (forking them is
-    unsafe) and where the platform cannot fork."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(cpus, len(items))
-    if k < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        return [fn(x) for x in items]
-    # here, so that a process that never splits does not load them
-    import pickle
-    import signal
-
-    total, acc, bounds = sum(weights), 0, [0]
-    for i, weight in enumerate(weights):
-        acc += weight
-        while len(bounds) < k and acc * k >= total * len(bounds):
-            bounds.append(i + 1)
-    bounds.append(len(items))
-    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    children = []  # (pid, read end of its pipe), in chunk order
-    try:
-        for chunk in chunks[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: compute, send, and never return
-                try:
-                    os.close(r)
-                    try:
-                        message = (True, [fn(x) for x in chunk])
-                    except BaseException as exc:
-                        message = (False, exc)
-                    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-                    with os.fdopen(w, "wb") as pipe:
-                        pipe.write(data)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        results = [fn(x) for x in chunks[0]]
-        for _, pipe in children:
-            data = pipe.read()
-            if not data:
-                raise ChildProcessError("a worker process ended without a result")
-            ok, payload = pickle.loads(data)
-            if not ok:
-                raise payload
-            results += payload
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)  # a no-op on a child that has ended
-            os.waitpid(pid, 0)
-
-
 def _gauss_panels(f, frames, degrees, prec: int):
     """Gauss-Legendre integrals of every component of f over the panels, in
     integers scaled by 2^P, P = prec + 48, prec = `_kernel_bits`.
@@ -403,34 +335,29 @@ def _gauss_panels(f, frames, degrees, prec: int):
     A panel's frame ((mr, mi), (hr, hi)) maps t in [-1, 1] to the node
     m + h t, and f(re, im) returns the node's components as (re, im) pairs
     and their error bound in units of 2^-P.  Panel i is summed once, with the
-    rule of degrees[i].  The rules are built here and the panels are split
-    over the CPUs by one `_split_map`, in chunks of equal node counts, so no
-    child builds a rule.  Returns (component totals as (re, im) pairs,
+    rule of degrees[i].  Returns (component totals as (re, im) pairs,
     rounding bound in units of 2^-P, evaluations of f).
 
     A panel's rounding bound is |h| times f's errors weighted by the rule,
     plus the rounding of the weights (a unit each, times |f|), plus a few
     units for the shifts."""
     P = prec + _FIXED_BITS
-    rules = {d: _gl_nodes(d, prec) for d in sorted(set(degrees))}
-
-    def panel(job):
-        ((mr, mi), (hr, hi)), degree = job
-        rule = rules[degree]
+    parts, rounding, nodes = [], 0, 0
+    for ((mr, mi), (hr, hi)), degree in zip(frames, degrees):
+        rule = _gl_nodes(degree, prec)
         vals = [f(mr + (hr * t >> P), mi + (hi * t >> P)) for t, _ in rule]
         total = []
         for comp in zip(*(v for v, _ in vals)):
             sr, si = (sum(wt * v for (_, wt), v in zip(rule, part)) >> P
                       for part in zip(*comp))
             total.append((hr * sr - hi * si >> P, hr * si + hi * sr >> P))
+        parts.append(total)
         spread = (sum(wt * e for (_, wt), (_, e) in zip(rule, vals))
                   + sum(abs(re) + abs(im) for v, _ in vals for re, im in v)) >> P
-        return total, ((abs(hr) + abs(hi)) * (spread + 3) >> P) + 3, len(rule)
-
-    done = _split_map(panel, list(zip(frames, degrees)),
-                      [len(rules[d]) for d in degrees])
-    totals = [tuple(map(sum, zip(*parts))) for parts in zip(*(t for t, _, _ in done))]
-    return totals, sum(r for _, r, _ in done), sum(n for _, _, n in done)
+        rounding += ((abs(hr) + abs(hi)) * (spread + 3) >> P) + 3
+        nodes += len(rule)
+    totals = [tuple(map(sum, zip(*comp))) for comp in zip(*parts)]
+    return totals, rounding, nodes
 
 
 def _cut(bound_const, a_eff, quad_eps, mp: MPContext):
@@ -503,9 +430,7 @@ def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> Quadratu
     The path is the polygon of the `_panels` panels, whose ends are rounded
     to 2^-P, P = `_kernel_bits` + 48.  By Cauchy's theorem its integral is the
     ray's, save for the last 2 units of 2^-P, which the tail must cover.
-    `_gauss_panels` sums every panel once, at its degree, with the panels
-    split once over the CPUs.  The totals are exact integer sums, so the
-    result is bit-identical to one CPU's.
+    `_gauss_panels` sums every panel once, at its degree.
 
     err_estimate is a proved bound: the sum of the panel bounds, the
     rounding bound of `_gauss_panels` and the tail.  Only the final sums

@@ -35,7 +35,7 @@ from typing import List, NamedTuple, Tuple
 from mpmath import mpc
 from mpmath.libmp import to_fixed
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, PrecisionError
 from .modpoint import (_FIXED_BITS, PrecisionContext, _fixed, _from_fixed,
                        _mp_context, power_from_alpha)
 
@@ -411,7 +411,9 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     sum_{n>=1} q^{n^2} and theta4 = 1 + 2 sum_{n>=1} (-1)^n q^{n^2}; each sum
     is a partial theta of `_partial_theta`, truncated on its certified tail
     bound.  theta3 and theta4 are within about eps of their values (the
-    factor 2 scales the tail bound).  The theta2 sum is the triple product
+    factor 2 scales the tail bound); PrecisionError where their modulus is
+    not above eps, as toward a cusp, since no digit of it is then known.
+    The theta2 sum is the triple product
     (Q; Q)_inf (-Q; Q)_inf^2, Q = q^2, of modulus at least (|Q|; |Q|)_inf^3,
     so it is summed relative to three times `_log_euler_floor(|Q|)`, and
     theta2 is within about eps of its value relatively.
@@ -429,7 +431,11 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     if which not in (3, 4):
         raise DomainError("theta index must be 2, 3 or 4")
     psi = {0: 1, 1: 1} if which == 3 else {0: 1, 1: -1}
-    return 1 + 2 * _partial_theta(psi, 2, 1, 0, q, ctx, scale=2)
+    value = 1 + 2 * _partial_theta(psi, 2, 1, 0, q, ctx, scale=2)
+    if not abs(value) > ctx.eps:
+        raise PrecisionError("|theta%d| is not above its error bound eps %s"
+                             % (which, mp.nstr(ctx.eps, 3)))
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ def test_parse_real_pi_forms():
         assert abs(parse_real("-pi", mp) + mp.pi) < mpf(2) ** -100
         assert parse_real("1e-3", mp) == mpf("1e-3")
         assert parse_real("1/4", mp) == mpf("0.25")
+        # leading-dot decimals
+        assert parse_real(".5", mp) == mpf("0.5")
+        assert parse_real("-.25", mp) == mpf("-0.25")
+        assert parse_real(".5e-3", mp) == mpf("5e-4")
 
 
 def test_parse_number_complex():

@@ -37,17 +37,27 @@ def _report_values(rep):
     return out
 
 
+def _l_vector_raw(ctx):
+    (l1, l2), err = l_vector(ctx.mp.mpc(1, "0.5"), ctx)
+    return [_raw(x) for x in (l1, l2, err)]
+
+
 def test_threads_at_two_precisions():
+    """Series and quadratures run in the calling thread; beside other
+    threads they give the bits they give alone."""
     # the third thread shares the 256-bit context with the first
     chi0 = MockThetaId(5, "chi0")
     hi = reference_context()
     contexts = [hi, PrecisionContext(prec_bits=64, eps="1e-12"), hi]
     want = [_raw(eval_mock(chi0, "0.3", c)) for c in contexts]
+    want_l = [_l_vector_raw(c) for c in contexts]
+    got_l = [None] * len(contexts)
     wrong = [0] * len(contexts)
     start = threading.Barrier(len(contexts))
 
     def work(i):
         start.wait(timeout=60)
+        got_l[i] = _l_vector_raw(contexts[i])
         for _ in range(300):
             if _raw(eval_mock(chi0, "0.3", contexts[i])) != want[i]:
                 wrong[i] += 1
@@ -64,6 +74,7 @@ def test_threads_at_two_precisions():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == [0, 0, 0]
+    assert got_l == want_l
 
 
 def _library_outputs(ctx):

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import os
-import threading
 from fractions import Fraction
 
 import pytest
@@ -126,6 +124,10 @@ def _gaussian(gamma, ctx):
                         gauss_coeff=gamma, bound=_gaussian_bound(gamma))
 
 
+def _family_quadrature(family, alpha, ctx):
+    return integrate_ray(mordell._ray_integrand(family, alpha, ctx), ctx)
+
+
 @pytest.mark.parametrize("method", ["tanh_sinh", "gauss_patch"])
 def test_gaussian_half_line(ctx, method):
     """Both the production Gauss scheme and the test-only tanh-sinh
@@ -141,19 +143,34 @@ def test_gaussian_half_line(ctx, method):
         assert res.nodes_used > 0 and res.scheme == "gauss_patch"
 
 
-def test_nodes_used_counts_evaluations(ctx, cpus):
+def test_nodes_used_counts_evaluations(ctx):
     calls = [0]
 
     def f(x):
         calls[0] += 1
         return (mp.exp(-x * x),)
 
-    cpus({0})  # every evaluation in this process
     with mp.workprec(ctx.prec_bits):
         integrand = RayIntegrand(func=_as_fixed(f, ctx), gauss_coeff=mpc(1),
                                  bound=_gaussian_bound(1))
         res = integrate_ray(integrand, ctx)
         assert res.nodes_used == calls[0] > 0
+
+
+def test_integrand_error_reaches_caller(ctx):
+    mp_ = ctx.mp
+    P = _scale(ctx)
+
+    def f(x):
+        if x.real > 2:
+            raise PoleProximityError("integrand refused a node past 2")
+        return (mp_.exp(-x),)
+
+    # the panels [0, 1], [1, 2] and [2, 3]
+    frames = [(((2 * a + 1) << P - 1, 0), (1 << P - 1, 0)) for a in range(3)]
+    with pytest.raises(PoleProximityError, match="^integrand refused a node past 2$"):
+        mordell._gauss_panels(_as_fixed(f, ctx), frames, [4, 4, 4],
+                              mordell._kernel_bits(ctx))
 
 
 def test_rotated_gaussian_cauchy_invariance(ctx):
@@ -416,126 +433,6 @@ def test_pv_integrand_within_its_error_bound(ctx, monkeypatch, a, p, t):
         x = hi.ldexp(xr, -P)
         want = hi.exp(-p * t * x * x) * hi.cos(a * x) / hi.cos(p * x)
         assert abs(hi.mpc(hi.ldexp(re, -P), hi.ldexp(im, -P)) - want) <= hi.ldexp(err, -P)
-
-# ---------------------------------------------------------------------------
-# Gauss panels split over the CPUs
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Sets the CPUs the process may use, and counts the forks."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-
-    def use(ids):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(ids),
-                            raising=False)
-        forks.clear()
-        return forks
-
-    return use
-
-
-def _family_quadrature(family, alpha, ctx):
-    return integrate_ray(mordell._ray_integrand(family, alpha, ctx), ctx)
-
-
-@pytest.mark.parametrize("where", ["l_pair", "w3", "lateral", "pv"])
-def test_split_panels_are_bit_identical(ctx, cpus, where):
-    mp_ = ctx.mp
-    run = {
-        "l_pair": lambda: _family_quadrature(mordell._l_family(mordell._L_PAIR),
-                                             10 * mp_.mpc(2, 1), ctx),
-        "w3": lambda: _family_quadrature(mordell._W3, mp_.mpc(1, "0.5"), ctx),
-        "lateral": lambda: _family_quadrature(
-            mordell._l_family(mordell._L_PAIR),
-            3 * mp_.exp(1j * (mp_.pi - mp_.mpf("0.004"))), ctx),
-        "pv": lambda: pv_quadrature("0.3", 1, "0.8", ctx),
-    }[where]
-    cpus({0})
-    single = run()
-    forks = cpus({0, 1, 2})
-    split = run()
-    assert forks
-    # a QuadratureResult compares its value, err_estimate and nodes_used
-    assert split == single
-
-
-def test_split_child_error_reaches_caller(ctx, cpus):
-    mp_ = ctx.mp
-    P = _scale(ctx)
-
-    def f(x):
-        if x.real > 2:
-            raise PoleProximityError("integrand refused a node past 2")
-        return (mp_.exp(-x),)
-
-    # the panels [0, 1], [1, 2] and [2, 3]
-    frames = [(((2 * a + 1) << P - 1, 0), (1 << P - 1, 0)) for a in range(3)]
-    forks = cpus({0, 1, 2})
-    with pytest.raises(PoleProximityError, match="^integrand refused a node past 2$"):
-        mordell._gauss_panels(_as_fixed(f, ctx), frames, [4, 4, 4],
-                              mordell._kernel_bits(ctx))
-    assert len(forks) == 2  # the last panel ran in a child
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)  # every child has been reaped
-
-
-def test_one_split_per_quadrature(ctx, cpus):
-    """Every panel and its degree are chosen before the one split, so one
-    quadrature over three or more panels on three CPUs forks twice."""
-    alpha = ctx.mp.mpc(1, "0.5")
-    integrand = mordell._ray_integrand(mordell._W3, alpha, ctx)
-    w, cut, _tail = mordell._geometry(integrand, ctx)
-    assert len(mordell._panels(integrand.bound, w, [0, cut], ctx)[0]) >= 3
-    forks = cpus({0, 1, 2})
-    _family_quadrature(mordell._W3, alpha, ctx)
-    assert len(forks) == 2
-    forks = cpus({0, 1, 2})
-    pv_quadrature("0.3", 1, "0.8", ctx)  # three or more pole-centred panels
-    assert len(forks) == 2
-
-
-def test_split_runs_in_process_beside_other_threads(ctx, cpus):
-    alpha = ctx.mp.mpc(1, "0.5")
-    cpus({0})
-    single = _family_quadrature(mordell._W3, alpha, ctx)
-    forks = cpus({0, 1, 2})
-    out = []
-    thread = threading.Thread(
-        target=lambda: out.append(_family_quadrature(mordell._W3, alpha, ctx)))
-    thread.start()
-    thread.join()
-    assert not forks
-    assert out == [single]
-
-
-def test_split_map_keeps_order(cpus):
-    square = lambda x: x * x
-    forks = cpus(range(8))
-    assert mordell._split_map(square, [3, 1, 2], [1, 1, 1]) == [9, 1, 4]
-    assert len(forks) == 2  # one chunk per item, the first in-process
-    forks = cpus({0, 1, 2})
-    assert mordell._split_map(square, range(7), [1] * 7) == [x * x for x in range(7)]
-    assert len(forks) == 2
-    assert mordell._split_map(square, [], []) == []
-
-
-def test_split_map_cuts_at_equal_weights(cpus):
-    """Chunks hold equal total weight: on 2 CPUs the items weighing 3, 1,
-    1, 1 split after the first, which the caller keeps."""
-    forks = cpus({0, 1})
-    parent = os.getpid()
-    pids = mordell._split_map(lambda x: os.getpid(), range(4), [3, 1, 1, 1])
-    assert len(forks) == 1
-    assert pids[0] == parent and pids[1] == pids[2] == pids[3] != parent
-
 
 # ---------------------------------------------------------------------------
 # The concrete integrals

@@ -16,7 +16,7 @@ from mocklab import (
     theta,
     unary_x,
 )
-from mocklab.errors import NonConvergenceError
+from mocklab.errors import NonConvergenceError, PrecisionError
 from mocklab.identities import _tau_grid
 from mocklab.modpoint import power_from_alpha
 from mocklab.qseries import (MAX_TERMS_DEFAULT, _MOCK_TERMS, _SERIES, _UNARY_PSI,
@@ -552,6 +552,21 @@ def test_theta_domain(ctx):
     # sum refuses before it starts
     with pytest.raises(NonConvergenceError):
         eta(mpc(0, "1e-9"), ctx)
+
+
+@pytest.mark.parametrize("which, re", [(4, 0), (3, 1)])
+def test_theta3_theta4_refuse_noise_at_a_cusp(ctx, which, re):
+    """theta4(0.002i) = sqrt(500) theta2(500i), about 7e-170, and theta3 at
+    1 + 0.002i is the same number: far below eps, so the absolute sum holds
+    no digit of it, and theta refuses rather than return its rounding."""
+    mp_ = ctx.mp
+    tau = mp_.mpc(re, "0.002")
+    true = mp_.sqrt(500) * theta(2, mp_.mpc(0, 500), ctx)
+    assert 0 < true.real < ctx.eps
+    with pytest.raises(PrecisionError, match="theta%d" % which):
+        theta(which, tau, ctx)
+    # the other theta at the same tau is about sqrt(500)
+    assert abs(theta(7 - which, tau, ctx) - mp_.sqrt(500)) < ctx.eps
 
 
 # ---------------------------------------------------------------------------
