@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -171,6 +173,25 @@ def test_integrand_error_reaches_caller(ctx):
     with pytest.raises(PoleProximityError, match="^integrand refused a node past 2$"):
         mordell._gauss_panels(_as_fixed(f, ctx), frames, [4, 4, 4],
                               mordell._kernel_bits(ctx))
+
+
+def test_split_runs_in_process_beside_other_threads(ctx, monkeypatch):
+    """A quadrature started in another thread sums its panels in that
+    thread, forks nothing, and gives the main thread's result bit for bit."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    alpha = ctx.mp.mpc(1, "0.5")
+    single = _family_quadrature(mordell._W3, alpha, ctx)
+    out = []
+    thread = threading.Thread(
+        target=lambda: out.append(_family_quadrature(mordell._W3, alpha, ctx)))
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive()
+    assert not forks
+    # a QuadratureResult compares its value, err_estimate and nodes_used
+    assert out == [single]
 
 
 def test_rotated_gaussian_cauchy_invariance(ctx):
