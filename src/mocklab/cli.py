@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -28,6 +27,7 @@ from .errors import (
     PrecisionError,
 )
 from .identities import (
+    STOKES_EPS_SEQ,
     SUITES,
     _digits,
     _fixed_point_residual,
@@ -107,16 +107,9 @@ def parse_number(s: str, mp: MPContext) -> mpc:
 
 
 def _context(args) -> PrecisionContext:
-    prec = args.prec
-    if prec is None:
-        raw = os.environ.get("MOCKLAB_PREC", "256")
-        try:
-            prec = int(raw)
-        except ValueError:
-            raise DomainError("cannot parse MOCKLAB_PREC %r as a number of bits"
-                              % raw)
+    given = {"prec_bits": args.prec, "eps": args.eps}
     try:
-        return PrecisionContext(prec_bits=prec, eps=args.eps)
+        return PrecisionContext(**{k: v for k, v in given.items() if v is not None})
     except MocklabError:
         raise
     except ValueError:  # mpmath cannot read it
@@ -373,9 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--prec", type=int, default=None,
-                       help="working precision in bits (default: "
-                            "$MOCKLAB_PREC or 256)")
-        p.add_argument("--eps", default="1e-40", help="series tail tolerance")
+                       help="working precision in bits (default 256)")
+        p.add_argument("--eps", default=None, help="series tail tolerance (default 1e-40)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
@@ -394,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fn", required=True, choices=MOCK_FNS + ("partition",))
     pc.add_argument("--n", required=True, type=int, help="expansion order")
     pc.add_argument("--out", default=None)
-    pc.set_defaults(func=cmd_coeffs, format="csv", prec=None, eps="1e-40")
+    pc.set_defaults(func=cmd_coeffs)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", required=True, choices=SUITES)
@@ -405,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("stokes", help="Stokes-line decomposition table")
     ps.add_argument("--abs-alpha", required=True, dest="abs_alpha")
-    ps.add_argument("--eps-seq", default="0.2,0.1,0.05,0.025", dest="eps_seq")
+    ps.add_argument("--eps-seq", default=",".join(STOKES_EPS_SEQ), dest="eps_seq")
     common(ps)
     ps.set_defaults(func=cmd_stokes, format="csv")
 

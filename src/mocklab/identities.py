@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 WRONSKIAN_SEED = 20260808
+STOKES_EPS_SEQ = ("0.2", "0.1", "0.05", "0.025")  # pi - |theta| of check_stokes' laterals
 
 
 @dataclass(frozen=True)
@@ -412,13 +413,13 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
 
 
 def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
-    """Lateral-limit residuals at pi - |theta| = 0.2, 0.1, 0.05, 0.025,
+    """Lateral-limit residuals at pi - |theta| in STOKES_EPS_SEQ,
     extrapolated to the Stokes line, against the predictions of
     `stokes_decompose`: the order-5 matrix law's series side at
     alpha = -|alpha|.  The entry records the matched lateral sign and the
     residual tables."""
     mp = ctx.mp
-    eps_seq = [mp.mpf(e) for e in ("0.2", "0.1", "0.05", "0.025")]
+    eps_seq = [mp.mpf(e) for e in STOKES_EPS_SEQ]
     dec = stokes_decompose(abs_alpha, eps_seq, ctx)
     res = max(dec.extrap_residual_real, dec.extrap_residual_imag)
     scale = max(abs(dec.extrapolated[0]), abs(dec.extrapolated[1]), mp.mpf(1))
@@ -701,14 +702,17 @@ def _suite_table():
 def run_suite(suite: str, grid=None, ctx: Optional[PrecisionContext] = None) -> SuiteReport:
     """Run the named verification suite and aggregate an ordered report.
 
-    grid replaces the default grid of a single suite; `all` runs every
-    suite on its default grid.  The mf3 suite also runs the growth check on
-    its own rays.  A failed check is recorded as one `<check>_error` entry,
-    with the grid point it was called at and its error message, rather than
-    aborting the suite."""
+    grid replaces the default grid of a single suite; a grid for `all`,
+    `algebra` or `wronskian`, which have none, raises DomainError.  The mf3
+    suite also runs the growth check on its own rays.  A failed check is
+    recorded as one `<check>_error` entry, with the grid point it was called
+    at and its error message, rather than aborting the suite."""
     ctx = ctx or PrecisionContext()
     if suite not in SUITES:
         raise DomainError("unknown suite %r (choose from %s)" % (suite, (SUITES,)))
+    table = _suite_table()
+    if grid is not None and suite not in (name for name, _, default in table if default):
+        raise DomainError("suite %r takes no grid" % suite)
     mp = ctx.mp
     entries: List[CheckEntry] = []
 
@@ -723,13 +727,13 @@ def run_suite(suite: str, grid=None, ctx: Optional[PrecisionContext] = None) -> 
                 budget=mp.zero, passed=False,
                 detail={"error": "%s: %s" % (type(exc).__name__, exc)}))
 
-    for name, check, default_grid in _suite_table():
+    for name, check, default_grid in table:
         if suite not in (name, "all"):
             continue
         if default_grid is None:
             run(check, ctx)
             continue
-        for point in grid if suite == name and grid is not None else default_grid(mp):
+        for point in default_grid(mp) if grid is None else grid:
             run(check, point, ctx, point=point)
         if name == "mf3":
             rays, moduli = _growth_grid(mp)

@@ -78,17 +78,17 @@ def _from_fixed(z: Tuple[int, int], P: int, mp: MPContext, prec: int = 0) -> mpc
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working binary precision and target tolerances.
+    """Working binary precision and target tolerance, the only two settings.
 
     prec_bits governs every mpmath operation; eps is the absolute target for
-    series tails; quad_eps is the absolute target for quadrature (defaults to
-    eps * 10^10, matching a series/quadrature split of 1e-40 / 1e-30 at the
-    reference precision of 256 bits).
+    series tails.  The quadrature's absolute target quad_eps is derived as
+    eps * 10^10, the series/quadrature split 1e-40 / 1e-30 of the reference
+    configuration, 256 bits and eps 1e-40 (the defaults).
     """
 
     prec_bits: int = 256
     eps: mpf = field(default=None)  # type: ignore[assignment]
-    quad_eps: mpf = field(default=None)  # type: ignore[assignment]
+    quad_eps: mpf = field(init=False)
 
     def __post_init__(self):
         if self.prec_bits < 64:
@@ -102,13 +102,8 @@ class PrecisionContext:
                 "eps %s is tighter than working precision minus the "
                 "16-bit guard" % mp.nstr(eps, 6)
             )
-        quad_eps = eps * mp.mpf(10) ** 10 if self.quad_eps is None else mp.mpf(self.quad_eps)
-        if not mp.isfinite(quad_eps):
-            raise DomainError("quad_eps must be finite")
-        if quad_eps < eps:
-            raise DomainError("quad_eps must not be tighter than eps")
         object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "quad_eps", quad_eps)
+        object.__setattr__(self, "quad_eps", eps * 10**10)
 
     @property
     def mp(self) -> MPContext:
@@ -116,12 +111,12 @@ class PrecisionContext:
         return _mp_context(self.prec_bits)
 
     def __reduce__(self):
-        return PrecisionContext, (self.prec_bits, self.eps, self.quad_eps)
+        return PrecisionContext, (self.prec_bits, self.eps)
 
 
 def reference_context() -> PrecisionContext:
     """The reference configuration: 256 bits, eps 1e-40, quadrature 1e-30."""
-    return PrecisionContext(prec_bits=256, eps="1e-40", quad_eps="1e-30")
+    return PrecisionContext()
 
 
 def power_from_alpha(alpha, base: str, r, ctx: PrecisionContext) -> mpc:

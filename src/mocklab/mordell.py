@@ -34,14 +34,14 @@ poles near the path, and toward the start of the ray.  The same driver takes
 `pv_quadrature`'s principal value on real panels centred on the poles,
 where the +- pairs of Gauss nodes cancel each pole's odd part.
 
-Error bound: each panel is summed once, at the smallest degree in 2..6
-whose proved Gauss error bound is below its share eps 2^-4 of the series
-target.  The bound is (64/15) M rho^(-2n) / (1 - rho^-2) times the panel's
-half-length, with M a closed-form bound on |f| over the boundary of the
-panel's Bernstein ellipse E_rho, from float logarithms on 8 boxes covering
-it, and rho kept below the ellipse parameter of the nearest pole that the
-panel does not cancel, and below a cap (`_rho_cap`).  err_estimate adds up
-these bounds, the rounding bound of the fixed-point kernel and the tail.
+Error bound: each panel is summed once, at the smallest degree in
+2..`_TOP_DEGREE` whose proved Gauss error bound is below its share eps 2^-4
+of the series target.  The bound is (64/15) M rho^(-2n) / (1 - rho^-2)
+times the panel's half-length, with M a closed-form bound on |f| over the
+boundary of the panel's Bernstein ellipse E_rho, from float logarithms on 8
+boxes covering it, and rho kept below the ellipse parameter of the nearest
+pole that the panel does not cancel, and below a cap (`_rho_cap`).
+err_estimate adds up these bounds, the kernel's rounding bound and the tail.
 
 Fixed point: the quadrature computes on complex numbers given as pairs of
 integers scaled by 2^P, from the panel frames and the Gauss-Legendre rules
@@ -148,9 +148,14 @@ def _kernel_bits(ctx: PrecisionContext) -> int:
     return min(ctx.prec_bits, max(log2_inv_eps, 0) + 20)
 
 
+def _gauss_size(degree: int) -> int:
+    """The node count n = 3 * 2^(degree-1) of the Gauss rule of a degree."""
+    return 3 << (degree - 1)
+
+
 @functools.cache
 def _gl_nodes(degree: int, prec: int):
-    """The Gauss-Legendre rule of n = 3 * 2^(degree-1) nodes on [-1, 1], as
+    """The Gauss-Legendre rule of n = `_gauss_size(degree)` nodes on [-1, 1], as
     (node, weight) pairs of integers scaled by 2^(prec + 48), the fixed
     point of integrate_ray for prec = `_kernel_bits`, for degree >= 2.
 
@@ -166,7 +171,7 @@ def _gl_nodes(degree: int, prec: int):
     come in calc_nodes' order, (x_j, w_j) then (-x_j, w_j); the principal
     values rely on n even and on these +- pairs of equal weight: no node is
     a panel's centre, and a pole there cancels."""
-    n = 3 << (degree - 1)
+    n = _gauss_size(degree)
     wp = int((prec + 10) * 1.5)
     one = 1 << wp
     step_floor = 1 << (wp - prec - 18)
@@ -207,6 +212,7 @@ def _gl_nodes(degree: int, prec: int):
 
 _LOG_GAUSS = math.log(64 / 15)
 _RHO_CAP = 1e3  # the least cap on the ellipses of a panel far from every pole
+_TOP_DEGREE = 6  # the top of the Gauss ladder: a panel no degree up to it certifies is cut
 _RADII = (0.45, 0.8, 0.95)  # candidate log rho / log rho_max
 # added to every float log bound, for the rounding of its evaluation
 _FLOAT_SLACK = 2.0 ** -20
@@ -224,9 +230,10 @@ def _log_target(ctx: PrecisionContext) -> float:
 
 def _rho_cap(ctx: PrecisionContext, log_m: float) -> float:
     """The cap on the ellipses of a panel far from every pole: _RHO_CAP, or the
-    least at which degree 6 at cap^0.95 meets the panel share on short panels,
-    where M half <= e^log_m; below it they would shrink like the share."""
-    log_cap = (_LOG_GAUSS + log_m - _log_target(ctx)) / (2 * (3 << 5) * _RADII[-1])
+    least at which `_TOP_DEGREE` at cap^0.95 meets the panel share on short
+    panels, where M half <= e^log_m; below it they would shrink like it."""
+    log_cap = ((_LOG_GAUSS + log_m - _log_target(ctx))
+               / (2 * _gauss_size(_TOP_DEGREE) * _RADII[-1]))
     return max(_RHO_CAP, math.exp(log_cap))
 
 
@@ -296,9 +303,9 @@ def _cos_range(y0: float, y1: float) -> Tuple[float, float]:
 
 
 def _panel_degree(candidates, log_half: float, log_target: float):
-    """The smallest degree d in 2..6 whose Gauss bound on the panel is below
-    the target, and the log of that bound; None when no degree meets it,
-    and the panel must be cut (`_panels`).
+    """The smallest degree d in 2..`_TOP_DEGREE` whose Gauss bound on the
+    panel is below the target, and the log of that bound; None when no
+    degree meets it, and the panel must be cut (`_panels`).
 
     If f is analytic inside the Bernstein ellipse E_rho of [-1, 1] and
     |f| <= M there, its Chebyshev coefficients are |a_k| <= 2 M rho^-k.  The
@@ -314,8 +321,8 @@ def _panel_degree(candidates, log_half: float, log_target: float):
     and at most 2M on E_rho, and the fold's integral is twice the principal
     value.  candidates are pairs (rho, log M), and a degree's bound is the
     least over them."""
-    for degree in range(2, 7):
-        n = 3 << (degree - 1)
+    for degree in range(2, _TOP_DEGREE + 1):
+        n = _gauss_size(degree)
         log_err = min((_LOG_GAUSS + log_half + log_m - 2 * n * math.log(rho)
                        - math.log1p(-rho ** -2) for rho, log_m in candidates),
                       default=math.inf)
@@ -415,8 +422,8 @@ def _panels(bound, w, points, ctx: PrecisionContext):
             t1, t2 = (tuple(c + sign * (e + (e - c) % 2) for c, e in zip(mid, sixth))
                       for sign in (-1, 1))
             if len({a, t1, t2, b}) < 4:
-                raise PoleProximityError("no Gauss degree up to 6 certifies a panel of "
-                                         "a few units: a pole on or next to the path")
+                raise PoleProximityError("no Gauss degree up to %d certifies a panel of a few "
+                                         "units: a pole on or next to the path" % _TOP_DEGREE)
             todo += [(t2, b), (t1, t2), (a, t1)]
         else:
             done.append(((mid, half),) + chosen)

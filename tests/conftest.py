@@ -1,15 +1,9 @@
 import pytest
 
-from mocklab import PrecisionContext, reference_context
+from mocklab import reference_context
 
 
 @pytest.fixture(scope="session")
 def ctx():
     """Reference configuration: 256 bits, series 1e-40, quadrature 1e-30."""
     return reference_context()
-
-
-@pytest.fixture(scope="session")
-def fast_ctx():
-    """Loose context for property tests where speed matters more."""
-    return PrecisionContext(prec_bits=128, eps="1e-25", quad_eps="1e-18")

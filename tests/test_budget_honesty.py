@@ -1,6 +1,6 @@
 """Budget honesty of the quadrature: every reported err_estimate bounds the
 true error, measured against a reference computed at 400 bits with
-eps 1e-80 and quad_eps 1e-60, at the stress edges of the ray quadrature."""
+eps 1e-80 (so quad_eps 1e-70), at the stress edges of the ray quadrature."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from mocklab import (PrecisionContext, lateral_l_vector, l_vector, pv_quadrature
                      pv_sum, w2_integral, w3_integral)
 from mocklab import mordell
 
-REF = PrecisionContext(prec_bits=400, eps="1e-80", quad_eps="1e-60")
+REF = PrecisionContext(prec_bits=400, eps="1e-80")
 
 # name: (function of (point, ctx) returning (values, err), the point as a
 # function of the context's mp)

@@ -126,11 +126,19 @@ def test_verify_algebra_json(capsys):
     assert doc["prec_bits"] == 256
 
 
-def test_verify_env_prec(capsys, monkeypatch):
-    monkeypatch.setenv("MOCKLAB_PREC", "128")
-    assert main(["verify", "--suite", "algebra", "--eps", "1e-20"]) == 0
+def test_verify_env_prec(capsys):
+    assert main(["verify", "--suite", "algebra", "--prec", "128", "--eps", "1e-20"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["prec_bits"] == 128
+
+
+@pytest.mark.parametrize("suite", ["algebra", "wronskian", "all"])
+def test_verify_grid_for_a_suite_without_one_exit_2(tmp_path, capsys, suite):
+    """A valid grid is refused, naming the suite, where it would go unused."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"re": 1.0, "im": 0.0, "as": "alpha"}]))
+    assert main(["verify", "--suite", suite, "--grid", str(grid)]) == 2
+    assert capsys.readouterr().err == "domain error: suite %r takes no grid\n" % suite
 
 
 def test_verify_bad_grid_exit_2(tmp_path, capsys):
@@ -208,11 +216,12 @@ def test_eval_lvec_at_a_loose_eps(capsys, eps):
             assert abs(d) <= err
 
 
-def test_malformed_env_prec_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("MOCKLAB_PREC", "abc")
-    assert main(["eval", "--fn", "chi0", "--q", "0.1"]) == 2
-    assert ("domain error: cannot parse MOCKLAB_PREC 'abc' as a number of bits"
-            in capsys.readouterr().err)
+def test_env_prec_is_ignored(capsys, monkeypatch):
+    """--prec is the only way to set the precision: MOCKLAB_PREC, which once
+    set it too, leaves prec_bits at the default 256."""
+    monkeypatch.setenv("MOCKLAB_PREC", "128")
+    assert main(["verify", "--suite", "algebra"]) == 0
+    assert json.loads(capsys.readouterr().out)["prec_bits"] == 256
 
 
 def test_verify_alpha_grid_file(tmp_path, capsys):

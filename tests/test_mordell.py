@@ -504,7 +504,7 @@ def test_l_pair_matches_tanh_sinh(ctx, where):
             assert abs(value - _l_reference(r, alpha, ctx)) < ctx.quad_eps
 
 
-REF_400 = PrecisionContext(prec_bits=400, eps="1e-80", quad_eps="1e-60")
+REF_400 = PrecisionContext(prec_bits=400, eps="1e-80")
 
 
 @pytest.mark.parametrize("where", ["mf5_complex", "lateral_floor"])
@@ -867,7 +867,7 @@ def test_pv_quadrature_even_in_a(ctx):
 
 def test_pv_tolerance_consistency(ctx):
     # tightening the stop tolerance moves the value below the envelope bound
-    loose = PrecisionContext(prec_bits=256, eps="1e-20", quad_eps="1e-16")
+    loose = PrecisionContext(prec_bits=256, eps="1e-20")
     with mp.workprec(ctx.prec_bits):
         v1 = pv_quadrature(mpf("0.3"), mpf(1), mpf("0.8"), loose)
         v2 = pv_quadrature(mpf("0.3"), mpf(1), mpf("0.8"), ctx)
@@ -876,8 +876,8 @@ def test_pv_tolerance_consistency(ctx):
 
 def test_precision_monotonicity(ctx):
     # halving eps never worsens the pv residual by more than 2x (plus floor)
-    base = PrecisionContext(prec_bits=256, eps="1e-30", quad_eps="1e-24")
-    half = PrecisionContext(prec_bits=256, eps="5e-31", quad_eps="1e-24")
+    base = PrecisionContext(prec_bits=256, eps="1e-30")
+    half = PrecisionContext(prec_bits=256, eps="5e-31")
     with mp.workprec(ctx.prec_bits):
         r1 = abs(pv_quadrature(mpf("0.3"), mpf(1), mpf("2"), base)
                  - pv_sum(mpf("0.3"), mpf(1), mpf("2"), base))

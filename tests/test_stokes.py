@@ -106,7 +106,7 @@ def test_input_validation(ctx):
 def test_lateral_floor_admitted(prec_bits):
     # the documented floor pi - |theta| >= 1e-3 holds with equality; at 192
     # bits theta = pi - 1e-3 rounds to a gap just short of 1e-3
-    c = PrecisionContext(prec_bits=prec_bits, eps="1e-40", quad_eps="1e-30")
+    c = PrecisionContext(prec_bits=prec_bits, eps="1e-40")
     with mp.workprec(c.prec_bits):
         dec = stokes_decompose(mpf("0.01"), [mpf("0.002"), mpf("0.001")], c)
         assert dec.extended_eps == (mpf("0.002"), mpf("0.001"))
