@@ -12,6 +12,8 @@ Exit codes: 0 success (verify: all identities pass), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
@@ -30,6 +32,7 @@ from .identities import (
     STOKES_EPS_SEQ,
     SUITES,
     _digits,
+    _entry_dict,
     _fixed_point_residual,
     _fmt,
     _fmt_c,
@@ -142,88 +145,78 @@ def _point_q(args, mp):
     raise DomainError("provide --q, --alpha or --tau for this function")
 
 
+def _required(args, flag: str, what: str, mp):
+    """The number given as --flag, which the function `what` needs."""
+    given = getattr(args, flag)
+    if given is None:
+        raise DomainError("--%s required for %s" % (flag, what))
+    return parse_number(given, mp)
+
+
 def cmd_eval(args) -> int:
     ctx = _context(args)
     mp = ctx.mp
     fn = args.fn
-    err = None
-    point_desc = None
+    err = res_fp = None
     if fn in MOCK_FNS:
-        q = _point_q(args, mp)
-        point_desc = q
-        value = eval_mock(MockThetaId.from_name(fn), q, ctx)
+        point = _point_q(args, mp)
+        value = eval_mock(MockThetaId.from_name(fn), point, ctx)
     elif fn in ("x0", "x1"):
-        if args.u is None:
-            raise DomainError("--u required for the unary series")
-        u = parse_number(args.u, mp)
-        point_desc = u
-        value = unary_x(fn.upper(), u, ctx)
+        point = _required(args, "u", "the unary series", mp)
+        value = unary_x(fn.upper(), point, ctx)
     elif fn == "eta" or fn.startswith("theta"):
-        if args.tau is None:
-            raise DomainError("--tau required for eta/theta")
-        tau = parse_number(args.tau, mp)
-        point_desc = tau
-        value = eta(tau, ctx) if fn == "eta" else theta(int(fn[-1]), tau, ctx)
-    elif fn in ("L", "W2", "W3"):
-        if args.alpha is None:
-            raise DomainError("--alpha required for the integrals")
-        alpha = parse_number(args.alpha, mp)
-        point_desc = alpha
+        point = _required(args, "tau", "eta/theta", mp)
+        value = eta(point, ctx) if fn == "eta" else theta(int(fn[-1]), point, ctx)
+    elif fn == "lvec":
+        point = _required(args, "alpha", "lvec", mp)
+        value, err = l_vector(point, ctx)
+        res_fp = _fixed_point_residual(point, value, ctx)
+    else:
+        point = _required(args, "alpha", "the integrals", mp)
         if fn == "L":
             try:
                 r = Fraction(args.r)
             except (ValueError, ZeroDivisionError):
                 raise DomainError("cannot parse --r %r as a rational" % args.r)
-            value, err = l_integral(r, alpha, ctx)
-        elif fn == "W2":
-            value, err = w2_integral(alpha, ctx)
+            value, err = l_integral(r, point, ctx)
         else:
-            value, err = w3_integral(alpha, ctx)
-    elif fn == "lvec":
-        if args.alpha is None:
-            raise DomainError("--alpha required for lvec")
-        alpha = parse_number(args.alpha, mp)
-        point_desc = alpha
-        (l1, l2), err = l_vector(alpha, ctx)
-        res_fp = _fixed_point_residual(alpha, (l1, l2), ctx)
-        extra = {} if res_fp is None else {"fixed_point_residual": res_fp}
-        return _emit_eval(args, ctx, point_desc, {"l1": l1, "l2": l2}, err, extra)
-    else:  # pragma: no cover - argparse choices guard this
-        raise DomainError("unknown function %r" % fn)
-    return _emit_eval(args, ctx, point_desc, {"value": value}, err, {})
-
-
-def _emit_eval(args, ctx, point, values: dict, err, extra: dict) -> int:
-    if args.format == "json":
-        doc = {"fn": args.fn, "point": _fmt_c(point, ctx)}
-        for k, v in values.items():
-            doc[k] = _fmt_c(v, ctx)
-        if err is not None:
-            doc["err_estimate"] = _fmt(err, ctx)
-        for k, v in extra.items():
-            doc[k] = _fmt(v, ctx)
-        _emit(json.dumps(doc, separators=(",", ":")) + "\n", args.out)
-    elif args.format == "csv":
-        cols = ["fn", "point_re", "point_im"]
-        vals = [args.fn, *_fmt_c(point, ctx).values()]
-        for k, v in values.items():
-            cols += ["%s_re" % k, "%s_im" % k]
-            vals += _fmt_c(v, ctx).values()
-        if err is not None:
-            cols.append("err_estimate")
-            vals.append(_fmt(err, ctx))
-        _emit(",".join(cols) + "\n" + ",".join(vals) + "\n", args.out)
-    else:
-        lines = []
-        for k, v in values.items():
-            v = ctx.mp.mpc(v)
-            lines.append("%s = %s" % (k, ctx.mp.nstr(v, _digits(ctx.prec_bits))))
-        if err is not None:
-            lines.append("err_estimate = %s" % _fmt(err, ctx))
-        for k, v in extra.items():
-            lines.append("%s = %s" % (k, _fmt(v, ctx)))
-        _emit("\n".join(lines) + "\n", args.out)
+            value, err = (w2_integral if fn == "W2" else w3_integral)(point, ctx)
+    # fn, then the complex fields, then the real bounds where defined
+    values = zip(("l1", "l2"), value) if fn == "lvec" else [("value", value)]
+    record = {"fn": fn, "point": point, **{k: mp.mpc(v) for k, v in values}}
+    record.update((k, v) for k, v in (("err_estimate", err),
+                                      ("fixed_point_residual", res_fp)) if v is not None)
+    if args.format == "text":  # all but fn and the point, a complex field as one number
+        text = "".join("%s = %s\n" % (k, mp.nstr(v, _digits(ctx.prec_bits))
+                                        if hasattr(v, "_mpc_") else _fmt(v, ctx))
+                       for k, v in record.items() if k not in ("fn", "point"))
+    else:  # every field, a complex one as its re and im parts
+        doc = {k: v if isinstance(v, str) else _fmt_c(v, ctx) if hasattr(v, "_mpc_")
+               else _fmt(v, ctx) for k, v in record.items()}
+        text = (json.dumps(doc, separators=(",", ":")) + "\n" if args.format == "json"
+                else _csv([doc]))
+    _emit(text, args.out)
     return 0
+
+
+def _csv(rows) -> str:
+    """rows, dicts whose fields are text or {re, im} pairs of text, as CSV with
+    a pair in the columns <field>_re and <field>_im.  The header holds every
+    field of any row, in order of appearance; a row leaves those it lacks empty."""
+    def cells(row):
+        for k, v in row.items():
+            if isinstance(v, dict):
+                yield from (("%s_%s" % (k, part), x) for part, x in v.items())
+            else:
+                yield k, v
+
+    flat = [dict(cells(row)) for row in rows]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, list(dict.fromkeys(k for row in flat for k in row)),
+                            restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(flat)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +274,9 @@ def _load_grid(path: str, suite: str, ctx: PrecisionContext):
         # alpha = -pi i tau; a point already in the suite's variable stays exact
         if tag != want:
             z = -mp.pi * 1j * z if tag == "tau" else 1j * z / mp.pi
+        if suite == "mf5_stokes" and z.imag:
+            raise DomainError("grid entry %d, %r: an mf5_stokes point is a real "
+                              "modulus |alpha|" % (i, item))
         pts.append(z)
     return pts
 
@@ -290,25 +286,18 @@ def cmd_verify(args) -> int:
     grid = _load_grid(args.grid, args.suite, ctx) if args.grid else None
     rep = run_suite(args.suite, grid, ctx)
     if args.format == "text":
-        lines = []
-        for r in rep.identities:
-            lines.append("%-24s max_abs=%s pass=%s"
-                         % (r.identity_name, _fmt(r.max_abs, ctx), r.all_pass))
-        lines.append("ALL PASS" if rep.all_pass else "FAIL")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "".join("%-24s max_abs=%s pass=%s\n"
+                       % (r.identity_name, _fmt(r.max_abs, ctx), r.all_pass)
+                       for r in rep.identities)
+        text += "ALL PASS\n" if rep.all_pass else "FAIL\n"
     elif args.format == "csv":
-        rows = ["identity,point_re,point_im,abs_residual,rel_residual,budget,pass"]
-        for r in rep.identities:
-            for e in r.entries:
-                p = _fmt_c(e.point, ctx) if e.point is not None else {"re": "", "im": ""}
-                rows.append(",".join([
-                    r.identity_name, p["re"], p["im"],
-                    _fmt(e.abs_residual, ctx), _fmt(e.rel_residual, ctx),
-                    _fmt(e.budget, ctx), str(e.passed).lower(),
-                ]))
-        _emit("\n".join(rows) + "\n", args.out)
+        # the JSON entries, with an empty point for a check that has none
+        text = _csv({"identity": r.identity_name, **d, "pass": str(d["pass"]).lower(),
+                     "point": d["point"] or {"re": "", "im": ""}}
+                    for r in rep.identities for d in (_entry_dict(e, ctx) for e in r.entries))
     else:
-        _emit(suite_report_to_json(rep, ctx), args.out)
+        text = suite_report_to_json(rep, ctx)
+    _emit(text, args.out)
     return 0 if rep.all_pass else 1
 
 

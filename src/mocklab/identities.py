@@ -1,7 +1,7 @@
 """The verification engine: every transformation law and structural relation
-as a residual-producing check, plus the mixing/phase matrix algebra, the
-Wronskian machinery, the Stokes-line decomposition, and suite aggregation
-into serializable reports.
+as a residual-producing check, plus the Wronskian machinery, the Stokes-line
+decomposition, and suite aggregation into serializable reports.  The
+mixing/phase matrix algebra the checks use lives in `matrices`.
 
 Each check covers one grid point (or one fixed configuration) and computes
 every integral it needs exactly once; nothing is cached between checks.  It
@@ -416,11 +416,15 @@ def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     """Lateral-limit residuals at pi - |theta| in STOKES_EPS_SEQ,
     extrapolated to the Stokes line, against the predictions of
     `stokes_decompose`: the order-5 matrix law's series side at
-    alpha = -|alpha|.  The entry records the matched lateral sign and the
+    alpha = -|alpha|.  abs_alpha is real, or complex with imaginary part 0
+    (a grid point).  The entry records the matched lateral sign and the
     residual tables."""
     mp = ctx.mp
+    abs_alpha = mp.mpc(abs_alpha)
+    if abs_alpha.imag:
+        raise DomainError("an mf5_stokes point is a real modulus |alpha|")
     eps_seq = [mp.mpf(e) for e in STOKES_EPS_SEQ]
-    dec = stokes_decompose(abs_alpha, eps_seq, ctx)
+    dec = stokes_decompose(abs_alpha.real, eps_seq, ctx)
     res = max(dec.extrap_residual_real, dec.extrap_residual_imag)
     scale = max(abs(dec.extrapolated[0]), abs(dec.extrapolated[1]), mp.mpf(1))
     # extrapolation error dominates; its a-posteriori Neville estimate
@@ -434,7 +438,7 @@ def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
         "extrap_residual_real": mp.nstr(dec.extrap_residual_real, 8),
         "extrap_residual_imag": mp.nstr(dec.extrap_residual_imag, 8),
     }
-    return [_entry("mf5_stokes", mp.mpc(abs_alpha), res, scale,
+    return [_entry("mf5_stokes", abs_alpha, res, scale,
                    budget, ctx, detail)]
 
 

@@ -1,4 +1,4 @@
-"""Small exact 2x2 matrix helpers shared by the integral and identity layers.
+"""Small exact 2x2 matrix helpers of the identity layer (`identities`).
 
 Matrices are plain 2x2 tuples of mpmath numbers (and Python ints); only what
 the mixing/phase algebra needs is provided.

@@ -368,10 +368,16 @@ def _gauss_panels(f, frames, degrees, prec: int):
 
 
 def _cut(bound_const, a_eff, quad_eps, mp: MPContext):
-    """Where bound_const * exp(-a_eff x^2) falls to the tail target, in mp;
-    1/sqrt(a_eff) if it falls there before e^-1 (a loose quad_eps), where
-    the tail bound of `_geometry` is at most the target / (2 sqrt(a_eff))."""
-    return mp.sqrt(max(mp.log(bound_const / mp.ldexp(quad_eps, -10)), 1) / a_eff)
+    """The cut c, in mp, past which the tail B e^{-a c^2} / (2 a c) of
+    `_geometry` (B = bound_const, a = a_eff) is at most T = quad_eps 2^-10:
+    c0 = sqrt(l / a), l = max(ln(B / T), 1), where the envelope B e^{-a x^2}
+    is T or below, or where 2 a c0 < 1 (tiny alpha) sqrt((l - ln(2 a c0)) / a),
+    where the tail is T c0 / c."""
+    log_ratio = max(mp.log(bound_const / mp.ldexp(quad_eps, -10)), 1)
+    cut = mp.sqrt(log_ratio / a_eff)
+    if 2 * a_eff * cut < 1:
+        cut = mp.sqrt((log_ratio - mp.log(2 * a_eff * cut)) / a_eff)
+    return cut
 
 
 def _geometry(integrand: RayIntegrand, ctx: PrecisionContext):
@@ -444,8 +450,6 @@ def _quadrature(func, bound, w, points, tail, ctx: PrecisionContext) -> Quadratu
     are rounded, into the guard context 16 bits above the working
     precision; the value and the error are numbers of ctx.mp that keep
     those bits until their next operation."""
-    if not tail < ctx.quad_eps:
-        raise NonConvergenceError("quadrature tail bound above target")
     mp = _mp_context(ctx.prec_bits + 16)
     b = _kernel_bits(ctx)
     P = b + _FIXED_BITS

@@ -25,6 +25,10 @@ CASES = {
     # one long panel from the origin
     "w3_small": (lambda alpha, ctx: _pack(w3_integral(alpha, ctx)),
                  lambda mp: mp.mpf("1e-4")),
+    # a ray so long that the cut moves out past the envelope's target
+    "w3_tiny": (lambda alpha, ctx: _pack(w3_integral(alpha, ctx)),
+                lambda mp: mp.mpf("1e-10")),
+    "lvec_tiny": (l_vector, lambda mp: mp.mpf("1e-11")),
     "w2_complex": (lambda alpha, ctx: _pack(w2_integral(alpha, ctx)),
                    lambda mp: mp.mpc(1, "0.4")),
     # a dense pole lattice near arg alpha = pi/2

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 
 import pytest
 from mpmath import mp, mpf, mpc
 
 from mocklab import reference_context, run_suite
-from mocklab.cli import _load_grid, main, parse_number, parse_real
+from mocklab.cli import _csv, _load_grid, main, parse_number, parse_real
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +97,37 @@ def test_eval_x0_where_a_block_vanishes(capsys):
                  for k in range(60) for a in (14, 4) for s in (-1, 1))
     value = mp_.mpc(doc["value"]["re"], doc["value"]["im"])
     assert abs(value - direct) < 10 * ctx.eps
+
+
+@pytest.mark.parametrize("args", [["--fn", "lvec", "--alpha", "pi"],
+                                  ["--fn", "lvec", "--alpha", "2+i"],
+                                  ["--fn", "W3", "--alpha", "1e-4"],
+                                  ["--fn", "chi0", "--q", "0.1"]],
+                         ids=["lvec_pi", "lvec_2+i", "W3", "chi0"])
+def test_eval_formats_carry_the_same_fields(capsys, args):
+    """text, JSON and CSV render one record: JSON and CSV every field, a
+    complex one as its re and im parts, text every field but fn and point."""
+    out = {}
+    for fmt in ("text", "json", "csv"):
+        assert main(["eval"] + args + ["--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    doc = json.loads(out["json"])
+    flat = {}
+    for k, v in doc.items():
+        flat.update({"%s_%s" % (k, part): x for part, x in v.items()}
+                    if isinstance(v, dict) else {k: v})
+    (row,) = csv.DictReader(io.StringIO(out["csv"]))
+    assert row == flat
+    text = dict(line.split(" = ") for line in out["text"].splitlines())
+    assert list(text) == [k for k in doc if k not in ("fn", "point")]
+    mp_ = reference_context().mp
+    for k, v in text.items():
+        if isinstance(doc[k], str):
+            assert v == doc[k]
+        else:  # "(re + imj)"
+            assert parse_number(v.strip("()"), mp_) == mp_.mpc(doc[k]["re"], doc[k]["im"]), k
+    if args[1] == "lvec" and args[3] == "pi":
+        assert "fixed_point_residual" in row
 
 
 def test_eval_domain_error_exit_2(capsys):
@@ -248,6 +281,46 @@ def test_load_grid_converts_only_across(tmp_path):
     assert taus[:2] == z[:2] and alphas[2] == z[2]
     assert alphas[:2] == [-mp_.pi * 1j * tau for tau in z[:2]]
     assert taus[2] == 1j * z[2] / mp_.pi
+
+
+def test_verify_csv_carries_the_error(tmp_path, capsys):
+    # |q| = e^-0.001 is past the evaluation guard: the check fails with a
+    # message, which the CSV carries in a last column, quoted
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"re": 0.001, "im": 0, "as": "alpha"}]))
+    assert main(["verify", "--suite", "mf5", "--grid", str(grid)]) == 1
+    (ident,) = json.loads(capsys.readouterr().out)["identities"]
+    (entry,) = ident["entries"]
+    assert main(["verify", "--suite", "mf5", "--grid", str(grid), "--format", "csv"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].endswith(",pass,error")
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["error"] == entry["error"] == "DomainError: evaluation guard: |q| <= 0.999"
+    assert row["identity"] == ident["identity"] and row["pass"] == "false"
+    # a message with a comma stays one field
+    assert _csv([{"pass": "false", "error": "TypeError: mpc(real='1.0', imag='0.0')"}]) == (
+        "pass,error\nfalse,\"TypeError: mpc(real='1.0', imag='0.0')\"\n")
+    # a report without an error entry has no error column
+    assert main(["verify", "--suite", "algebra", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "identity,point_re,point_im,abs_residual,rel_residual,budget,pass")
+
+
+def test_verify_stokes_grid_is_a_real_modulus(tmp_path, capsys):
+    """An mf5_stokes grid point is the modulus |alpha|: the point 1 gives the
+    default report's modulus-1 entry, a point off the real axis exits 2."""
+    assert main(["verify", "--suite", "mf5_stokes"]) == 0
+    (default,) = json.loads(capsys.readouterr().out)["identities"]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"re": 1, "im": 0, "as": "alpha"}]))
+    assert main(["verify", "--suite", "mf5_stokes", "--grid", str(grid)]) == 0
+    (ident,) = json.loads(capsys.readouterr().out)["identities"]
+    assert ident["identity"] == default["identity"] == "mf5_stokes"
+    assert ident["entries"] == [e for e in default["entries"]
+                                if e["point"] == {"re": "1.0", "im": "0.0"}]
+    grid.write_text(json.dumps([{"re": 1, "im": 0.5, "as": "alpha"}]))
+    assert main(["verify", "--suite", "mf5_stokes", "--grid", str(grid)]) == 2
+    assert "real modulus" in capsys.readouterr().err
 
 
 def test_verify_reports_full_precision(capsys):
