@@ -43,7 +43,7 @@ from .matrices import (
 )
 from .modpoint import PrecisionContext, power_from_alpha
 from .mordell import (_L_VECTOR, _W2, _W3, _check_lateral_floor, _Family,
-                      _scaled_integral, lateral_l_vector)
+                      _lateral_l_vectors, _scaled_integral)
 from .qseries import MockThetaId, _euler_function, eval_mock, eta, k_pair, theta, unary_x
 
 __all__ = [
@@ -204,15 +204,15 @@ def _series_side(law: _Law, alpha, ctx: PrecisionContext):
     return side, size, ctx.eps * (weight_s + abs(root) * norm * weight_t)
 
 
-def _law(name: str, alpha, ctx: PrecisionContext, integral: Callable):
+def _law(name: str, alpha, integral, ctx: PrecisionContext):
     """The row `name` of `_LAWS` at alpha: (the residual of each component,
-    the scale, the budget).  integral is `mordell._scaled_integral` cached
-    for one check, so that each integral is computed once.  The scale is the
-    largest term on either side; the budget adds the series' and the
-    integral's errors and the rounding of the scale."""
+    the scale, the budget).  integral is the row's integral side at alpha,
+    (values, err) of `mordell._scaled_integral`, which the check computes
+    once.  The scale is the largest term on either side; the budget adds
+    the series' and the integral's errors and the rounding of the scale."""
     mp = ctx.mp
     law = _LAWS[name]
-    lhs, err = integral(law.family, law.k, law.c, alpha)
+    lhs, err = integral
     side, size, series_err = _series_side(law, alpha, ctx)
     scale = max(size, mp.mpf(1), *(abs(v) for v in lhs))
     res = tuple(abs(v - w) for v, w in zip(lhs, side))
@@ -232,20 +232,25 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
       under alpha -> pi^2/alpha;
     - l_vector_fixed_point: where alpha maps to itself, also the (1 - M)
       annihilation.
+
+    The integral vectors at alpha and at alpha/2 lie on one ray in
+    z = alpha x and come from one quadrature; the vector at pi^2/alpha
+    takes its own.
     """
     mp = ctx.mp
     alpha = mp.mpc(alpha)
-    integral = functools.cache(functools.partial(_scaled_integral, ctx=ctx))
-    res, scale, budget = _law("mf5", alpha / 2, ctx, integral)
+    vec, half = _scaled_integral(*_L_VECTOR, [alpha, alpha / 2], ctx)
+    res, scale, budget = _law("mf5", alpha / 2, half, ctx)
     out = [_entry("mf5_scalar_%d" % j, alpha, res[j], scale, budget, ctx)
            for j in range(2)]
-    res, scale, budget = _law("mf5", alpha, ctx, integral)
+    res, scale, budget = _law("mf5", alpha, vec, ctx)
     out.append(_entry("mf5_matrix", alpha, max(res), scale, budget, ctx))
 
     # modular consistency of the integral vector; at the fixed point the
     # vector at pi^2/alpha is the one at alpha
-    (l1, l2), err = integral(*_L_VECTOR, alpha)
-    vs, err_s = integral(*_L_VECTOR, mp.pi**2 / alpha)
+    (l1, l2), err = vec
+    dual = mp.pi**2 / alpha
+    vs, err_s = vec if dual == alpha else _scaled_integral(*_L_VECTOR, [dual], ctx)[0]
     root = mp.sqrt(mp.pi / alpha)
     mixed = mat_vec(mixing_matrix(ctx), vs)
     res = max(abs(l1 - root * mixed[0]), abs(l2 - root * mixed[1]))
@@ -347,12 +352,9 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
     _check_lateral_floor(eps_list[-1], "smallest eps", mp)
     extended = _extend_eps(eps_list, mp)
 
-    laterals = []
-    budget = mp.zero
-    for e in extended:
-        vec, err = lateral_l_vector(a, mp.pi - e, ctx)
-        laterals.append(vec)
-        budget = max(budget, err)
+    # the laterals on one ray in z = alpha x share one quadrature
+    laterals, errs = zip(*_lateral_l_vectors(a, [mp.pi - e for e in extended], ctx))
+    budget = max(errs)
 
     # at alpha = -a, K is real and sqrt(pi/alpha) = +i sqrt(pi/a)
     side = _series_side(_LAWS["mf5"], -a, ctx)[0]
@@ -450,11 +452,12 @@ def check_mf3(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     """Every order-3 row of `_LAWS` at one point, each integral computed once
     (W3 at alpha serves mf3_omega and mf3_alternative)."""
     alpha = ctx.mp.mpc(alpha)
-    integral = functools.cache(functools.partial(_scaled_integral, ctx=ctx))
+    integral = functools.cache(
+        lambda family, k, c: _scaled_integral(family, k, c, [alpha], ctx)[0])
     out = []
-    for name in _LAWS:
+    for name, law in _LAWS.items():
         if name.startswith("mf3_"):
-            res, scale, budget = _law(name, alpha, ctx, integral)
+            res, scale, budget = _law(name, alpha, integral(law.family, law.k, law.c), ctx)
             out.append(_entry(name, alpha, max(res), scale, budget, ctx))
     return out
 

@@ -11,9 +11,12 @@ Integrand family: every integrand is
 
 with N_j and D short polynomials in v with integer exponents (the quotients
 of cosh/sinh of integer multiples of s a x, multiplied through by the top
-power of v).  So a node costs two complex exponentials and a few products,
-and the components of one family, such as L(1/5) and L(2/5), share their
-nodes: one quadrature yields the pair (`l_pair`).
+power of v).  So a node costs one complex exponential for v, one for each
+Gaussian, and a few products.  The components of one family, such as
+L(1/5) and L(2/5), share their nodes: one quadrature yields the pair
+(`l_pair`).  So do several parameters a whose rays coincide in z = a x,
+where a enters only through the Gaussian e^{-g z^2 / a}: the Stokes
+laterals of one modulus, or alpha and alpha/2 (`_integrate_family`).
 
 Contour strategy: every integral is taken along a ray from 0.  For
 |arg alpha| <= 3 pi/4 it is the steepest-descent ray, rotated by
@@ -550,10 +553,11 @@ def _power_plan(exponents) -> List[Tuple[int, int, int]]:
     return plan
 
 
-def _family_bound(family: _Family, gauss: complex, scale: complex, lines, rho_cap: float):
-    """`RayIntegrand.bound` of the family with the Gaussian e^{-gauss x^2},
-    v = e^{-scale x} and the poles m * line, line in lines, m >= 1 not
-    divisible by family.skip (complex floats), on ellipses up to rho_cap.
+def _family_bound(family: _Family, gausses, scale: complex, lines, rho_cap: float):
+    """`RayIntegrand.bound` of the family with the Gaussians e^{-gauss x^2},
+    gauss in gausses, v = e^{-scale x} and the poles m * line, line in lines,
+    m >= 1 not divisible by family.skip (complex floats), on ellipses up to
+    rho_cap.
 
     Normalised by v^-c, c half the degree of D, the quotient is
     v^-c N_j(v) / D~ with D~ = v^-c D(v) = 2 cosh(c tau) - 2 cos(phi), tau =
@@ -568,9 +572,10 @@ def _family_bound(family: _Family, gauss: complex, scale: complex, lines, rho_ca
     - every family has cos(phi) = 0 or constant numerators, and k <= c, so
       the quotient's bound falls as |X| grows: its value at the box's least
       |X| bounds the box.
-    The Gaussian takes its box maximum (`_gauss_log_max`), and rho stays
-    below the ellipse parameter of the nearest lattice pole that the panel
-    does not cancel (`_radii`)."""
+    Each Gaussian takes its box maximum (`_gauss_log_max`), and the box
+    the worst of them, so that M bounds the components of every Gaussian;
+    rho stays below the ellipse parameter of the nearest lattice pole that
+    the panel does not cancel (`_radii`)."""
     c = max(e for _, e in family.denominator) / 2
     cos_phi = -sum(sign for sign, e in family.denominator if e == c) / 2
     k = max(abs(c - e) for terms in family.numerators for _, e in terms)
@@ -579,7 +584,7 @@ def _family_bound(family: _Family, gauss: complex, scale: complex, lines, rho_ca
     def log_max(mid, half, rho):
         t_mid, t_half = scale * mid, scale * half
         tr, ti = t_half.real, t_half.imag
-        c2, mu = gauss * half * half, mid / half
+        c2s, mu = [gauss * half * half for gauss in gausses], mid / half
         worst = -math.inf
         for box in _ellipse_boxes(rho):
             uc, du, vc, dv = box
@@ -599,75 +604,94 @@ def _family_bound(family: _Family, gauss: complex, scale: complex, lines, rho_ca
                     return math.inf
                 log_den = math.log(4) + math.log(q) / 2
             log_num = log_terms + k * x + math.log1p(math.exp(-2 * k * x))
-            worst = max(worst, _gauss_log_max(c2, mu, box) + log_num - log_den)
+            log_gauss = max(_gauss_log_max(c2, mu, box) for c2 in c2s)
+            worst = max(worst, log_gauss + log_num - log_den)
         return worst
 
     return lambda mid, half: [(rho, log_max(mid, half, rho))
                               for rho in _radii(lines, family.skip, mid, half, rho_cap)]
 
 
-def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayIntegrand:
-    """The family at alpha with its envelope and panel bound
-    (`_family_bound`), which alone knows the pole lattice.
+def _ray_direction(alpha: mpc, mp: MPContext):
+    """(arg z, sin beta) of the ray of `_ray_integrand` in z = alpha x:
+    theta/2, theta = arg alpha, on the steepest-descent ray, where the pole
+    lines on the imaginary axis lie at beta = (pi - |theta|)/2 from it, and
+    +-3 pi/8, beta = pi/8, once the ray turns."""
+    theta = mp.arg(alpha)
+    if mp.pi / 8 - (mp.pi - abs(theta)) / 2 > 0:
+        return mp.sign(theta) * 3 * mp.pi / 8, mp.sin(mp.pi / 8)
+    return theta / 2, mp.cos(theta / 2)
+
+
+def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext,
+                   *others: mpc) -> RayIntegrand:
+    """The family at alpha, and at each parameter of others whose ray in
+    z = alpha x is alpha's (`_integrate_family`), with its envelope and
+    panel bound (`_family_bound`), which alone knows the pole lattice.  In
+    alpha's variable x, with r = alpha / a, the integral at a is r times
+    that of e^{-gauss r x^2} N_j(v) / D(v), v = e^{-scale x}, gauss and
+    scale the family's at alpha: func returns these components, alpha's
+    (r = 1) first, then each other's in turn.
 
     The integrand computes in integers scaled by 2^P, P = `_kernel_bits` + 48:
-    x, the constants -scale and -gauss, every intermediate and the
-    components are fixed-point complex numbers, the two exponentials come
-    from mpmath's fixed-point basecases (`exp_fixed` for the modulus,
+    x, the constants -scale and -gauss r, every intermediate and the
+    components are fixed-point complex numbers, the exponentials come from
+    mpmath's fixed-point basecases (`exp_fixed` for the modulus,
     `cos_sin_fixed` for the phase), v^e from `_power_plan`'s products, and
-    N_j(v) / D(v) from one integer division by |D|^2.  The constants come
-    from alpha at P + 8 bits: near a pole 1/|D| amplifies their rounding.
+    N_j(v) / D(v) from one integer division by |D|^2.  A node costs one
+    exponential for v and one per Gaussian.  The constants come from alpha
+    at P + 8 bits: near a pole 1/|D| amplifies their rounding.
 
     The ray, recorded as the integrand's angle, is the steepest-descent
     ray -theta/2, theta = arg alpha, turned on by delta = max(0, pi/8 -
-    (pi - |theta|)/2) away from the nearest pole line: |arg(alpha x)| =
-    |theta|/2 - delta < pi/2, at beta = (pi - |theta|)/2 + delta >= pi/8
-    from the pole lines on the imaginary axis, and gauss x^2 has the
-    argument -+2 delta, 2 delta < pi/4, so the Gaussian decays at the rate
-    |gauss| cos(2 delta).  bound_const is 16 (1 + 1/sin beta)
-    (`RayIntegrand`), and the cut and the slope below take that rate; at
-    delta = 0 every constant is computed as on the steepest-descent ray.
+    (pi - |theta|)/2) away from the nearest pole line (`_ray_direction`):
+    |arg(alpha x)| = |theta|/2 - delta < pi/2, at beta = (pi - |theta|)/2 +
+    delta >= pi/8 from the pole lines on the imaginary axis, and gauss x^2
+    has the argument -+2 delta, 2 delta < pi/4, so the Gaussian decays at
+    the rate |gauss| cos(2 delta).  bound_const is 16 (1 + 1/sin beta)
+    (`RayIntegrand`); the cut and the slope below take the slowest rate
+    Re(gauss r w^2), w the ray's direction, over the Gaussians.
 
-    This is safe on that ray: there Re(scale x) >= 0 and Re(gauss x^2) >= 0,
-    so every |v^e| <= 1 and the Gaussian is at most 1, and no intermediate
-    outgrows a few bits above 2^P.  Each product and each basecase is off by
-    a few units of 2^-P, v^e by about 4 (e + 1) units, so D and N_j are off by
-    dD and dN units, and each component by about (3 dD T + dN) / |D|^2
-    units, T the numerator's number of terms.  A node displaced by 8 units
-    moves a component by 8 |f'| <= 8 slope / |D|^2, with |N_j|, |D| at most
-    their numbers of terms, |N_j'|, |D'| at most |scale| times their
-    exponent sums and the Gaussian's derivative at most 2 |gauss| cut.  The
-    error returned with each node is the sum of both, twice over, times
-    1 + 1/|D|^2.  D has no zero on the ray: each pole line lies at the
-    angle beta from it."""
+    This is safe on that ray: there Re(scale x) >= 0 and every Re(gauss r
+    x^2) >= 0, so every |v^e| <= 1 and each Gaussian is at most 1, and no
+    intermediate outgrows a few bits above 2^P.  Each product and each
+    basecase is off by a few units of 2^-P, v^e by about 4 (e + 1) units, so
+    D and N_j are off by dD and dN units, and each component by about
+    (3 dD T + dN) / |D|^2 units, T the numerator's number of terms.  A node
+    displaced by 8 units moves a component by 8 |f'| <= 8 slope / |D|^2,
+    with |N_j|, |D| at most their numbers of terms, |N_j'|, |D'| at most
+    |scale| times their exponent sums and the Gaussian's derivative at most
+    2 |gauss r| cut, the largest |gauss r|.  The error returned with each
+    node is the sum of both, twice over, times 1 + 1/|D|^2.  D has no zero on
+    the ray: each pole line lies at the angle beta from it."""
     mp = ctx.mp
-    gauss = family.gauss.numerator * alpha / family.gauss.denominator
+    ratios = (1,) + tuple(alpha / a for a in others)
+    gausses = [family.gauss.numerator * alpha * r / family.gauss.denominator for r in ratios]
     scale = family.scale.numerator * alpha / family.scale.denominator
     plan = _power_plan(e for terms in family.numerators + (family.denominator,)
                        for _, e in terms)
     P = _kernel_bits(ctx) + _FIXED_BITS
     ln2, half_pi = ln2_fixed(P), pi_fixed(P - 1)
     exact = _mp_context(P + 8)
-    gr, gi, sr, si = (v for c in (family.gauss, family.scale)
-                      for v in _fixed(-c.numerator * exact.convert(alpha) / c.denominator, P))
+    alpha_exact = exact.convert(alpha)
+    sr, si = _fixed(-family.scale.numerator * alpha_exact / family.scale.denominator, P)
+    gauss_fixed = [_fixed(-family.gauss.numerator * alpha_exact * exact.convert(r)
+                          / family.gauss.denominator, P) for r in ratios]
     one = 1 << P
 
     theta = mp.arg(alpha)
-    delta = mp.pi / 8 - (mp.pi - abs(theta)) / 2
-    if delta > 0:  # alpha x at the argument +-3 pi/8, beta = pi/8
-        angle = mp.sign(theta) * 3 * mp.pi / 8 - theta
-        const = 16 * (1 + 1 / mp.sin(mp.pi / 8))
-        decay = abs(gauss) * mp.cos(2 * delta)
-    else:  # the steepest-descent ray, sin beta = cos(theta/2)
-        angle, decay = -theta / 2, abs(gauss)
-        const = 16 * (1 + 1 / mp.cos(theta / 2))
-    cut = _cut(const, decay, ctx.quad_eps, mp)
+    direction, sin_beta = _ray_direction(alpha, mp)
+    angle = direction - theta
+    const = 16 * (1 + 1 / sin_beta)
+    w = mp.exp(1j * angle)
+    gauss = min(gausses, key=lambda g: (g * w * w).real)  # the slowest decay
+    cut = _cut(const, (gauss * w * w).real, ctx.quad_eps, mp)
     d_err = 4 * sum(e + 1 for _, e in family.denominator)
     n_err = 4 * max(sum(e + 1 for _, e in terms) for terms in family.numerators)
     n_terms, d_terms = max(map(len, family.numerators)), len(family.denominator)
     exponents = max(sum(e for _, e in terms)
                     for terms in family.numerators + (family.denominator,))
-    slope = (2 * abs(gauss) * cut * n_terms * d_terms
+    slope = (2 * max(map(abs, gausses)) * cut * n_terms * d_terms
              + abs(scale) * exponents * (n_terms + d_terms))
     node_err = 2 * (3 * d_err * n_terms + n_err + int(mp.ceil(8 * slope))) + 64
 
@@ -690,40 +714,63 @@ def _ray_integrand(family: _Family, alpha: mpc, ctx: PrecisionContext) -> RayInt
             (ar, ai), (br, bi) = powers[i], powers[j]
             powers[e] = ar * br - ai * bi >> P, ar * bi + ai * br >> P
         x2r, x2i = xr * xr - xi * xi >> P, 2 * xr * xi >> P
-        hr, hi = cexp(gr * x2r - gi * x2i >> P, gr * x2i + gi * x2r >> P)
-        # h = e^{-gauss x^2} / D = e^{-gauss x^2} conj(D) / |D|^2
         dr, di = poly(powers, family.denominator)
         inv = (1 << 3 * P) // (dr * dr + di * di)
-        hr, hi = (hr * dr + hi * di) * inv >> 2 * P, (hi * dr - hr * di) * inv >> 2 * P
-        return (tuple((hr * nr - hi * ni >> P, hr * ni + hi * nr >> P)
-                      for nr, ni in (poly(powers, terms) for terms in family.numerators)),
-                node_err * (1 + (inv >> P)))
+        numerators = [poly(powers, terms) for terms in family.numerators]
+        out = []
+        for gr, gi in gauss_fixed:
+            hr, hi = cexp(gr * x2r - gi * x2i >> P, gr * x2i + gi * x2r >> P)
+            # h = e^{-gauss r x^2} / D = e^{-gauss r x^2} conj(D) / |D|^2
+            hr, hi = (hr * dr + hi * di) * inv >> 2 * P, (hi * dr - hr * di) * inv >> 2 * P
+            out += [(hr * nr - hi * ni >> P, hr * ni + hi * nr >> P) for nr, ni in numerators]
+        return tuple(out), node_err * (1 + (inv >> P))
 
     step = family.pole_step.numerator * mp.pi / (family.pole_step.denominator * abs(alpha))
     line = complex(step * (1j * mp.exp(-1j * theta)))
-    bound = _family_bound(family, complex(gauss), complex(scale), [line, -line],
-                          _rho_cap(ctx, float(mp.log(const))))
+    bound = _family_bound(family, [complex(g) for g in gausses], complex(scale),
+                          [line, -line], _rho_cap(ctx, float(mp.log(const))))
     return RayIntegrand(f, gauss, bound, const, angle)
 
 
-def _integrate_family(family: _Family, alpha,
-                      ctx: PrecisionContext) -> Tuple[Tuple[mpc, ...], mpf]:
-    """(component values, err_estimate) of the family at alpha."""
+def _integrate_family(family: _Family, alphas,
+                      ctx: PrecisionContext) -> List[Tuple[Tuple[mpc, ...], mpf]]:
+    """(component values, err_estimate) of the family at each alpha in alphas.
+
+    The parameters whose rays in z = alpha x coincide share one quadrature
+    (`_ray_integrand`), in the first one's variable x: the directions that
+    `_ray_direction` gives are compared as they are, so that no ray is
+    deformed across a sector where another's Gaussian grows; the upper and
+    the lower laterals never share.  The quadrature's bound holds for the
+    integrands of every parameter, and parameter a reports it times
+    |alpha_0 / a|, alpha_0 the first of its ray."""
     mp = ctx.mp
-    alpha = mp.mpc(alpha)
-    if alpha == 0:
-        raise DomainError("the integrals need alpha != 0")
-    theta = mp.arg(alpha)
-    if not abs(theta) < mp.pi:
-        raise DomainError("the integrals need |arg alpha| < pi")
-    res = integrate_ray(_ray_integrand(family, alpha, ctx), ctx)
-    return res.value, res.err_estimate
+    alphas = [mp.mpc(alpha) for alpha in alphas]
+    for alpha in alphas:
+        if alpha == 0:
+            raise DomainError("the integrals need alpha != 0")
+        if not abs(mp.arg(alpha)) < mp.pi:
+            raise DomainError("the integrals need |arg alpha| < pi")
+    directions = [_ray_direction(alpha, mp)[0] for alpha in alphas]
+    n = len(family.numerators)
+    out = [None] * len(alphas)
+    for direction in dict.fromkeys(directions):
+        ray = [i for i, d in enumerate(directions) if d == direction]
+        first = alphas[ray[0]]
+        res = integrate_ray(_ray_integrand(family, first, ctx, *(alphas[i] for i in ray[1:])),
+                            ctx)
+        for j, i in enumerate(ray):
+            values, err = res.value[j * n:(j + 1) * n], res.err_estimate
+            if j:  # alpha_i's integral, in alpha_0's variable
+                ratio = first / alphas[i]
+                values, err = tuple(ratio * v for v in values), abs(ratio) * err
+            out[i] = values, err
+    return out
 
 
 def l_pair(alpha, ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
     """((L(1/5, alpha), L(2/5, alpha)), err_estimate) from one quadrature:
     the two integrands share their nodes, and the error bound holds for both."""
-    return _integrate_family(_l_family(_L_PAIR), alpha, ctx)
+    return _integrate_family(_l_family(_L_PAIR), [alpha], ctx)[0]
 
 
 def l_integral(r, alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
@@ -740,19 +787,19 @@ def l_integral(r, alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
     if r in _L_PAIR:
         values, err = l_pair(alpha, ctx)
         return values[_L_PAIR.index(r)], err
-    values, err = _integrate_family(_l_family((r,)), alpha, ctx)
+    values, err = _integrate_family(_l_family((r,)), [alpha], ctx)[0]
     return values[0], err
 
 
 def w3_integral(alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
     """integral_0^inf e^{-3 a x^2} sinh(ax)/sinh(3ax) dx, |arg alpha| < pi."""
-    values, err = _integrate_family(_W3, alpha, ctx)
+    values, err = _integrate_family(_W3, [alpha], ctx)[0]
     return values[0], err
 
 
 def w2_integral(alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
     """integral_0^inf e^{-(3/2) a x^2} cosh(ax)/cosh(3ax) dx, |arg alpha| < pi."""
-    values, err = _integrate_family(_W2, alpha, ctx)
+    values, err = _integrate_family(_W2, [alpha], ctx)[0]
     return values[0], err
 
 
@@ -760,17 +807,21 @@ def w2_integral(alpha, ctx: PrecisionContext) -> Tuple[mpc, mpf]:
 # The two-component integral vector
 # ---------------------------------------------------------------------------
 
-def _scaled_integral(family: _Family, k, c: int, alpha,
-                     ctx: PrecisionContext) -> Tuple[Tuple[mpc, ...], mpf]:
+def _scaled_integral(family: _Family, k, c: int, alphas,
+                     ctx: PrecisionContext) -> List[Tuple[Tuple[mpc, ...], mpf]]:
     """(sign sqrt(|c| alpha/pi) times each component of the family at
-    k alpha, err_estimate), sign that of c.  The quadrature's bound holds
+    k alpha, err_estimate) for each alpha in alphas, sign that of c, from
+    the quadratures of `_integrate_family`.  The quadrature's bound holds
     for each component, and err_estimate counts it once per component."""
     mp = ctx.mp
-    alpha = mp.mpc(alpha)
-    pref = mp.sqrt(abs(c) * alpha / mp.pi)
-    pref = pref if c > 0 else -pref
-    values, err = _integrate_family(family, alpha * k, ctx)
-    return tuple(pref * v for v in values), abs(pref) * (len(values) * err)
+    alphas = [mp.mpc(alpha) for alpha in alphas]
+    out = []
+    for alpha, (values, err) in zip(alphas, _integrate_family(
+            family, [alpha * k for alpha in alphas], ctx)):
+        pref = mp.sqrt(abs(c) * alpha / mp.pi)
+        pref = pref if c > 0 else -pref
+        out.append((tuple(pref * v for v in values), abs(pref) * (len(values) * err)))
+    return out
 
 
 # the family, alpha scale and c of the integral vector
@@ -780,7 +831,7 @@ _L_VECTOR = (_l_family(_L_PAIR), 10, 135)
 def l_vector(alpha, ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
     """(sqrt(135 alpha/pi) * (L(1/5, 10 alpha), L(2/5, 10 alpha)),
     err_estimate) from one quadrature."""
-    return _scaled_integral(*_L_VECTOR, alpha, ctx)
+    return _scaled_integral(*_L_VECTOR, [alpha], ctx)[0]
 
 
 def _check_lateral_floor(gap, what: str, mp: MPContext):
@@ -804,14 +855,25 @@ def lateral_l_vector(abs_alpha, theta,
     the poles (`_ray_integrand`), which then stay pi/8 from it, so a lateral
     costs about what a generic alpha costs, however close to the Stokes
     line: 1 116 evaluations at |alpha| = 1e4 and the floor."""
+    return _lateral_l_vectors(abs_alpha, [theta], ctx)[0]
+
+
+def _lateral_l_vectors(abs_alpha, thetas,
+                       ctx: PrecisionContext) -> List[Tuple[Tuple[mpc, mpc], mpf]]:
+    """(value, err_estimate) of `lateral_l_vector` at each theta in thetas.
+    The laterals of one side of the Stokes line with pi - |theta| < pi/4
+    lie on one ray in z = alpha x, arg z = +-3 pi/8, and share one
+    quadrature (`_integrate_family`)."""
     mp = ctx.mp
     abs_alpha = mp.mpf(abs_alpha)
-    theta = mp.mpf(theta)
-    gap = mp.pi - abs(theta)
-    if not (0 < gap <= mp.pi / 2):
-        raise DomainError("lateral window requires 0 < pi - |theta| <= pi/2")
-    _check_lateral_floor(gap, "pi - |theta| =", mp)
-    return l_vector(abs_alpha * mp.exp(1j * theta), ctx)
+    alphas = []
+    for theta in map(mp.mpf, thetas):
+        gap = mp.pi - abs(theta)
+        if not (0 < gap <= mp.pi / 2):
+            raise DomainError("lateral window requires 0 < pi - |theta| <= pi/2")
+        _check_lateral_floor(gap, "pi - |theta| =", mp)
+        alphas.append(abs_alpha * mp.exp(1j * theta))
+    return _scaled_integral(*_L_VECTOR, alphas, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -72,3 +72,16 @@ def test_pv_quadrature_within_its_bound(ctx, monkeypatch):
     (res,) = results
     scale = REF.mp.sqrt(4 * REF.mp.mpf("0.3") / REF.mp.pi)
     assert abs(REF.mp.mpf(value) - pv_sum("50.3", 1, "0.3", REF)) <= scale * res.err_estimate
+
+
+def test_shared_laterals_within_their_bounds(ctx):
+    """One quadrature for the laterals at |alpha| = 0.3 with pi - |theta| from
+    0.016 down to the floor 1e-3: each against its own 400-bit reference,
+    within its own err_estimate."""
+    gaps = ("0.016", "0.008", "0.004", "0.002", "1e-3")
+    shared = mordell._lateral_l_vectors("0.3", [ctx.mp.pi - ctx.mp.mpf(g) for g in gaps], ctx)
+    for gap, (values, err) in zip(gaps, shared):
+        ref_values, ref_err = lateral_l_vector("0.3", REF.mp.pi - REF.mp.mpf(gap), REF)
+        assert ref_err < REF.quad_eps and err < ctx.quad_eps
+        for value, ref in zip(values, ref_values):
+            assert abs(REF.mp.mpc(value) - ref) <= err

@@ -191,10 +191,11 @@ def test_no_fixed_point_entry_off_the_fixed_point(ctx, offset):
 
 
 # Integrand evaluations of check_mf5 at the mf5_complex point, measured at
-# 936 with the panels cut into thirds until a Gauss degree up to 6 meets
-# each panel's Bernstein-ellipse bound, plus 10%; the pole-hugging panels
-# that preceded them took 3354, and the two-degree ladder before 15552.
-MF5_NODES_CEILING = 1030
+# 624 with the vectors at alpha and alpha/2 sharing one quadrature, plus
+# 10%; one quadrature per vector took 936, the pole-hugging panels that
+# preceded the Bernstein-ellipse bounds 3354, and the two-degree ladder
+# before 15552.
+MF5_NODES_CEILING = 690
 
 
 def test_mf5_quadrature_node_ceiling(ctx, monkeypatch):
@@ -208,13 +209,13 @@ def test_mf5_quadrature_node_ceiling(ctx, monkeypatch):
 
     monkeypatch.setattr(mordell, "integrate_ray", counted)
     check_mf5(ctx.mp.mpc("2.337666", "0.95249"), ctx)
-    assert len(nodes) == 3 and sum(nodes) <= MF5_NODES_CEILING
+    assert len(nodes) == 2 and sum(nodes) <= MF5_NODES_CEILING
 
 
 def test_one_quadrature_per_integral(ctx, monkeypatch):
-    # check_mf5: L pair at 5a, vector at a and at pi^2/a (one vector at the
-    # fixed point a = pi); check_mf3: W3 at a and W2 at a/2.  Repeating a
-    # check repeats its work: nothing is cached.
+    # check_mf5: the vectors at a and a/2 in one quadrature, and the vector
+    # at pi^2/a (none at the fixed point a = pi); check_mf3: W3 at a and W2
+    # at a/2.  Repeating a check repeats its work: nothing is cached.
     calls = []
     real = mordell.integrate_ray
 
@@ -225,13 +226,13 @@ def test_one_quadrature_per_integral(ctx, monkeypatch):
     monkeypatch.setattr(mordell, "integrate_ray", counted)
     with mp.workprec(ctx.prec_bits):
         check_mf5(mpf(2), ctx)
-        assert len(calls) == 3
+        assert len(calls) == 2
         check_mf5(mpf(2), ctx)
-        assert len(calls) == 6
+        assert len(calls) == 4
         check_mf3(mpf(1), ctx)
-        assert len(calls) == 8
+        assert len(calls) == 6
         check_mf5(ctx.mp.pi, ctx)
-        assert len(calls) == 10
+        assert len(calls) == 7
 
 
 def test_each_series_once_per_check(ctx, monkeypatch):

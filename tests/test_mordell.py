@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import os
@@ -578,8 +579,9 @@ def test_lateral_node_count(ctx, monkeypatch, where, ceiling):
     """The turned ray keeps the pole line pi/8 away, so a lateral costs what
     a generic alpha costs: the four laterals of `stokes_decompose(0.307141,
     [0.016, 0.008, 0.004])` took 10 332 evaluations on the steepest-descent
-    ray and take 2 112, and `lateral_l_vector(1e4, pi - 1e-3)` took 141 432
-    and takes 1 116."""
+    ray and 2 112 in one turned quadrature each, and take 528 in one shared
+    quadrature; `lateral_l_vector(1e4, pi - 1e-3)` took 141 432 and takes
+    1 116."""
     nodes = []
     real = mordell.integrate_ray
 
@@ -593,7 +595,7 @@ def test_lateral_node_count(ctx, monkeypatch, where, ceiling):
     if where == "stokes_lateral":
         stokes_decompose(mp_.mpf("0.307141"),
                          [mp_.mpf(e) for e in ("0.016", "0.008", "0.004")], ctx)
-        assert len(nodes) == 4
+        assert len(nodes) == 1
     else:
         lateral_l_vector(10 ** 4, mp_.pi - mp_.mpf("1e-3"), ctx)
         assert len(nodes) == 1
@@ -622,6 +624,100 @@ def test_ray_turns_only_near_the_stokes_line(ctx):
         assert integrand.bound_const == 16 * (1 + 1 / mp_.sin(mp_.pi / 8))
         decay = (integrand.gauss_coeff * mp_.exp(2j * integrand.angle)).real
         assert decay >= abs(integrand.gauss_coeff) / mp_.sqrt(2)
+
+
+def _count_rays(monkeypatch):
+    """The list that collects the result of every `integrate_ray` call from
+    now on."""
+    calls = []
+    real = mordell.integrate_ray
+    monkeypatch.setattr(mordell, "integrate_ray",
+                        lambda *args: calls.append(real(*args)) or calls[-1])
+    return calls
+
+
+def test_shared_laterals_match_their_own_quadratures(ctx, monkeypatch):
+    """The four laterals of `stokes_decompose(0.307141, [0.016, 0.008,
+    0.004])` lie on one ray in z = alpha x and take one quadrature, of 528
+    evaluations; each agrees with its own `lateral_l_vector` within the sum
+    of both bounds."""
+    mp_ = ctx.mp
+    calls = _count_rays(monkeypatch)
+    dec = stokes_decompose(mp_.mpf("0.307141"),
+                           [mp_.mpf(e) for e in ("0.016", "0.008", "0.004")], ctx)
+    assert len(calls) == 1 and calls[0].nodes_used <= 600
+    for e, shared in zip(dec.extended_eps, dec.lateral_values):
+        own, err = lateral_l_vector(dec.abs_alpha, mp_.pi - e, ctx)
+        assert max(abs(u - v) for u, v in zip(shared, own)) <= dec.quad_budget + err
+    assert len(calls) == 1 + len(dec.extended_eps)
+
+
+def test_alpha_and_half_alpha_share_one_quadrature(ctx, monkeypatch):
+    """check_mf5's vectors at alpha and alpha/2, in one quadrature, agree
+    with their own `l_vector`s within the sum of both bounds."""
+    alpha = ctx.mp.mpc("2.337666", "0.95249")
+    calls = _count_rays(monkeypatch)
+    shared = mordell._scaled_integral(*mordell._L_VECTOR, [alpha, alpha / 2], ctx)
+    assert len(calls) == 1
+    for a, (values, err) in zip((alpha, alpha / 2), shared):
+        own, own_err = l_vector(a, ctx)
+        assert max(abs(u - v) for u, v in zip(values, own)) <= err + own_err
+
+
+def test_laterals_share_only_one_ray(ctx, monkeypatch):
+    """pi - |theta| = 1.0 keeps the steepest-descent ray and its own
+    quadrature, equal to its own `lateral_l_vector`; 0.5 and below, under
+    pi/4, turn to arg z = 3 pi/8 and share one, within both bounds."""
+    mp_ = ctx.mp
+    calls = _count_rays(monkeypatch)
+    dec = stokes_decompose(mp_.mpf("0.3"), [mp_.mpf(e) for e in ("1.0", "0.5", "0.1")], ctx)
+    assert len(calls) == 2
+    for e, shared in zip(dec.extended_eps, dec.lateral_values):
+        own, err = lateral_l_vector(dec.abs_alpha, mp_.pi - e, ctx)
+        if e == 1:
+            assert shared == own
+        else:
+            assert max(abs(u - v) for u, v in zip(shared, own)) <= dec.quad_budget + err
+
+
+@pytest.mark.parametrize("where", ["laterals", "alpha_half_eighth"])
+def test_shared_panel_bound_holds_for_every_parameter(ctx, where):
+    """On 32 points of the boundary of each ellipse of every production
+    panel of a shared quadrature, every component of every parameter is
+    within the panel's bound M (`_family_bound`), up to the error the
+    kernel returns with it.  At alpha/8 the Gaussian is the eighth power of
+    alpha's, and off the ray it outgrows it: a bound from the first
+    Gaussian alone fails there by e^72."""
+    mp_ = ctx.mp
+    if where == "laterals":
+        alphas = [3 * mp_.exp(1j * (mp_.pi - mp_.mpf(e)))
+                  for e in ("0.016", "0.008", "0.004", "0.002")]
+    else:
+        alpha = 10 * mp_.mpc("2.337666", "0.95249")
+        alphas = [alpha, alpha / 2, alpha / 8]
+    integrand = mordell._ray_integrand(mordell._l_family(mordell._L_PAIR), alphas[0], ctx,
+                                       *alphas[1:])
+    P = _scale(ctx)
+    for mid, half in _frames(integrand, ctx):
+        for rho, log_m in integrand.bound(complex(mid), complex(half)):
+            for k in range(32):
+                t = cmath.exp(1j * math.pi * (2 * k + 1) / 32)
+                u = (rho * t + 1 / (rho * t)) / 2  # on the boundary of E_rho
+                values, err = integrand.func(*mordell._fixed(mid + half * u, P))
+                assert len(values) == 2 * len(alphas)
+                for re, im in values:
+                    assert abs(complex(re, im)) <= math.exp(log_m + P * math.log(2)) + err
+
+
+def test_upper_and_lower_laterals_never_share(ctx, monkeypatch):
+    """The laterals on the two sides of the Stokes line lie on the rays
+    arg z = +-3 pi/8: two quadratures, and conjugate values."""
+    mp_ = ctx.mp
+    theta = mp_.pi - mp_.mpf("0.01")
+    calls = _count_rays(monkeypatch)
+    (up, err_up), (down, err_down) = mordell._lateral_l_vectors("0.3", [theta, -theta], ctx)
+    assert len(calls) == 2
+    assert max(abs(u - mp_.conj(d)) for u, d in zip(up, down)) <= err_up + err_down
 
 
 def test_l_pair_past_the_lateral_floor(ctx):

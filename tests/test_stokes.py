@@ -121,11 +121,11 @@ def test_monotonicity_enforcement(ctx, monkeypatch):
     # constant lateral values cannot show decreasing residuals
     import mocklab.identities as identities
 
-    def fake_lateral(abs_alpha, theta, c):
+    def fake_laterals(abs_alpha, thetas, c):
         from mpmath import mpc
-        return (mpc(1), mpc(1)), mpf("1e-40")
+        return [((mpc(1), mpc(1)), mpf("1e-40")) for _ in thetas]
 
-    monkeypatch.setattr(identities, "lateral_l_vector", fake_lateral)
+    monkeypatch.setattr(identities, "_lateral_l_vectors", fake_laterals)
     with mp.workprec(ctx.prec_bits):
         with pytest.raises(ExtrapolationInstability):
             stokes_decompose(mpf(1), [mpf("0.2"), mpf("0.1")], ctx)
