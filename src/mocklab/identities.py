@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -41,7 +41,7 @@ from .matrices import (
     mixing_matrix,
     phase_matrix,
 )
-from .modpoint import PrecisionContext, power_from_alpha
+from .modpoint import _FIXED_BITS, PrecisionContext, _fixed, _from_fixed, power_from_alpha
 from .mordell import (_L_VECTOR, _W2, _W3, _check_lateral_floor, _Family,
                       _lateral_l_vectors, _scaled_integral)
 from .qseries import MockThetaId, _euler_function, eval_mock, eta, k_pair, theta, unary_x
@@ -71,8 +71,7 @@ WRONSKIAN_SEED = 20260808
 STOKES_EPS_SEQ = ("0.2", "0.1", "0.05", "0.025")  # pi - |theta| of check_stokes' laterals
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     identity: str
     point: Optional[mpc]
     abs_residual: mpf
@@ -82,16 +81,14 @@ class CheckEntry:
     detail: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_name: str
     entries: Tuple[CheckEntry, ...]
     max_abs: mpf
     all_pass: bool
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     prec_bits: int
     eps: mpf
@@ -116,7 +113,8 @@ def _entry(identity, point, residual, scale, budget, ctx, detail=None) -> CheckE
 
 
 def _round_slop(ctx, scale):
-    return ctx.mp.mpf(scale) * ctx.mp.mpf(2) ** (-ctx.prec_bits + 16)
+    """scale * 2^(16 - prec_bits), exact."""
+    return ctx.mp.ldexp(ctx.mp.mpf(scale), 16 - ctx.prec_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +292,7 @@ def neville_extrapolate(xs: Sequence[mpf], ys: Sequence, x0=0):
     return t[-1]
 
 
-@dataclass(frozen=True)
-class StokesDecomposition:
+class StokesDecomposition(NamedTuple):
     """Lateral values of the integral vector near the Stokes line, and the
     predictions of their limit: the matrix law's series side at
     alpha = -|alpha|, split into pred_real and pred_imag.
@@ -570,15 +567,23 @@ def group_relations(ctx: PrecisionContext) -> List[CheckEntry]:
 
 
 def _q_basis(tau, n: int, ctx: PrecisionContext):
-    """For v0 and v1: the pairs (Q^s, 2 pi i s) at tau, s = m - 1/20 resp.
-    m - 9/20 for m < n.  d/dtau of Q^s is 2 pi i s Q^s."""
+    """For v0 and v1: the pairs (Q^s, 2 pi i s Q^s) at tau, s = m - 1/20
+    resp. m - 9/20 for m < n, each rounded to the context and then to a
+    complex integer scaled by 2^P, P = prec_bits + 48 (`modpoint._fixed`, as
+    the q-series sum).  d/dtau of Q^s is 2 pi i s Q^s."""
     mp = ctx.mp
+    P = ctx.prec_bits + _FIXED_BITS
     alpha = -mp.pi * 1j * mp.mpc(tau)
     two_pi_i = 2 * mp.pi * 1j
-    return tuple([(power_from_alpha(alpha, "Q", s, ctx),
-                   two_pi_i * (mp.mpf(s.numerator) / s.denominator))
-                  for s in (m + shift for m in range(n))]
-                 for shift in (Fraction(-1, 20), Fraction(-9, 20)))
+    basis = []
+    for shift in (Fraction(-1, 20), Fraction(-9, 20)):
+        pairs = []
+        for s in (m + shift for m in range(n)):
+            power = power_from_alpha(alpha, "Q", s, ctx)
+            d = two_pi_i * (mp.mpf(s.numerator) / s.denominator)
+            pairs.append((_fixed(power, P), _fixed(d * power, P)))
+        basis.append(pairs)
+    return tuple(basis)
 
 
 def _v_vector(h0, h1, basis, ctx: PrecisionContext):
@@ -586,33 +591,50 @@ def _v_vector(h0, h1, basis, ctx: PrecisionContext):
     W = v0 dv1/dtau - dv0/dtau v1, from the _q_basis of at least
     max(len(h0), len(h1)) terms at tau.
 
-    H0, H1 are finite Q-polynomials with rational coefficients; derivatives
-    are exact term-wise."""
+    H0, H1 are finite Q-polynomials with rational coefficients (ints or
+    Fractions); derivatives are exact term-wise.  Each of v_j and dv_j/dtau
+    is summed in integers over the common denominator d_j of H_j's
+    coefficients, and W is formed from those integer sums exactly; v and W
+    are then rounded once to the context.  Against the same sums over the
+    exact basis values, the fixed point's truncation (below 2^-P in each
+    part) puts v_j and dv_j/dtau off by less than e_j = 2^{1-P} (1 + |H_j|_1),
+    |H_j|_1 the sum of |coefficients|, and W by less than
+    e_0 (|v1| + |dv1|) + e_1 (|v0| + |dv0|) + 2 e_0 e_1.  For the suite's
+    pairs |H_j|_1 < 2^10, so e_j < 2^{-prec_bits-37}: the rounding of the
+    basis to prec_bits bits, which a sum in the context carries as well,
+    dominates."""
     mp = ctx.mp
-    vals = []
-    ders = []
-    for coeffs, powers in zip((h0, h1), basis):
-        v = dv = mp.mpc(0)
-        for c, (power, d) in zip(coeffs, powers):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            term = (mp.mpf(c.numerator) / c.denominator) * power
-            v += term
-            dv += d * term
-        vals.append(v)
-        ders.append(dv)
-    return vals, vals[0] * ders[1] - ders[0] * vals[1]
+    P = ctx.prec_bits + _FIXED_BITS
+    sums = []
+    for coeffs, pairs in zip((h0, h1), basis):
+        d = math.lcm(*(c.denominator for c in coeffs))
+        vr = vi = dr = di = 0
+        for c, ((xr, xi), (yr, yi)) in zip(coeffs, pairs):
+            if c:
+                k = c.numerator * (d // c.denominator)
+                vr += k * xr
+                vi += k * xi
+                dr += k * yr
+                di += k * yi
+        sums.append((vr, vi, dr, di, d))
+    (ar, ai, adr, adi, d0), (br, bi, bdr, bdi, d1) = sums
+    vals = [_from_fixed((vr // d, vi // d), P, mp) for vr, vi, _, _, d in sums]
+    # v0 dv1 - dv0 v1 in units of 2^-2P / (d0 d1)
+    wr = ar * bdr - ai * bdi - adr * br + adi * bi
+    wi = ar * bdi + ai * bdr - adr * bi - adi * br
+    d = d0 * d1
+    return vals, _from_fixed((wr // d, wi // d), 2 * P, mp)
 
 
-def _pair_laws(h0, h1, tau, bases, eta12s,
-               ctx: PrecisionContext) -> List[CheckEntry]:
+def _pair_laws(h0, h1, tau, bases, eta12s, ctx: PrecisionContext,
+               D=None) -> List[CheckEntry]:
     """The laws of one pair at tau, from the _q_basis at tau and at tau+1:
     v(tau+1) = D v(tau), W(tau+1) = -W(tau) and, given eta^12 at both
-    points (eta12s), the invariance G(tau+1) = G(tau) of G = W^3 / eta^12."""
+    points (eta12s), the invariance G(tau+1) = G(tau) of G = W^3 / eta^12.
+    D is the `phase_matrix`, built here unless the caller passes it."""
     mp = ctx.mp
     (v, w), (v1, w1) = (_v_vector(h0, h1, basis, ctx) for basis in bases)
-    dvv = mat_vec(phase_matrix(ctx), v)
+    dvv = mat_vec(phase_matrix(ctx) if D is None else D, v)
     res_v = max(abs(v1[0] - dvv[0]), abs(v1[1] - dvv[1]))
     res_w = abs(w1 + w)
     scale_v = max(abs(v[0]), abs(v[1]), mp.mpf(1))
@@ -641,11 +663,12 @@ def check_wronskian_suite(ctx: PrecisionContext) -> List[CheckEntry]:
     # every pair is evaluated at tau and tau+1 on the same Q-powers
     bases = [_q_basis(t, degree + 1, ctx) for t in (tau, tau + 1)]
     eta12s = [eta(t, ctx) ** 12 for t in (tau, tau + 1)]
+    D = phase_matrix(ctx)
     rng = random.Random(WRONSKIAN_SEED)
     worst: Dict[str, CheckEntry] = {}
 
     def absorb(h0, h1):
-        for e in _pair_laws(h0, h1, tau, bases, eta12s, ctx):
+        for e in _pair_laws(h0, h1, tau, bases, eta12s, ctx, D):
             cur = worst.get(e.identity)
             if cur is None or e.abs_residual > cur.abs_residual:
                 worst[e.identity] = e
@@ -658,7 +681,7 @@ def check_wronskian_suite(ctx: PrecisionContext) -> List[CheckEntry]:
               for _ in range(degree + 1)]
         absorb(h0, h1)
     detail = {"pairs": n_pairs + 1, "degree": degree, "seed": WRONSKIAN_SEED}
-    return [replace(e, detail=detail)
+    return [e._replace(detail=detail)
             for e in sorted(worst.values(), key=lambda e: e.identity)]
 
 

@@ -24,9 +24,8 @@ context (`ctx.mp`) and never reads or sets the precision of the global
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from mpmath import MPContext, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
@@ -76,34 +75,48 @@ def _from_fixed(z: Tuple[int, int], P: int, mp: MPContext, prec: int = 0) -> mpc
     return mp.make_mpc(tuple(from_man_exp(v, -P, prec, round_nearest) for v in z))
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class _Settings(NamedTuple):
+    prec_bits: int
+    eps: mpf
+
+
+class PrecisionContext(_Settings):
     """Working binary precision and target tolerance, the only two settings.
 
     prec_bits governs every mpmath operation; eps is the absolute target for
     series tails.  The quadrature's absolute target quad_eps is derived as
     eps * 10^10, the series/quadrature split 1e-40 / 1e-30 of the reference
     configuration, 256 bits and eps 1e-40 (the defaults).
+
+    A named tuple of the two settings: equal and hashed by value, pickled
+    as the two settings, and validated on every construction, `_replace`
+    included.
     """
 
-    prec_bits: int = 256
-    eps: mpf = field(default=None)  # type: ignore[assignment]
-    quad_eps: mpf = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prec_bits < 64:
+    def __new__(cls, prec_bits: int = 256, eps=None):
+        if prec_bits < 64:
             raise DomainError("prec_bits must be at least 64")
-        mp = self.mp
-        eps = mp.mpf("1e-40") if self.eps is None else mp.mpf(self.eps)
+        mp = _mp_context(prec_bits)
+        eps = mp.mpf("1e-40") if eps is None else mp.mpf(eps)
         if not (mp.isfinite(eps) and eps > 0):
             raise DomainError("eps must be finite and positive")
-        if eps <= mp.mpf(2) ** (-self.prec_bits + 16):
+        if eps <= mp.mpf(2) ** (-prec_bits + 16):
             raise PrecisionError(
                 "eps %s is tighter than working precision minus the "
                 "16-bit guard" % mp.nstr(eps, 6)
             )
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "quad_eps", eps * 10**10)
+        return super().__new__(cls, prec_bits, eps)
+
+    @classmethod
+    def _make(cls, settings):
+        return cls(*settings)
+
+    @property
+    def quad_eps(self) -> mpf:
+        """The quadrature's absolute target, eps * 10^10."""
+        return self.eps * 10**10
 
     @property
     def mp(self) -> MPContext:
@@ -111,7 +124,7 @@ class PrecisionContext:
         return _mp_context(self.prec_bits)
 
     def __reduce__(self):
-        return PrecisionContext, (self.prec_bits, self.eps)
+        return PrecisionContext, tuple(self)
 
 
 def reference_context() -> PrecisionContext:

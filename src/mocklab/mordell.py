@@ -59,10 +59,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from mpmath import MPContext, mpc, mpf
 from mpmath.libmp import from_float, ln2_fixed, pi_fixed, to_fixed
@@ -85,16 +84,14 @@ __all__ = [
 LATERAL_FLOOR = "1e-3"  # smallest admissible pi - |theta|
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: Tuple[mpc, ...]  # one integral per integrand component
     err_estimate: mpf  # proved bound for every component
     nodes_used: int  # integrand evaluations
     scheme: str  # always 'gauss_patch'
 
 
-@dataclass(frozen=True)
-class RayIntegrand:
+class RayIntegrand(NamedTuple):
     """Descriptor of a vector integrand f along a ray.
 
     func          integrand in the unrotated variable x, returning the tuple
@@ -480,8 +477,7 @@ def integrate_ray(integrand: RayIntegrand, ctx: PrecisionContext) -> QuadratureR
 # The integrand family and the concrete integrals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """Integrands e^{-gauss a x^2} N_j(v) / D(v) with v = e^{-scale a x}.
 
     N_j (numerators, one per component) and D (denominator) are sparse

@@ -28,7 +28,6 @@ the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -65,16 +64,24 @@ MOCK_THETA_IDS: Tuple[Tuple[int, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MockThetaId:
+class _Id(NamedTuple):
     order: int
     name: str
 
-    def __post_init__(self):
-        if (self.order, self.name) not in MOCK_THETA_IDS:
-            raise DomainError(
-                "unknown mock theta id (%r, %r)" % (self.order, self.name)
-            )
+
+class MockThetaId(_Id):
+    """One of MOCK_THETA_IDS, validated on every construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, name: str):
+        if (order, name) not in MOCK_THETA_IDS:
+            raise DomainError("unknown mock theta id (%r, %r)" % (order, name))
+        return super().__new__(cls, order, name)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @classmethod
     def from_name(cls, name: str) -> "MockThetaId":
@@ -442,8 +449,7 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
 # Exact-rational expansion oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedQSeries:
+class TruncatedQSeries(NamedTuple):
     """sum_{n<=N} coeffs[n] * q^n with a tail bound.
 
     Coefficients are exact rationals when produced by series_expand; the tail

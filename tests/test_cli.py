@@ -376,3 +376,21 @@ def test_stokes_csv_and_summary(capsys):
     r1 = mpf(out[1].split(",")[-2])
     r2 = mpf(out[2].split(",")[-2])
     assert r2 < r1  # residual column decreasing
+
+
+def test_import_pulls_in_no_dataclass_machinery():
+    """Every CLI call is a fresh interpreter: importing the CLI must not load
+    `dataclasses`, which brings `inspect`, `ast` and `dis` with it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mocklab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(mocklab.__file__).parents[1]))
+    code = ("import sys, mocklab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -11,8 +11,10 @@ import pytest
 from mpmath import mp
 
 from mocklab import (
+    DomainError,
     MockThetaId,
     PrecisionContext,
+    PrecisionError,
     eval_mock,
     l_vector,
     reference_context,
@@ -106,3 +108,29 @@ def test_pickle_round_trip(ctx):
     assert _report_values(rep_back) == _report_values(rep)
     assert type(rep_back.eps) is mpmath.mpf  # an exact global mpmath number
     assert suite_report_to_json(rep_back, back) == suite_report_to_json(rep, ctx)
+
+
+def test_context_is_a_value():
+    """Equal settings make equal contexts with equal hashes; the context
+    pickles as its two settings and revalidates them on every construction,
+    `_replace` included."""
+    ctx = PrecisionContext(256, "1e-40")
+    assert ctx == reference_context() and hash(ctx) == hash(reference_context())
+    assert ctx != PrecisionContext(512, "1e-40") and ctx != PrecisionContext(256, "1e-39")
+    assert len({ctx, reference_context(), PrecisionContext(512)}) == 2
+    assert tuple(ctx) == (256, ctx.eps)
+    assert ctx.__reduce__() == (PrecisionContext, (256, ctx.eps))
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
+
+    wide = ctx._replace(prec_bits=512)
+    assert type(wide) is PrecisionContext and wide.mp.prec == 512
+    assert type(wide.eps) is type(PrecisionContext(512).eps)
+    for bad, error, message in ((dict(prec_bits=32), DomainError, "at least 64"),
+                                (dict(eps="nan"), DomainError, "finite and positive"),
+                                (dict(eps="-1e-40"), DomainError, "finite and positive"),
+                                (dict(prec_bits=64, eps="1e-30"), PrecisionError,
+                                 "16-bit guard")):
+        with pytest.raises(error, match=message):
+            PrecisionContext(**{"prec_bits": 256, "eps": "1e-40", **bad})
+        with pytest.raises(error, match=message):
+            ctx._replace(**bad)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,51 @@ def test_wronskian_random_pairs(ctx):
     for e in entries:
         assert e.passed
         assert e.abs_residual < mpf(10) ** -20
+
+
+def _v_vector_mp(h0, h1, tau, ctx):
+    """v and W summed term by term in the context: the mpmath sum the
+    fixed-point `_v_vector` replaced, kept as its reference."""
+    mp = ctx.mp
+    alpha = -mp.pi * 1j * mp.mpc(tau)
+    vals, ders = [], []
+    for coeffs, shift in zip((h0, h1), (Fraction(-1, 20), Fraction(-9, 20))):
+        v = dv = mp.mpc(0)
+        for m, c in enumerate(coeffs):
+            s, c = m + shift, Fraction(c)
+            term = (mp.mpf(c.numerator) / c.denominator) * power_from_alpha(alpha, "Q", s, ctx)
+            v += term
+            dv += 2 * mp.pi * 1j * (mp.mpf(s.numerator) / s.denominator) * term
+        vals.append(v)
+        ders.append(dv)
+    return vals, vals[0] * ders[1] - ders[0] * vals[1]
+
+
+def test_fixed_point_wronskian_matches_the_mpmath_sum():
+    """At 400 bits, v and W of the pair (1, Q) and of the suite's first five
+    seeded pairs, at the suite's tau and tau + 1, agree with the mpmath sum
+    to within the rounding slop the suite budgets."""
+    ctx = PrecisionContext(400, eps="1e-100")
+    rng = random.Random(identities.WRONSKIAN_SEED)
+    pairs = [([1], [0, 1])] + [
+        tuple([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(9)]
+              for _ in range(2))
+        for _ in range(5)]
+    tau = ctx.mp.mpc("0.2", "1.1")
+    for t in (tau, tau + 1):
+        basis = _q_basis(t, 9, ctx)
+        for h0, h1 in pairs:
+            (v0, v1), w = _v_vector(h0, h1, basis, ctx)
+            (r0, r1), rw = _v_vector_mp(h0, h1, t, ctx)
+            for got, ref in ((v0, r0), (v1, r1), (w, rw)):
+                assert abs(got - ref) <= identities._round_slop(ctx, max(abs(ref), 1))
+
+
+def test_check_entry_replace(ctx):
+    e = check_wronskian_suite(ctx)[0]
+    f = e._replace(detail=None, passed=False)
+    assert type(f) is type(e) and f.detail is None and not f.passed
+    assert f._replace(detail=e.detail, passed=e.passed) == e
 
 
 def test_g_cusp_decay(ctx):

@@ -351,6 +351,19 @@ def test_eval_domain_guards(ctx):
         MockThetaId(5, "omega")
 
 
+def test_mock_theta_id_validates_every_construction():
+    mid = MockThetaId(3, "f")
+    assert mid == MockThetaId.from_name("f") and mid.order == 3 and mid.name == "f"
+    assert mid._replace(name="omega") == MockThetaId(3, "omega")
+    for order, name in ((5, "omega"), (3, "chi0"), (7, "f")):
+        with pytest.raises(DomainError, match="unknown mock theta id"):
+            MockThetaId(order, name)
+        with pytest.raises(DomainError, match="unknown mock theta id"):
+            mid._replace(order=order, name=name)
+    with pytest.raises(DomainError, match="unknown mock theta name"):
+        MockThetaId.from_name("psi")
+
+
 def test_k_pair(ctx):
     with mp.workprec(ctx.prec_bits):
         k0, k1 = k_pair(mpf(0), ctx)
