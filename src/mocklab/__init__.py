@@ -25,11 +25,12 @@ from .identities import (
     check_stokes,
     check_wronskian_suite,
     group_relations,
+    mixing_matrix,
+    phase_matrix,
     run_suite,
     stokes_decompose,
     suite_report_to_json,
 )
-from .matrices import mixing_matrix, phase_matrix
 from .modpoint import PrecisionContext, power_from_alpha, reference_context
 from .mordell import (
     l_integral,

@@ -1,7 +1,11 @@
 """The verification engine: every transformation law and structural relation
 as a residual-producing check, plus the Wronskian machinery, the Stokes-line
-decomposition, and suite aggregation into serializable reports.  The
-mixing/phase matrix algebra the checks use lives in `matrices`.
+decomposition, and suite aggregation into serializable reports.
+
+Matrices are tuples of rows of any size, vectors tuples of components; the
+checks multiply them with `_apply`, `_mat_mul` and `_mat_pow`, and the
+order-5 mixing and phase matrices (`mixing_matrix`, `phase_matrix`) live
+here.
 
 Each check covers one grid point (or one fixed configuration) and computes
 every integral it needs exactly once; nothing is cached between checks.  It
@@ -30,17 +34,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from mpmath import MPContext, mpc, mpf
 
 from .errors import DomainError, ExtrapolationInstability
-from .matrices import (
-    identity2,
-    mat_mul,
-    mat_neg,
-    mat_norm,
-    mat_pow,
-    mat_sub,
-    mat_vec,
-    mixing_matrix,
-    phase_matrix,
-)
 from .modpoint import _FIXED_BITS, PrecisionContext, _fixed, _from_fixed, power_from_alpha
 from .mordell import (_L_VECTOR, _W2, _W3, _check_lateral_floor, _Family,
                       _lateral_l_vectors, _scaled_integral)
@@ -115,6 +108,54 @@ def _entry(identity, point, residual, scale, budget, ctx, detail=None) -> CheckE
 def _round_slop(ctx, scale):
     """scale * 2^(16 - prec_bits), exact."""
     return ctx.mp.ldexp(ctx.mp.mpf(scale), 16 - ctx.prec_bits)
+
+
+# ---------------------------------------------------------------------------
+# Matrices: tuples of rows, of any size
+# ---------------------------------------------------------------------------
+
+def mixing_matrix(ctx: PrecisionContext):
+    """(2/sqrt5) * [[sin(pi/5), sin(2pi/5)], [sin(2pi/5), -sin(pi/5)]].
+
+    An involution: M^2 = 1, det M = -1, trace 0, eigenvalues +-1.
+    """
+    mp = ctx.mp
+    c = 2 / mp.sqrt(5)
+    s1 = mp.sin(mp.pi / 5)
+    s2 = mp.sin(2 * mp.pi / 5)
+    return ((c * s1, c * s2), (c * s2, -c * s1))
+
+
+def phase_matrix(ctx: PrecisionContext):
+    """diag(e^{-pi i/10}, e^{-9 pi i/10}); det = -1."""
+    mp = ctx.mp
+    return (
+        (mp.exp(-mp.pi * 1j / 10), mp.mpc(0)),
+        (mp.mpc(0), mp.exp(-9 * mp.pi * 1j / 10)),
+    )
+
+
+def _apply(A, v):
+    """The vector A v."""
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+
+
+def _mat_mul(A, B):
+    """The matrix A B: each row of A applied to the columns of B."""
+    columns = tuple(zip(*B))
+    return tuple(_apply(columns, row) for row in A)
+
+
+def _mat_pow(A, n: int):
+    """A^n by repeated squaring, from the integer identity."""
+    rows = range(len(A))
+    out = tuple(tuple(int(i == j) for j in rows) for i in rows)
+    while n:
+        if n & 1:
+            out = _mat_mul(out, A)
+        A = _mat_mul(A, A)
+        n >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +236,7 @@ def _series_side(law: _Law, alpha, ctx: PrecisionContext):
     t, weight_t = (law.T or law.S)(mp.pi**2 / alpha, ctx)
     root = mp.sqrt(mp.pi / alpha)
     A = law.A(ctx) if law.A else ((1,),)
-    q1_terms = tuple(root * sum(a * v for a, v in zip(row, t)) for row in A)
+    q1_terms = tuple(root * x for x in _apply(A, t))
     norm = max(sum(abs(a) for a in row) for row in A)
     size = max(abs(x) for x in s + q1_terms)
     side = tuple(x + y for x, y in zip(s, q1_terms))
@@ -239,23 +280,23 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     alpha = mp.mpc(alpha)
     vec, half = _scaled_integral(*_L_VECTOR, [alpha, alpha / 2], ctx)
     res, scale, budget = _law("mf5", alpha / 2, half, ctx)
-    out = [_entry("mf5_scalar_%d" % j, alpha, res[j], scale, budget, ctx)
-           for j in range(2)]
+    out = [_entry("mf5_scalar_%d" % j, alpha, r, scale, budget, ctx)
+           for j, r in enumerate(res)]
     res, scale, budget = _law("mf5", alpha, vec, ctx)
     out.append(_entry("mf5_matrix", alpha, max(res), scale, budget, ctx))
 
     # modular consistency of the integral vector; at the fixed point the
     # vector at pi^2/alpha is the one at alpha
-    (l1, l2), err = vec
+    v, err = vec
     dual = mp.pi**2 / alpha
     vs, err_s = vec if dual == alpha else _scaled_integral(*_L_VECTOR, [dual], ctx)[0]
     root = mp.sqrt(mp.pi / alpha)
-    mixed = mat_vec(mixing_matrix(ctx), vs)
-    res = max(abs(l1 - root * mixed[0]), abs(l2 - root * mixed[1]))
-    scale = max(abs(l1), abs(l2), mp.mpf(1))
+    mixed = _apply(mixing_matrix(ctx), vs)
+    res = max(abs(x - root * y) for x, y in zip(v, mixed))
+    scale = max(mp.mpf(1), *(abs(x) for x in v))
     budget = err + abs(root) * err_s + _round_slop(ctx, scale)
     out.append(_entry("l_vector_consistency", alpha, res, scale, budget, ctx))
-    res_fp = _fixed_point_residual(alpha, (l1, l2), ctx)
+    res_fp = _fixed_point_residual(alpha, v, ctx)
     if res_fp is not None:
         budget_fp = 2 * err + _round_slop(ctx, scale)
         out.append(_entry("l_vector_fixed_point", alpha,
@@ -264,7 +305,7 @@ def check_mf5(alpha, ctx: PrecisionContext) -> List[CheckEntry]:
 
 
 def _fixed_point_residual(alpha, v, ctx: PrecisionContext) -> Optional[mpf]:
-    """max_j |((1 - M) v)_j| for the integral vector v at alpha, which
+    """max_j |(v - M v)_j| for the integral vector v at alpha, which
     vanishes at the fixed point of alpha -> pi^2/alpha; None unless alpha
     maps to itself to within the rounding of pi^2/alpha, a few ulps (pi^2/pi
     rounds one ulp off pi at some precisions, 200 bits among them)."""
@@ -272,8 +313,7 @@ def _fixed_point_residual(alpha, v, ctx: PrecisionContext) -> Optional[mpf]:
     alpha = mp.mpc(alpha)
     if abs(mp.pi**2 / alpha - alpha) > 4 * mp.eps * abs(alpha):
         return None
-    v = mat_vec(mat_sub(identity2(), mixing_matrix(ctx)), v)
-    return max(abs(v[0]), abs(v[1]))
+    return max(abs(x - y) for x, y in zip(v, _apply(mixing_matrix(ctx), v)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +398,11 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
     pred_real = tuple(v.real for v in side)
     pred_imag = tuple(v.imag for v in side)
 
-    nreq = len(eps_list)
-    re_res = tuple(
-        max(abs(laterals[i][j].real - pred_real[j]) for j in range(2))
-        for i in range(nreq)
-    )
+    requested = laterals[:len(eps_list)]
+    re_res = tuple(max(abs(x.real - p) for x, p in zip(v, pred_real)) for v in requested)
     im_res = tuple(
-        min(
-            max(abs(laterals[i][j].imag - s * pred_imag[j]) for j in range(2))
-            for s in (1, -1)
-        )
-        for i in range(nreq)
+        min(max(abs(x.imag - s * p) for x, p in zip(v, pred_imag)) for s in (1, -1))
+        for v in requested
     )
     for seq in (re_res, im_res):
         if any(r2 >= r1 for r1, r2 in zip(seq, seq[1:])):
@@ -376,20 +410,15 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
                 "lateral residuals fail to decrease along eps_seq"
             )
 
-    extrap = tuple(
-        neville_extrapolate(extended, [v[j] for v in laterals])
-        for j in range(2)
-    )
+    components = tuple(zip(*laterals))
+    extrap = tuple(neville_extrapolate(extended, c) for c in components)
     if len(extended) >= 3:
-        drop_one = tuple(
-            neville_extrapolate(extended[1:], [v[j] for v in laterals[1:]])
-            for j in range(2)
-        )
-        extrap_err = max(abs(extrap[j] - drop_one[j]) for j in range(2))
+        drop_one = (neville_extrapolate(extended[1:], c[1:]) for c in components)
+        extrap_err = max(abs(x - y) for x, y in zip(extrap, drop_one))
     else:
         extrap_err = mp.inf
-    res_plus = max(abs(extrap[j].imag - pred_imag[j]) for j in range(2))
-    res_minus = max(abs(extrap[j].imag + pred_imag[j]) for j in range(2))
+    res_plus = max(abs(x.imag - p) for x, p in zip(extrap, pred_imag))
+    res_minus = max(abs(x.imag + p) for x, p in zip(extrap, pred_imag))
     sign = 1 if res_plus <= res_minus else -1
     return StokesDecomposition(
         abs_alpha=a,
@@ -402,9 +431,7 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
         extrap_err_estimate=extrap_err,
         pred_real=pred_real,
         pred_imag=pred_imag,
-        extrap_residual_real=max(
-            abs(extrap[j].real - pred_real[j]) for j in range(2)
-        ),
+        extrap_residual_real=max(abs(x.real - p) for x, p in zip(extrap, pred_real)),
         extrap_residual_imag=min(res_plus, res_minus),
         matched_sign=sign,
         quad_budget=budget,
@@ -425,7 +452,7 @@ def check_stokes(abs_alpha, ctx: PrecisionContext) -> List[CheckEntry]:
     eps_seq = [mp.mpf(e) for e in STOKES_EPS_SEQ]
     dec = stokes_decompose(abs_alpha.real, eps_seq, ctx)
     res = max(dec.extrap_residual_real, dec.extrap_residual_imag)
-    scale = max(abs(dec.extrapolated[0]), abs(dec.extrapolated[1]), mp.mpf(1))
+    scale = max(mp.mpf(1), *(abs(x) for x in dec.extrapolated))
     # extrapolation error dominates; its a-posteriori Neville estimate
     # (full table vs table with the coarsest point dropped) is the budget
     budget = (4 * dec.extrap_err_estimate + 16 * dec.quad_budget
@@ -553,15 +580,16 @@ def check_eta_theta(tau, ctx: PrecisionContext) -> List[CheckEntry]:
 # ---------------------------------------------------------------------------
 
 def group_relations(ctx: PrecisionContext) -> List[CheckEntry]:
-    """Matrix-norm residuals of D^20 = M^2 = (-M D)^3 = identity."""
+    """Residuals max_ij |P_ij - delta_ij| of P = D^20, M^2 and (-M D)^3,
+    each of which is the identity."""
     M = mixing_matrix(ctx)
     D = phase_matrix(ctx)
-    one = identity2()
+    minus_md = tuple(tuple(-x for x in row) for row in _mat_mul(M, D))
     slop = _round_slop(ctx, 64)
     out = []
-    for name, A, n in (("group_D20", D, 20), ("group_M2", M, 2),
-                       ("group_MD3", mat_neg(mat_mul(M, D)), 3)):
-        res = mat_norm(mat_sub(mat_pow(A, n), one))
+    for name, A, n in (("group_D20", D, 20), ("group_M2", M, 2), ("group_MD3", minus_md, 3)):
+        res = max(abs(x - int(i == j))
+                  for i, row in enumerate(_mat_pow(A, n)) for j, x in enumerate(row))
         out.append(_entry(name, None, res, ctx.mp.mpf(1), slop, ctx))
     return out
 
@@ -626,18 +654,16 @@ def _v_vector(h0, h1, basis, ctx: PrecisionContext):
     return vals, _from_fixed((wr // d, wi // d), 2 * P, mp)
 
 
-def _pair_laws(h0, h1, tau, bases, eta12s, ctx: PrecisionContext,
-               D=None) -> List[CheckEntry]:
+def _pair_laws(h0, h1, tau, bases, eta12s, ctx: PrecisionContext, D) -> List[CheckEntry]:
     """The laws of one pair at tau, from the _q_basis at tau and at tau+1:
-    v(tau+1) = D v(tau), W(tau+1) = -W(tau) and, given eta^12 at both
-    points (eta12s), the invariance G(tau+1) = G(tau) of G = W^3 / eta^12.
-    D is the `phase_matrix`, built here unless the caller passes it."""
+    v(tau+1) = D v(tau), D the `phase_matrix`, W(tau+1) = -W(tau) and, given
+    eta^12 at both points (eta12s), the invariance G(tau+1) = G(tau) of
+    G = W^3 / eta^12."""
     mp = ctx.mp
     (v, w), (v1, w1) = (_v_vector(h0, h1, basis, ctx) for basis in bases)
-    dvv = mat_vec(phase_matrix(ctx) if D is None else D, v)
-    res_v = max(abs(v1[0] - dvv[0]), abs(v1[1] - dvv[1]))
+    res_v = max(abs(x - y) for x, y in zip(v1, _apply(D, v)))
     res_w = abs(w1 + w)
-    scale_v = max(abs(v[0]), abs(v[1]), mp.mpf(1))
+    scale_v = max(mp.mpf(1), *(abs(x) for x in v))
     scale_w = max(abs(w), mp.mpf(1))
     n_terms = len(h0) + len(h1)
     slop_v = _round_slop(ctx, scale_v * max(4, n_terms))

@@ -23,8 +23,8 @@ from mocklab import (
 )
 from mocklab import identities, mordell, qseries
 from mocklab.cli import main, parse_number
-from mocklab.identities import _LAWS, _pair_laws, _q_basis, _series_side, _v_vector
-from mocklab.matrices import identity2, mat_mul, mat_norm, mat_sub
+from mocklab.identities import (_LAWS, _Law, _apply, _mat_mul, _mat_pow, _pair_laws, _q_basis,
+                                 _series_side, _v_vector)
 from mocklab.modpoint import power_from_alpha
 from mocklab.qseries import MockThetaId, eval_mock
 
@@ -36,7 +36,9 @@ from mocklab.qseries import MockThetaId, eval_mock
 def test_mixing_matrix_involution(ctx):
     with mp.workprec(ctx.prec_bits):
         M = mixing_matrix(ctx)
-        assert mat_norm(mat_sub(mat_mul(M, M), identity2())) < 10 * ctx.eps
+        M2 = _mat_mul(M, M)
+        assert max(abs(x - (i == j))
+                   for i, row in enumerate(M2) for j, x in enumerate(row)) < 10 * ctx.eps
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
         assert abs(det + 1) < 10 * ctx.eps
         assert abs(M[0][0] + M[1][1]) < 10 * ctx.eps
@@ -56,6 +58,38 @@ def test_group_relations(ctx):
     for e in entries:
         assert e.abs_residual < mpf(10) ** -30
         assert e.passed
+
+
+# the cyclic permutation C (a, b, c) = (b, c, a): a matrix of size 3
+_CYCLIC = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+_ONE3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_matrices_of_size_three():
+    assert _mat_pow(_CYCLIC, 0) == _ONE3
+    assert _mat_pow(_CYCLIC, 3) == _ONE3
+    assert _mat_pow(_CYCLIC, 2) == _mat_mul(_CYCLIC, _CYCLIC) == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    assert _mat_pow(_CYCLIC, 7) == _CYCLIC
+    assert _apply(_CYCLIC, (5, 7, 11)) == (7, 11, 5)
+    assert _mat_mul(_ONE3, _CYCLIC) == _mat_mul(_CYCLIC, _ONE3) == _CYCLIC
+
+
+def test_series_side_of_a_row_of_size_three(ctx):
+    # S + sqrt(pi/alpha) C T, with ||C|| = 1; family is not read
+    m = ctx.mp
+    alpha = m.mpc(1, "0.5")
+    s, w_s = (alpha, 2 * alpha, m.mpf(3)), m.mpf(5)
+    t_at = lambda x: (x, x**2, m.mpf(-1))
+    w_t = m.mpf(7)
+    law = _Law(None, 1, 1, lambda a, c: (s, w_s), lambda x, c: (t_at(x), w_t),
+               lambda c: _CYCLIC)
+    side, size, budget = _series_side(law, alpha, ctx)
+    root = m.sqrt(m.pi / alpha)
+    t0, t1, t2 = t_at(m.pi**2 / alpha)
+    q1_terms = (root * t1, root * t2, root * t0)
+    assert side == tuple(x + y for x, y in zip(s, q1_terms))
+    assert size == max(abs(x) for x in s + q1_terms)
+    assert budget == ctx.eps * (w_s + abs(root) * w_t)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +378,7 @@ def _wronskian_periodicity(h0, h1, tau, ctx):
     vector built from one pair of polynomial Q-series."""
     tau = ctx.mp.mpc(tau)
     bases = [_q_basis(t, max(len(h0), len(h1)), ctx) for t in (tau, tau + 1)]
-    return _pair_laws(h0, h1, tau, bases, None, ctx)
+    return _pair_laws(h0, h1, tau, bases, None, ctx, phase_matrix(ctx))
 
 
 def _g_function(h0, h1, tau, ctx):

@@ -13,8 +13,7 @@ from mocklab import (
     stokes_decompose,
     unary_x,
 )
-from mocklab.identities import _LAWS, _series_side
-from mocklab.matrices import mat_vec
+from mocklab.identities import _LAWS, _apply, _series_side
 from mocklab.modpoint import power_from_alpha
 
 
@@ -73,7 +72,7 @@ def test_predictions_are_the_law_at_minus_a(ctx, a):
                 power_from_alpha(alpha, base, Fraction(-49, 120), ctx)
                 * unary_x("X1", u, ctx))
 
-    mixed = mat_vec(mixing_matrix(ctx), unary("Q1"))
+    mixed = _apply(mixing_matrix(ctx), unary("Q1"))
     want_real = [3 * v.real / 2 for v in unary("Q")]
     want_imag = [3 * m.sqrt(m.pi / a) * v.real / 2 for v in mixed]
     side = _series_side(_LAWS["mf5"], -a, ctx)[0]
