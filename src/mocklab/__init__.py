@@ -36,7 +36,6 @@ from .mordell import (
     l_integral,
     l_pair,
     l_vector,
-    lateral_l_vector,
     pv_quadrature,
     pv_sum,
     w2_integral,

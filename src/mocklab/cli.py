@@ -310,22 +310,21 @@ def cmd_stokes(args) -> int:
     abs_alpha = parse_real(args.abs_alpha, ctx.mp)
     eps_seq = [parse_real(tok, ctx.mp) for tok in args.eps_seq.split(",") if tok]
     dec = stokes_decompose(abs_alpha, eps_seq, ctx)
-    header = ("eps,l1_re,l1_im,l2_re,l2_im,pred_q_1,pred_q_2,"
-              "pred_q1_1,pred_q1_2,re_residual,im_residual")
+    js = range(1, len(dec.extrapolated) + 1)
+    header = ",".join(["eps"] + ["l%d_%s" % (j, part) for j in js for part in ("re", "im")]
+                      + ["pred_q_%d" % j for j in js] + ["pred_q1_%d" % j for j in js]
+                      + ["re_residual", "im_residual"])
     rows = [header]
-    for i, e in enumerate(dec.eps_seq):
-        v = dec.lateral_values[i]
+    for e, v, re_res, im_res in zip(dec.eps_seq, dec.lateral_values,
+                                    dec.re_residuals, dec.im_residuals):
         rows.append(",".join(_fmt(x, ctx) for x in (
-            e, v[0].real, v[0].imag, v[1].real, v[1].imag,
-            dec.pred_real[0], dec.pred_real[1],
-            dec.pred_imag[0], dec.pred_imag[1],
-            dec.re_residuals[i], dec.im_residuals[i],
+            e, *(part for x in v for part in (x.real, x.imag)),
+            *dec.pred_real, *dec.pred_imag, re_res, im_res,
         )))
     summary = {
         "abs_alpha": _fmt(dec.abs_alpha, ctx),
         "matched_sign": dec.matched_sign,
-        "extrapolated": [_fmt_c(dec.extrapolated[0], ctx),
-                         _fmt_c(dec.extrapolated[1], ctx)],
+        "extrapolated": [_fmt_c(x, ctx) for x in dec.extrapolated],
         "extrap_residual_real": _fmt(dec.extrap_residual_real, ctx),
         "extrap_residual_imag": _fmt(dec.extrap_residual_imag, ctx),
         "extrap_err_estimate": _fmt(dec.extrap_err_estimate, ctx),

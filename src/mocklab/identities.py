@@ -35,8 +35,7 @@ from mpmath import MPContext, mpc, mpf
 
 from .errors import DomainError, ExtrapolationInstability
 from .modpoint import _FIXED_BITS, PrecisionContext, _fixed, _from_fixed, power_from_alpha
-from .mordell import (_L_VECTOR, _W2, _W3, _check_lateral_floor, _Family,
-                      _lateral_l_vectors, _scaled_integral)
+from .mordell import _L_VECTOR, _W2, _W3, _Family, _scaled_integral
 from .qseries import MockThetaId, _euler_function, eval_mock, eta, k_pair, theta, unary_x
 
 __all__ = [
@@ -320,15 +319,13 @@ def _fixed_point_residual(alpha, v, ctx: PrecisionContext) -> Optional[mpf]:
 # Stokes-line decomposition
 # ---------------------------------------------------------------------------
 
-def neville_extrapolate(xs: Sequence[mpf], ys: Sequence, x0=0):
-    """Polynomial extrapolation of (xs, ys) to x0 (full Neville table)."""
+def neville_extrapolate(xs: Sequence[mpf], ys: Sequence):
+    """Polynomial extrapolation of (xs, ys) to 0 (full Neville table)."""
     n = len(xs)
     t = list(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            t[i] = ((x0 - xs[i - j]) * t[i] - (x0 - xs[i]) * t[i - 1]) / (
-                xs[i] - xs[i - j]
-            )
+            t[i] = (xs[i] * t[i - 1] - xs[i - j] * t[i]) / (xs[i] - xs[i - j])
     return t[-1]
 
 
@@ -344,13 +341,13 @@ class StokesDecomposition(NamedTuple):
     abs_alpha: mpf
     eps_seq: Tuple[mpf, ...]
     extended_eps: Tuple[mpf, ...]
-    lateral_values: Tuple[Tuple[mpc, mpc], ...]
+    lateral_values: Tuple[Tuple[mpc, ...], ...]
     re_residuals: Tuple[mpf, ...]
     im_residuals: Tuple[mpf, ...]
-    extrapolated: Tuple[mpc, mpc]
+    extrapolated: Tuple[mpc, ...]
     extrap_err_estimate: mpf
-    pred_real: Tuple[mpf, mpf]
-    pred_imag: Tuple[mpf, mpf]
+    pred_real: Tuple[mpf, ...]
+    pred_imag: Tuple[mpf, ...]
     extrap_residual_real: mpf
     extrap_residual_imag: mpf
     matched_sign: int
@@ -367,10 +364,10 @@ def _extend_eps(eps_seq: Sequence[mpf], mp: MPContext):
 def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecomposition:
     """Lateral limits at theta = pi - eps, extrapolated to the Stokes line.
 
-    eps_seq must be strictly decreasing with min >= 1e-3.  Residuals are
+    eps_seq must be strictly decreasing in 0 < eps <= pi/2.  Residuals are
     reported at the requested eps values, and they must decrease along it
     (ExtrapolationInstability otherwise); the extrapolation itself continues
-    the sequence geometrically down to ~2e-3 and runs a full Richardson
+    the sequence by halving while it stays >= 2e-3 and runs a full Richardson
     (Neville) table, which is what pushes the extrapolated residual far below
     the lateral ones.
 
@@ -386,11 +383,13 @@ def stokes_decompose(abs_alpha, eps_seq, ctx: PrecisionContext) -> StokesDecompo
         raise DomainError("eps_seq must be nonempty")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise DomainError("eps_seq must be strictly decreasing")
-    _check_lateral_floor(eps_list[-1], "smallest eps", mp)
+    if not (0 < eps_list[-1] and eps_list[0] <= mp.pi / 2):
+        raise DomainError("eps_seq must lie in 0 < eps <= pi/2")
     extended = _extend_eps(eps_list, mp)
 
     # the laterals on one ray in z = alpha x share one quadrature
-    laterals, errs = zip(*_lateral_l_vectors(a, [mp.pi - e for e in extended], ctx))
+    laterals, errs = zip(*_scaled_integral(
+        *_L_VECTOR, [a * mp.exp(1j * (mp.pi - e)) for e in extended], ctx))
     budget = max(errs)
 
     # at alpha = -a, K is real and sqrt(pi/alpha) = +i sqrt(pi/a)
@@ -654,11 +653,11 @@ def _v_vector(h0, h1, basis, ctx: PrecisionContext):
     return vals, _from_fixed((wr // d, wi // d), 2 * P, mp)
 
 
-def _pair_laws(h0, h1, tau, bases, eta12s, ctx: PrecisionContext, D) -> List[CheckEntry]:
-    """The laws of one pair at tau, from the _q_basis at tau and at tau+1:
-    v(tau+1) = D v(tau), D the `phase_matrix`, W(tau+1) = -W(tau) and, given
-    eta^12 at both points (eta12s), the invariance G(tau+1) = G(tau) of
-    G = W^3 / eta^12."""
+def _pair_laws(h0, h1, tau, bases, eta12s, ctx: PrecisionContext, D) -> Dict[str, tuple]:
+    """(residual, scale, budget) of each law of one pair at tau, by name,
+    from the _q_basis at tau and at tau+1: v(tau+1) = D v(tau), D the
+    `phase_matrix`, W(tau+1) = -W(tau) and, given eta^12 at both points
+    (eta12s), the invariance G(tau+1) = G(tau) of G = W^3 / eta^12."""
     mp = ctx.mp
     (v, w), (v1, w1) = (_v_vector(h0, h1, basis, ctx) for basis in bases)
     res_v = max(abs(x - y) for x, y in zip(v1, _apply(D, v)))
@@ -668,22 +667,20 @@ def _pair_laws(h0, h1, tau, bases, eta12s, ctx: PrecisionContext, D) -> List[Che
     n_terms = len(h0) + len(h1)
     slop_v = _round_slop(ctx, scale_v * max(4, n_terms))
     slop_w = _round_slop(ctx, scale_w * max(16, 4 * n_terms))
-    out = [
-        _entry("wronskian_v_T", tau, res_v, scale_v, slop_v, ctx),
-        _entry("wronskian_w_T", tau, res_w, scale_w, slop_w, ctx),
-    ]
+    out = {"wronskian_v_T": (res_v, scale_v, slop_v),
+           "wronskian_w_T": (res_w, scale_w, slop_w)}
     if eta12s is not None:
         g0, g1 = w**3 / eta12s[0], w1**3 / eta12s[1]
         scale = max(abs(g0), mp.mpf(1))
         budget = ctx.eps * 24 * scale + _round_slop(ctx, scale * max(64, 16 * n_terms))
-        out.append(_entry("g_T_invariance", tau, abs(g1 - g0), scale, budget, ctx))
+        out["g_T_invariance"] = (abs(g1 - g0), scale, budget)
     return out
 
 
 def check_wronskian_suite(ctx: PrecisionContext) -> List[CheckEntry]:
     """The canonical pair (H0, H1) = (1, Q) plus 50 seeded random rational
     pairs of degree 8, all at tau = 0.2 + 1.1i; the reported entries carry
-    the worst residual over all pairs."""
+    the worst residual over all pairs, the first pair's on a tie."""
     n_pairs, degree = 50, 8
     tau = ctx.mp.mpc("0.2", "1.1")
     # every pair is evaluated at tau and tau+1 on the same Q-powers
@@ -691,13 +688,12 @@ def check_wronskian_suite(ctx: PrecisionContext) -> List[CheckEntry]:
     eta12s = [eta(t, ctx) ** 12 for t in (tau, tau + 1)]
     D = phase_matrix(ctx)
     rng = random.Random(WRONSKIAN_SEED)
-    worst: Dict[str, CheckEntry] = {}
+    worst: Dict[str, tuple] = {}
 
     def absorb(h0, h1):
-        for e in _pair_laws(h0, h1, tau, bases, eta12s, ctx, D):
-            cur = worst.get(e.identity)
-            if cur is None or e.abs_residual > cur.abs_residual:
-                worst[e.identity] = e
+        for name, law in _pair_laws(h0, h1, tau, bases, eta12s, ctx, D).items():
+            if name not in worst or law[0] > worst[name][0]:
+                worst[name] = law
 
     absorb([1], [0, 1])
     for _ in range(n_pairs):
@@ -707,8 +703,7 @@ def check_wronskian_suite(ctx: PrecisionContext) -> List[CheckEntry]:
               for _ in range(degree + 1)]
         absorb(h0, h1)
     detail = {"pairs": n_pairs + 1, "degree": degree, "seed": WRONSKIAN_SEED}
-    return [e._replace(detail=detail)
-            for e in sorted(worst.values(), key=lambda e: e.identity)]
+    return [_entry(name, tau, *worst[name], ctx, detail) for name in sorted(worst)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Numerical evaluation of the Gaussian-weighted hyperbolic-quotient
-integrals L(r, alpha), W2(alpha), W3(alpha) for complex alpha, including
-lateral limits at the negative-axis Stokes line, the principal-value
-summation identity, and the two-component integral vector.  This module
-holds the integral side only: the series sides of the laws, and the
-Stokes-line decomposition that predicts from them, are in `identities`.
+integrals L(r, alpha), W2(alpha), W3(alpha) for complex alpha with
+|arg alpha| < pi, however close to the negative-axis Stokes line (a lateral
+value is such an integral), the principal-value summation identity, and the
+two-component integral vector.  This module holds the integral side only:
+the series sides of the laws, and the Stokes-line decomposition that
+predicts from them, are in `identities`.
 
 Integrand family: every integrand is
 
@@ -78,10 +79,7 @@ __all__ = [
     "l_vector",
     "pv_sum",
     "pv_quadrature",
-    "lateral_l_vector",
 ]
-
-LATERAL_FLOOR = "1e-3"  # smallest admissible pi - |theta|
 
 
 class QuadratureResult(NamedTuple):
@@ -828,48 +826,6 @@ def l_vector(alpha, ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
     """(sqrt(135 alpha/pi) * (L(1/5, 10 alpha), L(2/5, 10 alpha)),
     err_estimate) from one quadrature."""
     return _scaled_integral(*_L_VECTOR, [alpha], ctx)[0]
-
-
-def _check_lateral_floor(gap, what: str, mp: MPContext):
-    """Refuse a distance pi - |theta| below LATERAL_FLOOR.
-
-    The floor is built at the working precision, and a gap short of it by
-    no more than the rounding of theta = pi - eps (half an ulp of pi) is
-    admitted, so that the floor itself passes at every precision."""
-    floor = mp.mpf(LATERAL_FLOOR)
-    if gap < floor - 4 * mp.eps:
-        raise PoleProximityError("%s %s below the lateral floor %s"
-                                 % (what, mp.nstr(gap, 5), mp.nstr(floor, 5)))
-
-
-def lateral_l_vector(abs_alpha, theta,
-                     ctx: PrecisionContext) -> Tuple[Tuple[mpc, mpc], mpf]:
-    """`l_vector` at alpha = abs_alpha * e^{i theta} near the negative axis.
-
-    Controlled approach window 0 < pi - |theta| <= pi/2, down to the floor
-    pi - |theta| >= 1e-3.  Once pi - |theta| < pi/4 the ray turns away from
-    the poles (`_ray_integrand`), which then stay pi/8 from it, so a lateral
-    costs about what a generic alpha costs, however close to the Stokes
-    line: 1 116 evaluations at |alpha| = 1e4 and the floor."""
-    return _lateral_l_vectors(abs_alpha, [theta], ctx)[0]
-
-
-def _lateral_l_vectors(abs_alpha, thetas,
-                       ctx: PrecisionContext) -> List[Tuple[Tuple[mpc, mpc], mpf]]:
-    """(value, err_estimate) of `lateral_l_vector` at each theta in thetas.
-    The laterals of one side of the Stokes line with pi - |theta| < pi/4
-    lie on one ray in z = alpha x, arg z = +-3 pi/8, and share one
-    quadrature (`_integrate_family`)."""
-    mp = ctx.mp
-    abs_alpha = mp.mpf(abs_alpha)
-    alphas = []
-    for theta in map(mp.mpf, thetas):
-        gap = mp.pi - abs(theta)
-        if not (0 < gap <= mp.pi / 2):
-            raise DomainError("lateral window requires 0 < pi - |theta| <= pi/2")
-        _check_lateral_floor(gap, "pi - |theta| =", mp)
-        alphas.append(abs_alpha * mp.exp(1j * theta))
-    return _scaled_integral(*_L_VECTOR, alphas, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ eps 1e-80 (so quad_eps 1e-70), at the stress edges of the ray quadrature."""
 
 import pytest
 
-from mocklab import (PrecisionContext, lateral_l_vector, l_vector, pv_quadrature,
-                     pv_sum, w2_integral, w3_integral)
+from mocklab import (PrecisionContext, l_vector, pv_quadrature, pv_sum, w2_integral,
+                     w3_integral)
 from mocklab import mordell
 
 REF = PrecisionContext(prec_bits=400, eps="1e-80")
@@ -15,9 +15,8 @@ REF = PrecisionContext(prec_bits=400, eps="1e-80")
 CASES = {
     # the mf5_complex workload's integral vector point
     "l_pair_complex": (mordell.l_pair, lambda mp: 10 * mp.mpc("2.337666", "0.95249")),
-    # the lateral floor pi - |theta| = 1e-3 at |alpha| = 0.3
-    "lateral_floor": (lambda theta, ctx: lateral_l_vector("0.3", theta, ctx),
-                      lambda mp: mp.pi - mp.mpf("1e-3")),
+    # a lateral at |alpha| = 0.3, pi - |theta| = 1e-3 (once the laterals' floor)
+    "lateral_floor": (l_vector, lambda mp: mp.mpf("0.3") * mp.exp(1j * (mp.pi - mp.mpf("1e-3")))),
     # series_edge's three L pairs: long panels, and panels graded toward the start
     "l_pair_0.04": (mordell.l_pair, lambda mp: mp.mpf("0.04")),
     "l_pair_0.02": (mordell.l_pair, lambda mp: mp.mpf("0.02")),
@@ -33,8 +32,8 @@ CASES = {
                    lambda mp: mp.mpc(1, "0.4")),
     # a dense pole lattice near arg alpha = pi/2
     "dense_lattice": (l_vector, lambda mp: 3 * mp.exp(mp.mpc(0, "1.5"))),
-    # the ray turned away from the pole line near the Stokes line, below the
-    # lateral floor, on both sides, at large and at small |alpha|
+    # the ray turned away from the pole line 1e-5 to 1e-8 from the Stokes
+    # line, on both sides, at large and at small |alpha|
     "stokes_edge_upper": (mordell.l_pair,
                           lambda mp: 3 * mp.exp(1j * (mp.pi - mp.mpf("1e-8")))),
     "stokes_edge_lower": (mordell.l_pair,
@@ -76,12 +75,16 @@ def test_pv_quadrature_within_its_bound(ctx, monkeypatch):
 
 def test_shared_laterals_within_their_bounds(ctx):
     """One quadrature for the laterals at |alpha| = 0.3 with pi - |theta| from
-    0.016 down to the floor 1e-3: each against its own 400-bit reference,
-    within its own err_estimate."""
+    0.016 down to 1e-3: each against its own 400-bit reference, within its
+    own err_estimate."""
     gaps = ("0.016", "0.008", "0.004", "0.002", "1e-3")
-    shared = mordell._lateral_l_vectors("0.3", [ctx.mp.pi - ctx.mp.mpf(g) for g in gaps], ctx)
+
+    def lateral(gap, mp):
+        return mp.mpf("0.3") * mp.exp(1j * (mp.pi - mp.mpf(gap)))
+
+    shared = mordell._scaled_integral(*mordell._L_VECTOR, [lateral(g, ctx.mp) for g in gaps], ctx)
     for gap, (values, err) in zip(gaps, shared):
-        ref_values, ref_err = lateral_l_vector("0.3", REF.mp.pi - REF.mp.mpf(gap), REF)
+        ref_values, ref_err = l_vector(lateral(gap, REF.mp), REF)
         assert ref_err < REF.quad_eps and err < ctx.quad_eps
         for value, ref in zip(values, ref_values):
             assert abs(REF.mp.mpc(value) - ref) <= err

@@ -357,7 +357,9 @@ def test_verify_deterministic_bytes(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_stokes_floor_exit_2(capsys):
-    assert main(["stokes", "--abs-alpha", "1", "--eps-seq", "0.0001"]) == 2
+    # the window is 0 < eps <= pi/2
+    assert main(["stokes", "--abs-alpha", "1", "--eps-seq", "2"]) == 2
+    assert main(["stokes", "--abs-alpha", "1", "--eps-seq", "0"]) == 2
 
 
 def test_stokes_at_the_floor(capsys):
@@ -376,6 +378,47 @@ def test_stokes_csv_and_summary(capsys):
     r1 = mpf(out[1].split(",")[-2])
     r2 = mpf(out[2].split(",")[-2])
     assert r2 < r1  # residual column decreasing
+
+
+def test_stokes_row_of_three_components(capsys, monkeypatch):
+    """The table and the summary follow the decomposition's component
+    count: a row of three gives l3_*, pred_q_3, pred_q1_3 and three
+    extrapolated values."""
+    import mocklab.cli as cli
+    from mocklab import StokesDecomposition
+
+    def fake(abs_alpha, eps_seq, ctx):
+        m = ctx.mp
+        eps = tuple(eps_seq)
+        lateral = tuple(m.mpc(j, -j) for j in (1, 2, 3))
+        return StokesDecomposition(
+            abs_alpha=abs_alpha, eps_seq=eps, extended_eps=eps,
+            lateral_values=(lateral,) * len(eps),
+            re_residuals=tuple(m.mpf(e) for e in eps),
+            im_residuals=tuple(m.mpf(e) / 2 for e in eps),
+            extrapolated=lateral, extrap_err_estimate=m.mpf(0),
+            pred_real=(m.mpf(1), m.mpf(2), m.mpf(3)),
+            pred_imag=(m.mpf(4), m.mpf(5), m.mpf(6)),
+            extrap_residual_real=m.mpf(0), extrap_residual_imag=m.mpf(0),
+            matched_sign=-1, quad_budget=m.mpf(0))
+
+    monkeypatch.setattr(cli, "stokes_decompose", fake)
+    assert main(["stokes", "--abs-alpha", "1", "--eps-seq", "0.2,0.1",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    header = doc["header"].split(",")
+    assert header == ["eps", "l1_re", "l1_im", "l2_re", "l2_im", "l3_re", "l3_im",
+                      "pred_q_1", "pred_q_2", "pred_q_3",
+                      "pred_q1_1", "pred_q1_2", "pred_q1_3",
+                      "re_residual", "im_residual"]
+    assert len(doc["table"]) == 2
+    for row in doc["table"]:
+        cells = dict(zip(header, map(mpf, row.split(","))))
+        assert len(cells) == len(row.split(","))
+        assert (cells["l3_re"], cells["l3_im"]) == (3, -3)
+        assert (cells["pred_q_3"], cells["pred_q1_3"]) == (3, 6)
+    assert [mpc(mpf(x["re"]), mpf(x["im"])) for x in doc["summary"]["extrapolated"]] == [
+        mpc(1, -1), mpc(2, -2), mpc(3, -3)]
 
 
 def test_import_pulls_in_no_dataclass_machinery():

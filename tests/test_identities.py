@@ -23,8 +23,8 @@ from mocklab import (
 )
 from mocklab import identities, mordell, qseries
 from mocklab.cli import main, parse_number
-from mocklab.identities import (_LAWS, _Law, _apply, _mat_mul, _mat_pow, _pair_laws, _q_basis,
-                                 _series_side, _v_vector)
+from mocklab.identities import (_LAWS, _Law, _apply, _entry, _mat_mul, _mat_pow, _pair_laws,
+                                 _q_basis, _series_side, _v_vector)
 from mocklab.modpoint import power_from_alpha
 from mocklab.qseries import MockThetaId, eval_mock
 
@@ -378,7 +378,8 @@ def _wronskian_periodicity(h0, h1, tau, ctx):
     vector built from one pair of polynomial Q-series."""
     tau = ctx.mp.mpc(tau)
     bases = [_q_basis(t, max(len(h0), len(h1)), ctx) for t in (tau, tau + 1)]
-    return _pair_laws(h0, h1, tau, bases, None, ctx, phase_matrix(ctx))
+    laws = _pair_laws(h0, h1, tau, bases, None, ctx, phase_matrix(ctx))
+    return [_entry(name, tau, *law, ctx) for name, law in laws.items()]
 
 
 def _g_function(h0, h1, tau, ctx):

@@ -15,7 +15,6 @@ from mocklab import (
     PrecisionContext,
     l_integral,
     l_vector,
-    lateral_l_vector,
     mixing_matrix,
     pv_quadrature,
     pv_sum,
@@ -579,7 +578,7 @@ def test_lateral_node_count(ctx, monkeypatch, where, ceiling):
     a generic alpha costs: the four laterals of `stokes_decompose(0.307141,
     [0.016, 0.008, 0.004])` took 10 332 evaluations on the steepest-descent
     ray and 2 112 in one turned quadrature each, and take 528 in one shared
-    quadrature; `lateral_l_vector(1e4, pi - 1e-3)` took 141 432 and takes
+    quadrature; `l_vector(1e4 e^{i(pi - 1e-3)})` took 141 432 and takes
     1 116."""
     nodes = []
     real = mordell.integrate_ray
@@ -596,7 +595,7 @@ def test_lateral_node_count(ctx, monkeypatch, where, ceiling):
                          [mp_.mpf(e) for e in ("0.016", "0.008", "0.004")], ctx)
         assert len(nodes) == 1
     else:
-        lateral_l_vector(10 ** 4, mp_.pi - mp_.mpf("1e-3"), ctx)
+        l_vector(10 ** 4 * mp_.exp(1j * (mp_.pi - mp_.mpf("1e-3"))), ctx)
         assert len(nodes) == 1
     assert sum(nodes) <= ceiling
 
@@ -638,15 +637,15 @@ def _count_rays(monkeypatch):
 def test_shared_laterals_match_their_own_quadratures(ctx, monkeypatch):
     """The four laterals of `stokes_decompose(0.307141, [0.016, 0.008,
     0.004])` lie on one ray in z = alpha x and take one quadrature, of 528
-    evaluations; each agrees with its own `lateral_l_vector` within the sum
-    of both bounds."""
+    evaluations; each agrees with its own `l_vector` within the sum of both
+    bounds."""
     mp_ = ctx.mp
     calls = _count_rays(monkeypatch)
     dec = stokes_decompose(mp_.mpf("0.307141"),
                            [mp_.mpf(e) for e in ("0.016", "0.008", "0.004")], ctx)
     assert len(calls) == 1 and calls[0].nodes_used <= 600
     for e, shared in zip(dec.extended_eps, dec.lateral_values):
-        own, err = lateral_l_vector(dec.abs_alpha, mp_.pi - e, ctx)
+        own, err = l_vector(dec.abs_alpha * mp_.exp(1j * (mp_.pi - e)), ctx)
         assert max(abs(u - v) for u, v in zip(shared, own)) <= dec.quad_budget + err
     assert len(calls) == 1 + len(dec.extended_eps)
 
@@ -665,14 +664,14 @@ def test_alpha_and_half_alpha_share_one_quadrature(ctx, monkeypatch):
 
 def test_laterals_share_only_one_ray(ctx, monkeypatch):
     """pi - |theta| = 1.0 keeps the steepest-descent ray and its own
-    quadrature, equal to its own `lateral_l_vector`; 0.5 and below, under
+    quadrature, equal to its own `l_vector`; 0.5 and below, under
     pi/4, turn to arg z = 3 pi/8 and share one, within both bounds."""
     mp_ = ctx.mp
     calls = _count_rays(monkeypatch)
     dec = stokes_decompose(mp_.mpf("0.3"), [mp_.mpf(e) for e in ("1.0", "0.5", "0.1")], ctx)
     assert len(calls) == 2
     for e, shared in zip(dec.extended_eps, dec.lateral_values):
-        own, err = lateral_l_vector(dec.abs_alpha, mp_.pi - e, ctx)
+        own, err = l_vector(dec.abs_alpha * mp_.exp(1j * (mp_.pi - e)), ctx)
         if e == 1:
             assert shared == own
         else:
@@ -714,14 +713,15 @@ def test_upper_and_lower_laterals_never_share(ctx, monkeypatch):
     mp_ = ctx.mp
     theta = mp_.pi - mp_.mpf("0.01")
     calls = _count_rays(monkeypatch)
-    (up, err_up), (down, err_down) = mordell._lateral_l_vectors("0.3", [theta, -theta], ctx)
+    alphas = [mp_.mpf("0.3") * mp_.exp(1j * t) for t in (theta, -theta)]
+    (up, err_up), (down, err_down) = mordell._scaled_integral(*mordell._L_VECTOR, alphas, ctx)
     assert len(calls) == 2
     assert max(abs(u - mp_.conj(d)) for u, d in zip(up, down)) <= err_up + err_down
 
 
 def test_l_pair_past_the_lateral_floor(ctx):
     """l_pair called directly 1e-8 from the Stokes line, far below the
-    lateral floor of `lateral_l_vector`, is within its err_estimate of the
+    laterals' former floor of 1e-3, is within its err_estimate of the
     same pair at 400 bits: the turned ray keeps every pole pi/8 away.  On
     the Stokes line itself it raises DomainError."""
     values, err = mordell.l_pair(3 * ctx.mp.exp(1j * (ctx.mp.pi - ctx.mp.mpf("1e-8"))), ctx)
@@ -988,15 +988,13 @@ def test_precision_monotonicity(ctx):
 def test_lateral_window_validation(ctx):
     with mp.workprec(ctx.prec_bits):
         with pytest.raises(DomainError):
-            lateral_l_vector(1, mp.pi / 4, ctx)  # gap > pi/2
-        with pytest.raises(PoleProximityError):
-            lateral_l_vector(1, mp.pi - mpf("1e-5"), ctx)
+            stokes_decompose(mpf(1), [3 * mp.pi / 4], ctx)  # gap > pi/2
 
 
 def test_lateral_conjugate_pair(ctx):
     with mp.workprec(ctx.prec_bits):
-        (up1, up2), err = lateral_l_vector(1, mp.pi - mpf("0.2"), ctx)
-        (dn1, dn2), _ = lateral_l_vector(1, -(mp.pi - mpf("0.2")), ctx)
+        (up1, up2), err = l_vector(mp.exp(1j * (mp.pi - mpf("0.2"))), ctx)
+        (dn1, dn2), _ = l_vector(mp.exp(-1j * (mp.pi - mpf("0.2"))), ctx)
         assert abs(up1 - mp.conj(dn1)) < 100 * err
         assert abs(up2 - mp.conj(dn2)) < 100 * err
         # conjugate-lateral average recovers the real part

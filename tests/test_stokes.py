@@ -6,9 +6,8 @@ from mpmath import mp, mpf
 from mocklab import (
     DomainError,
     ExtrapolationInstability,
-    PoleProximityError,
     PrecisionContext,
-    lateral_l_vector,
+    l_vector,
     mixing_matrix,
     stokes_decompose,
     unary_x,
@@ -95,36 +94,57 @@ def test_input_validation(ctx):
             stokes_decompose(mpf(1), [mpf("0.1"), mpf("0.2")], ctx)
         with pytest.raises(DomainError):
             stokes_decompose(mpf(-1), [mpf("0.1")], ctx)
-        with pytest.raises(PoleProximityError):
-            stokes_decompose(mpf(1), [mpf("0.0001")], ctx)
-        with pytest.raises(PoleProximityError):
-            stokes_decompose(mpf("0.01"), [mpf("0.002"), mpf("0.000999")], ctx)
+        # the window is 0 < eps <= pi/2, with no floor below
+        with pytest.raises(DomainError):
+            stokes_decompose(mpf(1), [mpf(2)], ctx)
+        with pytest.raises(DomainError):
+            stokes_decompose(mpf(1), [mpf("0.1"), mpf(0)], ctx)
+        for a, eps_seq in ((mpf(1), [mpf("0.0001")]),
+                           (mpf("0.01"), [mpf("0.002"), mpf("0.000999")])):
+            dec = stokes_decompose(a, eps_seq, ctx)
+            for seq in (dec.re_residuals, dec.im_residuals):
+                assert len(seq) == len(eps_seq)
+                assert all(b < a for a, b in zip(seq, seq[1:]))
 
 
 @pytest.mark.parametrize("prec_bits", [256, 192])
 def test_lateral_floor_admitted(prec_bits):
-    # the documented floor pi - |theta| >= 1e-3 holds with equality; at 192
-    # bits theta = pi - 1e-3 rounds to a gap just short of 1e-3
+    # pi - |theta| = 1e-3, once the floor of the laterals, at 192 bits too,
+    # where theta = pi - 1e-3 rounds to a gap just short of 1e-3
     c = PrecisionContext(prec_bits=prec_bits, eps="1e-40")
     with mp.workprec(c.prec_bits):
         dec = stokes_decompose(mpf("0.01"), [mpf("0.002"), mpf("0.001")], c)
         assert dec.extended_eps == (mpf("0.002"), mpf("0.001"))
         assert dec.quad_budget < c.quad_eps * 16
-        _, err = lateral_l_vector(mpf("0.01"), mp.pi - mpf("1e-3"), c)
+        _, err = l_vector(mpf("0.01") * mp.exp(1j * (mp.pi - mpf("1e-3"))), c)
         assert err < c.quad_eps * 16
-        with pytest.raises(PoleProximityError):
-            lateral_l_vector(mpf("0.01"), mp.pi - mpf("0.000999"), c)
+
+
+@pytest.mark.parametrize("a", ["1", "pi"])
+def test_below_the_old_floor(ctx, a):
+    """Laterals from pi - |theta| = 1e-3 down to 1e-6, three decades below
+    the floor the laterals once kept: the residuals keep decreasing, and the
+    extrapolation reaches about 1e-20 (5e-14 at STOKES_EPS_SEQ)."""
+    m = ctx.mp
+    a = m.pi if a == "pi" else m.mpf(a)
+    dec = stokes_decompose(a, [m.mpf(e) for e in ("1e-3", "1e-4", "1e-5", "1e-6")], ctx)
+    assert dec.matched_sign == -1
+    for seq in (dec.re_residuals, dec.im_residuals):
+        assert len(seq) == 4
+        assert all(b < a for a, b in zip(seq, seq[1:]))
+    assert dec.extrap_residual_real < m.mpf("1e-18")
+    assert dec.extrap_residual_imag < m.mpf("1e-18")
 
 
 def test_monotonicity_enforcement(ctx, monkeypatch):
     # constant lateral values cannot show decreasing residuals
     import mocklab.identities as identities
 
-    def fake_laterals(abs_alpha, thetas, c):
+    def fake_laterals(family, k, c, alphas, ctx):
         from mpmath import mpc
-        return [((mpc(1), mpc(1)), mpf("1e-40")) for _ in thetas]
+        return [((mpc(1), mpc(1)), mpf("1e-40")) for _ in alphas]
 
-    monkeypatch.setattr(identities, "_lateral_l_vectors", fake_laterals)
+    monkeypatch.setattr(identities, "_scaled_integral", fake_laterals)
     with mp.workprec(ctx.prec_bits):
         with pytest.raises(ExtrapolationInstability):
             stokes_decompose(mpf(1), [mpf("0.2"), mpf("0.1")], ctx)
