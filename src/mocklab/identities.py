@@ -653,7 +653,7 @@ def _v_vector(h0, h1, basis, ctx: PrecisionContext):
     return vals, _from_fixed((wr // d, wi // d), 2 * P, mp)
 
 
-def _pair_laws(h0, h1, tau, bases, eta12s, ctx: PrecisionContext, D) -> Dict[str, tuple]:
+def _pair_laws(h0, h1, bases, eta12s, ctx: PrecisionContext, D) -> Dict[str, tuple]:
     """(residual, scale, budget) of each law of one pair at tau, by name,
     from the _q_basis at tau and at tau+1: v(tau+1) = D v(tau), D the
     `phase_matrix`, W(tau+1) = -W(tau) and, given eta^12 at both points
@@ -691,7 +691,7 @@ def check_wronskian_suite(ctx: PrecisionContext) -> List[CheckEntry]:
     worst: Dict[str, tuple] = {}
 
     def absorb(h0, h1):
-        for name, law in _pair_laws(h0, h1, tau, bases, eta12s, ctx, D).items():
+        for name, law in _pair_laws(h0, h1, bases, eta12s, ctx, D).items():
             if name not in worst or law[0] > worst[name][0]:
                 worst[name] = law
 

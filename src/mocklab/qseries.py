@@ -10,19 +10,16 @@ are not summed from their definitions, whose terms fall like q^n, but from
 the Andrews-Garvan forms 2 F0(q) - phi0(-q) and 2 F1(q) - psi1(-q); eta is
 Euler's pentagonal series and theta2 its own partial theta.
 
-Stop rules: the partial thetas (`unary_x`, the theta series and the
-pentagonal series of eta) share one evaluator, `_partial_theta`, which
-stops on a certified bound on the omitted tail; eta and theta2 are summed to
-relative error, widened by a proved lower bound on their modulus.
-`eval_mock` still stops on three small terms, a heuristic.
-
-Arithmetic: each mock theta series is described once, as data (`_SERIES`):
-its first term and its term ratio t_n / t_{n-1}, a monomial in q times
-factors 1 +- q^{k n + d}; `_MOCK_TERMS` writes each mock theta function as
-a sum of such series.  One evaluator, `_sum_series`, runs them all on
-complex integers scaled by 2^(prec_bits + 48), updating every power of q by
-one multiplication per term; the sum is rounded into the context only at
-the end.
+Every series is data: a `_Series` gives its first term and its term ratio
+t_n / t_{n-1}, a monomial in q times factors 1 +- q^{k n + d}.
+`_MOCK_TERMS` writes each mock theta function as a sum of such series, and
+`_theta_terms` writes a partial theta (`unary_x`, the theta series and the
+pentagonal series of eta) as one series per residue class.  One evaluator,
+`_sum_series`, runs them all on complex integers scaled by 2^P, updating
+every power of q by one multiplication per term; it stops each series on a
+proved bound on its omitted tail and rounds the sum into the context once.
+eta and theta2 are summed to relative error, widened by a proved lower
+bound on their modulus.
 """
 
 from __future__ import annotations
@@ -32,11 +29,9 @@ from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from mpmath import mpc
-from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NonConvergenceError, PrecisionError
-from .modpoint import (_FIXED_BITS, PrecisionContext, _fixed, _from_fixed,
-                       _mp_context, power_from_alpha)
+from .modpoint import _FIXED_BITS, PrecisionContext, _fixed, _from_fixed, power_from_alpha
 
 __all__ = [
     "MockThetaId",
@@ -158,28 +153,80 @@ _MOCK_TERMS = {
 }
 
 
-def _sum_series(series: _Series, q, ctx: PrecisionContext) -> mpc:
-    """The series at q, |q| < 1, summed in integers scaled by 2^P, P =
-    prec_bits + 48, and rounded to nearest into ctx.mp.
+def _sum_series(terms, q, ctx: PrecisionContext, scale=1, floor=0.0) -> mpc:
+    """sum weight * series(sign * q) over the (weight, sign, series) of terms,
+    |q| = r < 1, in complex integers scaled by 2^P, rounded into ctx.mp once.
 
-    Stops after three consecutive terms with |t|^2 < (eps 2^-8)^2, compared
-    exactly in integers, once at least 8 terms (counting the head) were
-    taken.
+    Stop.  r_m = r^{a m + b} prod_num (1 + r^{k m + d}) /
+    prod_den (1 - r^{k m + d}) bounds |t_m / t_{m-1}| and, as a > 0 and
+    every k >= 0 (both asserted), never increases; so once r_{n+1} < 1 the
+    terms after t_n sum to at most |t_n| r_{n+1} / (1 - r_{n+1}).  A series
+    stops at the first n where |weight| (|t_n| + E) r_{n+1} / (1 - r_{n+1})
+    is below T = eps 2^-8 2^-F / (scale len(terms)), E the error of t_n
+    below.  The test runs in doubles, whose rounding the 2^-8 slack covers,
+    and only once |t_n| < 2^32 T, compared in integers, which may cost a
+    term where the bound falls faster.  First of all, a sum where some
+    series has r^{first.b + sum_{m<=M} (a m + b)} >= T, M =
+    MAX_TERMS_DEFAULT, raises NonConvergenceError: for a partial theta
+    (`_theta_terms`) that is |t_{M-1}| r_M, so it cannot stop within M terms.
+
+    Floor.  Without one, F = 0 and the error is absolute, though the terms
+    may be far larger than the sum.  A caller that has proved
+    |sum| >= e^floor, floor < 0, gets it relative: F = ceil(-floor / ln 2).
+
+    Error.  P = prec_bits + 48 + F + g, u = 2^-P, D = 1 / (1 - r).  q and
+    every product truncate by less than u per part, so q^e, taken by e
+    products with q, is off by at most 4 u (1 + r + ... + r^{e-1}) =
+    4 u D (1 - r^e), and a running power q^{k n + d}, advanced by products
+    with q^k, by at most 6 u D (1 - r^{k n + d}) (by induction, as
+    r^k 6 D (1 - r^{e-k}) + r^{e-k} 4 D (1 - r^k) + 2 <= 6 D (1 - r^e)).
+    So a factor 1 +- q^e, of modulus at least 1 - r^e, is off by at most
+    6 u D relatively, and a monomial by 6 u D absolutely.
+      The terms t_j = t_{j-1} q^{a j + b} of a partial theta have modulus
+    at most 1, so the error A of t_{j-1} carries over as at most
+    r^{a j + b} A + 6 u D (1 - r^{a j + b}) + 2 u, below A = 8 u D = E.
+    Each of its at most 8 classes takes about sqrt(2 D ln(1/T) / a) terms,
+    so the sum is off by at most about 64 D^{3/2} sqrt(ln(1/T)) u: with
+    g = ceil(1.5 log2 D) and eps >= 2^(16 - prec_bits), below 2^-30 T
+    while ln(1/T) < 2^30.
+      The terms of a mock theta series (`_SERIES`) may rise before they
+    fall, so its error is counted against sum |t_n|.  Up to the largest
+    term, where |t_n / t_{n-1}| is about 1, the monomial is off by a few
+    6 u D relatively, so t_n, a product of n ratios of at most 3 factors,
+    is off by about 6 u D n (3 + a few) of itself; after it the ratios
+    shrink the error with the terms, and the monomial adds about E.  At
+    D <= 1000 (`eval_mock`'s guard) and a few hundred terms that is below
+    about 2^-(prec_bits + 30) sum |t_n|.
     """
-    P = ctx.prec_bits + _FIXED_BITS
+    mp = ctx.mp
+    q = mp.mpc(q)
+    r = abs(q)
+    if not r < 1:
+        raise DomainError("q-series require |q| < 1")
+    f = -floor / math.log(2) if floor < 0 else 0.0
+    log_target = float(mp.log(ctx.eps / (scale * len(terms)))) - (8 + f) * math.log(2)
+    log_r = float(mp.log(r))  # -inf at q = 0
+    M = MAX_TERMS_DEFAULT
+    for _, _, (first, ratio, _, _) in terms:
+        if not (ratio.a > 0 and all(k >= 0 for _, k, _ in ratio.num + ratio.den)):
+            raise AssertionError("the ratio bound of a series must not increase")
+        if log_r * (first.b + ratio.a * M * (M + 1) // 2 + ratio.b * M) >= log_target:
+            raise NonConvergenceError("q-series cannot stop within %d terms" % M)
+    rq = float(r)
+    D = 1 / (1 - rq)
+    F = math.ceil(f)
+    P = ctx.prec_bits + _FIXED_BITS + F + math.ceil(1.5 * math.log2(D))
     one = 1 << P
-    thr = to_fixed(ctx.mp.ldexp(ctx.eps, -8)._mpf_, P)
+    thr = int(mp.ldexp(ctx.eps, P - 8 - F) / (scale * len(terms)))  # T / u
     thr2 = thr * thr
-    powers = [(one, 0), _fixed(q, P)]  # q^e by exponent e
+    near2 = thr2 << 64  # (2^32 T / u)^2
+    err = 8 * D / thr  # E / T
+    base = _fixed(q, P)
+    power_lists = {}  # sign -> [(sign q)^e by exponent e]
 
     def mul(x, y):
         (xr, xi), (yr, yi) = x, y
         return xr * yr - xi * yi >> P, xr * yi + xi * yr >> P
-
-    def power(e):
-        while len(powers) <= e:
-            powers.append(mul(powers[-1], powers[1]))
-        return powers[e]
 
     def product(z, factors):
         """z times prod (1 + s p) over the pairs (s, p), p a power of q; z
@@ -192,77 +239,78 @@ def _sum_series(series: _Series, q, ctx: PrecisionContext) -> mpc:
     def next_term(t, mono, num, den):
         """t * mono * prod_num (1 + s p) / prod_den (1 + s p), with the
         division one integer division by |prod_den|^2."""
+        t = mul(t, product(mono, num))
+        if not den:
+            return t
         dr, di = product(None, den)
-        tr, ti = mul(mul(t, product(mono, num)), (dr, -di))
+        tr, ti = mul(t, (dr, -di))
         inv = (1 << 3 * P) // (dr * dr + di * di)
         return tr * inv >> P, ti * inv >> P
 
-    first, ratio = series.first, series.ratio
-    t = next_term((series.coeff * one, 0), power(first.b),
-                  [(s, power(d)) for s, _, d in first.num],
-                  [(s, power(d)) for s, _, d in first.den])
-    # the running powers q^{k n + d} of the ratio, one per distinct (k, d),
-    # and the factors q^k that advance them from n - 1 to n
-    slots = list(dict.fromkeys([(ratio.a, ratio.b)]
-                               + [(k, d) for _, k, d in ratio.num + ratio.den]))
-    cur = [power(k + d) for k, d in slots]  # at n = 1
-    moving = [(i, power(k)) for i, (k, _) in enumerate(slots) if k]
-    num = [(s, slots.index((k, d))) for s, k, d in ratio.num]
-    den = [(s, slots.index((k, d))) for s, k, d in ratio.den]
-    sr, si = series.head * one, 0
-    small_run = 0
-    for n in range(series.head, MAX_TERMS_DEFAULT):
-        sr, si = sr + t[0], si + t[1]
-        if t[0] * t[0] + t[1] * t[1] < thr2:
-            small_run += 1
-            if small_run >= 3 and n >= 8:
-                return _from_fixed((sr, si), P, ctx.mp)
+    total_r = total_i = 0
+    for weight, sign, (first, ratio, coeff, head) in terms:
+        powers = power_lists.setdefault(sign, [(one, 0), (sign * base[0], sign * base[1])])
+
+        def power(e):
+            while len(powers) <= e:
+                powers.append(mul(powers[-1], powers[1]))
+            return powers[e]
+
+        t = next_term((coeff * one, 0), power(first.b),
+                      [(s, power(d)) for s, _, d in first.num],
+                      [(s, power(d)) for s, _, d in first.den])
+        # the running powers q^{k n + d} of the ratio, one per distinct (k, d),
+        # and the factors q^k that advance them from n - 1 to n
+        slots = list(dict.fromkeys([(ratio.a, ratio.b)]
+                                   + [(k, d) for _, k, d in ratio.num + ratio.den]))
+        cur = [power(k + d) for k, d in slots]  # at n = 1
+        moving = [(i, power(k)) for i, (k, _) in enumerate(slots) if k]
+        num = [(s, slots.index((k, d))) for s, k, d in ratio.num]
+        den = [(s, slots.index((k, d))) for s, k, d in ratio.den]
+        sr, si = head * one, 0
+        for n in range(MAX_TERMS_DEFAULT):
+            sr, si = sr + t[0], si + t[1]
+            size2 = t[0] * t[0] + t[1] * t[1]
+            if size2 < near2:
+                m = n + 1
+                rn = (rq ** (ratio.a * m + ratio.b)
+                      * math.prod(1 + rq ** (k * m + d) for _, k, d in ratio.num)
+                      / math.prod(1 - rq ** (k * m + d) for _, k, d in ratio.den))
+                if rn < 1 and abs(weight) * (math.sqrt(size2 / thr2) + err) * rn < 1 - rn:
+                    break
+            t = next_term(t, cur[0], [(s, cur[i]) for s, i in num],
+                          [(s, cur[i]) for s, i in den])
+            for i, step in moving:
+                cur[i] = mul(cur[i], step)
         else:
-            small_run = 0
-        t = next_term(t, cur[0], [(s, cur[i]) for s, i in num],
-                      [(s, cur[i]) for s, i in den])
-        for i, step in moving:
-            cur[i] = mul(cur[i], step)
-    raise NonConvergenceError(
-        "series stop rule unmet within %d terms" % MAX_TERMS_DEFAULT
-    )
+            raise NonConvergenceError(
+                "series stop rule unmet within %d terms" % MAX_TERMS_DEFAULT)
+        total_r += weight * sr
+        total_i += weight * si
+    return _from_fixed((total_r, total_i), P, mp)
 
 
 def eval_mock(mid: MockThetaId, q, ctx: PrecisionContext) -> mpc:
     """Numeric value of the named mock theta function at q, |q| < 1.
 
-    Evaluation is refused above |q| = 0.999: the error analysis below
-    spends 10 of its guard bits on 1 / (1 - |q|) <= 1000.
-
-    The function is the sum of weight * series(sign * q) over its terms in
-    `_MOCK_TERMS`: one series for the order-3 functions, two for chi0 and
-    chi1, each falling like q^{n^2}, so even at |q| = 0.999 a series takes
-    at most about 620 terms.  Each series is summed by `_sum_series` in
-    integers scaled by 2^P, P = prec_bits + 48, and rounded into ctx.mp;
-    adding the weighted values rounds once more.
-
-    The error of a series, with u = 2^-P: q and every product truncate by
-    at most u per part.  A running power q^e, e = k n + d,
-    damps the error it carries by |q^k| < 1 per step, so it is off by at
-    most a few u / (1 - |q|), and by a few e u while e < 1 / (1 - |q|).
-    As |1 +- q^e| >= 1 - |q|^e, each factor of a ratio, the division by the
-    denominator included, then has a relative error of a few u / (1 - |q|):
-    with 1 - |q| >= 0.001, about 10 of the 48 guard bits, a few more for
-    the factor count.  A term, a product of n ratios, adds log2 n bits
-    (under 10 at a few hundred terms), which leaves the sum within about
-    2^-(prec_bits + 18) of sum |t_n|, the order of the rounding error of a
-    floating-point sum of the same terms.  For real q every imaginary part
-    stays 0, and the arithmetic is real.  At q > 0 sum |t_n| is the value
-    itself for F0 and F1, and at most 4/3 for phi0(-q) and psi1(-q), whose
-    terms alternate with ratios of modulus at most 1/4.
+    The sum of weight * series(sign * q) over its terms in `_MOCK_TERMS`,
+    one series for the order-3 functions and two for chi0 and chi1, each
+    falling like q^{n^2}, so even at |q| = 0.999 a series takes at most
+    about 620 terms.  `_sum_series` stops each on a proved tail bound, the
+    tails adding up to less than eps 2^-8, and its rounding error is below
+    about 2^-(prec_bits + 30) sum |t_n| while 1 / (1 - |q|) <= 1000; hence
+    the refusal above |q| = 0.999.  For real q the arithmetic is real.  At
+    q > 0 sum |t_n| is the value itself for F0 and F1, and at most 4/3 for
+    phi0(-q) and psi1(-q), whose terms alternate with ratios of modulus at
+    most 1/4.
     """
     q = ctx.mp.mpc(q)
     if not abs(q) < 1:
         raise DomainError("mock theta series require |q| < 1")
     if abs(q) > ctx.mp.mpf("0.999"):
         raise DomainError("evaluation guard: |q| <= 0.999")
-    return sum(weight * _sum_series(_SERIES[name], sign * q, ctx)
-               for weight, sign, name in _MOCK_TERMS[mid.name])
+    return _sum_series([(weight, sign, _SERIES[name])
+                        for weight, sign, name in _MOCK_TERMS[mid.name]], q, ctx)
 
 
 def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:
@@ -278,74 +326,23 @@ def k_pair(Q, ctx: PrecisionContext) -> Tuple[mpc, mpc]:
 # Euler's function
 # ---------------------------------------------------------------------------
 
-def _partial_theta(psi, period: int, N: int, c: int, u, ctx: PrecisionContext,
-                   scale=1, floor=0.0) -> mpc:
-    """sum_{n>=1} psi(n mod period) u^{(n^2 - c)/N} for |u| < 1; psi maps
-    residues to coefficients, every exponent on its support is asserted to
-    be a nonnegative integer, and period^2 >= N.
-
-    Stops once scale (the modulus of the caller's prefactor) times the bound
-    max|psi| |u|^{(n0^2 - c)/N} / (1 - |u|^{(2 n0 + 1)/N}) on the terms
-    n >= n0 is below eps * 2^-8; the bound holds as n^2 >= n0^2 +
-    (n - n0)(2 n0 + 1).  It is taken in double-precision logarithms, whose
-    rounding is far below the 2^-8 slack.  A sum that cannot stop within
-    MAX_TERMS_DEFAULT terms, even at |u|^{(n0^2 - c)/N} alone, raises before
-    it starts.
-
-    Powers: each residue class n = n1 + j period carries u^{e(n)} by two
-    multiplications per term, one by the step u^{e(n + period) - e(n)} and
-    one of the step by u^{2 period^2 / N}.  After j steps the power is off by
-    at most 4 (j + 1)^2 ulp, and |u|^{e(n)} <= |u|^{j^2} as period^2 >= N,
-    so the whole sum is off by less than 2^8 (1 - |u|)^{-3/2} ulp of max|psi|
-    (at most 8 classes).  The sum is therefore taken at prec_bits + g bits,
-    g = f + 1.5 log2(1 / (1 - |u|)) rounded up to a multiple of 32 (one
-    mpmath context per 32 bits), which with the 16 guard bits of every
-    context keeps the rounding below the tail bound, and is rounded back
-    into ctx.mp.
-
-    Without a floor, f = 0 and the error is absolute: the terms reach
-    modulus max|psi| while the sum may be far smaller.  A caller that has
-    proved |sum| >= e^floor, floor < 0, gets it relative: f = -floor / ln 2,
-    and the tail bound is held below eps 2^-f 2^-8 too.
-    """
-    mp = ctx.mp
-    u = mp.mpc(u)
-    if not abs(u) < 1:
-        raise DomainError("partial theta series require |u| < 1")
-    if period * period < N:
-        raise AssertionError("partial theta needs period^2 >= N")
-    f = -floor / math.log(2) if floor < 0 else 0.0
-    log_u = float(mp.log(abs(u)))  # -inf at u = 0
-    log_room = float(mp.log(ctx.eps * mp.mpf(2) ** -8
-                            / (max(map(abs, psi.values())) * scale)))
-    log_room -= f * math.log(2)
-    if log_u * (MAX_TERMS_DEFAULT ** 2 - c) / N >= log_room:
-        raise NonConvergenceError(
-            "partial theta series cannot stop within %d terms" % MAX_TERMS_DEFAULT)
-    g = 32 * math.ceil((f - 1.5 * math.log2(float(1 - abs(u)))) / 32)
-    wmp = _mp_context(ctx.prec_bits + g)
-    u = wmp.mpc(u)
-    grow = u ** (2 * period * period // N)
-    runs = {}  # residue -> (u^{e(n)}, its step) at the next n of the class
-    total = wmp.mpc(0)
-    for n in range(1, MAX_TERMS_DEFAULT):
-        r = n % period
-        coeff = psi.get(r)
-        if not coeff:
-            continue
-        e, rem = divmod(n * n - c, N)
-        if rem or e < 0:
+def _theta_terms(psi, period: int, N: int, c: int):
+    """sum_{n>=1} psi(n mod period) u^{(n^2 - c)/N} as the terms of
+    `_sum_series`, one `_Series` per residue class n = n0 + period j,
+    n0 in [1, period], weighted by psi(n0): its first term is
+    u^{(n0^2 - c)/N} and its ratio u^{a j + b}, a = 2 period^2 / N,
+    b = (2 n0 period - period^2) / N.  psi maps residues to integer
+    coefficients; every exponent on its support is asserted to be a
+    nonnegative integer."""
+    terms = []
+    for r, coeff in sorted(psi.items()):
+        n0 = r or period
+        (e0, r0), (a, ra), (b, rb) = (divmod(x, N) for x in (
+            n0 * n0 - c, 2 * period * period, 2 * n0 * period - period * period))
+        if r0 or ra or rb or e0 < 0 or a + b < 0:
             raise AssertionError("partial theta exponent not a nonneg integer")
-        if r not in runs:
-            runs[r] = u**e, u ** ((2 * n * period + period * period) // N)
-        power, step = runs[r]
-        total += coeff * power
-        runs[r] = power * step, step * grow
-        n0 = n + 1
-        if (log_u * (n0 * n0 - c) / N
-                - math.log(-math.expm1(log_u * (2 * n0 + 1) / N)) < log_room):
-            return mp.mpc(total)
-    raise NonConvergenceError("partial theta series did not converge")
+        terms.append((coeff, 1, _Series(_Ratio(0, e0), _Ratio(a, b))))
+    return terms
 
 
 # psi mod 60 and shift c of the folded unary series, N = 120.
@@ -363,12 +360,12 @@ def unary_x(which: str, u, ctx: PrecisionContext) -> mpc:
 
     The series of the |Q| > 1 side, at u = 1/Q: each is the partial theta
     sum_{n>=1} psi(n) u^{(n^2 - c)/120} with psi and c from `_UNARY_PSI`,
-    summed by `_partial_theta` to its certified tail bound.
+    summed by `_sum_series` to its proved tail bound.
     """
     if which not in _UNARY_PSI:
         raise DomainError("unary id must be 'X0' or 'X1'")
     psi, c = _UNARY_PSI[which]
-    return _partial_theta(psi, 60, 120, c, u, ctx)
+    return _sum_series(_theta_terms(psi, 60, 120, c), u, ctx)
 
 
 def _log_euler_floor(r) -> float:
@@ -376,7 +373,7 @@ def _log_euler_floor(r) -> float:
     log |(x; x)_infinity| at |x| = r, as |1 - x^m| >= 1 - r^m: -log (r; r)_inf
     = sum_m r^m / (m (1 - r^m)) <= pi^2 r / (6 (1 - r)), since 1 - r^m >=
     m r^(m-1) (1 - r).  -inf where the bound is infinite or overflows a
-    double, which `_partial_theta` refuses."""
+    double, which `_sum_series` refuses."""
     if not r < 1:
         return -math.inf
     return -math.pi ** 2 / 6 * float(r / (1 - r))
@@ -386,12 +383,12 @@ def _euler_function(x, ctx: PrecisionContext) -> mpc:
     """(x; x)_infinity for |x| < 1, by Euler's pentagonal theorem:
     sum_{n in Z} (-1)^n x^{n(3n-1)/2} = sum_{m>=1} chi12(m) x^{(m^2 - 1)/24},
     chi12(m) = 1 at m = +-1 and -1 at m = +-5 mod 12, summed by
-    `_partial_theta` to its certified tail bound, relative to the floor
+    `_sum_series` to its proved tail bound, relative to the floor
     `_log_euler_floor`: near |x| = 1 the terms reach modulus 1 and cancel
     down to about e^{-pi^2 / (6 (1 - |x|))}."""
     x = ctx.mp.mpc(x)
-    return _partial_theta({1: 1, 11: 1, 5: -1, 7: -1}, 12, 24, 1, x, ctx,
-                          floor=_log_euler_floor(abs(x)))
+    return _sum_series(_theta_terms({1: 1, 11: 1, 5: -1, 7: -1}, 12, 24, 1), x, ctx,
+                       floor=_log_euler_floor(abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +413,14 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
 
     theta2 = 2 q^{1/4} sum_{n>=1 odd} q^{(n^2 - 1)/4}, theta3 = 1 + 2
     sum_{n>=1} q^{n^2} and theta4 = 1 + 2 sum_{n>=1} (-1)^n q^{n^2}; each sum
-    is a partial theta of `_partial_theta`, truncated on its certified tail
-    bound.  theta3 and theta4 are within about eps of their values (the
-    factor 2 scales the tail bound); PrecisionError where their modulus is
-    not above eps, as toward a cusp, since no digit of it is then known.
-    The theta2 sum is the triple product
-    (Q; Q)_inf (-Q; Q)_inf^2, Q = q^2, of modulus at least (|Q|; |Q|)_inf^3,
-    so it is summed relative to three times `_log_euler_floor(|Q|)`, and
-    theta2 is within about eps of its value relatively.
+    is a partial theta (`_theta_terms`), summed by `_sum_series` to its
+    proved tail bound.  theta3 and theta4 are within about eps of their
+    values (the factor 2 scales the tail bound); PrecisionError where their
+    modulus is not above eps, as toward a cusp, since no digit of it is then
+    known.  The theta2 sum is the triple product (Q; Q)_inf (-Q; Q)_inf^2,
+    Q = q^2, of modulus at least (|Q|; |Q|)_inf^3, so it is summed relative
+    to three times `_log_euler_floor(|Q|)`, and theta2 is within about eps
+    of its value relatively.
     """
     mp = ctx.mp
     tau = mp.mpc(tau)
@@ -434,11 +431,11 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     if which == 2:
         pref = 2 * power_from_alpha(alpha, "q", Fraction(1, 4), ctx)
         floor = 3 * _log_euler_floor(abs(q) ** 2)
-        return pref * _partial_theta({1: 1}, 2, 4, 1, q, ctx, floor=floor)
+        return pref * _sum_series(_theta_terms({1: 1}, 2, 4, 1), q, ctx, floor=floor)
     if which not in (3, 4):
         raise DomainError("theta index must be 2, 3 or 4")
     psi = {0: 1, 1: 1} if which == 3 else {0: 1, 1: -1}
-    value = 1 + 2 * _partial_theta(psi, 2, 1, 0, q, ctx, scale=2)
+    value = 1 + 2 * _sum_series(_theta_terms(psi, 2, 1, 0), q, ctx, scale=2)
     if not abs(value) > ctx.eps:
         raise PrecisionError("|theta%d| is not above its error bound eps %s"
                              % (which, mp.nstr(ctx.eps, 3)))
@@ -450,14 +447,10 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
 # ---------------------------------------------------------------------------
 
 class TruncatedQSeries(NamedTuple):
-    """sum_{n<=N} coeffs[n] * q^n with a tail bound.
-
-    Coefficients are exact rationals when produced by series_expand; the tail
-    bound is stated for the disc |q| <= 1/2.
-    """
+    """sum_{n<=N} coeffs[n] * q^n; the coefficients are exact rationals when
+    produced by series_expand."""
 
     coeffs: Tuple[Fraction, ...]
-    tail_bound: float
 
     def eval(self, x, ctx: PrecisionContext) -> mpc:
         """Horner evaluation of the polynomial."""
@@ -571,10 +564,7 @@ def series_expand(mid: MockThetaId, N: int) -> TruncatedQSeries:
     else:  # pragma: no cover - guarded by MockThetaId
         raise DomainError("no oracle for %r" % name)
 
-    coeffs = tuple(Fraction(c) for c in acc)
-    max_abs = max((abs(c) for c in acc), default=0)
-    tail = 4.0 * float(max_abs) * 2.0 ** -(N + 1)
-    return TruncatedQSeries(coeffs, tail)
+    return TruncatedQSeries(tuple(Fraction(c) for c in acc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
-"""Budget honesty of the quadrature: every reported err_estimate bounds the
-true error, measured against a reference computed at 400 bits with
-eps 1e-80 (so quad_eps 1e-70), at the stress edges of the ray quadrature."""
+"""Budget honesty: every reported err_estimate bounds the true error of the
+quadrature, measured against a reference computed at 400 bits with
+eps 1e-80 (so quad_eps 1e-70), at the stress edges of the ray quadrature;
+and every q-series is within eps of its value, measured against the same
+code at 400 bits with eps 1e-100 on the same input."""
+
+from functools import partial
 
 import pytest
 
-from mocklab import (PrecisionContext, l_vector, pv_quadrature, pv_sum, w2_integral,
-                     w3_integral)
+from mocklab import (MockThetaId, PrecisionContext, eta, eval_mock, l_vector,
+                     pv_quadrature, pv_sum, theta, unary_x, w2_integral, w3_integral)
 from mocklab import mordell
+from mocklab.errors import NonConvergenceError
+from mocklab.qseries import MOCK_THETA_IDS, _Ratio, _Series, _sum_series
 
 REF = PrecisionContext(prec_bits=400, eps="1e-80")
 
@@ -88,3 +94,77 @@ def test_shared_laterals_within_their_bounds(ctx):
         assert ref_err < REF.quad_eps and err < ctx.quad_eps
         for value, ref in zip(values, ref_values):
             assert abs(REF.mp.mpc(value) - ref) <= err
+
+
+# ---------------------------------------------------------------------------
+# The series half
+# ---------------------------------------------------------------------------
+
+SERIES_REF = PrecisionContext(prec_bits=400, eps="1e-100")
+
+
+def _on_guard(mp, turn):
+    """0.999 e^{i pi turn}, moved in by 2^-(prec - 4) relatively so that its
+    rounding cannot lift |q| above eval_mock's guard 0.999."""
+    return mp.mpf("0.999") * (1 - mp.ldexp(1, 4 - mp.prec)) * mp.expjpi(turn)
+
+
+# each point as a function of the context's mp
+Q_POINTS = {"0.999": lambda mp: mp.mpf("0.999"), "-0.999": lambda mp: mp.mpf("-0.999"),
+            "0.999e^(i pi/7)": lambda mp: _on_guard(mp, mp.mpf(1) / 7),
+            "0.999e^(2 pi i/3)": lambda mp: _on_guard(mp, mp.mpf(2) / 3)}
+U_POINTS = {"0.999": lambda mp: mp.mpf("0.999"), "0.999e^i": lambda mp: mp.mpf("0.999") * mp.expj(1),
+            "0.9999": lambda mp: mp.mpf("0.9999")}
+TAUS = (("0", "0.0005"), ("0", "0.001"), ("0.5", "0.002"),
+        ("-0.233902", "0.014133"), ("0.273299", "0.015589"))
+
+# name: (function of (point, ctx), point); each within
+# eps / 16 + 2^-(prec_bits - 8) |ref| of its reference
+ABSOLUTE_CASES = {
+    **{"%s_%s" % (name, label): (partial(eval_mock, MockThetaId(order, name)), q)
+       for order, name in MOCK_THETA_IDS for label, q in Q_POINTS.items()},
+    **{"%s_%s" % (which, label): (partial(unary_x, which), u)
+       for which in ("X0", "X1") for label, u in U_POINTS.items()},
+    **{"theta%d_%si" % (which, im): (partial(theta, which), lambda mp, im=im: mp.mpc(0, im))
+       for which, im in ((3, "0.01"), (3, "0.0005"), (4, "0.01"))},
+}
+# the same, relatively: eta and theta2, summed relative to a proved floor
+RELATIVE_CASES = {
+    **{"eta_%s+%si" % t: (eta, lambda mp, t=t: mp.mpc(*t)) for t in TAUS},
+    **{"theta2_%s+%si" % t: (partial(theta, 2), lambda mp, t=t: mp.mpc(*t)) for t in TAUS},
+}
+
+
+def _series_error(ctx, case):
+    """|value - ref| and |ref|, the reference at 400 bits on the same point,
+    which converts exactly."""
+    fn, point = case
+    x = point(ctx.mp)
+    ref = fn(SERIES_REF.mp.mpc(x), SERIES_REF)
+    return abs(SERIES_REF.mp.mpc(fn(x, ctx)) - ref), abs(ref)
+
+
+@pytest.mark.parametrize("case", sorted(ABSOLUTE_CASES))
+def test_series_within_eps(ctx, case):
+    err, size = _series_error(ctx, ABSOLUTE_CASES[case])
+    assert err <= ctx.eps / 16 + SERIES_REF.mp.ldexp(size, 8 - ctx.prec_bits)
+
+
+@pytest.mark.parametrize("case", sorted(RELATIVE_CASES))
+def test_series_within_eps_relatively(ctx, case):
+    err, size = _series_error(ctx, RELATIVE_CASES[case])
+    assert err <= (ctx.eps / 16 + SERIES_REF.mp.ldexp(1, 8 - ctx.prec_bits)) * size
+
+
+def test_series_refusals():
+    """A sum that cannot stop within MAX_TERMS_DEFAULT terms raises before it
+    builds its fixed point, and a ratio bound that could grow is refused."""
+    ctx = PrecisionContext(prec_bits=2000, eps="1e-500")
+    u = 1 - ctx.mp.mpf(10) ** -400
+    with pytest.raises(NonConvergenceError):
+        unary_x("X0", u, ctx)
+    ref = PrecisionContext()
+    for ratio in (_Ratio(0, 1), _Ratio(-1, 3), _Ratio(2, 1, ((1, -1, 4),)),
+                  _Ratio(2, 1, (), ((-1, -1, 4),))):
+        with pytest.raises(AssertionError):
+            _sum_series([(1, 1, _Series(_Ratio(0, 0), ratio))], ref.mp.mpf("0.5"), ref)

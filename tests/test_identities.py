@@ -378,7 +378,7 @@ def _wronskian_periodicity(h0, h1, tau, ctx):
     vector built from one pair of polynomial Q-series."""
     tau = ctx.mp.mpc(tau)
     bases = [_q_basis(t, max(len(h0), len(h1)), ctx) for t in (tau, tau + 1)]
-    laws = _pair_laws(h0, h1, tau, bases, None, ctx, phase_matrix(ctx))
+    laws = _pair_laws(h0, h1, bases, None, ctx, phase_matrix(ctx))
     return [_entry(name, tau, *law, ctx) for name, law in laws.items()]
 
 
