@@ -153,22 +153,25 @@ _MOCK_TERMS = {
 }
 
 
-def _sum_series(terms, q, ctx: PrecisionContext, scale=1, floor=0.0) -> mpc:
+def _sum_series(terms, q, ctx: PrecisionContext, floor=0.0) -> mpc:
     """sum weight * series(sign * q) over the (weight, sign, series) of terms,
     |q| = r < 1, in complex integers scaled by 2^P, rounded into ctx.mp once.
 
     Stop.  r_m = r^{a m + b} prod_num (1 + r^{k m + d}) /
-    prod_den (1 - r^{k m + d}) bounds |t_m / t_{m-1}| and, as a > 0 and
-    every k >= 0 (both asserted), never increases; so once r_{n+1} < 1 the
-    terms after t_n sum to at most |t_n| r_{n+1} / (1 - r_{n+1}).  A series
-    stops at the first n where |weight| (|t_n| + E) r_{n+1} / (1 - r_{n+1})
-    is below T = eps 2^-8 2^-F / (scale len(terms)), E the error of t_n
-    below.  The test runs in doubles, whose rounding the 2^-8 slack covers,
-    and only once |t_n| < 2^32 T, compared in integers, which may cost a
-    term where the bound falls faster.  First of all, a sum where some
-    series has r^{first.b + sum_{m<=M} (a m + b)} >= T, M =
-    MAX_TERMS_DEFAULT, raises NonConvergenceError: for a partial theta
-    (`_theta_terms`) that is |t_{M-1}| r_M, so it cannot stop within M terms.
+    prod_den (1 - r^{k m + d}) bounds |t_m / t_{m-1}|, less the factors
+    1 + c r^{k m + d} that cannot raise it, where x = sign * q is real and
+    s x^{k m + d} has one sign c for all m >= 1: c = -1 in the numerator,
+    +1 in the denominator.  As a > 0 and every k >= 0 (both asserted), r_m
+    never increases; so once r_{n+1} < 1 the terms after t_n sum to at most
+    |t_n| r_{n+1} / (1 - r_{n+1}).  A series stops at the first n where
+    |weight| (|t_n| + E) r_{n+1} / (1 - r_{n+1}) is below
+    T = eps 2^-8 2^-F / len(terms), E the error of t_n below.  The test
+    runs in doubles, whose rounding the 2^-8 slack covers, and only once
+    |t_n| < 2^32 T, compared in integers, which may cost a term where the
+    bound falls faster.  First of all, a sum where some series has
+    r^{first.b + sum_{m<=M} (a m + b)} >= T, M = MAX_TERMS_DEFAULT, raises
+    NonConvergenceError: for a partial theta (`_theta_terms`) that is
+    |t_{M-1}| r_M, so it cannot stop within M terms.
 
     Floor.  Without one, F = 0 and the error is absolute, though the terms
     may be far larger than the sum.  A caller that has proved
@@ -204,7 +207,7 @@ def _sum_series(terms, q, ctx: PrecisionContext, scale=1, floor=0.0) -> mpc:
     if not r < 1:
         raise DomainError("q-series require |q| < 1")
     f = -floor / math.log(2) if floor < 0 else 0.0
-    log_target = float(mp.log(ctx.eps / (scale * len(terms)))) - (8 + f) * math.log(2)
+    log_target = float(mp.log(ctx.eps / len(terms))) - (8 + f) * math.log(2)
     log_r = float(mp.log(r))  # -inf at q = 0
     M = MAX_TERMS_DEFAULT
     for _, _, (first, ratio, _, _) in terms:
@@ -217,10 +220,10 @@ def _sum_series(terms, q, ctx: PrecisionContext, scale=1, floor=0.0) -> mpc:
     F = math.ceil(f)
     P = ctx.prec_bits + _FIXED_BITS + F + math.ceil(1.5 * math.log2(D))
     one = 1 << P
-    thr = int(mp.ldexp(ctx.eps, P - 8 - F) / (scale * len(terms)))  # T / u
+    thr = int(mp.ldexp(ctx.eps, P - 8 - F) / len(terms))  # T / u
     thr2 = thr * thr
     near2 = thr2 << 64  # (2^32 T / u)^2
-    err = 8 * D / thr  # E / T
+    err = float(8 * D / mp.mpf(thr))  # E / T, 0 below the range of a double
     base = _fixed(q, P)
     power_lists = {}  # sign -> [(sign q)^e by exponent e]
 
@@ -267,6 +270,12 @@ def _sum_series(terms, q, ctx: PrecisionContext, scale=1, floor=0.0) -> mpc:
         moving = [(i, power(k)) for i, (k, _) in enumerate(slots) if k]
         num = [(s, slots.index((k, d))) for s, k, d in ratio.num]
         den = [(s, slots.index((k, d))) for s, k, d in ratio.den]
+        x = sign * q
+        # the factors of r_m, less those of one sign c that cannot raise it
+        c = {(s, k, d): s * mp.sign(x.real) ** (d % 2) for s, k, d in ratio.num + ratio.den
+             if not x.imag and (x.real > 0 or k % 2 == 0)}
+        bound_num = [(k, d) for s, k, d in ratio.num if c.get((s, k, d)) != -1]
+        bound_den = [(k, d) for s, k, d in ratio.den if c.get((s, k, d)) != 1]
         sr, si = head * one, 0
         for n in range(MAX_TERMS_DEFAULT):
             sr, si = sr + t[0], si + t[1]
@@ -274,8 +283,8 @@ def _sum_series(terms, q, ctx: PrecisionContext, scale=1, floor=0.0) -> mpc:
             if size2 < near2:
                 m = n + 1
                 rn = (rq ** (ratio.a * m + ratio.b)
-                      * math.prod(1 + rq ** (k * m + d) for _, k, d in ratio.num)
-                      / math.prod(1 - rq ** (k * m + d) for _, k, d in ratio.den))
+                      * math.prod(1 + rq ** (k * m + d) for k, d in bound_num)
+                      / math.prod(1 - rq ** (k * m + d) for k, d in bound_den))
                 if rn < 1 and abs(weight) * (math.sqrt(size2 / thr2) + err) * rn < 1 - rn:
                     break
             t = next_term(t, cur[0], [(s, cur[i]) for s, i in num],
@@ -415,7 +424,7 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
     sum_{n>=1} q^{n^2} and theta4 = 1 + 2 sum_{n>=1} (-1)^n q^{n^2}; each sum
     is a partial theta (`_theta_terms`), summed by `_sum_series` to its
     proved tail bound.  theta3 and theta4 are within about eps of their
-    values (the factor 2 scales the tail bound); PrecisionError where their
+    values (the weight 2 enters the tail bound); PrecisionError where their
     modulus is not above eps, as toward a cusp, since no digit of it is then
     known.  The theta2 sum is the triple product (Q; Q)_inf (-Q; Q)_inf^2,
     Q = q^2, of modulus at least (|Q|; |Q|)_inf^3, so it is summed relative
@@ -434,8 +443,8 @@ def theta(which: int, tau, ctx: PrecisionContext) -> mpc:
         return pref * _sum_series(_theta_terms({1: 1}, 2, 4, 1), q, ctx, floor=floor)
     if which not in (3, 4):
         raise DomainError("theta index must be 2, 3 or 4")
-    psi = {0: 1, 1: 1} if which == 3 else {0: 1, 1: -1}
-    value = 1 + 2 * _sum_series(_theta_terms(psi, 2, 1, 0), q, ctx, scale=2)
+    psi = {0: 2, 1: 2} if which == 3 else {0: 2, 1: -2}
+    value = 1 + _sum_series(_theta_terms(psi, 2, 1, 0), q, ctx)
     if not abs(value) > ctx.eps:
         raise PrecisionError("|theta%d| is not above its error bound eps %s"
                              % (which, mp.nstr(ctx.eps, 3)))

@@ -156,6 +156,24 @@ def test_series_within_eps_relatively(ctx, case):
     assert err <= (ctx.eps / 16 + SERIES_REF.mp.ldexp(1, 8 - ctx.prec_bits)) * size
 
 
+def test_series_past_float_range_of_the_target():
+    """At 1200 bits and eps 1e-60 the target eps 2^-8 is some 2^1000 units of
+    the fixed point, beyond the range of a double; each series still sums to
+    within eps of a 1600-bit reference."""
+    ctx = PrecisionContext(prec_bits=1200, eps="1e-60")
+    ref_ctx = PrecisionContext(prec_bits=1600, eps="1e-200")
+    mp = ctx.mp
+    cases = ((partial(eval_mock, MockThetaId(3, "f")), mp.mpf("0.9")),
+             (partial(eval_mock, MockThetaId(5, "chi0")), mp.mpf("0.5") * mp.expj(1)),
+             (partial(unary_x, "X1"), mp.mpf("0.99")),
+             (partial(theta, 3), mp.mpc(0, "0.01")),
+             (eta, mp.mpc("0.5", "0.002")))
+    for fn, x in cases:
+        ref = fn(ref_ctx.mp.mpc(x), ref_ctx)
+        err = abs(ref_ctx.mp.mpc(fn(x, ctx)) - ref)
+        assert err <= ctx.eps / 16 + ref_ctx.mp.ldexp(abs(ref), 8 - ctx.prec_bits)
+
+
 def test_series_refusals():
     """A sum that cannot stop within MAX_TERMS_DEFAULT terms raises before it
     builds its fixed point, and a ratio bound that could grow is refused."""
